@@ -746,11 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Parse argv and execute; returns the process exit code."""
-    if os.environ.get("COULOMBCHAIN_THREADS"):
-        n = os.environ["COULOMBCHAIN_THREADS"]
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
     ap = build_parser()
     ns = ap.parse_args(argv)
     try:

@@ -15,21 +15,29 @@ frequency returned by `critical_frequency_finite`.
 The mode matrix R is the real orthogonal transformation between site
 displacements and normal coordinates; its first row fixes how strongly each
 mode couples to a probe on ion 1.
+
+On the mode grid k_n = 2 pi n / N the dispersion sums are one real FFT of
+j^-3; arbitrary k (group velocity, scans) keep the direct O(N) sum per k.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParameter, SoftModeSingularity, UnstableLinearPhase
+from .errors import (InvalidParameter, ResourceLimit, SoftModeSingularity,
+                     UnstableLinearPhase)
 from .model import ChainParams
 
 # Radicand more negative than this is treated as a genuine instability;
 # anything in (-RADICAND_CLAMP, 0) is rounded up to zero.
 RADICAND_CLAMP = 1e-12
+
+# Largest dense oracle matrix ModeMatrix.R will allocate (N^2 entries; 512 MB).
+_DENSE_R_ELEMENTS = 64_000_000
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -100,23 +108,26 @@ def _dispersion_sum(k, N: int):
     return out if np.ndim(k) else float(out[0])
 
 
-def dispersion_axial(k, N: int):
-    """Axial phonon frequency omega_x(k) in omega_0 units; k in 1/a units."""
-    _check_even_n(N)
-    s = _dispersion_sum(k, N)
-    return np.sqrt(8.0 * s) if np.ndim(k) else math.sqrt(8.0 * s)
+def _mode_grid_sum(N: int) -> np.ndarray:
+    """_dispersion_sum at the k of every enumerate_modes column, O(N log N).
+
+    With F = rfft(c), c_j = j^-3 for j = 1..N/2 and 0 otherwise,
+    sum_j j^-3 sin^2(j k_n / 2) = (F_0 - Re F_n) / 2; n = 0 is exactly 0.
+    """
+    c = np.zeros(N)
+    c[1:N // 2 + 1] = np.arange(1, N // 2 + 1, dtype=np.float64) ** -3
+    F = np.fft.rfft(c).real
+    s = 0.5 * (F[0] - F)
+    return s[(np.arange(N) + 1) // 2]       # column -> n: 0, 1, 1, 2, 2, ..
 
 
-def dispersion_transverse(k, nu_t: float, N: int):
-    """Transverse phonon frequency omega_y(k); raises below the instability.
+def _transverse_omega(s, nu_t: float) -> np.ndarray:
+    """omega_y = sqrt(nu_t^2 - 4 s) with the clamp and snap rules below.
 
     Radicands in (-1e-12, 0) are clamped to zero; anything lower means the
     linear phase is not a valid expansion point for this nu_t.
     """
-    _check_even_n(N)
-    if nu_t <= 0:
-        raise InvalidParameter("nu_t must be positive")
-    rad = nu_t ** 2 - 4.0 * np.asarray(_dispersion_sum(k, N))
+    rad = nu_t ** 2 - 4.0 * np.asarray(s)
     bad = rad < -RADICAND_CLAMP
     if np.any(bad):
         raise UnstableLinearPhase(
@@ -126,7 +137,23 @@ def dispersion_transverse(k, nu_t: float, N: int):
     # noise of either sign, and the zero must be exact for both phases' mode
     # lists to agree there.
     rad = np.where(np.abs(rad) < RADICAND_CLAMP, 0.0, rad)
-    return np.sqrt(rad) if np.ndim(k) else math.sqrt(float(rad))
+    return np.sqrt(rad)
+
+
+def dispersion_axial(k, N: int):
+    """Axial phonon frequency omega_x(k) in omega_0 units; k in 1/a units."""
+    _check_even_n(N)
+    s = _dispersion_sum(k, N)
+    return np.sqrt(8.0 * s) if np.ndim(k) else math.sqrt(8.0 * s)
+
+
+def dispersion_transverse(k, nu_t: float, N: int):
+    """Transverse phonon frequency omega_y(k); raises below the instability."""
+    _check_even_n(N)
+    if nu_t <= 0:
+        raise InvalidParameter("nu_t must be positive")
+    omega = _transverse_omega(_dispersion_sum(k, N), nu_t)
+    return omega if np.ndim(k) else float(omega)
 
 
 def critical_frequency_finite(N: int) -> float:
@@ -158,16 +185,15 @@ class ModeSet:
 def transverse_mode_set(params: ChainParams) -> ModeSet:
     """ModeSet of the y branch for the given chain parameters."""
     modes = enumerate_modes(params.N)
-    k = np.array([m.k for m in modes])
-    omega = dispersion_transverse(k, params.nu_t, params.N)
+    omega = _transverse_omega(_mode_grid_sum(params.N), params.nu_t)
     return ModeSet(branch="y", modes=tuple(modes), omega=omega)
 
 
 def axial_mode_set(N: int) -> ModeSet:
     """ModeSet of the x branch (confinement-independent)."""
     modes = enumerate_modes(N)
-    k = np.array([m.k for m in modes])
-    return ModeSet(branch="x", modes=tuple(modes), omega=dispersion_axial(k, N))
+    return ModeSet(branch="x", modes=tuple(modes),
+                   omega=np.sqrt(8.0 * _mode_grid_sum(N)))
 
 
 @dataclass(frozen=True)
@@ -179,17 +205,57 @@ class ModeMatrix:
         R[j, (n,+)]    = sqrt(2/N) cos(j k_n)            (0 < n < N/2)
         R[j, (n,-)]    = sqrt(2/N) sin(j k_n)
         R[j, (N/2,-)]  = (-1)^j sqrt(1/N)
+
+    `row` evaluates one probe row in O(N). The dense R is a test oracle,
+    built on first access; above _DENSE_R_ELEMENTS entries it raises
+    ResourceLimit before allocating.
     """
 
     N: int
-    R: np.ndarray
-    modes: tuple
+
+    def __post_init__(self):
+        _check_even_n(self.N)
+
+    @cached_property
+    def modes(self) -> tuple:
+        return tuple(enumerate_modes(self.N))
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        """Dense R, one column per mode: the oracle `row` is tested against."""
+        N = self.N
+        if N ** 2 > _DENSE_R_ELEMENTS:
+            raise ResourceLimit(
+                f"dense {N} x {N} mode matrix exceeds budget "
+                f"{_DENSE_R_ELEMENTS} entries; use row()")
+        j = np.arange(1, N + 1, dtype=np.float64)
+        R = np.empty((N, N))
+        root1 = math.sqrt(1.0 / N)
+        root2 = math.sqrt(2.0 / N)
+        for col, m in enumerate(self.modes):
+            if m.n == 0:
+                R[:, col] = root1
+            elif m.n == N // 2:
+                R[:, col] = root1 * np.where(np.arange(1, N + 1) % 2 == 0,
+                                             1.0, -1.0)
+            elif m.sigma == "+":
+                R[:, col] = root2 * np.cos(j * m.k)
+            else:
+                R[:, col] = root2 * np.sin(j * m.k)
+        return R
 
     def row(self, site: int) -> np.ndarray:
-        """Probe row for ion `site` (1-based)."""
-        if not 1 <= site <= self.N:
+        """Probe row for ion `site` (1-based), in O(N)."""
+        N = self.N
+        if not 1 <= site <= N:
             raise InvalidParameter("site must lie in 1..N")
-        return self.R[site - 1]
+        phase = site * (2.0 * math.pi * np.arange(1, N // 2) / N)
+        out = np.empty(N)
+        out[0] = math.sqrt(1.0 / N)
+        out[1:N - 1:2] = math.sqrt(2.0 / N) * np.cos(phase)
+        out[2:N - 1:2] = math.sqrt(2.0 / N) * np.sin(phase)
+        out[N - 1] = math.sqrt(1.0 / N) * (1.0 if site % 2 == 0 else -1.0)
+        return out
 
     def orthogonality_error(self) -> float:
         """max |R^T R - I|."""
@@ -198,22 +264,7 @@ class ModeMatrix:
 
 
 def mode_matrix(N: int) -> ModeMatrix:
-    _check_even_n(N)
-    modes = enumerate_modes(N)
-    j = np.arange(1, N + 1, dtype=np.float64)
-    R = np.empty((N, N))
-    root1 = math.sqrt(1.0 / N)
-    root2 = math.sqrt(2.0 / N)
-    for col, m in enumerate(modes):
-        if m.n == 0:
-            R[:, col] = root1
-        elif m.n == N // 2:
-            R[:, col] = root1 * np.where(np.arange(1, N + 1) % 2 == 0, 1.0, -1.0)
-        elif m.sigma == "+":
-            R[:, col] = root2 * np.cos(j * m.k)
-        else:
-            R[:, col] = root2 * np.sin(j * m.k)
-    return ModeMatrix(N=N, R=R, modes=tuple(modes))
+    return ModeMatrix(N=N)
 
 
 def _dispersion_sq_derivative(k, N: int):

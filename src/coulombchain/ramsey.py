@@ -31,6 +31,11 @@ from .model import ChainParams
 # Target size of one t-by-mode block in the chunked trig sums (~64 MB).
 _CHUNK_ELEMENTS = 8_000_000
 
+# A grid is uniform for the blocked trig sum when it has at least this many
+# samples and every t_i lies within _UNIFORM_ULPS ulp of max|t| of t_0 + i dt.
+_MIN_UNIFORM_SAMPLES = 64
+_UNIFORM_ULPS = 8
+
 
 @dataclass(frozen=True)
 class DisplacementAmplitudes:
@@ -90,28 +95,100 @@ def linear_chain_amplitudes(params: ChainParams,
                                    mode_matrix(params.N), probe_site)
 
 
-def weighted_trig_sum(t, omega: np.ndarray, weight: np.ndarray,
-                      kind: str) -> np.ndarray:
-    """sum_m weight_m * f(omega_m t) with f per `kind`, chunked over t.
+def _uniform_step(t: np.ndarray) -> float | None:
+    """dt if t_i = t_0 + i dt to within a few ulp of max|t|, else None.
 
-    kind: 'sin2half' -> sin^2(w t / 2); 'sin' -> sin(w t); 'cos' -> cos(w t).
-    Scalar t in, scalar out.
+    Grids shorter than _MIN_UNIFORM_SAMPLES count as non-uniform.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    out = np.empty_like(t_arr)
+    n = len(t)
+    if n < _MIN_UNIFORM_SAMPLES:
+        return None
+    dt = (t[-1] - t[0]) / (n - 1)
+    tol = _UNIFORM_ULPS * np.spacing(np.max(np.abs(t)))
+    if not np.max(np.abs(t - (t[0] + dt * np.arange(n)))) <= tol:
+        return None                     # also for NaN and inf samples
+    return float(dt)
+
+
+def _direct_trig_sum(t: np.ndarray, omega: np.ndarray, weight: np.ndarray,
+                     kind: str) -> np.ndarray:
+    """One trig call per mode-sample, chunked over t."""
+    out = np.empty_like(t)
     chunk = max(1, _CHUNK_ELEMENTS // max(len(omega), 1))
-    for i in range(0, len(t_arr), chunk):
-        phase = np.multiply.outer(t_arr[i:i + chunk], omega)
+    for i in range(0, len(t), chunk):
+        phase = np.multiply.outer(t[i:i + chunk], omega)
         if kind == "sin2half":
             block = np.sin(0.5 * phase)
             np.square(block, out=block)
         elif kind == "sin":
             block = np.sin(phase)
-        elif kind == "cos":
-            block = np.cos(phase)
         else:
-            raise InvalidParameter(f"unknown kernel kind {kind!r}")
+            block = np.cos(phase)
         out[i:i + chunk] = block @ weight
+    return out
+
+
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase) without a complex temporary."""
+    z = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=z.real)
+    np.sin(phase, out=z.imag)
+    return z
+
+
+def _blocked_exp_sum(t: np.ndarray, dt: float, omega: np.ndarray,
+                     weight: np.ndarray) -> np.ndarray:
+    """sum_m weight_m exp(i omega_m t) on a uniform grid as a matrix product.
+
+    With t_{qB+r} = t_{qB} + r dt, the sum is (L @ E)[q, r] where
+    L[q, m] = weight_m exp(i omega_m t_{qB}) and E[m, r] = exp(i omega_m r dt):
+    about 2 sqrt(T) M complex exponentials instead of T M trig calls. Each
+    factor block holds at most _CHUNK_ELEMENTS / 2 complex entries, the bytes
+    of one direct-kernel block.
+    """
+    n, m = len(t), len(omega)
+    rows = max(1, _CHUNK_ELEMENTS // (2 * m))
+    B = max(1, min(math.isqrt(n), rows))
+    E = _cis(np.multiply.outer(omega, dt * np.arange(B)))
+    base = t[::B]
+    out = np.empty(len(base) * B, dtype=np.complex128)
+    for i in range(0, len(base), rows):
+        L = _cis(np.multiply.outer(base[i:i + rows], omega))
+        L *= weight
+        out[i * B:(i + len(L)) * B] = (L @ E).ravel()
+    return out[:n]
+
+
+def weighted_trig_sum(t, omega: np.ndarray, weight: np.ndarray,
+                      kind: str) -> np.ndarray:
+    """sum_m weight_m * f(omega_m t) with f per `kind`.
+
+    kind: 'sin2half' -> sin^2(w t / 2); 'sin' -> sin(w t); 'cos' -> cos(w t).
+    Scalar t in, scalar out. On a uniform grid, samples with
+    max(omega) |t| > 1 come from the blocked product of _blocked_exp_sum;
+    the rest, and every non-uniform grid, use one trig call per mode-sample.
+    Near t = 0 the product form would lose sin^2 to the cancellation in
+    1 - cos, and the Gamma-fit window lies there.
+    """
+    if kind not in ("sin2half", "sin", "cos"):
+        raise InvalidParameter(f"unknown kernel kind {kind!r}")
+    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    dt = _uniform_step(t_arr)
+    near = np.ones(len(t_arr), dtype=bool)
+    if dt is not None:
+        near = np.max(np.abs(omega), initial=0.0) * np.abs(t_arr) <= 1.0
+    if np.all(near):
+        out = _direct_trig_sum(t_arr, omega, weight, kind)
+    else:
+        z = _blocked_exp_sum(t_arr, dt, omega, weight)
+        if kind == "sin2half":
+            out = 0.5 * (np.sum(weight) - z.real)
+        elif kind == "sin":
+            out = z.imag.copy()
+        else:
+            out = z.real.copy()
+        if np.any(near):
+            out[near] = _direct_trig_sum(t_arr[near], omega, weight, kind)
     return out if np.ndim(t) else float(out[0])
 
 
@@ -205,5 +282,8 @@ def evaluate_trace(amps: DisplacementAmplitudes, t: np.ndarray,
     t = np.asarray(t, dtype=np.float64)
     A = exponent_A_thermal(t, amps, theta)
     V = np.exp(-A)
-    S = overlap(t, amps, theta) if with_overlap else None
+    S = None
+    if with_overlap:    # as overlap(), reusing A
+        S = np.exp(-A + 1j * weighted_trig_sum(t, amps.omega, amps.weight,
+                                               "sin"))
     return VisibilityTrace(t=t, A=A, V=V, S=S, theta=theta, nu_t=amps.nu_t)

@@ -1,0 +1,111 @@
+"""Seeded cross-route checks: each fast path against the route it replaced.
+
+- the blocked-product trig sum against the direct kernel on uniform grids;
+- the closed-form probe row against the dense mode matrix;
+- the FFT mode-grid dispersion against the direct sum.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from coulombchain import (ChainParams, axial_mode_set,
+                          critical_frequency_finite, enumerate_modes,
+                          linear_chain_amplitudes, mode_matrix,
+                          transverse_mode_set, weighted_trig_sum)
+from coulombchain.errors import SoftModeSingularity
+from coulombchain.linear_modes import _dispersion_sum, _mode_grid_sum
+from coulombchain.ramsey import _direct_trig_sum, _uniform_step
+
+KINDS = ("sin2half", "sin", "cos")
+EPS = np.finfo(np.float64).eps
+
+
+def _random_grid(rng, n, straddle):
+    dt = float(rng.uniform(1e-3, 2.0))
+    t0 = -0.5 * n * dt * float(rng.uniform(0.2, 0.8)) if straddle \
+        else float(rng.uniform(-400.0, 400.0))
+    if rng.random() < 0.5:
+        return np.linspace(t0, t0 + dt * (n - 1), n)
+    return t0 + dt * np.arange(n)
+
+
+def _bound(t, omega, weight):
+    """Observed deviations stay below 0.25 of this."""
+    return 4 * EPS * np.sum(np.abs(weight)) * (
+        1.0 + np.max(omega) * np.max(np.abs(t)))
+
+
+def test_blocked_trig_sum_matches_direct_kernel():
+    rng = np.random.default_rng(20261017)
+    for case in range(24):
+        M = int(rng.integers(1, 600))
+        n = int(rng.integers(64, 5000))
+        if math.isqrt(n) ** 2 == n:
+            n += 1                      # last block shorter than B
+        t = _random_grid(rng, n, straddle=case % 2 == 0)
+        omega = rng.uniform(0.05, 3.0, M)
+        weight = rng.uniform(0.0, 0.1, M)
+        assert _uniform_step(t) is not None
+        assert np.any(np.max(omega) * np.abs(t) > 1.0)
+        for kind in KINDS:
+            fast = weighted_trig_sum(t, omega, weight, kind)
+            slow = _direct_trig_sum(t, omega, weight, kind)
+            assert np.max(np.abs(fast - slow)) < _bound(t, omega, weight)
+
+
+def test_small_t_samples_keep_relative_accuracy():
+    # The blocked product would lose sin^2(w t / 2) to 1 - cos near t = 0.
+    rng = np.random.default_rng(11)
+    omega = rng.uniform(0.5, 2.5, 200)
+    weight = rng.uniform(0.0, 0.1, 200)
+    t = np.linspace(-2.0, 8.0, 10001)
+    near = np.max(omega) * np.abs(t) <= 1.0
+    for kind in KINDS:
+        fast = weighted_trig_sum(t, omega, weight, kind)
+        slow = _direct_trig_sum(t, omega, weight, kind)
+        assert np.all(np.abs(fast - slow)[near] <= 1e-13 * np.abs(slow[near]))
+
+
+def test_perturbed_grid_takes_the_direct_route():
+    rng = np.random.default_rng(5)
+    omega = rng.uniform(0.5, 2.5, 50)
+    weight = rng.uniform(0.0, 0.1, 50)
+    t = np.linspace(-10.0, 200.0, 400)
+    assert _uniform_step(t) is not None
+    t[123] += 1e-9
+    assert _uniform_step(t) is None
+    assert _uniform_step(np.linspace(0.0, 1.0, 63)) is None
+    for kind in KINDS:
+        assert np.array_equal(weighted_trig_sum(t, omega, weight, kind),
+                              _direct_trig_sum(t, omega, weight, kind))
+
+
+def test_probe_row_matches_dense_matrix():
+    rng = np.random.default_rng(3)
+    for N in (4, 6, 16, 100, 512):
+        R = mode_matrix(N)
+        for site in rng.integers(1, N + 1, 5):
+            assert np.max(np.abs(R.row(int(site)) - R.R[site - 1])) < 1e-15
+
+
+@pytest.mark.parametrize("N", [4, 6, 8, 100, 1000])
+def test_fft_mode_grid_matches_direct_sum(N):
+    k = np.array([m.k for m in enumerate_modes(N)])
+    direct = _dispersion_sum(k, N)
+    assert np.max(np.abs(_mode_grid_sum(N) - direct)) < 10 * EPS
+    omega_x = axial_mode_set(N).omega
+    assert np.max(np.abs(omega_x ** 2 - 8.0 * direct)) < 1e-14
+    assert omega_x[0] == 0.0
+
+    nu_t = 2.3
+    omega = transverse_mode_set(ChainParams(N=N, nu_t=nu_t, eta_c=0.1)).omega
+    assert np.max(np.abs(omega - np.sqrt(nu_t ** 2 - 4.0 * direct))) < 1e-14
+
+    # At the finite-N critical point the zone-edge mode snaps to exactly 0.
+    p = ChainParams(N=N, nu_t=critical_frequency_finite(N), eta_c=0.1)
+    omega = transverse_mode_set(p).omega
+    assert omega[-1] == 0.0 and np.all(omega[:-1] > 0.0)
+    with pytest.raises(SoftModeSingularity):
+        linear_chain_amplitudes(p)

@@ -11,8 +11,8 @@ from coulombchain import (ChainParams, ModeIndex, axial_mode_set,
                           dispersion_transverse, enumerate_modes,
                           group_velocity, max_group_velocity, mode_matrix,
                           transverse_mode_set)
-from coulombchain.errors import (InvalidParameter, SoftModeSingularity,
-                                 UnstableLinearPhase)
+from coulombchain.errors import (InvalidParameter, ResourceLimit,
+                                 SoftModeSingularity, UnstableLinearPhase)
 
 # Frozen finite-N critical frequencies (independent odd-j sums).
 NU_C_FINITE = {
@@ -104,6 +104,17 @@ def test_mode_matrix_n4_entries():
     assert mode_matrix(4).row(1) == pytest.approx([0.5, 0.0, s, -0.5])
     with pytest.raises(InvalidParameter):
         mode_matrix(4).row(0)
+
+
+def test_dense_mode_matrix_budget():
+    # The probe row is O(N); the dense oracle refuses before allocating N^2.
+    N = 200_000
+    R = mode_matrix(N)
+    row = R.row(1)
+    assert row[0] == pytest.approx(math.sqrt(1.0 / N))
+    assert float(np.sum(row ** 2)) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ResourceLimit):
+        R.R
 
 
 def test_group_velocity_against_finite_difference():

@@ -193,6 +193,7 @@ def test_random_sweep_invariants():
         assert np.all((tr.V > 0) & (tr.V <= 1.0 + 1e-12))
         assert np.all(tr.A >= -1e-15)
         assert np.max(np.abs(np.abs(tr.S) - np.exp(-tr.A))) < 1e-12
+        assert tr.S == pytest.approx(overlap(t, amps, p.theta), abs=1e-15)
 
 
 def test_displacement_amplitudes_explicit_modes():
