@@ -7,24 +7,39 @@ diametral pair; this is exactly the pair convention under which the linear
 dispersion sums of `linear_modes` are recovered term by term, so the b -> 0
 spectrum matches the folded linear branches to machine precision.
 
-The 2N x 2N dynamical matrix in coordinates (q_1, w_1, ..., q_N, w_N) is
-assembled from the analytic second derivatives of 1/r and diagonalized
-exactly. Modes are labeled by the folded wave number k = 2 pi n / (N a),
-n = 0..N/4, and parity, by projecting eigenvectors onto the cos/sin Bloch
-patterns of the doubled cell; the structural modes (uniform rotation, bulk
-transverse, and the two staggered zigzag modes) are tagged by name.
+The staggered equilibrium is invariant under a two-site translation, so the
+2N x 2N dynamical matrix in (q_1, w_1, ..., q_N, w_N) is block diagonal in
+plane waves: the axial wave q_j = u e^{ikj} couples only to the transverse
+wave w_j = i v (-1)^j e^{ikj} at k + pi. On the grid k_m = 2 pi m / N,
+m = 0..N/2, each pair is the real symmetric 2 x 2 block
+
+    [[Dxx(k), 2 S(k)], [2 S(k), Dyy(k + pi)]]
+
+whose entries are sums of the analytic second derivatives of 1/r over d,
+all three from one real FFT. The blocks are diagonalised in closed form; the
+real and imaginary parts of each eigenvector are the sigma = '+' and '-'
+real modes with folded label n = min(m, N/2 - m) = 0..N/4. Mode labels
+therefore come from the block index, and the probe row of a site is closed
+form, O(N). The structural modes (uniform rotation, bulk transverse, and the
+two staggered zigzag modes) are tagged by name.
+
+The dense routes are oracles: the assembled Hessian `_hessian` (diagonalised
+with eigh in the tests) and the eigenvector matrix `ZigzagSpectrum.vectors`
+are (2N)^2 arrays and raise ResourceLimit above _DENSE_ELEMENTS entries
+before allocating.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (InvalidParameter, NumericalFailure, SoftModeSingularity,
-                     UnstableConfiguration)
+from .errors import (InvalidParameter, NumericalFailure, ResourceLimit,
+                     SoftModeSingularity, UnstableConfiguration)
 from .linear_modes import (critical_frequency_finite, dispersion_axial,
                            dispersion_transverse, enumerate_modes)
 from .model import ChainParams
@@ -32,7 +47,8 @@ from .ramsey import DisplacementAmplitudes
 
 GRAD_TOL = 1e-10          # |dE/db| at the returned equilibrium
 EIG_CLAMP = 1e-10         # |eigenvalue| below this snaps to zero
-_PROJ_INT_TOL = 1e-6      # subspace occupancies must be near-integers
+# Largest (2N)^2 dense array the oracle routes allocate (N <= 2000; 128 MB).
+_DENSE_ELEMENTS = 16_000_000
 
 
 def _check_zigzag_n(N: int) -> None:
@@ -102,8 +118,20 @@ def zigzag_equilibrium(params: ChainParams) -> ZigzagEquilibrium:
                              grad=grad if b else 0.0)
 
 
+def _check_dense(N: int, what: str) -> None:
+    if (2 * N) ** 2 > _DENSE_ELEMENTS:
+        raise ResourceLimit(
+            f"dense {2 * N} x {2 * N} {what} exceeds budget "
+            f"{_DENSE_ELEMENTS} entries; use the block spectrum and probe_row")
+
+
 def _hessian(N: int, nu_t: float, b: float) -> np.ndarray:
-    """Analytic 2N x 2N Hessian at the staggered configuration, omega_0^2 units."""
+    """Analytic 2N x 2N Hessian at the staggered configuration, omega_0^2 units.
+
+    Test oracle for the block route; raises ResourceLimit before allocating
+    above _DENSE_ELEMENTS entries.
+    """
+    _check_dense(N, "Hessian")
     H = np.zeros((2 * N, 2 * N))
     i = np.arange(N)
     # Sites are 1-based: y0_site = (-1)^(i+1) b/2, so an odd-separation bond
@@ -142,19 +170,101 @@ def _hessian(N: int, nu_t: float, b: float) -> np.ndarray:
     return H
 
 
+def _block_entries(N: int, nu_t: float, b: float):
+    """Dxx(k_m), Dyy(k_m + pi) and S(k_m) for m = 0..N/2, from one real FFT.
+
+    Same bond kernels as `_hessian`, with dy = b for odd d and 0 for even d
+    (the alternating sign of dy moves into the (-1)^j of the w pattern):
+        Dxx(k) = 2 sum_d kxx(d) (1 - cos kd)
+        Dyy(k) = nu_t^2 + 2 sum_d kyy(d) (1 - cos kd)
+        S(k)   = sum_d kxy(d) sin kd          (kxy = 0 for even d)
+    Re F at m + N/2 is Re F at N/2 - m, which gives Dyy on the shifted grid.
+    """
+    d = np.arange(1, N // 2 + 1, dtype=np.float64)
+    odd = d % 2 == 1
+    dy2 = np.where(odd, b * b, 0.0)
+    r2 = d * d + dy2
+    r5 = r2 ** 2.5
+    c = np.zeros((3, N))
+    c[0, 1:N // 2 + 1] = (3.0 * d * d - r2) / r5
+    c[1, 1:N // 2 + 1] = (3.0 * dy2 - r2) / r5
+    c[2, 1:N // 2 + 1] = np.where(odd, 3.0 * d * b / r5, 0.0)
+    F = np.fft.rfft(c, axis=1)
+    dxx = 2.0 * (F[0, 0].real - F[0].real)
+    dyy = nu_t ** 2 + 2.0 * (F[1, 0].real - F[1].real[::-1])
+    s = -F[2].imag
+    s[0] = s[-1] = 0.0                  # sin kd vanishes at k = 0 and k = pi
+    return dxx, dyy, s
+
+
+def _eig2(a: np.ndarray, c: np.ndarray, d: np.ndarray):
+    """Closed-form eigenpairs of the symmetric blocks [[a, c], [c, d]].
+
+    Returns lam, u, v of shape (blocks, 2): column 0 is the upper eigenvalue,
+    column 1 the lower, with unit eigenvectors (u, v). A diagonal block gives
+    exact unit vectors and its diagonal entries as eigenvalues.
+    """
+    h = 0.5 * (a - d)
+    r = np.hypot(h, c)
+    # Upper eigenvector from whichever row of (A - lam I) x = 0 does not cancel.
+    x = np.where(h >= 0.0, h + r, c)
+    y = np.where(h >= 0.0, c, r - h)
+    norm = np.hypot(x, y)
+    flat = norm == 0.0                  # a == d and c == 0: any basis will do
+    norm[flat] = 1.0
+    x = np.where(flat, 1.0, x / norm)
+    y = y / norm
+    u = np.stack([x, -y], axis=1)
+    v = np.stack([y, x], axis=1)
+    lam = a[:, None] * u * u + 2.0 * c[:, None] * u * v + d[:, None] * v * v
+    return lam, u, v
+
+
 @dataclass(frozen=True)
 class ZigzagSpectrum:
-    """Eigen-decomposition of the zigzag dynamical matrix.
+    """Phonon spectrum of the zigzag in real Bloch modes.
 
-    omega is ascending; vectors[:, m] is the orthonormal eigenvector of
-    omega[m] in (q_1, w_1, ..., q_N, w_N) order.
+    omega is ascending. Mode i comes from 2 x 2 block `block[i]` = m
+    (k = 2 pi m / N), eigenvalue branch `branch[i]` (0 upper, 1 lower), as the
+    real part (plus[i], sigma = '+') or the imaginary part (sigma = '-') of
+    q_j = u e^{ikj}, w_j = i v (-1)^j e^{ikj}; qcoef and wcoef hold the
+    normalised u and the signed, normalised v:
+
+        sigma = '+':  q_j = qcoef cos(kj),  w_j = wcoef (-1)^j sin(kj)
+        sigma = '-':  q_j = qcoef sin(kj),  w_j = wcoef (-1)^j cos(kj)
+
+    `probe_row` is O(N). `vectors[:, i]`, the eigenvector of omega[i] in
+    (q_1, w_1, ..., q_N, w_N) order, is built on first access and raises
+    ResourceLimit above _DENSE_ELEMENTS entries.
     """
 
     N: int
     nu_t: float
     b: float
     omega: np.ndarray
-    vectors: np.ndarray
+    block: np.ndarray = field(repr=False)
+    branch: np.ndarray = field(repr=False)
+    plus: np.ndarray = field(repr=False)
+    qcoef: np.ndarray = field(repr=False)
+    wcoef: np.ndarray = field(repr=False)
+
+    def _components(self, modes, sites: np.ndarray,
+                    coordinate: str) -> np.ndarray:
+        """One coordinate of the selected modes at 1-based sites, [mode, site].
+
+        Phases are exact integers m j mod N into one cos/sin table, so an
+        entry does not depend on which other modes or sites are evaluated.
+        """
+        N = self.N
+        angle = (2.0 * math.pi / N) * np.arange(N)
+        table = np.concatenate([np.cos(angle), np.sin(angle)])
+        plus = self.plus[modes, None]
+        phase = np.multiply.outer(self.block[modes], sites) % N
+        if coordinate == "q":
+            return self.qcoef[modes, None] * table[phase + np.where(plus, 0, N)]
+        stag = np.where(sites % 2 == 0, 1.0, -1.0)
+        w = self.wcoef[modes, None] * table[phase + np.where(plus, N, 0)]
+        return w * stag
 
     def probe_row(self, site: int = 1, coordinate: str = "w") -> np.ndarray:
         """Eigenvector components of one site coordinate across all modes."""
@@ -162,24 +272,60 @@ class ZigzagSpectrum:
             raise InvalidParameter("site must lie in 1..N")
         if coordinate not in ("q", "w"):
             raise InvalidParameter("coordinate must be 'q' or 'w'")
-        idx = 2 * (site - 1) + (1 if coordinate == "w" else 0)
-        return self.vectors[idx]
+        return self._components(slice(None), np.array([site]), coordinate)[:, 0]
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """Dense orthonormal eigenvectors as columns; rows equal probe_row."""
+        N = self.N
+        _check_dense(N, "eigenvector matrix")
+        sites = np.arange(1, N + 1)
+        modes = np.empty((2 * N, 2 * N))        # one contiguous row per mode
+        step = max(1, 2 ** 17 // N)             # ~1 MB temporaries per pass
+        for lo in range(0, 2 * N, step):
+            sel = slice(lo, lo + step)
+            modes[sel, 0::2] = self._components(sel, sites, "q")
+            modes[sel, 1::2] = self._components(sel, sites, "w")
+        return modes.T
 
 
 def zigzag_spectrum(params: ChainParams) -> ZigzagSpectrum:
-    """Phonon spectrum at the zigzag (or, above the transition, linear) minimum."""
+    """Phonon spectrum at the zigzag (or, above the transition, linear) minimum.
+
+    Diagonalises the N/2 + 1 blocks [[Dxx(k), 2 S(k)], [2 S(k), Dyy(k + pi)]]
+    in closed form. For 0 < m < N/2 each block eigenvector gives two real
+    modes (sigma = +/-, norm sqrt(2/N)); at m = 0 and m = N/2 the blocks are
+    diagonal and only the nonvanishing part is a mode (norm sqrt(1/N)).
+    """
     eq = zigzag_equilibrium(params)
-    H = _hessian(params.N, params.nu_t, eq.b)
-    lam, vec = np.linalg.eigh(H)
-    if lam[0] < -EIG_CLAMP:
+    N, half = params.N, params.N // 2
+    dxx, dyy, s = _block_entries(N, params.nu_t, eq.b)
+    # Flattened, eigenpair p is block p // 2, branch p % 2.
+    lam, u, v = (x.ravel() for x in _eig2(dxx, 2.0 * s, dyy))
+    pair = np.arange(2 * half + 2)
+    edge = (pair // 2 == 0) | (pair // 2 == half)
+    # An interior pair gives a '+' and a '-' mode. An edge block is diagonal,
+    # and its axial eigenvector (u != 0) lives in the real part only.
+    src = np.concatenate([pair[~edge], pair[~edge], pair[edge]])
+    plus = np.concatenate([np.ones(2 * half - 2, dtype=bool),
+                           np.zeros(2 * half - 2, dtype=bool), u[edge] != 0.0])
+
+    lam = lam[src]
+    if lam.min() < -EIG_CLAMP:
         raise UnstableConfiguration(
-            f"negative Hessian eigenvalue {lam[0]:.3e}: the staggered ansatz "
-            "is not a stable configuration here")
+            f"negative Hessian eigenvalue {lam.min():.3e}: the staggered "
+            "ansatz is not a stable configuration here")
     # Zero modes (rotation; the soft mode exactly at the transition) come out
-    # of eigh as +/- rounding noise; snap them so omega is exactly zero.
+    # as +/- rounding noise; snap them so omega is exactly zero.
     lam = np.where(np.abs(lam) < EIG_CLAMP, 0.0, lam)
-    return ZigzagSpectrum(N=params.N, nu_t=params.nu_t, b=eq.b,
-                          omega=np.sqrt(lam), vectors=vec)
+    order = np.argsort(lam, kind="stable")
+    src, plus = src[order], plus[order]
+    norm = np.where(edge[src], math.sqrt(1.0 / N), math.sqrt(2.0 / N))
+    # w_j = Re/Im of i v (-1)^j e^{ikj}: -v (-1)^j sin(kj) and v (-1)^j cos(kj)
+    return ZigzagSpectrum(N=N, nu_t=params.nu_t, b=eq.b,
+                          omega=np.sqrt(lam[order]), block=src // 2,
+                          branch=src % 2, plus=plus, qcoef=norm * u[src],
+                          wcoef=np.where(plus, -norm, norm) * v[src])
 
 
 def folded_linear_frequencies(params: ChainParams) -> np.ndarray:
@@ -199,9 +345,14 @@ def folded_linear_frequencies(params: ChainParams) -> np.ndarray:
 class ZigzagMode:
     """One labeled zigzag mode.
 
+    n = min(m, N/2 - m) folds block m onto n = 0..N/4, and sigma is the
+    real ('+') or imaginary ('-') part, so labels hold by construction.
     beta ranks branches within (n, sigma) by descending frequency. residual
-    is 1 - (projection onto the assigned Bloch subspace)^2. special is one
-    of '', 'bulk_x', 'bulk_y', 'zigzag_x', 'zigzag_y'.
+    is 1 - |projection of the vector onto its own (n, sigma) cos/sin
+    patterns|^2, measured. cluster = 2 m + branch names the complex Bloch
+    mode; its '+' and '-' parts share it and are degenerate. degenerate is
+    always False: no eigenspace is rotated. special is one of '', 'bulk_x',
+    'bulk_y', 'zigzag_x', 'zigzag_y'.
     """
 
     n: int
@@ -216,132 +367,60 @@ class ZigzagMode:
     vector: np.ndarray = field(repr=False)
 
 
-def _bloch_basis(N: int):
-    """Orthonormal cos/sin pattern basis, grouped by (n, sigma).
+def _own_subspace_residuals(N: int, V: np.ndarray, n: np.ndarray,
+                            plus: np.ndarray) -> np.ndarray:
+    """1 - |projection|^2 of each column of V onto its (n, sigma) patterns.
 
-    For each folded n (k = 2 pi n / N, partner kb = pi - k) the sigma = '+'
-    subspace is spanned by {cos(k j)|q, sin(kb j)|w, cos(kb j)|q, sin(k j)|w}
-    and sigma = '-' by {sin(k j)|q, cos(kb j)|w, sin(kb j)|q, cos(k j)|w};
-    zero and duplicate patterns are dropped.
+    The sigma = '+' patterns of n are cos(k j)|q and (-1)^j sin(k j)|w, the
+    sigma = '-' ones sin(k j)|q and (-1)^j cos(k j)|w, for k = 2 pi n / N and
+    k = pi - 2 pi n / N; vanishing patterns (sin at k = 0, pi) are dropped.
     """
     j = np.arange(1, N + 1, dtype=np.float64)
-    cols, groups = [], []
-    seen = []
-
-    def push(vals: np.ndarray, which: str, n: int, sigma: str):
-        norm = float(np.linalg.norm(vals))
-        if norm < 1e-9:
-            return
-        v = np.zeros(2 * N)
-        v[slice(0, None, 2) if which == "q" else slice(1, None, 2)] = vals / norm
-        for u in seen:
-            if abs(float(u @ v)) > 1.0 - 1e-9:
-                return
-        seen.append(v)
-        cols.append(v)
-        groups.append((n, sigma))
-
-    for n in range(0, N // 4 + 1):
-        k = 2.0 * math.pi * n / N
-        kb = math.pi - k
-        push(np.cos(k * j), "q", n, "+")
-        push(np.sin(kb * j), "w", n, "+")
-        push(np.cos(kb * j), "q", n, "+")
-        push(np.sin(k * j), "w", n, "+")
-        push(np.sin(k * j), "q", n, "-")
-        push(np.cos(kb * j), "w", n, "-")
-        push(np.sin(kb * j), "q", n, "-")
-        push(np.cos(k * j), "w", n, "-")
-    B = np.column_stack(cols)
-    return B, groups
-
-
-def _special_patterns(N: int) -> dict[str, np.ndarray]:
-    stag = np.where(np.arange(1, N + 1) % 2 == 0, 1.0, -1.0) / math.sqrt(N)
-    unif = np.ones(N) / math.sqrt(N)
-    out = {}
-    for name, vals, which in (("bulk_x", unif, "q"), ("bulk_y", unif, "w"),
-                              ("zigzag_x", stag, "q"), ("zigzag_y", stag, "w")):
-        v = np.zeros(2 * N)
-        v[slice(0, None, 2) if which == "q" else slice(1, None, 2)] = vals
-        out[name] = v
-    return out
+    stag = np.where(j % 2 == 0, 1.0, -1.0)
+    rows = V.T                          # one row per mode
+    res = np.empty(V.shape[1])
+    for nn in range(N // 4 + 1):
+        k = (2.0 * math.pi / N) * np.array(sorted({nn, N // 2 - nn}))
+        phase = np.multiply.outer(k, j)
+        cos, sin = np.cos(phase), np.sin(phase)
+        for sig, pq, pw in ((True, cos, stag * sin), (False, sin, stag * cos)):
+            P = np.zeros((2 * len(k), 2 * N))
+            P[:len(k), 0::2] = pq
+            P[len(k):, 1::2] = pw
+            norm = np.linalg.norm(P, axis=1)
+            P = P[norm > 1e-9] / norm[norm > 1e-9, None]
+            cols = np.flatnonzero((n == nn) & (plus == sig))
+            res[cols] = 1.0 - np.sum((rows[cols] @ P.T) ** 2, axis=1)
+    return res
 
 
 def classify_zigzag_modes(spectrum: ZigzagSpectrum) -> list[ZigzagMode]:
     """Label every mode with folded wave number, parity, branch and residual.
 
-    Degenerate eigenvalue clusters are rotated inside their eigenspace so
-    that each resulting vector lies in a single (n, sigma) Bloch subspace.
-    Clusters whose subspace occupancies are not clean integers are flagged
-    degenerate=True and assigned best-effort labels instead of erroring.
+    Labels come from the block index; builds `spectrum.vectors`, so it raises
+    ResourceLimit where that does.
     """
     N = spectrum.N
     _check_zigzag_n(N)
-    B, groups = _bloch_basis(N)
-    group_keys = sorted(set(groups))
-    gindex = {g: [c for c, gg in enumerate(groups) if gg == g]
-              for g in group_keys}
-
-    omega, V = spectrum.omega, spectrum.vectors
-    # Occupancy of each Bloch subspace by each eigenvector.
-    M = B.T @ V                       # basis x modes
-    occ = {g: np.sum(M[cols, :] ** 2, axis=0) for g, cols in gindex.items()}
-
-    # Cluster equal frequencies (on omega^2 scale to keep zeros together).
-    lam = omega ** 2
-    clusters, start = [], 0
-    for m in range(1, 2 * N + 1):
-        if m == 2 * N or lam[m] - lam[m - 1] > 1e-8 * max(1.0, lam[m]):
-            clusters.append(list(range(start, m)))
-            start = m
-    specials = _special_patterns(N)
-
-    labeled: list[tuple] = []
-    for cid, idx in enumerate(clusters):
-        occ_c = {g: float(np.sum(occ[g][idx])) for g in group_keys}
-        mults = {g: int(round(p)) for g, p in occ_c.items() if round(p) >= 1}
-        clean = (sum(mults.values()) == len(idx)
-                 and all(abs(occ_c[g] - mults[g]) < _PROJ_INT_TOL
-                         for g in mults))
-        degenerate = not clean
-        Vc = V[:, idx]
-        if clean:
-            for g, mult in mults.items():
-                Mg = B[:, gindex[g]].T @ Vc
-                _, s, wt = np.linalg.svd(Mg, full_matrices=False)
-                for r in range(mult):
-                    vec = Vc @ wt[r]
-                    labeled.append((g, float(omega[idx[0]]),
-                                    1.0 - float(s[r]) ** 2, cid, False, vec))
-        else:
-            for col in range(len(idx)):
-                v = Vc[:, col]
-                best, best_p = None, -1.0
-                for g in group_keys:
-                    p = float(np.sum((B[:, gindex[g]].T @ v) ** 2))
-                    if p > best_p:
-                        best, best_p = g, p
-                labeled.append((best, float(omega[idx[col]]),
-                                1.0 - best_p, cid, True, v))
-
-    # Branch index within (n, sigma): descending frequency.
+    V = spectrum.vectors
+    m, plus = spectrum.block, spectrum.plus
+    n = np.minimum(m, N // 2 - m)
+    residual = _own_subspace_residuals(N, V, n, plus)
+    special = {(0, True): "bulk_x", (0, False): "zigzag_y",
+               (N // 2, True): "zigzag_x", (N // 2, False): "bulk_y"}
     out: list[ZigzagMode] = []
-    for g in group_keys:
-        members = [rec for rec in labeled if rec[0] == g]
-        members.sort(key=lambda rec: -rec[1])
-        for beta, (gg, w, res, cid, deg, vec) in enumerate(members, start=1):
-            special = ""
-            if gg[0] == 0:
-                for name, pat in specials.items():
-                    if abs(float(pat @ vec)) ** 2 > 0.5:
-                        special = name
-                        break
-            out.append(ZigzagMode(n=gg[0], k=2.0 * math.pi * gg[0] / N,
-                                  sigma=gg[1], beta=beta, omega=w,
-                                  residual=res, cluster=cid, degenerate=deg,
-                                  special=special, vector=vec))
-    out.sort(key=lambda m: (m.n, m.sigma, m.beta))
+    prev, beta = None, 0
+    # (n, sigma) with '+' first, then descending frequency
+    for i in np.lexsort((-spectrum.omega, ~plus, n)):
+        key = (int(n[i]), bool(plus[i]))
+        beta = beta + 1 if key == prev else 1
+        prev = key
+        out.append(ZigzagMode(
+            n=key[0], k=2.0 * math.pi * key[0] / N,
+            sigma="+" if key[1] else "-", beta=beta,
+            omega=float(spectrum.omega[i]), residual=float(residual[i]),
+            cluster=int(2 * m[i] + spectrum.branch[i]), degenerate=False,
+            special=special.get((int(m[i]), key[1]), ""), vector=V[:, i]))
     return out
 
 

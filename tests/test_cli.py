@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from coulombchain import emit_csv
+from coulombchain import critical_frequency_finite, emit_csv
 from coulombchain.cli import run
 from coulombchain.errors import InvalidParameter
 
@@ -31,6 +31,24 @@ def test_spectrum_run(tmp_path):
     assert man["params"]["nu_t"] == 2.5
     for out in man["outputs"]:
         assert (tmp_path / Path(out).name).exists()
+
+
+def test_zigzag_run(tmp_path):
+    N = 16
+    nu = critical_frequency_finite(N) - 0.05
+    rc = run(["zigzag", "--N", str(N), "--nu-t", repr(nu), "--points", "5",
+              "--out", str(tmp_path)])
+    assert rc == 0
+    header, rows = _read_csv(tmp_path / "zigzag_amplitude.csv")
+    assert header == ["nu_t", "b", "energy_per_ion"] and len(rows) == 5
+    header, rows = _read_csv(tmp_path / "zigzag_spectrum.csv")
+    assert header == ["k_a", "beta", "parity", "omega", "n", "special"]
+    assert len(rows) == 2 * N
+    assert len({(r[4], r[2], r[1]) for r in rows}) == 2 * N
+    special = sorted(r[5] for r in rows if r[5])
+    assert special == ["bulk_x", "bulk_y", "zigzag_x", "zigzag_y"]
+    man = json.loads((tmp_path / "zigzag_manifest.json").read_text())
+    assert man["subcommand"] == "zigzag"
 
 
 def test_odd_n_is_a_usage_error(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 - the blocked-product trig sum against the direct kernel on uniform grids;
 - the closed-form probe row against the dense mode matrix;
-- the FFT mode-grid dispersion against the direct sum.
+- the FFT mode-grid dispersion against the direct sum;
+- the zigzag 2 x 2 Bloch blocks against the dense Hessian and eigh;
+- zigzag against linear-chain amplitudes at b = 0.
 """
 
 import math
@@ -11,12 +13,15 @@ import numpy as np
 import pytest
 
 from coulombchain import (ChainParams, axial_mode_set,
-                          critical_frequency_finite, enumerate_modes,
+                          classify_zigzag_modes, critical_frequency_finite,
+                          enumerate_modes, gamma_coefficient,
                           linear_chain_amplitudes, mode_matrix,
-                          transverse_mode_set, weighted_trig_sum)
+                          transverse_mode_set, weighted_trig_sum,
+                          zigzag_displacement_amplitudes, zigzag_spectrum)
 from coulombchain.errors import SoftModeSingularity
 from coulombchain.linear_modes import _dispersion_sum, _mode_grid_sum
 from coulombchain.ramsey import _direct_trig_sum, _uniform_step
+from coulombchain.zigzag import _hessian
 
 KINDS = ("sin2half", "sin", "cos")
 EPS = np.finfo(np.float64).eps
@@ -109,3 +114,54 @@ def test_fft_mode_grid_matches_direct_sum(N):
     assert omega[-1] == 0.0 and np.all(omega[:-1] > 0.0)
     with pytest.raises(SoftModeSingularity):
         linear_chain_amplitudes(p)
+
+
+@pytest.mark.parametrize("N", [8, 16, 64, 256])
+def test_zigzag_blocks_match_dense_hessian(N):
+    rng = np.random.default_rng(N)
+    nuc = critical_frequency_finite(N)
+    for nu in (nuc - rng.uniform(0.005, 0.3), nuc + rng.uniform(0.005, 0.5)):
+        sp = zigzag_spectrum(ChainParams(N=N, nu_t=float(nu), eta_c=0.1))
+        assert (sp.b > 0.0) == (nu < nuc)
+        H = _hessian(N, sp.nu_t, sp.b)
+        lam = np.linalg.eigvalsh(H)
+        tol = 1e-12 * lam[-1]
+        lam_blocks = sp.omega ** 2
+        assert np.max(np.abs(np.sort(lam_blocks) - lam)) < tol
+        V = sp.vectors
+        assert np.max(np.abs(H @ V - V * lam_blocks)) < tol
+        assert np.max(np.abs(V.T @ V - np.eye(2 * N))) < 1e-12
+        for site in rng.integers(1, N + 1, 4):
+            for which, offset in (("q", 0), ("w", 1)):
+                assert np.array_equal(sp.probe_row(int(site), which),
+                                      V[2 * (site - 1) + offset])
+        modes = classify_zigzag_modes(sp)
+        assert max(abs(m.residual) for m in modes) < 1e-10
+
+
+def _sums_per_frequency(a, b):
+    """Weights of a and b summed over each distinct frequency of either."""
+    omega = np.concatenate([a.omega, b.omega])
+    weight = np.concatenate([a.weight, b.weight])
+    from_b = np.arange(len(omega)) >= len(a.omega)
+    order = np.argsort(omega, kind="stable")
+    gap = np.diff(omega[order], prepend=-np.inf) > 1e-9 * np.max(omega)
+    group = np.cumsum(gap) - 1
+    return (np.bincount(group, (weight * ~from_b)[order]),
+            np.bincount(group, (weight * from_b)[order]))
+
+
+def test_zigzag_amplitudes_fold_onto_linear_at_b_zero():
+    rng = np.random.default_rng(20261017)
+    for N in (16, 64, 256):
+        nu = critical_frequency_finite(N) + float(rng.uniform(0.005, 0.5))
+        p = ChainParams(N=N, nu_t=nu, eta_c=0.1)
+        sp = zigzag_spectrum(p)
+        assert sp.b == 0.0
+        for site in rng.integers(1, N + 1, 3):
+            lin = linear_chain_amplitudes(p, probe_site=int(site))
+            zz = zigzag_displacement_amplitudes(p, sp, probe_site=int(site))
+            w_lin, w_zz = _sums_per_frequency(lin, zz)
+            assert np.max(np.abs(w_zz - w_lin)) < 1e-12 * np.max(w_lin)
+            assert gamma_coefficient(zz).direct == pytest.approx(
+                gamma_coefficient(lin).direct, rel=1e-12)

@@ -1,6 +1,7 @@
 """Zigzag equilibrium, dynamical matrix, and mode classification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from coulombchain import (ChainParams, classify_zigzag_modes,
                           dispersion_transverse,
                           folded_linear_frequencies, zigzag_displacement_amplitudes,
                           zigzag_equilibrium, zigzag_spectrum)
-from coulombchain.errors import InvalidParameter, SoftModeSingularity
+from coulombchain.errors import (InvalidParameter, ResourceLimit,
+                                 SoftModeSingularity)
 
 # frozen equilibrium splitting at N = 16, nu_t = nu_c(16) - 0.05
 B_REF_16 = 0.18714377312465968
@@ -163,3 +165,27 @@ def test_probe_row_shape_and_orthonormality():
         sp.probe_row(0, "w")
     with pytest.raises(InvalidParameter):
         sp.probe_row(1, "z")
+
+
+def test_block_route_scales_past_the_dense_budget():
+    N = 10_000
+    p = ChainParams(N=N, nu_t=critical_frequency_finite(N) - 0.01, eta_c=0.1)
+    sp = zigzag_spectrum(p)
+    assert sp.b > 0.0 and sp.omega.shape == (2 * N,)
+    amps = zigzag_displacement_amplitudes(p, sp, probe_site=N // 2 + 1)
+    total = float(np.sum(amps.weight * amps.omega))
+    assert total == pytest.approx(p.eta0 ** 2 * p.nu_t, rel=1e-10)
+    # The dense routes refuse before allocating their (2N)^2 arrays.
+    from coulombchain.zigzag import _hessian
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit):
+            sp.vectors
+        with pytest.raises(ResourceLimit):
+            classify_zigzag_modes(sp)
+        with pytest.raises(ResourceLimit):
+            _hessian(N, p.nu_t, sp.b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
