@@ -39,6 +39,7 @@ EULER_GAMMA = 0.5772156649015329
 _HANKEL_C = (1.0, 0.125, 0.0703125, 0.0732421875, 0.112152099609375,
              0.22710800170898438, 0.5725014209747314, 1.7277275025844574)
 _SERIES_CUT = 12.0
+MIN_BURST_SAMPLES = 8     # shortest trace `find_revival_burst` accepts
 
 
 @dataclass(frozen=True)
@@ -388,7 +389,7 @@ def find_revival_burst(t: np.ndarray, V: np.ndarray, window: float = 50.0,
     """
     t = np.asarray(t, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
-    if t.ndim != 1 or t.shape != V.shape or len(t) < 8:
+    if t.ndim != 1 or t.shape != V.shape or len(t) < MIN_BURST_SAMPLES:
         raise InvalidParameter("need matching 1-d t and V arrays")
     dt = float(t[1] - t[0])
     if dt <= 0 or not np.allclose(np.diff(t), dt, rtol=1e-6, atol=1e-12):

@@ -12,7 +12,10 @@ longtime      exact V(t) against the calibrated long-time envelope
 figures       canned parameter sets of the six bundled scenarios (2..7)
 
 Parameters come from CLI flags, then a flat key=value config file, then
-defaults; dimensionless values win over physical (SI) ones with a warning.
+defaults. Config lines go through the subcommand's own parser, so each key
+must name one of its options and is typed like the flag; dimensionless
+values win over physical (SI) ones with a warning. Each table is computed
+by one pipeline function, shared by the subcommands and the figures.
 Every run writes the CSVs listed in its JSON manifest. CSV payloads carry
 no timestamps, so identical inputs give bit-identical files; wall time
 lives in the manifest only.
@@ -35,8 +38,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .asymptotics import (a_infinity, a_infinity_analytic, b_analytic,
-                          cusp_secant_slopes, find_revival_burst,
+from .asymptotics import (MIN_BURST_SAMPLES, a_infinity, a_infinity_analytic,
+                          b_analytic, cusp_secant_slopes, find_revival_burst,
                           gamma_coefficient, gamma_derivative_scan, gamma_fit,
                           gamma_transition_scan, revival_time)
 from .errors import CoulombChainError, InvalidParameter
@@ -45,18 +48,13 @@ from .linear_modes import (axial_mode_set, critical_frequency_finite,
 from .model import (ChainParams, PhysicalInput, critical_frequency_infinite,
                     derive_parameters, gap_parameters)
 from .ramsey import evaluate_trace, linear_chain_amplitudes
-from .spectral import (DEFAULT_N_S, DEFAULT_T_F, overlay_band, find_peaks,
-                       fourier_spectrum, spectral_band_check, transverse_band,
-                       visibility_trace)
+from .spectral import (DEFAULT_N_S, DEFAULT_T_F, check_trace_budget,
+                       find_peaks, fourier_spectrum, overlay_band,
+                       spectral_band_check, transverse_band, visibility_trace)
 from .zigzag import classify_zigzag_modes, zigzag_equilibrium, zigzag_spectrum
 
 _PHYSICAL_KEYS = ("mass_kg", "charge_c", "spacing_m",
                   "transverse_frequency_rad_s", "laser_wavenumber_per_m")
-
-_FLOAT_KEYS = {"nu_t", "delta", "eta_c", "theta", "t_min", "t_max", "T_F",
-               "delta_min", "delta_max", "nu_min", "nu_max", "prominence",
-               "temperature_k", *_PHYSICAL_KEYS}
-_INT_KEYS = {"N", "samples", "n_s", "points"}
 
 
 @dataclasses.dataclass
@@ -111,9 +109,10 @@ def emit_csv(header, rows, path: str) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _read_config(path: str) -> dict:
-    """Flat key = value lines; '#' comments and blank lines ignored."""
-    out = {}
+def _read_config(path: str) -> list:
+    """Flat key = value lines as '--key=value' options ('#' comments and
+    blank lines ignored); the subcommand's parser types and checks them."""
+    args = []
     with open(path) as f:
         for ln, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -125,51 +124,20 @@ def _read_config(path: str) -> dict:
             key, val = (s.strip() for s in line.split("=", 1))
             if not key:
                 raise InvalidParameter(f"{path}:{ln}: empty key")
-            out[key] = val
-    return out
+            args.append(f"--{key.replace('_', '-')}={val}")
+    return args
 
 
-def _coerce(key: str, val: str):
-    try:
-        if key in _INT_KEYS:
-            return int(val)
-        if key in _FLOAT_KEYS:
-            return float(val)
-    except ValueError:
-        raise InvalidParameter(f"config value {key} = {val!r} is not numeric")
-    return val
+def _require(ns, key: str):
+    if getattr(ns, key) is None:
+        raise InvalidParameter(f"missing required parameter: {key}")
+    return getattr(ns, key)
 
 
-def _warn(msg: str) -> None:
-    print(f"warning: {msg}", file=sys.stderr)
-
-
-class _Settings:
-    """Merged view of CLI flags over config file values."""
-
-    def __init__(self, ns: argparse.Namespace):
-        cfg = _read_config(ns.config) if getattr(ns, "config", None) else {}
-        self.values = {k: _coerce(k, v) for k, v in cfg.items()}
-        for key, val in vars(ns).items():
-            if key in ("config", "func", "out") or val is None:
-                continue
-            self.values[key] = val
-        self.out = getattr(ns, "out", None) or self.values.get("out", ".")
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-    def require(self, key):
-        if key not in self.values:
-            raise InvalidParameter(f"missing required parameter: {key}")
-        return self.values[key]
-
-
-def _resolve_chain(s: _Settings, default_eta: float | None = None,
-                   even_only: bool = True) -> ChainParams:
-    """ChainParams from settings; dimensionless beats physical with a warning."""
-    N = s.require("N")
-    phys_given = [k for k in _PHYSICAL_KEYS if s.get(k) is not None]
+def _resolve_chain(ns, default_eta: float | None = None) -> ChainParams:
+    """ChainParams from options; dimensionless beats physical with a warning."""
+    N = _require(ns, "N")
+    phys_given = [k for k in _PHYSICAL_KEYS if getattr(ns, k) is not None]
     derived = None
     if phys_given:
         if len(phys_given) < len(_PHYSICAL_KEYS):
@@ -177,34 +145,29 @@ def _resolve_chain(s: _Settings, default_eta: float | None = None,
             raise InvalidParameter(
                 "physical input needs all of "
                 f"{', '.join(_PHYSICAL_KEYS)}; missing {', '.join(missing)}")
-        phys = PhysicalInput(
-            mass_kg=s.get("mass_kg"), charge_c=s.get("charge_c"),
-            spacing_m=s.get("spacing_m"),
-            transverse_frequency_rad_s=s.get("transverse_frequency_rad_s"),
-            laser_wavenumber_per_m=s.get("laser_wavenumber_per_m"),
-            temperature_k=s.get("temperature_k", 0.0))
+        phys = PhysicalInput(**{k: getattr(ns, k) for k in _PHYSICAL_KEYS},
+                             temperature_k=ns.temperature_k)
         derived = derive_parameters(phys, N)
 
-    nu_t = s.get("nu_t")
-    delta = s.get("delta")
-    if nu_t is not None and delta is not None:
+    nu_t = ns.nu_t
+    if nu_t is not None and ns.delta is not None:
         raise InvalidParameter("give either nu_t or delta, not both")
-    if delta is not None:
-        nu_t = critical_frequency_infinite() + delta
-    if derived is not None and (nu_t is not None or s.get("eta_c") is not None):
-        _warn("both physical and dimensionless parameters given; "
-              "dimensionless values take precedence")
+    if ns.delta is not None:
+        nu_t = critical_frequency_infinite() + ns.delta
+    if derived is not None and (nu_t is not None or ns.eta_c is not None):
+        print("warning: both physical and dimensionless parameters given; "
+              "dimensionless values take precedence", file=sys.stderr)
     if nu_t is None:
         nu_t = derived.nu_t if derived else None
     if nu_t is None:
         raise InvalidParameter("missing required parameter: nu_t or delta")
 
-    eta_c = s.get("eta_c")
+    eta_c = ns.eta_c
     if eta_c is None:
         eta_c = derived.eta_c if derived else default_eta
     if eta_c is None:
         raise InvalidParameter("missing required parameter: eta_c")
-    theta = s.get("theta")
+    theta = ns.theta
     if theta is None:
         theta = derived.theta if derived else 0.0
     return ChainParams(N=N, nu_t=float(nu_t), eta_c=float(eta_c),
@@ -239,13 +202,97 @@ class _Run:
         man.write(os.path.join(self.out_dir, f"{self.subcommand}_manifest.json"))
 
 
+# ------------------------------------------------------------------ pipelines
+# One function per table; the subcommands and the figure scenarios share them.
+
+
+def _spectrum(run: _Run, name: str, p: ChainParams, T_F: float = DEFAULT_T_F,
+              n_s: int = DEFAULT_N_S, trace_name: str | None = None):
+    """V(t) on the centred window and its normalized spectrum table."""
+    tr = visibility_trace(p, T_F=T_F, n_s=n_s)
+    if trace_name:
+        emit_csv(("t", "A", "V"), zip(tr.t, tr.A, tr.V), run.path(trace_name))
+    spec = fourier_spectrum(tr)
+    emit_csv(("omega", "F"), zip(spec.omega, spec.F), run.path(name))
+    return tr, spec
+
+
+def _band_fractions(p: ChainParams, spec) -> list:
+    """(convention, omega_min, omega_max, power fraction) of both bands."""
+    return [(name, lo, hi, spectral_band_check(spec, lo, hi))
+            for name, (lo, hi) in (("transverse", transverse_band(p)),
+                                   ("overlay", overlay_band(p)))]
+
+
+def _gamma_scan(run: _Run, name: str, deltas, N: int, eta_c: float):
+    """Gamma(Delta) across the transition; cusp slopes, or None when the grid
+    does not straddle zero (the table is still valid)."""
+    scan = gamma_transition_scan(deltas, N=N, eta_c=eta_c)
+    emit_csv(("delta", "gamma", "phase"),
+             zip(scan.deltas, scan.gamma, scan.kinds), run.path(name))
+    try:
+        return scan, cusp_secant_slopes(scan)
+    except InvalidParameter:
+        return scan, None
+
+
+def _dgamma(run: _Run, name: str, deltas, N: int, eta_c: float):
+    der = gamma_derivative_scan(deltas, N=N, eta_c=eta_c)
+    emit_csv(("delta", "dgamma_ddelta"), zip(der.deltas, der.dgamma),
+             run.path(name))
+    return der
+
+
+def _a_infinity(run: _Run, name: str, deltas, amps: list, ana) -> list:
+    """Exact A_inf per detuning next to the analytic saturation form `ana`."""
+    a_inf = [a_infinity(a).direct for a in amps]
+    emit_csv(("delta", "a_inf", "a_inf_analytic"),
+             [(d, a, ana.evaluate(float(d))) for d, a in zip(deltas, a_inf)],
+             run.path(name))
+    return a_inf
+
+
+def _longtime(run: _Run, name: str, p: ChainParams, t_max: float | None,
+              samples: int):
+    """Exact V(t) against the analytic plateau-plus-tail envelope on
+    t = dt, 2 dt, ..., t_max (the analytic form needs t > 0), and the
+    revival burst; returns t, V, the envelope and the manifest grids."""
+    rev = revival_time(p.N, p.nu_t)
+    if t_max is None:
+        t_max = 1.35 * rev.t_star
+    if not t_max > 0:
+        raise InvalidParameter("t_max must be positive")
+    if samples < MIN_BURST_SAMPLES:
+        raise InvalidParameter(f"samples must be >= {MIN_BURST_SAMPLES} "
+                               "(the revival detector's minimum)")
+    amps = linear_chain_amplitudes(p)
+    check_trace_budget(samples, len(amps))
+    dt = t_max / samples
+    t = dt * np.arange(1, samples + 1)
+    tr = evaluate_trace(amps, t, theta=p.theta, with_overlap=False)
+    gaps = gap_parameters(p)
+    ana = a_infinity_analytic(p, delta_ref=gaps.Delta)
+    V_ana = np.exp(-ana.evaluate(gaps.Delta) + b_analytic(t, p))
+    emit_csv(("t", "V_exact", "V_analytic"), zip(t, tr.V, V_ana),
+             run.path(name))
+
+    # Detector windows scale with t* so short chains stay detectable; at
+    # t* ~ 1230 they reduce to the documented 50/50/200 defaults.
+    burst = find_revival_burst(t, tr.V, window=0.04 * rev.t_star,
+                               baseline_gap=0.04 * rev.t_star,
+                               baseline_span=0.16 * rev.t_star)
+    return t, tr.V, V_ana, {
+        "t_max": float(t_max), "samples": int(samples),
+        "t_star": rev.t_star, "v_max": rev.v_max, "k_star": rev.k_star,
+        "burst_time": burst, "soft_gap": gaps.delta}
+
+
 # ---------------------------------------------------------------- subcommands
 
 
 def _cmd_spectrum(ns) -> int:
-    s = _Settings(ns)
-    p = _resolve_chain(s, default_eta=0.0)
-    run = _Run("spectrum", s.out)
+    p = _resolve_chain(ns, default_eta=0.0)
+    run = _Run("spectrum", ns.out)
     ms_y = transverse_mode_set(p)
     ms_x = axial_mode_set(p.N)
     rows = [(m.n, m.k, m.sigma, wx, wy)
@@ -257,15 +304,15 @@ def _cmd_spectrum(ns) -> int:
 
 
 def _cmd_zigzag(ns) -> int:
-    s = _Settings(ns)
-    p = _resolve_chain(s, default_eta=0.0)
+    p = _resolve_chain(ns, default_eta=0.0)
     nu_cn = critical_frequency_finite(p.N)
-    nu_min = s.get("nu_min", nu_cn - 0.15)
-    nu_max = s.get("nu_max", nu_cn + 0.05)
-    points = s.get("points", 41)
-    run = _Run("zigzag", s.out)
+    nu_min = nu_cn - 0.15 if ns.nu_min is None else ns.nu_min
+    nu_max = nu_cn + 0.05 if ns.nu_max is None else ns.nu_max
+    if ns.points < 1:
+        raise InvalidParameter("points must be >= 1")
+    run = _Run("zigzag", ns.out)
 
-    grid = np.linspace(nu_min, nu_max, points)
+    grid = np.linspace(nu_min, nu_max, ns.points)
     rows = []
     for nu in grid:
         eq = zigzag_equilibrium(ChainParams(N=p.N, nu_t=float(nu),
@@ -281,52 +328,40 @@ def _cmd_zigzag(ns) -> int:
              run.path("zigzag_spectrum.csv"))
     run.finish(_params_dict(p),
                {"nu_min": float(nu_min), "nu_max": float(nu_max),
-                "points": int(points), "b": spec.b})
+                "points": int(ns.points), "b": spec.b})
     return 0
 
 
 def _cmd_visibility(ns) -> int:
-    s = _Settings(ns)
-    p = _resolve_chain(s)
-    t_min = s.get("t_min", 0.0)
-    t_max = s.get("t_max", 100.0)
-    samples = s.get("samples", 2001)
-    if not t_min < t_max:
+    p = _resolve_chain(ns)
+    if not ns.t_min < ns.t_max:
         raise InvalidParameter("need t_min < t_max")
-    if samples < 2:
+    if ns.samples < 2:
         raise InvalidParameter("samples must be >= 2")
-    run = _Run("visibility", s.out)
+    run = _Run("visibility", ns.out)
     amps = linear_chain_amplitudes(p)
-    t = np.linspace(t_min, t_max, samples)
+    check_trace_budget(ns.samples, len(amps))
+    t = np.linspace(ns.t_min, ns.t_max, ns.samples)
     tr = evaluate_trace(amps, t, theta=p.theta)
     emit_csv(("t", "A", "V", "Re_S", "Im_S"),
              zip(tr.t, tr.A, tr.V, tr.S.real, tr.S.imag),
              run.path("visibility.csv"))
     run.finish(_params_dict(p),
-               {"t_min": float(t_min), "t_max": float(t_max),
-                "samples": int(samples)})
+               {"t_min": float(ns.t_min), "t_max": float(ns.t_max),
+                "samples": int(ns.samples)})
     return 0
 
 
 def _cmd_fourier(ns) -> int:
-    s = _Settings(ns)
-    p = _resolve_chain(s)
-    T_F = s.get("T_F", DEFAULT_T_F)
-    n_s = s.get("n_s", DEFAULT_N_S)
-    prominence = s.get("prominence", 1e-4)
-    run = _Run("fourier", s.out)
-    tr = visibility_trace(p, T_F=T_F, n_s=n_s)
-    spec = fourier_spectrum(tr)
-    emit_csv(("omega", "F"), zip(spec.omega, spec.F), run.path("fourier.csv"))
-    peaks = find_peaks(spec, prominence=prominence)
+    p = _resolve_chain(ns)
+    run = _Run("fourier", ns.out)
+    _, spec = _spectrum(run, "fourier.csv", p, T_F=ns.T_F, n_s=ns.n_s)
+    peaks = find_peaks(spec, prominence=ns.prominence)
     emit_csv(("omega", "F"), peaks, run.path("fourier_peaks.csv"))
-    grids = {"T_F": float(T_F), "n_s": int(n_s),
-             "bin_width": spec.bin_width, "prominence": float(prominence)}
+    grids = {"T_F": float(ns.T_F), "n_s": int(ns.n_s),
+             "bin_width": spec.bin_width, "prominence": float(ns.prominence)}
     if ns.band:
-        rows = []
-        for name, (lo, hi) in (("transverse", transverse_band(p)),
-                               ("overlay", overlay_band(p))):
-            rows.append((name, lo, hi, spectral_band_check(spec, lo, hi)))
+        rows = _band_fractions(p, spec)
         emit_csv(("convention", "omega_min", "omega_max", "power_fraction"),
                  rows, run.path("fourier_band.csv"))
         grids["band"] = {r[0]: {"omega_min": r[1], "omega_max": r[2],
@@ -336,76 +371,50 @@ def _cmd_fourier(ns) -> int:
 
 
 def _cmd_gamma_scan(ns) -> int:
-    s = _Settings(ns)
-    N = s.require("N")
-    eta_c = s.require("eta_c")
-    d_min = s.get("delta_min", -1e-2)
-    d_max = s.get("delta_max", 1e-2)
-    points = s.get("points", 21)
-    if points < 7 or points % 2 == 0:
+    N, eta_c = _require(ns, "N"), _require(ns, "eta_c")
+    if ns.points < 7 or ns.points % 2 == 0:
         raise InvalidParameter("points must be odd and >= 7 (both sides + 0)")
-    run = _Run("gamma-scan", s.out)
-    deltas = np.linspace(d_min, d_max, points)
-    scan = gamma_transition_scan(deltas, N=N, eta_c=eta_c)
-    emit_csv(("delta", "gamma", "phase"),
-             zip(scan.deltas, scan.gamma, scan.kinds),
-             run.path("gamma_scan.csv"))
-    cusp = {}
-    try:
-        rep = cusp_secant_slopes(scan)
-        cusp = {"left_slope": rep.left_slope, "right_slope": rep.right_slope,
-                "left_stderr": rep.left_stderr,
-                "right_stderr": rep.right_stderr,
-                "separation_se": rep.separation}
-    except InvalidParameter:
-        pass  # grid does not straddle zero; scan table is still valid
+    run = _Run("gamma-scan", ns.out)
+    deltas = np.linspace(ns.delta_min, ns.delta_max, ns.points)
+    _, rep = _gamma_scan(run, "gamma_scan.csv", deltas, N, eta_c)
+    cusp = {} if rep is None else {
+        "left_slope": rep.left_slope, "right_slope": rep.right_slope,
+        "left_stderr": rep.left_stderr, "right_stderr": rep.right_stderr,
+        "separation_se": rep.separation}
     run.finish({"N": N, "eta_c": eta_c},
-               {"delta_min": float(d_min), "delta_max": float(d_max),
-                "points": int(points), "cusp": cusp})
+               {"delta_min": float(ns.delta_min),
+                "delta_max": float(ns.delta_max),
+                "points": int(ns.points), "cusp": cusp})
     return 0
 
 
 def _cmd_asymptotics(ns) -> int:
-    s = _Settings(ns)
-    N = s.require("N")
-    eta_c = s.require("eta_c")
-    d_min = s.get("delta_min", 1e-4)
-    d_max = s.get("delta_max", 1e-2)
-    points = s.get("points", 12)
-    if d_min <= 0:
-        raise InvalidParameter("asymptotics tables need delta_min > 0")
-    run = _Run("asymptotics", s.out)
-    deltas = np.logspace(math.log10(d_min), math.log10(d_max), points)
+    N, eta_c = _require(ns, "N"), _require(ns, "eta_c")
+    if min(ns.delta_min, ns.delta_max) <= 0:
+        raise InvalidParameter("asymptotics needs delta_min, delta_max > 0")
+    run = _Run("asymptotics", ns.out)
+    deltas = np.logspace(math.log10(ns.delta_min), math.log10(ns.delta_max),
+                         ns.points)
+    chains = [ChainParams.from_delta(N, float(d), eta_c) for d in deltas]
+    amps = [linear_chain_amplitudes(p) for p in chains]
 
-    gam = [gamma_coefficient(linear_chain_amplitudes(
-        ChainParams.from_delta(N, float(d), eta_c))).direct for d in deltas]
-    emit_csv(("delta", "gamma"), zip(deltas, gam), run.path("gamma_table.csv"))
-
-    der = gamma_derivative_scan(deltas, N=N, eta_c=eta_c)
-    emit_csv(("delta", "dgamma_ddelta"), zip(der.deltas, der.dgamma),
-             run.path("dgamma_table.csv"))
-
-    ref = ChainParams.from_delta(N, float(deltas[-1]), eta_c)
-    ana = a_infinity_analytic(ref, delta_ref=float(deltas[-1]))
-    rows = []
-    for d in deltas:
-        p = ChainParams.from_delta(N, float(d), eta_c)
-        rows.append((d, a_infinity(linear_chain_amplitudes(p)).direct,
-                     ana.evaluate(float(d))))
-    emit_csv(("delta", "a_inf", "a_inf_analytic"), rows,
-             run.path("a_infinity_table.csv"))
+    emit_csv(("delta", "gamma"),
+             zip(deltas, [gamma_coefficient(a).direct for a in amps]),
+             run.path("gamma_table.csv"))
+    der = _dgamma(run, "dgamma_table.csv", deltas, N, eta_c)
+    ana = a_infinity_analytic(chains[-1], delta_ref=float(deltas[-1]))
+    _a_infinity(run, "a_infinity_table.csv", deltas, amps, ana)
 
     rev_rows = []
-    for d in deltas:
-        p = ChainParams.from_delta(N, float(d), eta_c)
+    for d, p in zip(deltas, chains):
         r = revival_time(N, p.nu_t)
         rev_rows.append((d, p.nu_t, r.v_max, r.k_star, r.t_star))
     emit_csv(("delta", "nu_t", "v_max", "k_star", "t_star"), rev_rows,
              run.path("revival_table.csv"))
 
     run.finish({"N": N, "eta_c": eta_c},
-               {"delta_min": float(d_min), "delta_max": float(d_max),
-                "points": int(points),
+               {"delta_min": float(ns.delta_min),
+                "delta_max": float(ns.delta_max), "points": int(ns.points),
                 "dgamma_fit": {"a": der.a, "b": der.b,
                                "r_squared": der.r_squared},
                 "a_inf_analytic": {"slope": ana.slope, "offset": ana.offset,
@@ -414,33 +423,10 @@ def _cmd_asymptotics(ns) -> int:
 
 
 def _cmd_longtime(ns) -> int:
-    s = _Settings(ns)
-    p = _resolve_chain(s)
-    rev = revival_time(p.N, p.nu_t)
-    t_max = s.get("t_max", 1.35 * rev.t_star)
-    samples = s.get("samples", 50_000)
-    run = _Run("longtime", s.out)
-
-    amps = linear_chain_amplitudes(p)
-    dt = t_max / samples
-    t = dt * np.arange(1, samples + 1)     # analytic form needs t > 0
-    tr = evaluate_trace(amps, t, theta=p.theta, with_overlap=False)
-    gaps = gap_parameters(p)
-    ana = a_infinity_analytic(p, delta_ref=gaps.Delta)
-    V_ana = np.exp(-ana.evaluate(gaps.Delta) + b_analytic(t, p))
-    emit_csv(("t", "V_exact", "V_analytic"), zip(t, tr.V, V_ana),
-             run.path("longtime.csv"))
-
-    # Detector windows scale with t* so short chains stay detectable; at
-    # t* ~ 1230 they reduce to the documented 50/50/200 defaults.
-    burst = find_revival_burst(t, tr.V, window=0.04 * rev.t_star,
-                               baseline_gap=0.04 * rev.t_star,
-                               baseline_span=0.16 * rev.t_star)
-    run.finish(_params_dict(p),
-               {"t_max": float(t_max), "samples": int(samples),
-                "t_star": rev.t_star, "v_max": rev.v_max,
-                "k_star": rev.k_star, "burst_time": burst,
-                "soft_gap": gaps.delta})
+    p = _resolve_chain(ns)
+    run = _Run("longtime", ns.out)
+    grids = _longtime(run, "longtime.csv", p, ns.t_max, ns.samples)[3]
+    run.finish(_params_dict(p), grids)
     return 0
 
 
@@ -453,29 +439,16 @@ def _proxy(checks: list, name: str, ok: bool, detail: str) -> None:
     print(f"  proxy {name}: {tag} ({detail})")
 
 
-def _fig_spectrum_run(run: _Run, tag: str, p: ChainParams):
-    """Shared body of the two spectrum scenarios; returns trace and spectrum."""
-    tr = visibility_trace(p, T_F=DEFAULT_T_F, n_s=DEFAULT_N_S)
-    emit_csv(("t", "A", "V"), zip(tr.t, tr.A, tr.V),
-             run.path(f"{tag}_visibility.csv"))
-    spec = fourier_spectrum(tr)
-    emit_csv(("omega", "F"), zip(spec.omega, spec.F),
-             run.path(f"{tag}_spectrum.csv"))
-    return tr, spec
-
-
 _FIG2_PARAMS = dict(N=100, delta=1e-1, eta_c=0.25)
 _FIG3_PARAMS = dict(N=100, delta=1e-4, eta_c=0.25)
 
 
 def _fig2(run: _Run, checks: list) -> dict:
     p = ChainParams.from_delta(**_FIG2_PARAMS)
-    tr, spec = _fig_spectrum_run(run, "fig2", p)
+    tr, spec = _spectrum(run, "fig2_spectrum.csv", p,
+                         trace_name="fig2_visibility.csv")
 
-    lo, hi = transverse_band(p)
-    frac = spectral_band_check(spec, lo, hi)
-    lo_c, hi_c = overlay_band(p)
-    frac_c = spectral_band_check(spec, lo_c, hi_c)
+    (_, lo, hi, frac), (_, _, _, frac_c) = _band_fractions(p, spec)
     _proxy(checks, "fig2 band confinement", frac >= 0.95,
            f"power fraction {frac:.4f} in [{lo:.4f}, {hi:.4f}]; "
            f"overlay-form fraction {frac_c:.4f}")
@@ -497,7 +470,8 @@ def _fig2(run: _Run, checks: list) -> dict:
 
 def _fig3(run: _Run, checks: list) -> dict:
     p = ChainParams.from_delta(**_FIG3_PARAMS)
-    tr, spec = _fig_spectrum_run(run, "fig3", p)
+    tr, spec = _spectrum(run, "fig3_spectrum.csv", p,
+                         trace_name="fig3_visibility.csv")
 
     omega_y = transverse_mode_set(p).omega
     soft = float(np.min(omega_y[omega_y > 0]))
@@ -542,23 +516,17 @@ def _fig4(run: _Run, checks: list) -> dict:
 
 def _fig5(run: _Run, checks: list) -> dict:
     N_scan, N_fit, eta_c = 256, 1000, 0.05
-    deltas = np.linspace(-1e-2, 1e-2, 21)
-    scan = gamma_transition_scan(deltas, N=N_scan, eta_c=eta_c)
-    emit_csv(("delta", "gamma", "phase"),
-             zip(scan.deltas, scan.gamma, scan.kinds),
-             run.path("fig5_gamma.csv"))
+    scan, rep = _gamma_scan(run, "fig5_gamma.csv",
+                            np.linspace(-1e-2, 1e-2, 21), N_scan, eta_c)
     i_min = int(np.argmin(scan.gamma))
-    rep = cusp_secant_slopes(scan)
     _proxy(checks, "fig5 minimum at zero", scan.deltas[i_min] == 0.0,
            f"minimum at delta = {scan.deltas[i_min]:g}")
     _proxy(checks, "fig5 cusp slopes", rep.separation > 5.0,
            f"left {rep.left_slope:.4g}, right {rep.right_slope:.4g}, "
            f"{rep.separation:.1f} standard errors apart")
 
-    dgrid = np.logspace(-4, -2, 12)
-    der = gamma_derivative_scan(dgrid, N=N_fit, eta_c=eta_c)
-    emit_csv(("delta", "dgamma_ddelta"), zip(der.deltas, der.dgamma),
-             run.path("fig5_dgamma.csv"))
+    der = _dgamma(run, "fig5_dgamma.csv", np.logspace(-4, -2, 12), N_fit,
+                  eta_c)
     _proxy(checks, "fig5 log fit", der.r_squared > 0.99,
            f"R^2 = {der.r_squared:.6f}, b = {der.b:.4g}")
     return {"N_scan": N_scan, "N_fit": N_fit, "eta_c": eta_c}
@@ -566,60 +534,41 @@ def _fig5(run: _Run, checks: list) -> dict:
 
 def _fig6(run: _Run, checks: list) -> dict:
     p = ChainParams.from_delta(1000, 1e-3, 0.25)
-    rev = revival_time(p.N, p.nu_t)
-    _proxy(checks, "fig6 v_max", abs(rev.v_max - 0.81) / 0.81 < 0.01,
-           f"v_max = {rev.v_max:.4f}")
-    _proxy(checks, "fig6 k_star", abs(rev.k_star - 2.64) / 2.64 < 0.02,
-           f"k* = {rev.k_star:.4f}")
-    _proxy(checks, "fig6 t_star", abs(rev.t_star - 1229.0) / 1229.0 < 0.02,
-           f"t* = {rev.t_star:.2f}")
-
-    amps = linear_chain_amplitudes(p)
-    t_max = 1.35 * rev.t_star
-    n = 50_000
-    dt = t_max / n
-    t = dt * np.arange(1, n + 1)
-    tr = evaluate_trace(amps, t, with_overlap=False)
-    gaps = gap_parameters(p)
-    ana = a_infinity_analytic(p, delta_ref=gaps.Delta)
-    V_ana = np.exp(-ana.evaluate(gaps.Delta) + b_analytic(t, p))
-    emit_csv(("t", "V_exact", "V_analytic"), zip(t, tr.V, V_ana),
-             run.path("fig6_longtime.csv"))
-
-    burst = find_revival_burst(t, tr.V)
+    t, V, V_ana, g = _longtime(run, "fig6_longtime.csv", p, None, 50_000)
+    t_star, burst = g["t_star"], g["burst_time"]
+    _proxy(checks, "fig6 v_max", abs(g["v_max"] - 0.81) / 0.81 < 0.01,
+           f"v_max = {g['v_max']:.4f}")
+    _proxy(checks, "fig6 k_star", abs(g["k_star"] - 2.64) / 2.64 < 0.02,
+           f"k* = {g['k_star']:.4f}")
+    _proxy(checks, "fig6 t_star", abs(t_star - 1229.0) / 1229.0 < 0.02,
+           f"t* = {t_star:.2f}")
     _proxy(checks, "fig6 revival detector",
-           burst is not None and abs(burst - rev.t_star) < 0.1 * rev.t_star,
+           burst is not None and abs(burst - t_star) < 0.1 * t_star,
            f"burst at {burst if burst is None else round(burst, 2)} "
-           f"vs t* = {rev.t_star:.2f}")
-    mask = (t >= 3.0 / gaps.delta) & (t <= 0.8 * rev.t_star)
-    mad = float(np.mean(np.abs(V_ana[mask] - tr.V[mask])))
+           f"vs t* = {t_star:.2f}")
+    mask = (t >= 3.0 / g["soft_gap"]) & (t <= 0.8 * t_star)
+    mad = float(np.mean(np.abs(V_ana[mask] - V[mask])))
     _proxy(checks, "fig6 envelope deviation", mad < 0.05,
            f"mean absolute deviation {mad:.2e}")
     out = _params_dict(p)
-    out.update({"t_star": rev.t_star, "v_max": rev.v_max,
-                "k_star": rev.k_star, "burst_time": burst})
+    out.update({k: g[k] for k in ("t_star", "v_max", "k_star", "burst_time")})
     return out
 
 
 def _fig7(run: _Run, checks: list) -> dict:
     N, eta_c = 1000, 0.05
     deltas = np.logspace(-4, -2, 12)
-    rows = []
-    for d in deltas:
-        p = ChainParams.from_delta(N, float(d), eta_c)
-        rows.append((d, a_infinity(linear_chain_amplitudes(p)).direct))
-    slope = -float(np.polyfit(np.log(deltas), [r[1] for r in rows], 1)[0])
-    p_ref = ChainParams.from_delta(N, 1e-3, eta_c)
-    pred = a_infinity_analytic(p_ref).slope
-    ana = a_infinity_analytic(p_ref)
-    emit_csv(("delta", "a_inf", "a_inf_analytic"),
-             [(d, a, ana.evaluate(float(d))) for (d, a) in rows],
-             run.path("fig7_a_infinity.csv"))
-    rel = abs(slope - pred) / pred
+    amps = [linear_chain_amplitudes(ChainParams.from_delta(N, float(d), eta_c))
+            for d in deltas]
+    ana = a_infinity_analytic(ChainParams.from_delta(N, 1e-3, eta_c))
+    a_inf = _a_infinity(run, "fig7_a_infinity.csv", deltas, amps, ana)
+    slope = -float(np.polyfit(np.log(deltas), a_inf, 1)[0])
+    rel = abs(slope - ana.slope) / ana.slope
     _proxy(checks, "fig7 saturation slope", rel < 0.10,
-           f"fit slope {slope:.6g} vs analytic {pred:.6g} ({rel:.1%} off)")
+           f"fit slope {slope:.6g} vs analytic {ana.slope:.6g} "
+           f"({rel:.1%} off)")
     return {"N": N, "eta_c": eta_c, "slope_fit": slope,
-            "slope_analytic": pred}
+            "slope_analytic": ana.slope}
 
 
 _FIGURES = {"2": _fig2, "3": _fig3, "4": _fig4, "5": _fig5,
@@ -627,10 +576,9 @@ _FIGURES = {"2": _fig2, "3": _fig3, "4": _fig4, "5": _fig5,
 
 
 def _cmd_figures(ns) -> int:
-    s = _Settings(ns)
     which = ns.which
     names = sorted(_FIGURES) if which == "all" else [which]
-    run = _Run("figures", s.out)
+    run = _Run("figures", ns.out)
     checks: list = []
     scenario_params = {}
     for name in names:
@@ -652,27 +600,34 @@ def _cmd_figures(ns) -> int:
 # ----------------------------------------------------------------- front end
 
 
-def _add_common(sp, physical: bool = True):
-    sp.add_argument("--config", help="flat key = value parameter file")
-    sp.add_argument("--out", help="output directory (default .)")
+def _add_common(sp, chain: bool = True):
+    """Options of every computing subcommand; `chain` adds those that pick
+    one chain: nu_t or delta, theta and the laboratory inputs."""
+    sp.add_argument("--config", help="flat key = value file of option values")
+    sp.add_argument("--out", default=".", help="output directory (default .)")
     sp.add_argument("--N", type=int, help="ion count")
+    sp.add_argument("--eta-c", dest="eta_c", type=float,
+                    help="Lamb-Dicke parameter at the critical frequency")
+    if not chain:
+        return
     sp.add_argument("--nu-t", dest="nu_t", type=float,
                     help="transverse confinement, omega_0 units")
     sp.add_argument("--delta", type=float,
                     help="detuning nu_t - nu_c, omega_0 units")
-    sp.add_argument("--eta-c", dest="eta_c", type=float,
-                    help="Lamb-Dicke parameter at the critical frequency")
     sp.add_argument("--theta", type=float,
                     help="temperature k_B T / (hbar omega_0)")
-    if physical:
-        sp.add_argument("--mass-kg", dest="mass_kg", type=float)
-        sp.add_argument("--charge-c", dest="charge_c", type=float)
-        sp.add_argument("--spacing-m", dest="spacing_m", type=float)
-        sp.add_argument("--transverse-frequency-rad-s",
-                        dest="transverse_frequency_rad_s", type=float)
-        sp.add_argument("--laser-wavenumber-per-m",
-                        dest="laser_wavenumber_per_m", type=float)
-        sp.add_argument("--temperature-k", dest="temperature_k", type=float)
+    for key in _PHYSICAL_KEYS:
+        sp.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
+    sp.add_argument("--temperature-k", dest="temperature_k", type=float,
+                    default=0.0)
+
+
+def _add_delta_grid(sp, delta_min: float, delta_max: float, points: int):
+    sp.add_argument("--delta-min", dest="delta_min", type=float,
+                    default=delta_min)
+    sp.add_argument("--delta-max", dest="delta_max", type=float,
+                    default=delta_max)
+    sp.add_argument("--points", type=int, default=points)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -691,64 +646,68 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu-min", dest="nu_min", type=float,
                     help="scan start (default: just below critical)")
     sp.add_argument("--nu-max", dest="nu_max", type=float)
-    sp.add_argument("--points", type=int)
+    sp.add_argument("--points", type=int, default=41)
     sp.set_defaults(func=_cmd_zigzag)
 
     sp = sub.add_parser("visibility", help="V(t) on a time window")
     _add_common(sp)
-    sp.add_argument("--t-min", dest="t_min", type=float)
-    sp.add_argument("--t-max", dest="t_max", type=float)
-    sp.add_argument("--samples", type=int)
+    sp.add_argument("--t-min", dest="t_min", type=float, default=0.0)
+    sp.add_argument("--t-max", dest="t_max", type=float, default=100.0)
+    sp.add_argument("--samples", type=int, default=2001)
     sp.set_defaults(func=_cmd_visibility)
 
     sp = sub.add_parser("fourier", help="normalized spectrum of V(t)")
     _add_common(sp)
-    sp.add_argument("--T-F", dest="T_F", type=float,
+    sp.add_argument("--T-F", dest="T_F", type=float, default=DEFAULT_T_F,
                     help="sampling interval length, 1/omega_0")
-    sp.add_argument("--n-s", dest="n_s", type=int, help="sample count")
-    sp.add_argument("--prominence", type=float)
-    band = sp.add_mutually_exclusive_group()
-    band.add_argument("--band", action="store_true", default=True,
-                      help="emit band-confinement table (default)")
-    band.add_argument("--no-band", dest="band", action="store_false")
+    sp.add_argument("--n-s", dest="n_s", type=int, default=DEFAULT_N_S,
+                    help="sample count")
+    sp.add_argument("--prominence", type=float, default=1e-4)
+    sp.add_argument("--no-band", dest="band", action="store_false",
+                    help="skip the band-confinement table")
     sp.set_defaults(func=_cmd_fourier)
 
     sp = sub.add_parser("gamma-scan",
                         help="Gamma(Delta) across the transition")
-    _add_common(sp, physical=False)
-    sp.add_argument("--delta-min", dest="delta_min", type=float)
-    sp.add_argument("--delta-max", dest="delta_max", type=float)
-    sp.add_argument("--points", type=int)
+    _add_common(sp, chain=False)
+    _add_delta_grid(sp, -1e-2, 1e-2, 21)
     sp.set_defaults(func=_cmd_gamma_scan)
 
     sp = sub.add_parser("asymptotics",
                         help="Gamma, dGamma/dDelta, A_inf, t* tables")
-    _add_common(sp, physical=False)
-    sp.add_argument("--delta-min", dest="delta_min", type=float)
-    sp.add_argument("--delta-max", dest="delta_max", type=float)
-    sp.add_argument("--points", type=int)
+    _add_common(sp, chain=False)
+    _add_delta_grid(sp, 1e-4, 1e-2, 12)
     sp.set_defaults(func=_cmd_asymptotics)
 
     sp = sub.add_parser("longtime", help="exact vs analytic V(t)")
     _add_common(sp)
-    sp.add_argument("--t-max", dest="t_max", type=float)
-    sp.add_argument("--samples", type=int)
+    sp.add_argument("--t-max", dest="t_max", type=float,
+                    help="trace end (default 1.35 t*)")
+    sp.add_argument("--samples", type=int, default=50_000,
+                    help=f"sample count, >= {MIN_BURST_SAMPLES}")
     sp.set_defaults(func=_cmd_longtime)
 
     sp = sub.add_parser("figures", help="canned scenario runs")
     sp.add_argument("--which", choices=[*sorted(_FIGURES), "all"],
                     default="all")
-    sp.add_argument("--config", help="flat key = value parameter file")
-    sp.add_argument("--out", help="output directory (default .)")
+    sp.add_argument("--out", default=".", help="output directory (default .)")
     sp.set_defaults(func=_cmd_figures)
+    for sp in sub.choices.values():
+        sp.allow_abbrev = False     # a flag or config key names its option
     return ap
 
 
 def run(argv=None) -> int:
     """Parse argv and execute; returns the process exit code."""
     ap = build_parser()
-    ns = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        ns = ap.parse_args(argv)
+        if getattr(ns, "config", None):
+            # Config lines enter as options ahead of the command line's, so
+            # the parser types them, rejects unknown keys and lets flags win.
+            ns = ap.parse_args([*argv[:1], *_read_config(ns.config),
+                                *argv[1:]])
         return ns.func(ns)
     except InvalidParameter as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)

@@ -35,6 +35,14 @@ _MIN_SAMPLES = 1 << 10
 _DEFAULT_BUDGET = 2_000_000_000   # n_s * n_modes guard
 
 
+def check_trace_budget(n_samples: int, n_modes: int,
+                       budget: int = _DEFAULT_BUDGET) -> None:
+    """Raise ResourceLimit for an n_samples x n_modes mode sum over budget."""
+    if n_samples * n_modes > budget:
+        raise ResourceLimit(
+            f"mode sum of {n_samples} x {n_modes} exceeds budget {budget}")
+
+
 def visibility_trace(params: ChainParams, T_F: float = DEFAULT_T_F,
                      n_s: int = DEFAULT_N_S, theta: float | None = None,
                      amps: DisplacementAmplitudes | None = None,
@@ -46,9 +54,7 @@ def visibility_trace(params: ChainParams, T_F: float = DEFAULT_T_F,
         raise InvalidParameter(f"n_s must be >= {_MIN_SAMPLES}")
     if amps is None:
         amps = linear_chain_amplitudes(params)
-    if n_s * len(amps) > budget:
-        raise ResourceLimit(
-            f"mode sum of {n_s} x {len(amps)} exceeds budget {budget}")
+    check_trace_budget(n_s, len(amps), budget)
     if theta is None:
         theta = params.theta
     dt = T_F / n_s

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -195,3 +196,89 @@ def test_figures_scenario_four(tmp_path, capsys):
     assert (tmp_path / "fig4_gamma.csv").exists()
     man = json.loads((tmp_path / "figures_manifest.json").read_text())
     assert all(p["passed"] for p in man["grids"]["proxies"])
+
+
+@pytest.mark.parametrize("flags, word", [
+    (["--samples", "0"], "samples"), (["--samples", "-5"], "samples"),
+    (["--samples", "7"], "samples"), (["--t-max", "0"], "t_max"),
+    (["--t-max=-3"], "t_max")])
+def test_longtime_rejects_bad_grids(flags, word, tmp_path, capsys):
+    rc = run(["longtime", "--N", "16", "--delta", "0.05", "--eta-c", "0.1",
+              *flags, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error [InvalidParameter]" in err and word in err
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["zigzag", "--N", "16", "--nu-t", "2.0", "--points=-1"], "points"),
+    (["asymptotics", "--N", "16", "--eta-c", "0.05", "--delta-max=-1"],
+     "delta_max")])
+def test_scan_grids_are_validated(argv, word, tmp_path, capsys):
+    assert run([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error [InvalidParameter]" in err and word in err
+
+
+@pytest.mark.parametrize("command", ["visibility", "longtime"])
+def test_trace_budget_guard_before_allocation(command, tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        rc = run([command, "--N", "16", "--delta", "0.05", "--eta-c", "0.1",
+                  "--samples", str(10**12), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert "error [ResourceLimit]" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def test_fourier_band_table_is_optional(tmp_path, capsys):
+    args = ["fourier", "--N", "16", "--delta", "0.05", "--eta-c", "0.1",
+            "--T-F", "200", "--n-s", "1024"]
+    with pytest.raises(SystemExit) as exc:
+        run([*args, "--band", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert run([*args, "--no-band", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "fourier.csv").exists()
+    assert not (tmp_path / "fourier_band.csv").exists()
+    man = json.loads((tmp_path / "fourier_manifest.json").read_text())
+    assert "band" not in man["grids"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("gamma-scan", ["--theta", "1"]), ("gamma-scan", ["--nu-t", "2.5"]),
+    ("asymptotics", ["--theta", "1"]), ("asymptotics", ["--nu-t", "2.5"])])
+def test_scans_take_no_single_chain_options(command, flag, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--N", "16", "--eta-c", "0.05", *flag,
+             "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def test_config_keys_go_through_the_parser(tmp_path, capsys):
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text("N = 16\nnu_tt = 2.5\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "nu-tt" in capsys.readouterr().err
+
+    cfg.write_text("N = 16\nnu_t = fast\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "'fast'" in capsys.readouterr().err
+
+    cfg.write_text("N = 16\nnu = 2.5\n")      # no prefix matching
+    with pytest.raises(SystemExit) as exc:
+        run(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--nu=2.5" in capsys.readouterr().err
+
+    # A flag given before --config still beats the file.
+    cfg.write_text(f"N = 16\nnu_t = 2.6\nout = {tmp_path / 'o'}\n")
+    assert run(["spectrum", "--nu-t", "2.5", "--config", str(cfg)]) == 0
+    man = json.loads((tmp_path / "o" / "spectrum_manifest.json").read_text())
+    assert man["params"]["nu_t"] == 2.5 and man["params"]["N"] == 16
