@@ -13,10 +13,10 @@ from .errors import (CoulombChainError, InvalidParameter, NumericalFailure,
 from .model import (ChainParams, DerivedScales, GapParams, H_STIFFNESS,
                     PhysicalInput, critical_frequency_infinite,
                     derive_parameters, gap_parameters, zeta3)
-from .linear_modes import (ModeIndex, ModeMatrix, ModeSet, axial_mode_set,
+from .linear_modes import (ModeMatrix, ModeSet, axial_mode_set,
                            critical_frequency_finite, dispersion_axial,
-                           dispersion_transverse, enumerate_modes,
-                           group_velocity, max_group_velocity, mode_matrix,
+                           dispersion_transverse, group_velocity,
+                           max_group_velocity, mode_matrix,
                            transverse_mode_set)
 from .ramsey import (DisplacementAmplitudes, VisibilityTrace,
                      autocorrelation_G, displacement_amplitudes,

@@ -389,8 +389,11 @@ def find_revival_burst(t: np.ndarray, V: np.ndarray, window: float = 50.0,
     """
     t = np.asarray(t, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
-    if t.ndim != 1 or t.shape != V.shape or len(t) < MIN_BURST_SAMPLES:
+    if t.ndim != 1 or t.shape != V.shape:
         raise InvalidParameter("need matching 1-d t and V arrays")
+    if len(t) < MIN_BURST_SAMPLES:
+        raise InvalidParameter(f"trace has {len(t)} samples; revival "
+                               f"detection needs >= {MIN_BURST_SAMPLES}")
     dt = float(t[1] - t[0])
     if dt <= 0 or not np.allclose(np.diff(t), dt, rtol=1e-6, atol=1e-12):
         raise InvalidParameter("revival detection expects a uniform time grid")

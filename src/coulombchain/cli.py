@@ -295,11 +295,10 @@ def _cmd_spectrum(ns) -> int:
     run = _Run("spectrum", ns.out)
     ms_y = transverse_mode_set(p)
     ms_x = axial_mode_set(p.N)
-    rows = [(m.n, m.k, m.sigma, wx, wy)
-            for m, wx, wy in zip(ms_y.modes, ms_x.omega, ms_y.omega)]
-    emit_csv(("n", "k_a", "parity", "omega_x", "omega_y"), rows,
+    emit_csv(("n", "k_a", "parity", "omega_x", "omega_y"),
+             zip(ms_y.n, ms_y.k, ms_y.sigma, ms_x.omega, ms_y.omega),
              run.path("spectrum.csv"))
-    run.finish(_params_dict(p), {"modes": len(rows)})
+    run.finish(_params_dict(p), {"modes": len(ms_y)})
     return 0
 
 

@@ -49,76 +49,51 @@ def _check_even_n(N: int) -> None:
         raise InvalidParameter("N must be an even integer >= 4")
 
 
-@dataclass(frozen=True)
-class ModeIndex:
-    """One normal mode of the linear chain: integer wave index and parity.
+def _columns(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Wave index n and parity ('+' is True) of each mode column.
 
-    n runs 0..N/2; sigma is '+' (cosine-like) or '-' (sine-like). n = 0
-    exists only as '+' and n = N/2 only as '-'. Physical wave number is
-    k = 2 pi n / (N a).
-    """
-
-    n: int
-    N: int
-    sigma: str
-
-    def __post_init__(self):
-        _check_even_n(self.N)
-        if not 0 <= self.n <= self.N // 2:
-            raise InvalidParameter("mode index n must lie in 0..N/2")
-        if self.sigma not in ("+", "-"):
-            raise InvalidParameter("sigma must be '+' or '-'")
-        if self.n == 0 and self.sigma != "+":
-            raise InvalidParameter("n = 0 carries only the '+' parity")
-        if self.n == self.N // 2 and self.sigma != "-":
-            raise InvalidParameter("n = N/2 carries only the '-' parity")
-
-    @property
-    def k(self) -> float:
-        """Wave number in 1/a units."""
-        return 2.0 * math.pi * self.n / self.N
-
-
-def enumerate_modes(N: int) -> list[ModeIndex]:
-    """All N transverse (or axial) mode labels in canonical column order.
-
-    Order: (0,+), then (n,+),(n,-) for n = 1..N/2-1, then (N/2,-).
+    Order: (0,+), then (n,+),(n,-) for n = 1..N/2-1, then (N/2,-); n = 0
+    exists only as '+' (cosine-like) and n = N/2 only as '-' (sine-like).
     """
     _check_even_n(N)
-    modes = [ModeIndex(0, N, "+")]
-    for n in range(1, N // 2):
-        modes.append(ModeIndex(n, N, "+"))
-        modes.append(ModeIndex(n, N, "-"))
-    modes.append(ModeIndex(N // 2, N, "-"))
-    return modes
+    col = np.arange(N)
+    plus = col % 2 == 1
+    plus[0], plus[-1] = True, False
+    return (col + 1) // 2, plus
 
 
-def _dispersion_sum(k, N: int):
-    """sum_{j=1}^{N/2} j^-3 sin^2(j k / 2), vectorized and chunked over k."""
+def _lattice_sum(k, N: int, power: int, f):
+    """sum_{j=1}^{N/2} j^-power f(j k), chunked over k; f may work in place."""
     j = np.arange(N // 2, 0, -1, dtype=np.float64)   # descending j: ascending terms
-    w = j ** -3
+    w = j ** -power
     karr = np.atleast_1d(np.asarray(k, dtype=np.float64))
     out = np.empty_like(karr)
     # Chunk so the outer product stays below ~32 MB.
     chunk = max(1, int(4e6 / max(len(j), 1)))
     for i in range(0, len(karr), chunk):
-        kc = karr[i:i + chunk]
         out[i:i + chunk] = np.einsum(
-            "j,jk->k", w, np.sin(np.multiply.outer(j, kc) * 0.5) ** 2)
+            "j,jk->k", w, f(np.multiply.outer(j, karr[i:i + chunk])))
     return out if np.ndim(k) else float(out[0])
 
 
+def _dispersion_sum(k, N: int):
+    """sum_{j=1}^{N/2} j^-3 sin^2(j k / 2)."""
+    return _lattice_sum(k, N, 3, lambda x: np.square(
+        np.sin(np.multiply(x, 0.5, out=x), out=x), out=x))
+
+
 def _mode_grid_sum(N: int) -> np.ndarray:
-    """_dispersion_sum at the k of every enumerate_modes column, O(N log N).
+    """_dispersion_sum at the k of every mode column, O(N log N).
 
     With F = rfft(c), c_j = j^-3 for j = 1..N/2 and 0 otherwise,
     sum_j j^-3 sin^2(j k_n / 2) = (F_0 - Re F_n) / 2; n = 0 is exactly 0.
     """
+    n, _ = _columns(N)
     c = np.zeros(N)
     c[1:N // 2 + 1] = np.arange(1, N // 2 + 1, dtype=np.float64) ** -3
     F = np.fft.rfft(c).real
     s = 0.5 * (F[0] - F)
-    return s[(np.arange(N) + 1) // 2]       # column -> n: 0, 1, 1, 2, 2, ..
+    return s[n]
 
 
 def _transverse_omega(s, nu_t: float) -> np.ndarray:
@@ -166,39 +141,46 @@ def critical_frequency_finite(N: int) -> float:
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Frequencies for every mode label of one branch ('x' or 'y')."""
+    """Frequencies of one branch ('x' or 'y'); labels n, sigma ('+'/'-') and
+    k = 2 pi n / N (1/a units) are arrays in the column order of `_columns`."""
 
     branch: str
-    modes: tuple
     omega: np.ndarray
 
     def __post_init__(self):
         if self.branch not in ("x", "y"):
             raise InvalidParameter("branch must be 'x' or 'y'")
-        if len(self.modes) != len(self.omega):
-            raise InvalidParameter("modes and omega must have equal length")
 
     def __len__(self):
-        return len(self.modes)
+        return len(self.omega)
+
+    @property
+    def n(self) -> np.ndarray:
+        return _columns(len(self))[0]
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return np.where(_columns(len(self))[1], "+", "-")
+
+    @property
+    def k(self) -> np.ndarray:
+        return 2.0 * math.pi * self.n / len(self)
 
 
 def transverse_mode_set(params: ChainParams) -> ModeSet:
     """ModeSet of the y branch for the given chain parameters."""
-    modes = enumerate_modes(params.N)
     omega = _transverse_omega(_mode_grid_sum(params.N), params.nu_t)
-    return ModeSet(branch="y", modes=tuple(modes), omega=omega)
+    return ModeSet(branch="y", omega=omega)
 
 
 def axial_mode_set(N: int) -> ModeSet:
     """ModeSet of the x branch (confinement-independent)."""
-    modes = enumerate_modes(N)
-    return ModeSet(branch="x", modes=tuple(modes),
-                   omega=np.sqrt(8.0 * _mode_grid_sum(N)))
+    return ModeSet(branch="x", omega=np.sqrt(8.0 * _mode_grid_sum(N)))
 
 
 @dataclass(frozen=True)
 class ModeMatrix:
-    """Orthogonal site-to-mode matrix R, columns ordered as enumerate_modes.
+    """Orthogonal site-to-mode matrix R, columns ordered as `_columns`.
 
     Rows are ion sites j = 1..N (row index j-1). Entries:
         R[j, 0]        = sqrt(1/N)                       (n = 0)
@@ -217,10 +199,6 @@ class ModeMatrix:
         _check_even_n(self.N)
 
     @cached_property
-    def modes(self) -> tuple:
-        return tuple(enumerate_modes(self.N))
-
-    @cached_property
     def R(self) -> np.ndarray:
         """Dense R, one column per mode: the oracle `row` is tested against."""
         N = self.N
@@ -232,16 +210,17 @@ class ModeMatrix:
         R = np.empty((N, N))
         root1 = math.sqrt(1.0 / N)
         root2 = math.sqrt(2.0 / N)
-        for col, m in enumerate(self.modes):
-            if m.n == 0:
+        n, plus = _columns(N)
+        k = 2.0 * math.pi * n / N
+        for col in range(N):
+            if n[col] == 0:
                 R[:, col] = root1
-            elif m.n == N // 2:
-                R[:, col] = root1 * np.where(np.arange(1, N + 1) % 2 == 0,
-                                             1.0, -1.0)
-            elif m.sigma == "+":
-                R[:, col] = root2 * np.cos(j * m.k)
+            elif n[col] == N // 2:
+                R[:, col] = root1 * np.where(j % 2 == 0, 1.0, -1.0)
+            elif plus[col]:
+                R[:, col] = root2 * np.cos(j * k[col])
             else:
-                R[:, col] = root2 * np.sin(j * m.k)
+                R[:, col] = root2 * np.sin(j * k[col])
         return R
 
     def row(self, site: int) -> np.ndarray:
@@ -269,17 +248,7 @@ def mode_matrix(N: int) -> ModeMatrix:
 
 def _dispersion_sq_derivative(k, N: int):
     """d(omega_y^2)/dk = -2 sum_{j=1}^{N/2} j^-2 sin(j k), omega_0^2 a units."""
-    j = np.arange(N // 2, 0, -1, dtype=np.float64)
-    w = j ** -2
-    karr = np.atleast_1d(np.asarray(k, dtype=np.float64))
-    out = np.empty_like(karr)
-    chunk = max(1, int(4e6 / max(len(j), 1)))
-    for i in range(0, len(karr), chunk):
-        kc = karr[i:i + chunk]
-        out[i:i + chunk] = np.einsum(
-            "j,jk->k", w, np.sin(np.multiply.outer(j, kc)))
-    out *= -2.0
-    return out if np.ndim(k) else float(out[0])
+    return -2.0 * _lattice_sum(k, N, 2, lambda x: np.sin(x, out=x))
 
 
 def group_velocity(k, nu_t: float, N: int):

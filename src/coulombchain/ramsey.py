@@ -25,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, SoftModeSingularity
-from .linear_modes import ModeMatrix, ModeSet, mode_matrix, transverse_mode_set
+from .linear_modes import (RADICAND_CLAMP, ModeMatrix, ModeSet,
+                           critical_frequency_finite, mode_matrix,
+                           transverse_mode_set)
 from .model import ChainParams
 
 # Target size of one t-by-mode block in the chunked trig sums (~64 MB).
@@ -78,8 +80,10 @@ def displacement_amplitudes(params: ChainParams, modes: ModeSet,
         raise InvalidParameter("modes/matrix size does not match params.N")
     omega = np.asarray(modes.omega, dtype=np.float64)
     if np.any(omega == 0.0):
+        delta = params.nu_t - critical_frequency_finite(params.N)
         raise SoftModeSingularity(
-            "zero-frequency transverse mode: chain is at the transition")
+            f"soft mode at nu_t - critical_frequency_finite(N) = {delta:.3e}: "
+            f"omega_y^2 below RADICAND_CLAMP = {RADICAND_CLAMP:g} snaps to 0")
     row = R.row(probe_site)
     alpha = 1j * params.eta0 * np.sqrt(params.nu_t / omega) * row
     weight = np.abs(alpha) ** 2
@@ -90,7 +94,7 @@ def displacement_amplitudes(params: ChainParams, modes: ModeSet,
 
 def linear_chain_amplitudes(params: ChainParams,
                             probe_site: int = 1) -> DisplacementAmplitudes:
-    """Convenience: enumerate modes, build R, and return the amplitudes."""
+    """Convenience: y-branch modes and the probe row, then the amplitudes."""
     return displacement_amplitudes(params, transverse_mode_set(params),
                                    mode_matrix(params.N), probe_site)
 

@@ -40,8 +40,8 @@ from scipy.optimize import brentq
 
 from .errors import (InvalidParameter, NumericalFailure, ResourceLimit,
                      SoftModeSingularity, UnstableConfiguration)
-from .linear_modes import (critical_frequency_finite, dispersion_axial,
-                           dispersion_transverse, enumerate_modes)
+from .linear_modes import (_columns, critical_frequency_finite,
+                           dispersion_axial, dispersion_transverse)
 from .model import ChainParams
 from .ramsey import DisplacementAmplitudes
 
@@ -334,8 +334,8 @@ def folded_linear_frequencies(params: ChainParams) -> np.ndarray:
     This is what the zigzag spectrum must reduce to at b = 0: the x and y
     branches folded together into one list of 2N frequencies.
     """
-    modes = enumerate_modes(params.N)
-    k = np.array([m.k for m in modes])
+    n, _ = _columns(params.N)
+    k = 2.0 * math.pi * n / params.N
     wx = dispersion_axial(k, params.N)
     wy = dispersion_transverse(k, params.nu_t, params.N)
     return np.sort(np.concatenate([wx, wy]))

@@ -241,3 +241,11 @@ def test_burst_detector_validation():
         find_revival_burst(t, np.ones_like(t))
     with pytest.raises(InvalidParameter):
         find_revival_burst(np.arange(4.0), np.arange(3.0))
+
+
+def test_burst_detector_names_a_short_trace():
+    with pytest.raises(InvalidParameter,
+                       match="trace has 5 samples; .* needs >= 8"):
+        find_revival_burst(np.arange(5.0), np.ones(5))
+    with pytest.raises(InvalidParameter, match="matching 1-d"):
+        find_revival_burst(np.arange(5.0), np.ones(4))

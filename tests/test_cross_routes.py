@@ -4,7 +4,8 @@
 - the closed-form probe row against the dense mode matrix;
 - the FFT mode-grid dispersion against the direct sum;
 - the zigzag 2 x 2 Bloch blocks against the dense Hessian and eigh;
-- zigzag against linear-chain amplitudes at b = 0.
+- zigzag against linear-chain amplitudes at b = 0;
+- thermal weights and A_T against their theta -> infinity limit.
 """
 
 import math
@@ -14,10 +15,11 @@ import pytest
 
 from coulombchain import (ChainParams, axial_mode_set,
                           classify_zigzag_modes, critical_frequency_finite,
-                          enumerate_modes, gamma_coefficient,
+                          exponent_A_thermal, gamma_coefficient,
                           linear_chain_amplitudes, mode_matrix,
-                          transverse_mode_set, weighted_trig_sum,
-                          zigzag_displacement_amplitudes, zigzag_spectrum)
+                          thermal_weights, transverse_mode_set,
+                          weighted_trig_sum, zigzag_displacement_amplitudes,
+                          zigzag_spectrum)
 from coulombchain.errors import SoftModeSingularity
 from coulombchain.linear_modes import _dispersion_sum, _mode_grid_sum
 from coulombchain.ramsey import _direct_trig_sum, _uniform_step
@@ -97,8 +99,7 @@ def test_probe_row_matches_dense_matrix():
 
 @pytest.mark.parametrize("N", [4, 6, 8, 100, 1000])
 def test_fft_mode_grid_matches_direct_sum(N):
-    k = np.array([m.k for m in enumerate_modes(N)])
-    direct = _dispersion_sum(k, N)
+    direct = _dispersion_sum(axial_mode_set(N).k, N)
     assert np.max(np.abs(_mode_grid_sum(N) - direct)) < 10 * EPS
     omega_x = axial_mode_set(N).omega
     assert np.max(np.abs(omega_x ** 2 - 8.0 * direct)) < 1e-14
@@ -165,3 +166,24 @@ def test_zigzag_amplitudes_fold_onto_linear_at_b_zero():
             assert np.max(np.abs(w_zz - w_lin)) < 1e-12 * np.max(w_lin)
             assert gamma_coefficient(zz).direct == pytest.approx(
                 gamma_coefficient(lin).direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [1e3, 1e5])
+def test_thermal_weights_approach_the_classical_limit(theta):
+    # coth(x) = 1/x + x/3 - ..., so |alpha|^2 coth(w / (2 theta)) exceeds
+    # |alpha|^2 2 theta / w by a relative x^2/3 at most, x = w_max / (2 theta).
+    rng = np.random.default_rng(int(theta))
+    t = np.linspace(0.0, 300.0, 3001)
+    for _ in range(5):
+        N = int(rng.choice([4, 6, 16, 64, 100]))
+        nu = critical_frequency_finite(N) + float(rng.uniform(0.01, 2.0))
+        amps = linear_chain_amplitudes(
+            ChainParams(N=N, nu_t=nu, eta_c=float(rng.uniform(0.01, 0.5))))
+        limit = amps.weight * 2.0 * theta / amps.omega
+        rel = (np.max(amps.omega) / (2.0 * theta)) ** 2 / 3.0 + 8 * EPS
+        tw = thermal_weights(amps, theta)
+        assert np.all(np.abs(tw - limit) <= rel * limit)
+        A_T = exponent_A_thermal(t, amps, theta)
+        A_lim = 2.0 * weighted_trig_sum(t, amps.omega, limit, "sin2half")
+        assert np.all(np.abs(A_T - A_lim)
+                      <= rel * A_lim + _bound(t, amps.omega, limit))

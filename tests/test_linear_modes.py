@@ -1,16 +1,17 @@
 """Linear-chain dispersion, mode matrix, and group velocity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from coulombchain import (ChainParams, ModeIndex, axial_mode_set,
+from coulombchain import (ChainParams, axial_mode_set,
                           critical_frequency_finite,
                           critical_frequency_infinite, dispersion_axial,
-                          dispersion_transverse, enumerate_modes,
-                          group_velocity, max_group_velocity, mode_matrix,
-                          transverse_mode_set)
+                          dispersion_transverse, group_velocity,
+                          linear_chain_amplitudes, max_group_velocity,
+                          mode_matrix, transverse_mode_set)
 from coulombchain.errors import (InvalidParameter, ResourceLimit,
                                  SoftModeSingularity, UnstableLinearPhase)
 
@@ -24,25 +25,34 @@ NU_C_FINITE = {
 }
 
 
+def _assert_parity_rules(ms, N):
+    """n = 0 is cosine-like only, the zone edge n = N/2 sine-like only, and
+    every interior n carries one '+' and one '-' mode."""
+    assert len(ms.n) == len(ms.sigma) == len(ms.k) == N
+    per_n = N // 2 + 1
+    plus = np.bincount(ms.n[ms.sigma == "+"], minlength=per_n)
+    minus = np.bincount(ms.n[ms.sigma == "-"], minlength=per_n)
+    assert len(plus) == len(minus) == per_n          # no n beyond N/2
+    assert plus[0] == 1 and minus[0] == 0
+    assert plus[-1] == 0 and minus[-1] == 1
+    assert np.all(plus[1:-1] == 1) and np.all(minus[1:-1] == 1)
+
+
 def test_mode_enumeration_n4():
-    modes = enumerate_modes(4)
-    assert [(m.n, m.sigma) for m in modes] == \
+    ms = axial_mode_set(4)
+    assert list(zip(ms.n, ms.sigma)) == \
         [(0, "+"), (1, "+"), (1, "-"), (2, "-")]
-    assert [m.k for m in modes] == pytest.approx(
+    assert list(ms.k) == pytest.approx(
         [0.0, math.pi / 2, math.pi / 2, math.pi])
 
 
 def test_mode_count_and_parity_rules():
     for N in (4, 6, 16, 100):
-        assert len(enumerate_modes(N)) == N
+        ms = axial_mode_set(N)
+        assert len(ms) == N
+        _assert_parity_rules(ms, N)
     with pytest.raises(InvalidParameter):
-        ModeIndex(0, 8, "-")          # n = 0 is cosine-like only
-    with pytest.raises(InvalidParameter):
-        ModeIndex(4, 8, "+")          # zone edge is sine-like only
-    with pytest.raises(InvalidParameter):
-        ModeIndex(5, 8, "+")
-    with pytest.raises(InvalidParameter):
-        enumerate_modes(7)
+        axial_mode_set(7)
 
 
 def test_dispersion_hand_values():
@@ -75,10 +85,10 @@ def test_mode_sets():
     ms = transverse_mode_set(p)
     assert ms.branch == "y" and len(ms) == 16
     # degenerate parity partners
-    for m, w in zip(ms.modes, ms.omega):
-        if 0 < m.n < 8:
-            partner = [w2 for m2, w2 in zip(ms.modes, ms.omega)
-                       if m2.n == m.n and m2.sigma != m.sigma]
+    for n, sigma, w in zip(ms.n, ms.sigma, ms.omega):
+        if 0 < n < 8:
+            partner = [w2 for n2, s2, w2 in zip(ms.n, ms.sigma, ms.omega)
+                       if n2 == n and s2 != sigma]
             assert partner[0] == pytest.approx(w, rel=1e-15)
     mx = axial_mode_set(16)
     assert mx.branch == "x"
@@ -115,6 +125,25 @@ def test_dense_mode_matrix_budget():
     assert float(np.sum(row ** 2)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ResourceLimit):
         R.R
+
+
+def test_array_labels_scale_to_a_million_modes():
+    # Labels are arrays, so amplitudes cost a few arrays of N floats, not
+    # one Python object per mode.
+    N = 1_000_000
+    p = ChainParams(N=N, nu_t=2.3, eta_c=0.1)
+    tracemalloc.start()
+    try:
+        amps = linear_chain_amplitudes(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * N
+    lhs = float(np.sum(amps.weight * amps.omega))
+    assert lhs == pytest.approx(p.eta0 ** 2 * p.nu_t, rel=1e-10)
+    _assert_parity_rules(transverse_mode_set(p), N)
+    with pytest.raises(ResourceLimit):
+        mode_matrix(N).R
 
 
 def test_group_velocity_against_finite_difference():

@@ -3,17 +3,19 @@ N = 4 oracle and random parameter sweeps."""
 
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
 from coulombchain import (ChainParams, DisplacementAmplitudes,
-                          autocorrelation_G, displacement_amplitudes,
-                          distinguishability, evaluate_trace, exponent_A,
-                          exponent_A_thermal, linear_chain_amplitudes,
-                          mode_matrix, overlap, ramsey_probability,
-                          thermal_weights, transverse_mode_set, visibility)
+                          autocorrelation_G, critical_frequency_finite,
+                          displacement_amplitudes, distinguishability,
+                          evaluate_trace, exponent_A, exponent_A_thermal,
+                          linear_chain_amplitudes, mode_matrix, overlap,
+                          ramsey_probability, thermal_weights,
+                          transverse_mode_set, visibility)
 from coulombchain.errors import InvalidParameter, SoftModeSingularity
 
 T_GRID = [0.0, 0.37, 1.0, 2.5, 7.3, 31.4]
@@ -169,6 +171,24 @@ def test_probe_site_equivalence():
     for site in (2, 7, 16):
         other = exponent_A(t, linear_chain_amplitudes(p, probe_site=site))
         assert other == pytest.approx(base, abs=1e-12)
+
+
+@pytest.mark.parametrize("above", [1e-13, 2e-13])
+def test_snapped_soft_mode_names_the_clamp(above):
+    # omega_y^2 ~ 2 nu_c (nu_t - nu_c) lies inside RADICAND_CLAMP = 1e-12,
+    # so the zone-edge mode snaps to 0 although nu_t is above nu_c(N).
+    N = 100
+    p = ChainParams(N=N, nu_t=critical_frequency_finite(N) + above,
+                    eta_c=0.1)
+    delta = p.nu_t - critical_frequency_finite(N)
+    assert delta > 0.0
+    with pytest.raises(SoftModeSingularity,
+                       match=re.escape(f"critical_frequency_finite(N) = "
+                                       f"{delta:.3e}")) as err:
+        linear_chain_amplitudes(p)
+    assert "RADICAND_CLAMP = 1e-12" in str(err.value)
+    p = ChainParams(N=N, nu_t=critical_frequency_finite(N) + 1e-11, eta_c=0.1)
+    assert np.all(linear_chain_amplitudes(p).omega > 0.0)
 
 
 def test_zero_frequency_mode_rejected():
