@@ -22,6 +22,7 @@ set by the fastest transverse wave packet.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,7 +386,9 @@ def find_revival_burst(t: np.ndarray, V: np.ndarray, window: float = 50.0,
     at time t is the median amplitude over [t - gap - span, t - gap]. The
     detector fires at the first sample whose amplitude exceeds factor *
     baseline, and returns None if that never happens. Heuristic, reported
-    alongside the raw trace rather than instead of it.
+    alongside the raw trace rather than instead of it. V must be finite;
+    window, factor and a baseline span of at least one sample must be
+    positive, and the gap non-negative.
     """
     t = np.asarray(t, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
@@ -394,19 +397,54 @@ def find_revival_burst(t: np.ndarray, V: np.ndarray, window: float = 50.0,
     if len(t) < MIN_BURST_SAMPLES:
         raise InvalidParameter(f"trace has {len(t)} samples; revival "
                                f"detection needs >= {MIN_BURST_SAMPLES}")
+    if not np.all(np.isfinite(V)):
+        bad = int(np.argmin(np.isfinite(V)))
+        raise InvalidParameter(f"V must be finite; V[{bad}] = {V[bad]}")
+    if not 0 < window < math.inf:
+        raise InvalidParameter(f"window must be positive and finite, "
+                               f"got {window}")
+    if not 0 <= baseline_gap < math.inf:
+        raise InvalidParameter(f"baseline_gap must be >= 0 and finite, "
+                               f"got {baseline_gap}")
+    if not 0 < baseline_span < math.inf:
+        raise InvalidParameter(f"baseline_span must be positive and finite, "
+                               f"got {baseline_span}")
+    if not factor > 0:
+        raise InvalidParameter(f"factor must be > 0, got {factor}")
     dt = float(t[1] - t[0])
     if dt <= 0 or not np.allclose(np.diff(t), dt, rtol=1e-6, atol=1e-12):
         raise InvalidParameter("revival detection expects a uniform time grid")
+    span_n = int(round(baseline_span / dt))
+    if span_n < 1:
+        raise InvalidParameter(f"baseline_span = {baseline_span} rounds to "
+                               f"{span_n} samples at dt = {dt}; need >= 1")
     half = max(1, int(round(0.5 * window / dt)))
     from scipy.ndimage import maximum_filter1d, minimum_filter1d
     size = 2 * half + 1
     amp = maximum_filter1d(V, size=size, mode="nearest") \
         - minimum_filter1d(V, size=size, mode="nearest")
     gap_n = int(round(baseline_gap / dt))
-    span_n = int(round(baseline_span / dt))
-    start = gap_n + span_n
-    for i in range(start, len(t)):
-        base = float(np.median(amp[i - gap_n - span_n:i - gap_n]))
-        if base > 0 and amp[i] > factor * base:
+    a = amp.tolist()
+    # Sample i's baseline is the median of a[i - gap_n - span_n:i - gap_n].
+    for i, base in zip(range(gap_n + span_n, len(a)),
+                       _sliding_medians(a, span_n)):
+        if base > 0 and a[i] > factor * base:
             return float(t[i])
     return None
+
+
+def _sliding_medians(values: list, span: int):
+    """Median of values[j:j + span] for j = 0, 1, ..., len(values) - span.
+
+    The window is kept sorted as it slides (bisect out, insort in), so each
+    median is one lookup, equal to np.median's: the middle element, or
+    (a + b) / 2 of the middle pair for an even span. Values must be finite,
+    because NaN breaks the ordering bisect relies on.
+    """
+    win = sorted(values[:span])
+    mid = span // 2
+    for j in range(len(values) - span + 1):
+        yield win[mid] if span % 2 else (win[mid - 1] + win[mid]) / 2
+        if j + span < len(values):
+            del win[bisect_left(win, values[j])]
+            insort(win, values[j + span])

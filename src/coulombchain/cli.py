@@ -86,32 +86,43 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _cell(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % float(x)
+def _format_for(cls: type) -> str:
+    if issubclass(cls, str):
+        return "%s"
+    if issubclass(cls, (bool, np.bool_, int, np.integer)):
+        return "%d"
+    return "%.17g"
 
 
 def emit_csv(header, rows, path: str) -> None:
     """Write a rectangular table: header row, >= 12 significant digits,
-    newline-terminated, no locale formatting, atomic replace."""
+    newline-terminated, no locale formatting, atomic replace.
+
+    Cells print as str, integers (booleans as 1/0) or %.17g floats; each
+    row is one `%` format through a template built once per tuple of cell
+    types. That tuple fixes the row's width, so the width is checked when
+    its template is built."""
     ncol = len(header)
     lines = [",".join(header)]
+    templates = {}
     for row in rows:
-        if len(row) != ncol:
-            raise InvalidParameter(
-                f"row of width {len(row)} in a {ncol}-column table")
-        lines.append(",".join(_cell(x) for x in row))
+        row = tuple(row)
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            if len(row) != ncol:
+                raise InvalidParameter(
+                    f"row of width {len(row)} in a {ncol}-column table")
+            template = templates[types] = ",".join(map(_format_for, types))
+        lines.append(template % row)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _read_config(path: str) -> list:
+def _read_config(path: str, parser: argparse.ArgumentParser) -> list:
     """Flat key = value lines as '--key=value' options ('#' comments and
-    blank lines ignored); the subcommand's parser types and checks them."""
+    blank lines ignored). The subcommand's `parser` types and checks each
+    line on its own, so a rejected key or value is reported as path:line."""
+    parser.exit_on_error = False        # option errors raise, to be located
     args = []
     with open(path) as f:
         for ln, raw in enumerate(f, start=1):
@@ -124,7 +135,14 @@ def _read_config(path: str) -> list:
             key, val = (s.strip() for s in line.split("=", 1))
             if not key:
                 raise InvalidParameter(f"{path}:{ln}: empty key")
-            args.append(f"--{key.replace('_', '-')}={val}")
+            option = f"--{key.replace('_', '-')}={val}"
+            try:
+                unknown = parser.parse_known_args([option])[1]
+            except argparse.ArgumentError as exc:
+                parser.error(f"{path}:{ln}: {exc}")
+            if unknown:
+                parser.error(f"{path}:{ln}: unrecognized option {option}")
+            args.append(option)
     return args
 
 
@@ -603,6 +621,7 @@ def _add_common(sp, chain: bool = True):
     """Options of every computing subcommand; `chain` adds those that pick
     one chain: nu_t or delta, theta and the laboratory inputs."""
     sp.add_argument("--config", help="flat key = value file of option values")
+    sp.set_defaults(parser=sp)      # run() checks config lines against it
     sp.add_argument("--out", default=".", help="output directory (default .)")
     sp.add_argument("--N", type=int, help="ion count")
     sp.add_argument("--eta-c", dest="eta_c", type=float,
@@ -705,7 +724,7 @@ def run(argv=None) -> int:
         if getattr(ns, "config", None):
             # Config lines enter as options ahead of the command line's, so
             # the parser types them, rejects unknown keys and lets flags win.
-            ns = ap.parse_args([*argv[:1], *_read_config(ns.config),
+            ns = ap.parse_args([*argv[:1], *_read_config(ns.config, ns.parser),
                                 *argv[1:]])
         return ns.func(ns)
     except InvalidParameter as exc:

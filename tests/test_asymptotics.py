@@ -8,10 +8,12 @@ import pytest
 
 from coulombchain import (ChainParams, VisibilityTrace, a_infinity,
                           a_infinity_analytic, b_analytic, b_of_t, bessel_Y0,
-                          cusp_secant_slopes, exponent_A, find_revival_burst,
-                          gamma_coefficient, gamma_derivative_scan, gamma_fit,
+                          cusp_secant_slopes, evaluate_trace, exponent_A,
+                          find_revival_burst, gamma_coefficient,
+                          gamma_derivative_scan, gamma_fit,
                           gamma_slope_analytic, gamma_transition_scan,
                           linear_chain_amplitudes, revival_time)
+from coulombchain.asymptotics import _sliding_medians
 from coulombchain.errors import InvalidParameter, UnstableLinearPhase
 
 
@@ -249,3 +251,79 @@ def test_burst_detector_names_a_short_trace():
         find_revival_burst(np.arange(5.0), np.ones(5))
     with pytest.raises(InvalidParameter, match="matching 1-d"):
         find_revival_burst(np.arange(5.0), np.ones(4))
+
+
+@pytest.mark.parametrize("V_value, kwargs, match", [
+    (math.nan, {}, r"V must be finite; V\[7\] = nan"),
+    (math.inf, {}, r"V must be finite; V\[7\] = inf"),
+    (0.8, {"window": 0.0}, "window must be positive"),
+    (0.8, {"baseline_gap": -1.0}, "baseline_gap must be >= 0"),
+    (0.8, {"baseline_span": 0.2}, "baseline_span = 0.2 rounds to 0 samples"),
+    (0.8, {"factor": 0.0}, "factor must be > 0"),
+], ids=["nan_V", "inf_V", "window", "baseline_gap", "baseline_span",
+        "factor"])
+def test_burst_detector_rejects_bad_inputs(V_value, kwargs, match):
+    t = 0.5 * np.arange(2000)
+    V = 0.8 + 0.002 * np.sin(2.0 * t)
+    V[7] = V_value
+    with pytest.raises(InvalidParameter, match=match):
+        find_revival_burst(t, V, **kwargs)
+
+
+def _np_median_burst(t, V, window=50.0, baseline_gap=50.0,
+                     baseline_span=200.0, factor=2.0):
+    """The detector as a per-sample np.median loop: the reference."""
+    from scipy.ndimage import maximum_filter1d, minimum_filter1d
+    dt = float(t[1] - t[0])
+    size = 2 * max(1, int(round(0.5 * window / dt))) + 1
+    amp = maximum_filter1d(V, size=size, mode="nearest") \
+        - minimum_filter1d(V, size=size, mode="nearest")
+    gap_n = int(round(baseline_gap / dt))
+    span_n = int(round(baseline_span / dt))
+    for i in range(gap_n + span_n, len(t)):
+        base = float(np.median(amp[i - gap_n - span_n:i - gap_n]))
+        if base > 0 and amp[i] > factor * base:
+            return float(t[i])
+    return None
+
+
+def test_sliding_medians_equal_np_median():
+    rng = np.random.default_rng(2026)
+    mismatches = 0
+    for trial in range(200):
+        span = 1 + trial % 40                   # odd and even spans
+        vals = np.round(rng.uniform(0.0, 1.0, span + int(rng.integers(60))),
+                        1)                      # rounded, so ties occur
+        want = [np.median(vals[j:j + span])
+                for j in range(len(vals) - span + 1)]
+        got = list(_sliding_medians(vals.tolist(), span))
+        assert len(got) == len(want)
+        mismatches += sum(g != w for g, w in zip(got, want))
+    assert mismatches == 0
+
+
+def test_burst_detector_matches_np_median_loop():
+    rng = np.random.default_rng(61)
+    dt = 0.5
+    t = dt * np.arange(300)
+    fired = 0
+    for span in range(1, 41):
+        gap = int(rng.integers(0, 21))
+        V = np.round(rng.normal(0.0, 1.0, t.size), 1)
+        V[int(rng.integers(100, 300)):] *= 4.0      # a burst somewhere
+        kw = dict(window=dt * int(rng.integers(0, 5)) + dt,
+                  baseline_gap=gap * dt, baseline_span=span * dt,
+                  factor=float(rng.uniform(1.0, 3.0)))
+        hit = find_revival_burst(t, V, **kw)
+        assert hit == _np_median_burst(t, V, **kw)
+        fired += hit is not None
+    assert fired > 20
+
+
+def test_burst_time_on_the_criterion_6_trace_is_unchanged():
+    p = ChainParams.from_delta(1000, 1e-3, 0.25)
+    n = 50_000
+    t = 1.35 * revival_time(1000, p.nu_t).t_star / n * np.arange(1, n + 1)
+    V = evaluate_trace(linear_chain_amplitudes(p), t, with_overlap=False).V
+    burst = find_revival_burst(t, V)
+    assert burst is not None and burst == _np_median_burst(t, V)

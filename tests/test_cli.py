@@ -6,6 +6,7 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coulombchain import critical_frequency_finite, emit_csv
@@ -98,6 +99,48 @@ def test_emit_csv_roundtrip(tmp_path):
 
     with pytest.raises(InvalidParameter):
         emit_csv(["a", "b"], [[1, 2, 3]], str(path))
+
+
+def _cell(x) -> str:
+    """Per-cell formatter of the earlier emit_csv: the byte reference."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return "%.17g" % float(x)
+
+
+def test_emit_csv_matches_per_cell_formatting(tmp_path):
+    rng = np.random.default_rng(4)
+    specials = (-0.0, math.inf, -math.inf, math.nan, 1e-300)
+    rows = []
+    for i in range(300):
+        mixed = (f"s{i}", True, np.bool_(i % 3), i - 150, np.int64(-i),
+                 np.float32(rng.normal()), rng.normal())[i % 7]
+        rows.append((f"r{rng.integers(1000)}", bool(rng.integers(2)),
+                     np.bool_(rng.integers(2)),
+                     int(rng.integers(-10**15, 10**15)),
+                     np.int64(rng.integers(-2**62, 2**62)),
+                     np.float32(rng.normal()),
+                     np.float64(rng.normal() * 10.0 ** rng.integers(-300, 300)),
+                     specials[i % 5], float(rng.normal()), mixed))
+    header = [f"c{j}" for j in range(10)]
+    want = "\n".join([",".join(header)]
+                     + [",".join(map(_cell, r)) for r in rows]) + "\n"
+    path = tmp_path / "t.csv"
+    emit_csv(header, rows, str(path))
+    assert path.read_bytes() == want.encode()
+    path.unlink()
+    emit_csv(header, zip(*zip(*rows)), str(path))
+    assert path.read_bytes() == want.encode()
+
+    with pytest.raises(InvalidParameter, match="width 9 in a 10-column"):
+        emit_csv(header, [*rows[:5], rows[5][:9]], str(path))
+    assert path.read_bytes() == want.encode()   # nothing half-written
+    emit_csv(header, [], str(path))
+    assert path.read_text() == ",".join(header) + "\n"
 
 
 def test_runs_are_deterministic(tmp_path):
@@ -263,13 +306,17 @@ def test_config_keys_go_through_the_parser(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
     assert exc.value.code == 2
-    assert "nu-tt" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "nu-tt" in err
+    assert f"error: {cfg}:2: unrecognized option --nu-tt=2.5" in err
 
-    cfg.write_text("N = 16\nnu_t = fast\n")
+    cfg.write_text("N = 16\n\n# comment\nnu_t = fast\n")
     with pytest.raises(SystemExit) as exc:
         run(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
     assert exc.value.code == 2
-    assert "'fast'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "'fast'" in err
+    assert f"error: {cfg}:4: argument --nu-t: invalid float value" in err
 
     cfg.write_text("N = 16\nnu = 2.5\n")      # no prefix matching
     with pytest.raises(SystemExit) as exc:
