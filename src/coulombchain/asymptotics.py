@@ -419,10 +419,8 @@ def find_revival_burst(t: np.ndarray, V: np.ndarray, window: float = 50.0,
         raise InvalidParameter(f"baseline_span = {baseline_span} rounds to "
                                f"{span_n} samples at dt = {dt}; need >= 1")
     half = max(1, int(round(0.5 * window / dt)))
-    from scipy.ndimage import maximum_filter1d, minimum_filter1d
-    size = 2 * half + 1
-    amp = maximum_filter1d(V, size=size, mode="nearest") \
-        - minimum_filter1d(V, size=size, mode="nearest")
+    hi, lo = _running_extrema(V, half)
+    amp = hi - lo
     gap_n = int(round(baseline_gap / dt))
     a = amp.tolist()
     # Sample i's baseline is the median of a[i - gap_n - span_n:i - gap_n].
@@ -431,6 +429,27 @@ def find_revival_burst(t: np.ndarray, V: np.ndarray, window: float = 50.0,
         if base > 0 and a[i] > factor * base:
             return float(t[i])
     return None
+
+
+def _running_extrema(x: np.ndarray, half: int) -> tuple:
+    """Max and min of x over each centred window x[i - half:i + half + 1],
+    with x continued by its edge values (scipy.ndimage's mode="nearest").
+
+    van Herk / Gil-Werman: the padded trace is cut into blocks of the
+    window size, so each window is the suffix of one block joined to the
+    prefix of the next; running extrema forwards and backwards within the
+    blocks give every window in O(len(x)), whatever its size.
+    """
+    n, size = len(x), 2 * half + 1
+    blocks = -(-(n + 2 * half) // size)
+    padded = np.pad(x, (half, blocks * size - n - half), mode="edge")
+    padded = padded.reshape(blocks, size)
+    out = []
+    for op in (np.maximum, np.minimum):
+        prefix = op.accumulate(padded, axis=1).ravel()
+        suffix = op.accumulate(padded[:, ::-1], axis=1)[:, ::-1].ravel()
+        out.append(op(suffix[:n], prefix[size - 1:size - 1 + n]))
+    return tuple(out)
 
 
 def _sliding_medians(values: list, span: int):

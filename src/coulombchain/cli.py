@@ -121,7 +121,8 @@ def emit_csv(header, rows, path: str) -> None:
 def _read_config(path: str, parser: argparse.ArgumentParser) -> list:
     """Flat key = value lines as '--key=value' options ('#' comments and
     blank lines ignored). The subcommand's `parser` types and checks each
-    line on its own, so a rejected key or value is reported as path:line."""
+    line on its own, so a rejected key or value is reported as path:line.
+    A `config` key is rejected too: files do not nest."""
     parser.exit_on_error = False        # option errors raise, to be located
     args = []
     with open(path) as f:
@@ -136,6 +137,9 @@ def _read_config(path: str, parser: argparse.ArgumentParser) -> list:
             if not key:
                 raise InvalidParameter(f"{path}:{ln}: empty key")
             option = f"--{key.replace('_', '-')}={val}"
+            if option.startswith("--config="):
+                parser.error(f"{path}:{ln}: a config file cannot name "
+                             f"another ({option})")
             try:
                 unknown = parser.parse_known_args([option])[1]
             except argparse.ArgumentError as exc:

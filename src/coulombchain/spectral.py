@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks as _scipy_find_peaks
 
 from .errors import InvalidParameter, NumericalFailure, ResourceLimit
 from .model import ChainParams
@@ -111,17 +110,81 @@ def spectral_band_check(spectrum: FourierSpectrum, omega_min: float,
     return float(np.sum(spectrum.F[band] ** 2)) / total
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the local maxima of x: a rise, a flat run, then a fall.
+
+    A flat top is reported at its midpoint, rounded down; the first and last
+    samples are never maxima (scipy.signal's rules).
+    """
+    step = (x[1:] > x[:-1]).astype(np.int8) - (x[1:] < x[:-1])
+    moves = np.flatnonzero(step)                # diff j: x[j] -> x[j + 1]
+    top = (step[moves[:-1]] > 0) & (step[moves[1:]] < 0)
+    return (moves[:-1][top] + 1 + moves[1:][top]) // 2
+
+
+def _sparse_table(x: np.ndarray, op) -> np.ndarray:
+    """Row k holds op over x[i:i + 2**k], cut off at the end of x."""
+    n = len(x)
+    table = np.empty((max(1, n.bit_length()), n))
+    table[0] = x
+    for k in range(1, len(table)):
+        w = 1 << (k - 1)
+        table[k] = table[k - 1]
+        op(table[k - 1, :n - w], table[k - 1, w:], out=table[k, :n - w])
+    return table
+
+
+def _peak_prominences(x: np.ndarray) -> tuple:
+    """Local maxima of x and their prominences, as scipy.signal computes them.
+
+    From each peak, the base on either side is the lowest sample before the
+    first strictly higher one (or the array edge); the prominence is the
+    peak height minus the higher of the two bases. The runs of samples no
+    higher than the peak are found by binary lifting on a max sparse table,
+    their minima on a min sparse table: O(n log n) time and memory, with no
+    loop over the peaks.
+    """
+    n = len(x)
+    peaks = _local_maxima(x)
+    h = x[peaks]
+    hi = _sparse_table(x, np.maximum)
+    # Extend [left, right] by halving strides while the next stride fits in
+    # x and holds no sample above the peak.
+    left, right = peaks.copy(), peaks.copy()
+    for k in range(len(hi) - 1, -1, -1):
+        w = 1 << k
+        ahead = hi[k, np.minimum(right + 1, n - 1)]
+        right += np.where((right + w < n) & (ahead <= h), w, 0)
+        behind = hi[k, np.maximum(left - w, 0)]
+        left -= np.where((left >= w) & (behind <= h), w, 0)
+    del hi
+    lo = _sparse_table(x, np.minimum)
+
+    def range_min(a, b):                    # min of x[a:b + 1], a <= b
+        k = np.frexp(b - a + 1)[1] - 1      # floor(log2(b - a + 1))
+        return np.minimum(lo[k, a], lo[k, b - (1 << k) + 1])
+
+    return peaks, h - np.maximum(range_min(left, peaks),
+                                 range_min(peaks, right))
+
+
 def find_peaks(spectrum: FourierSpectrum, prominence: float,
                dc_floor_bins: int = DC_FLOOR_BINS) -> list[tuple[float, float]]:
-    """Local maxima of F above `prominence`, DC floor excluded.
+    """Local maxima of F with prominence >= `prominence`, DC floor excluded.
 
+    Peaks, plateau midpoints and prominences follow scipy.signal.find_peaks.
     Returns (omega, F) pairs sorted by descending amplitude.
     """
-    if prominence <= 0:
-        raise InvalidParameter("prominence must be positive")
-    idx, _ = _scipy_find_peaks(spectrum.F, prominence=prominence)
-    idx = idx[idx > dc_floor_bins]
-    pairs = [(float(spectrum.omega[i]), float(spectrum.F[i])) for i in idx]
+    if not 0 < prominence < math.inf:
+        raise InvalidParameter(f"prominence must be positive and finite, "
+                               f"got {prominence}")
+    F = np.asarray(spectrum.F, dtype=np.float64)
+    if not np.all(np.isfinite(F)):
+        bad = int(np.argmin(np.isfinite(F)))
+        raise InvalidParameter(f"F must be finite; F[{bad}] = {F[bad]}")
+    idx, prom = _peak_prominences(F)
+    idx = idx[(prom >= prominence) & (idx > dc_floor_bins)]
+    pairs = [(float(spectrum.omega[i]), float(F[i])) for i in idx]
     pairs.sort(key=lambda p: -p[1])
     return pairs
 

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (InvalidParameter, NumericalFailure, ResourceLimit,
                      SoftModeSingularity, UnstableConfiguration)
@@ -82,6 +81,59 @@ def _grad_per_ion(b: float, nu_t: float, N: int) -> float:
                 - float(np.sum((d_odd * d_odd + b * b) ** -1.5)))
 
 
+def _brentq(f, xa: float, xb: float, xtol: float = 1e-15,
+            rtol: float = 8.9e-16, maxiter: int = 200) -> float:
+    """Root of f in [xa, xb], where f(xa) and f(xb) differ in sign.
+
+    A line-for-line port of scipy's brentq.c (Brent 1973: inverse quadratic
+    interpolation or secant steps, bisection when they stall), so the roots
+    are bit-identical to scipy.optimize.brentq with the same tolerances.
+    Raises NumericalFailure without a sign change or after maxiter steps.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NumericalFailure(f"no sign change of f on [{xa}, {xb}]")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry         # good short step
+            else:
+                spre = scur = sbis              # bisect
+        else:
+            spre = scur = sbis                  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NumericalFailure(f"Brent root did not converge in {maxiter} steps "
+                           f"on [{xa}, {xb}]")
+
+
 def zigzag_equilibrium(params: ChainParams) -> ZigzagEquilibrium:
     """Minimize the ring energy over the staggered amplitude b >= 0.
 
@@ -106,7 +158,7 @@ def zigzag_equilibrium(params: ChainParams) -> ZigzagEquilibrium:
         hi *= 2.0
         if hi > 1e3:
             raise NumericalFailure("no bracket for the zigzag amplitude")
-    b = brentq(g, 0.0, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    b = _brentq(g, 0.0, hi)
     grad = _grad_per_ion(b, nu_t, N)
     if abs(grad) > GRAD_TOL:
         raise NumericalFailure(

@@ -13,7 +13,7 @@ from coulombchain import (ChainParams, VisibilityTrace, a_infinity,
                           gamma_derivative_scan, gamma_fit,
                           gamma_slope_analytic, gamma_transition_scan,
                           linear_chain_amplitudes, revival_time)
-from coulombchain.asymptotics import _sliding_medians
+from coulombchain.asymptotics import _running_extrema, _sliding_medians
 from coulombchain.errors import InvalidParameter, UnstableLinearPhase
 
 
@@ -273,11 +273,11 @@ def test_burst_detector_rejects_bad_inputs(V_value, kwargs, match):
 def _np_median_burst(t, V, window=50.0, baseline_gap=50.0,
                      baseline_span=200.0, factor=2.0):
     """The detector as a per-sample np.median loop: the reference."""
-    from scipy.ndimage import maximum_filter1d, minimum_filter1d
+    ndimage = pytest.importorskip("scipy.ndimage")
     dt = float(t[1] - t[0])
     size = 2 * max(1, int(round(0.5 * window / dt))) + 1
-    amp = maximum_filter1d(V, size=size, mode="nearest") \
-        - minimum_filter1d(V, size=size, mode="nearest")
+    amp = ndimage.maximum_filter1d(V, size=size, mode="nearest") \
+        - ndimage.minimum_filter1d(V, size=size, mode="nearest")
     gap_n = int(round(baseline_gap / dt))
     span_n = int(round(baseline_span / dt))
     for i in range(gap_n + span_n, len(t)):
@@ -285,6 +285,28 @@ def _np_median_burst(t, V, window=50.0, baseline_gap=50.0,
         if base > 0 and amp[i] > factor * base:
             return float(t[i])
     return None
+
+
+def test_running_extrema_equal_scipy_filters():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(1483)
+    for trial in range(160):
+        n = int(rng.integers(8, 5001))
+        if trial % 4 == 0:                      # window longer than the trace
+            half = int(rng.integers(n // 2, 2 * n))
+        else:
+            half = int(rng.integers(1, 100))
+        x = rng.normal(size=n)
+        if trial % 2:
+            x = np.round(x, 1)                  # ties
+        else:
+            x = np.cumsum(x)                    # long monotone runs
+        hi, lo = _running_extrema(x, half)
+        size = 2 * half + 1
+        assert np.array_equal(
+            hi, ndimage.maximum_filter1d(x, size=size, mode="nearest"))
+        assert np.array_equal(
+            lo, ndimage.minimum_filter1d(x, size=size, mode="nearest"))
 
 
 def test_sliding_medians_equal_np_median():

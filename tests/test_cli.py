@@ -3,12 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coulombchain
 from coulombchain import critical_frequency_finite, emit_csv
 from coulombchain.cli import run
 from coulombchain.errors import InvalidParameter
@@ -290,6 +294,28 @@ def test_fourier_band_table_is_optional(tmp_path, capsys):
     assert "band" not in man["grids"]
 
 
+def test_fourier_rejects_a_nan_prominence(tmp_path, capsys):
+    rc = run(["fourier", "--N", "16", "--delta", "0.05", "--eta-c", "0.1",
+              "--T-F", "200", "--n-s", "1024", "--prominence", "nan",
+              "--out", str(tmp_path)])
+    assert rc == 2
+    assert "prominence must be positive and finite, got nan" in \
+        capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test oracle only.
+    src = os.path.dirname(os.path.dirname(coulombchain.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, coulombchain.cli; print(sorted(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("command, flag", [
     ("gamma-scan", ["--theta", "1"]), ("gamma-scan", ["--nu-t", "2.5"]),
     ("asymptotics", ["--theta", "1"]), ("asymptotics", ["--nu-t", "2.5"])])
@@ -323,6 +349,15 @@ def test_config_keys_go_through_the_parser(tmp_path, capsys):
         run(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "--nu=2.5" in capsys.readouterr().err
+
+    other = tmp_path / "other.cfg"              # files do not nest
+    other.write_text("N = 16\nnu_t = 2.5\n")
+    cfg.write_text(f"N = 16\nnu_t = 2.5\nconfig = {other}\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"error: {cfg}:3: a config file cannot name another " \
+        f"(--config={other})" in capsys.readouterr().err
 
     # A flag given before --config still beats the file.
     cfg.write_text(f"N = 16\nnu_t = 2.6\nout = {tmp_path / 'o'}\n")

@@ -1,13 +1,16 @@
 """Time traces and their Fourier-side diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
-from coulombchain import (ChainParams, VisibilityTrace, overlay_band,
-                          find_peaks, fourier_spectrum, gap_parameters,
-                          spectral_band_check, transverse_band,
-                          visibility_trace)
+from coulombchain import (ChainParams, FourierSpectrum, VisibilityTrace,
+                          overlay_band, find_peaks, fourier_spectrum,
+                          gap_parameters, spectral_band_check,
+                          transverse_band, visibility_trace)
 from coulombchain.errors import InvalidParameter, ResourceLimit
+from coulombchain.spectral import _peak_prominences
 
 
 def _tone_trace(omegas, amps, n_s=4096, T_F=400.0):
@@ -66,6 +69,66 @@ def test_two_tones_two_peaks():
     assert find_peaks(spec, prominence=2.0) == []
     with pytest.raises(InvalidParameter):
         find_peaks(spec, prominence=0.0)
+
+
+@pytest.mark.parametrize("F, prominence, match", [
+    ([0, 1, 0, 2, 0, 3, math.nan, 1, 0, 5, 0], 1e-4,
+     r"F must be finite; F\[6\] = nan"),
+    ([0, 1, 0, -math.inf, 0, 1, 0], 1e-4, r"F must be finite; F\[3\] = -inf"),
+    ([0, 1, 0, 2, 0], math.nan, "prominence must be positive and finite, "
+                                "got nan"),
+    ([0, 1, 0, 2, 0], math.inf, "prominence must be positive and finite"),
+    ([0, 1, 0, 2, 0], -1.0, "prominence must be positive and finite"),
+], ids=["nan_F", "inf_F", "nan_prominence", "inf_prominence",
+        "negative_prominence"])
+def test_find_peaks_rejects_bad_inputs(F, prominence, match):
+    F = np.array(F, dtype=float)
+    spec = FourierSpectrum(omega=np.arange(len(F), dtype=float), F=F,
+                           bin_width=1.0)
+    with pytest.raises(InvalidParameter, match=match):
+        find_peaks(spec, prominence=prominence, dc_floor_bins=0)
+
+
+def _seeded_peak_arrays(rng, count):
+    """Arrays with plateaus, ties, edge maxima and random walks."""
+    for trial in range(count):
+        n = int(rng.integers(0, 300))
+        kind = trial % 4
+        if kind == 0:                           # few levels: ties, plateaus
+            yield rng.integers(0, 4, n).astype(float)
+        elif kind == 1:                         # random walk
+            yield np.cumsum(rng.normal(size=n))
+        elif kind == 2:                         # rounded walk: flat tops
+            yield np.round(np.cumsum(rng.normal(size=n)))
+        else:                                   # runs of repeated values
+            runs = rng.normal(size=n // 3 + 1)
+            yield np.repeat(runs, rng.integers(1, 5, runs.size))[:n]
+
+
+def test_peak_prominences_equal_scipy():
+    signal = pytest.importorskip("scipy.signal")
+    crafted = [[], [1.0], [1, 2], [2, 1, 2], [0, 1, 1, 0], [0, 1, 1, 1, 1, 0],
+               [3, 1, 2, 1, 3], [0, 2, 0, 2, 0], [2, 2, 1, 2, 2], [1, 2, 2],
+               [0, 1, 1, 2, 1, 1, 0], [5, 0, 1, 0, 1, 0, 5]]
+    arrays = [np.array(a, dtype=float) for a in crafted]
+    arrays += list(_seeded_peak_arrays(np.random.default_rng(1729), 1000))
+    for x in arrays:
+        peaks, prom = _peak_prominences(x)
+        want, props = signal.find_peaks(x, prominence=(None, None))
+        assert np.array_equal(peaks, want), x
+        assert np.array_equal(prom, props["prominences"]), x
+
+
+def test_find_peaks_equals_scipy_on_a_near_critical_spectrum():
+    signal = pytest.importorskip("scipy.signal")
+    spec = fourier_spectrum(
+        visibility_trace(ChainParams.from_delta(100, 1e-4, 0.25)))
+    for prominence in (1e-6, 1e-4, 1e-2):
+        idx, _ = signal.find_peaks(spec.F, prominence=prominence)
+        want = sorted(((float(spec.omega[i]), float(spec.F[i]))
+                       for i in idx[idx > 3]), key=lambda p: -p[1])
+        assert find_peaks(spec, prominence) == want
+    assert len(find_peaks(spec, 1e-4)) > 10
 
 
 def test_spectrum_against_plain_dft():

@@ -11,8 +11,9 @@ from coulombchain import (ChainParams, classify_zigzag_modes,
                           dispersion_transverse,
                           folded_linear_frequencies, zigzag_displacement_amplitudes,
                           zigzag_equilibrium, zigzag_spectrum)
-from coulombchain.errors import (InvalidParameter, ResourceLimit,
-                                 SoftModeSingularity)
+from coulombchain import zigzag
+from coulombchain.errors import (InvalidParameter, NumericalFailure,
+                                 ResourceLimit, SoftModeSingularity)
 
 # frozen equilibrium splitting at N = 16, nu_t = nu_c(16) - 0.05
 B_REF_16 = 0.18714377312465968
@@ -45,6 +46,56 @@ def test_bifurcation_exponent():
                                                  eta_c=0.0)).b for e in eps])
     slope = np.polyfit(np.log(eps), np.log(b), 1)[0]
     assert slope == pytest.approx(0.5, abs=0.05)
+
+
+def test_brent_root_is_scipys_on_both_sides_of_critical(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    pairs = []
+    port = zigzag._brentq
+
+    def both(f, xa, xb):
+        root = port(f, xa, xb)
+        pairs.append((root, optimize.brentq(f, xa, xb, xtol=1e-15,
+                                            rtol=8.9e-16, maxiter=200)))
+        return root
+
+    monkeypatch.setattr(zigzag, "_brentq", both)
+    rng = np.random.default_rng(4096)
+    below = 0
+    for N in (8, 12, 16, 64, 256, 1024, 4096):
+        nuc = critical_frequency_finite(N)
+        for side in (-1.0, 1.0):
+            for d in 10.0 ** rng.uniform(-14, math.log10(0.3), 12):
+                eq = zigzag_equilibrium(ChainParams(N=N, nu_t=nuc + side * d,
+                                                    eta_c=0.0))
+                below += side < 0
+                assert eq.b >= 0.0 if side < 0 else eq.b == 0.0
+    assert len(pairs) == below == 84
+    assert all(ours == theirs for ours, theirs in pairs)
+
+
+def test_brent_port_converges_and_fails_where_scipy_does():
+    optimize = pytest.importorskip("scipy.optimize")
+    rtol = 4 * np.finfo(float).eps
+
+    def f(x):
+        return math.tanh(3.0 * (x - 0.3)) + 0.1 * x ** 3
+
+    outcomes = set()
+    for maxiter in range(1, 30):
+        try:
+            want = optimize.brentq(f, -2.0, 3.0, xtol=2e-12, rtol=rtol,
+                                   maxiter=maxiter)
+        except RuntimeError:
+            with pytest.raises(NumericalFailure, match="did not converge"):
+                zigzag._brentq(f, -2.0, 3.0, 2e-12, rtol, maxiter)
+            outcomes.add("fail")
+            continue
+        assert zigzag._brentq(f, -2.0, 3.0, 2e-12, rtol, maxiter) == want
+        outcomes.add("root")
+    assert outcomes == {"fail", "root"}
+    with pytest.raises(NumericalFailure, match="no sign change"):
+        zigzag._brentq(f, 1.0, 3.0)
 
 
 def test_size_validation():
