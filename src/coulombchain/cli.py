@@ -51,7 +51,7 @@ from .ramsey import evaluate_trace, linear_chain_amplitudes
 from .spectral import (DEFAULT_N_S, DEFAULT_T_F, check_trace_budget,
                        find_peaks, fourier_spectrum, overlay_band,
                        spectral_band_check, transverse_band, visibility_trace)
-from .zigzag import classify_zigzag_modes, zigzag_equilibrium, zigzag_spectrum
+from .zigzag import zigzag_equilibrium, zigzag_spectrum
 
 _PHYSICAL_KEYS = ("mass_kg", "charge_c", "spacing_m",
                   "transverse_frequency_rad_s", "laser_wavenumber_per_m")
@@ -336,16 +336,15 @@ def _cmd_zigzag(ns) -> int:
     grid = np.linspace(nu_min, nu_max, ns.points)
     rows = []
     for nu in grid:
-        eq = zigzag_equilibrium(ChainParams(N=p.N, nu_t=float(nu),
-                                            eta_c=p.eta_c, theta=p.theta))
+        eq = zigzag_equilibrium(dataclasses.replace(p, nu_t=float(nu)))
         rows.append((eq.nu_t, eq.b, eq.energy_per_ion))
     emit_csv(("nu_t", "b", "energy_per_ion"), rows,
              run.path("zigzag_amplitude.csv"))
 
     spec = zigzag_spectrum(p)
-    modes = classify_zigzag_modes(spec)
+    columns = (spec.k, spec.beta, spec.sigma, spec.omega, spec.n, spec.special)
     emit_csv(("k_a", "beta", "parity", "omega", "n", "special"),
-             [(m.k, m.beta, m.sigma, m.omega, m.n, m.special) for m in modes],
+             zip(*(c[spec.label_order].tolist() for c in columns)),
              run.path("zigzag_spectrum.csv"))
     run.finish(_params_dict(p),
                {"nu_min": float(nu_min), "nu_max": float(nu_max),

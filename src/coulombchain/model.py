@@ -128,12 +128,15 @@ class ChainParams:
             raise InvalidParameter("N must be an integer")
         if self.N < 4 or self.N % 2 != 0:
             raise InvalidParameter("N must be an even integer >= 4")
-        if self.nu_t <= 0:
-            raise InvalidParameter("nu_t must be positive")
-        if self.eta_c < 0:
-            raise InvalidParameter("eta_c must be >= 0")
-        if self.theta < 0:
-            raise InvalidParameter("theta must be >= 0")
+        if not (math.isfinite(self.nu_t) and self.nu_t > 0):
+            raise InvalidParameter(
+                f"nu_t must be positive and finite, got {self.nu_t}")
+        if not (math.isfinite(self.eta_c) and self.eta_c >= 0):
+            raise InvalidParameter(
+                f"eta_c must be >= 0 and finite, got {self.eta_c}")
+        if not (math.isfinite(self.theta) and self.theta >= 0):
+            raise InvalidParameter(
+                f"theta must be >= 0 and finite, got {self.theta}")
 
     @property
     def delta_trans(self) -> float:

@@ -19,14 +19,14 @@ whose entries are sums of the analytic second derivatives of 1/r over d,
 all three from one real FFT. The blocks are diagonalised in closed form; the
 real and imaginary parts of each eigenvector are the sigma = '+' and '-'
 real modes with folded label n = min(m, N/2 - m) = 0..N/4. Mode labels
-therefore come from the block index, and the probe row of a site is closed
-form, O(N). The structural modes (uniform rotation, bulk transverse, and the
-two staggered zigzag modes) are tagged by name.
+therefore come from the block index, as arrays on `ZigzagSpectrum`, and the
+probe row of a site is closed form, O(N). The structural modes (rotation,
+bulk transverse, the two staggered zigzag modes) are tagged by name.
 
-The dense routes are oracles: the assembled Hessian `_hessian` (diagonalised
-with eigh in the tests) and the eigenvector matrix `ZigzagSpectrum.vectors`
-are (2N)^2 arrays and raise ResourceLimit above _DENSE_ELEMENTS entries
-before allocating.
+The dense routes are oracles: the Hessian `_hessian` (diagonalised with eigh
+in the tests), `ZigzagSpectrum.vectors` and `classify_zigzag_modes`, which
+measures each vector against its own labels, need (2N)^2 arrays and raise
+ResourceLimit above _DENSE_ELEMENTS entries before allocating.
 """
 
 from __future__ import annotations
@@ -50,14 +50,6 @@ EIG_CLAMP = 1e-10         # |eigenvalue| below this snaps to zero
 _DENSE_ELEMENTS = 16_000_000
 
 
-def _check_zigzag_n(N: int) -> None:
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
-        raise InvalidParameter("N must be an integer")
-    if N < 8 or N % 4 != 0:
-        raise InvalidParameter(
-            "zigzag routines need N divisible by 4 (commensurate pattern)")
-
-
 @dataclass(frozen=True)
 class ZigzagEquilibrium:
     """Equilibrium transverse splitting b (in units of a) at given nu_t."""
@@ -75,10 +67,11 @@ def _energy_per_ion(b: float, nu_t: float, N: int) -> float:
     return 0.125 * nu_t ** 2 * b * b + float(np.sum(1.0 / np.sqrt(d * d + off)))
 
 
-def _grad_per_ion(b: float, nu_t: float, N: int) -> float:
+def _grad_over_b(nu_t: float, N: int):
+    """b -> (dE/db) / (N b), monotone increasing in b; its root is b > 0."""
     d_odd = np.arange(1, N // 2 + 1, dtype=np.float64)[::2]
-    return b * (0.25 * nu_t ** 2
-                - float(np.sum((d_odd * d_odd + b * b) ** -1.5)))
+    return lambda b: (0.25 * nu_t ** 2
+                      - float(np.sum((d_odd * d_odd + b * b) ** -1.5)))
 
 
 def _brentq(f, xa: float, xb: float, xtol: float = 1e-15,
@@ -141,25 +134,23 @@ def zigzag_equilibrium(params: ChainParams) -> ZigzagEquilibrium:
     above the finite-N critical frequency).
     """
     N, nu_t = params.N, params.nu_t
-    _check_zigzag_n(N)
+    if N < 8 or N % 4 != 0:
+        raise InvalidParameter(
+            "zigzag routines need N divisible by 4 (commensurate pattern)")
     nu_cn = critical_frequency_finite(N)
     if nu_t >= nu_cn:
         return ZigzagEquilibrium(N=N, nu_t=nu_t, b=0.0,
                                  energy_per_ion=_energy_per_ion(0.0, nu_t, N),
                                  grad=0.0)
 
-    # Stationarity of E/N in b, scaled by 1/b: monotone increasing in b.
-    def g(b):
-        d_odd = np.arange(1, N // 2 + 1, dtype=np.float64)[::2]
-        return 0.25 * nu_t ** 2 - float(np.sum((d_odd ** 2 + b * b) ** -1.5))
-
+    g = _grad_over_b(nu_t, N)
     hi = 0.1
     while g(hi) <= 0.0:
         hi *= 2.0
         if hi > 1e3:
             raise NumericalFailure("no bracket for the zigzag amplitude")
     b = _brentq(g, 0.0, hi)
-    grad = _grad_per_ion(b, nu_t, N)
+    grad = b * g(b)
     if abs(grad) > GRAD_TOL:
         raise NumericalFailure(
             f"zigzag equilibrium gradient {grad:.2e} exceeds {GRAD_TOL}")
@@ -277,17 +268,18 @@ class ZigzagSpectrum:
     """Phonon spectrum of the zigzag in real Bloch modes.
 
     omega is ascending. Mode i comes from 2 x 2 block `block[i]` = m
-    (k = 2 pi m / N), eigenvalue branch `branch[i]` (0 upper, 1 lower), as the
-    real part (plus[i], sigma = '+') or the imaginary part (sigma = '-') of
-    q_j = u e^{ikj}, w_j = i v (-1)^j e^{ikj}; qcoef and wcoef hold the
-    normalised u and the signed, normalised v:
+    (k = 2 pi m / N) as the real part (plus[i], sigma = '+') or the
+    imaginary part (sigma = '-') of q_j = u e^{ikj}, w_j = i v (-1)^j e^{ikj};
+    qcoef and wcoef hold the normalised u and the signed, normalised v:
 
         sigma = '+':  q_j = qcoef cos(kj),  w_j = wcoef (-1)^j sin(kj)
         sigma = '-':  q_j = qcoef sin(kj),  w_j = wcoef (-1)^j cos(kj)
 
-    `probe_row` is O(N). `vectors[:, i]`, the eigenvector of omega[i] in
-    (q_1, w_1, ..., q_N, w_N) order, is built on first access and raises
-    ResourceLimit above _DENSE_ELEMENTS entries.
+    The labels n, sigma, k, beta and special are arrays indexed like omega,
+    and `label_order` sorts them into table rows. `probe_row` is O(N).
+    `vectors[:, i]`, the eigenvector of omega[i] in (q_1, w_1, ..., q_N, w_N)
+    order, is built on first access and raises ResourceLimit above
+    _DENSE_ELEMENTS entries.
     """
 
     N: int
@@ -295,10 +287,45 @@ class ZigzagSpectrum:
     b: float
     omega: np.ndarray
     block: np.ndarray = field(repr=False)
-    branch: np.ndarray = field(repr=False)
     plus: np.ndarray = field(repr=False)
     qcoef: np.ndarray = field(repr=False)
     wcoef: np.ndarray = field(repr=False)
+
+    @property
+    def n(self) -> np.ndarray:
+        """Folded wave number min(m, N/2 - m) = 0..N/4."""
+        return np.minimum(self.block, self.N // 2 - self.block)
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return np.where(self.plus, "+", "-")
+
+    @property
+    def k(self) -> np.ndarray:
+        return 2.0 * math.pi * self.n / self.N
+
+    @cached_property
+    def label_order(self) -> np.ndarray:
+        """Modes by n ascending, '+' before '-', then omega descending."""
+        return np.lexsort((-self.omega, ~self.plus, self.n))
+
+    @property
+    def beta(self) -> np.ndarray:
+        """1-based rank by descending omega within each (n, sigma)."""
+        order = self.label_order
+        key = 2 * self.n[order] + ~self.plus[order]     # ascending in order
+        beta = np.empty_like(order)
+        beta[order] = np.arange(len(order)) - np.searchsorted(key, key) + 1
+        return beta
+
+    @property
+    def special(self) -> np.ndarray:
+        """'bulk_x' (rotation), 'zigzag_y', 'zigzag_x', 'bulk_y' or ''."""
+        m, plus, half = self.block, self.plus, self.N // 2
+        return np.select(
+            [(m == 0) & plus, (m == 0) & ~plus,
+             (m == half) & plus, (m == half) & ~plus],
+            ["bulk_x", "zigzag_y", "zigzag_x", "bulk_y"], "")
 
     def _components(self, modes, sites: np.ndarray,
                     coordinate: str) -> np.ndarray:
@@ -376,7 +403,7 @@ def zigzag_spectrum(params: ChainParams) -> ZigzagSpectrum:
     # w_j = Re/Im of i v (-1)^j e^{ikj}: -v (-1)^j sin(kj) and v (-1)^j cos(kj)
     return ZigzagSpectrum(N=N, nu_t=params.nu_t, b=eq.b,
                           omega=np.sqrt(lam[order]), block=src // 2,
-                          branch=src % 2, plus=plus, qcoef=norm * u[src],
+                          plus=plus, qcoef=norm * u[src],
                           wcoef=np.where(plus, -norm, norm) * v[src])
 
 
@@ -395,28 +422,19 @@ def folded_linear_frequencies(params: ChainParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZigzagMode:
-    """One labeled zigzag mode.
+    """One labeled zigzag mode: its `ZigzagSpectrum` labels and residual.
 
-    n = min(m, N/2 - m) folds block m onto n = 0..N/4, and sigma is the
-    real ('+') or imaginary ('-') part, so labels hold by construction.
-    beta ranks branches within (n, sigma) by descending frequency. residual
-    is 1 - |projection of the vector onto its own (n, sigma) cos/sin
-    patterns|^2, measured. cluster = 2 m + branch names the complex Bloch
-    mode; its '+' and '-' parts share it and are degenerate. degenerate is
-    always False: no eigenspace is rotated. special is one of '', 'bulk_x',
-    'bulk_y', 'zigzag_x', 'zigzag_y'.
+    residual = 1 - |projection of the vector onto its (n, sigma) patterns|^2
+    is measured; degenerate is always False (no eigenspace is rotated).
     """
 
     n: int
-    k: float
     sigma: str
     beta: int
     omega: float
     residual: float
-    cluster: int
-    degenerate: bool
     special: str
-    vector: np.ndarray = field(repr=False)
+    degenerate: bool = False
 
 
 def _own_subspace_residuals(N: int, V: np.ndarray, n: np.ndarray,
@@ -447,33 +465,16 @@ def _own_subspace_residuals(N: int, V: np.ndarray, n: np.ndarray,
 
 
 def classify_zigzag_modes(spectrum: ZigzagSpectrum) -> list[ZigzagMode]:
-    """Label every mode with folded wave number, parity, branch and residual.
+    """The spectrum's labels and measured residuals, in label order.
 
-    Labels come from the block index; builds `spectrum.vectors`, so it raises
+    Oracle for the label arrays: builds `spectrum.vectors`, so it raises
     ResourceLimit where that does.
     """
-    N = spectrum.N
-    _check_zigzag_n(N)
-    V = spectrum.vectors
-    m, plus = spectrum.block, spectrum.plus
-    n = np.minimum(m, N // 2 - m)
-    residual = _own_subspace_residuals(N, V, n, plus)
-    special = {(0, True): "bulk_x", (0, False): "zigzag_y",
-               (N // 2, True): "zigzag_x", (N // 2, False): "bulk_y"}
-    out: list[ZigzagMode] = []
-    prev, beta = None, 0
-    # (n, sigma) with '+' first, then descending frequency
-    for i in np.lexsort((-spectrum.omega, ~plus, n)):
-        key = (int(n[i]), bool(plus[i]))
-        beta = beta + 1 if key == prev else 1
-        prev = key
-        out.append(ZigzagMode(
-            n=key[0], k=2.0 * math.pi * key[0] / N,
-            sigma="+" if key[1] else "-", beta=beta,
-            omega=float(spectrum.omega[i]), residual=float(residual[i]),
-            cluster=int(2 * m[i] + spectrum.branch[i]), degenerate=False,
-            special=special.get((int(m[i]), key[1]), ""), vector=V[:, i]))
-    return out
+    sp = spectrum
+    residual = _own_subspace_residuals(sp.N, sp.vectors, sp.n, sp.plus)
+    columns = (sp.n, sp.sigma, sp.beta, sp.omega, residual, sp.special)
+    return [ZigzagMode(*row)
+            for row in zip(*(c[sp.label_order].tolist() for c in columns))]
 
 
 def zigzag_displacement_amplitudes(params: ChainParams,

@@ -303,6 +303,17 @@ def test_fourier_rejects_a_nan_prominence(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["zigzag", "--N", "16", "--nu-t", "nan"],
+    ["zigzag", "--N", "16", "--nu-t", "2.0", "--nu-min", "nan"],
+    ["gamma-scan", "--N", "16", "--eta-c", "0.05", "--delta-min", "nan"],
+    ["spectrum", "--N", "16", "--nu-t", "inf"]])
+def test_non_finite_chain_parameters_are_usage_errors(argv, tmp_path, capsys):
+    assert run([*argv, "--out", str(tmp_path)]) == 2
+    assert "nu_t must be positive and finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy is a test oracle only.
     src = os.path.dirname(os.path.dirname(coulombchain.__file__))

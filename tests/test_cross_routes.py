@@ -5,6 +5,8 @@
 - the FFT mode-grid dispersion against the direct sum;
 - the zigzag 2 x 2 Bloch blocks against the dense Hessian and eigh;
 - zigzag against linear-chain amplitudes at b = 0;
+- the zigzag side of the Gamma scan against the linear chain between
+  nu_c(N) and nu_c, where Delta < 0 but the finite ring is still linear;
 - thermal weights and A_T against their theta -> infinity limit.
 """
 
@@ -15,7 +17,8 @@ import pytest
 
 from coulombchain import (ChainParams, axial_mode_set,
                           classify_zigzag_modes, critical_frequency_finite,
-                          exponent_A_thermal, gamma_coefficient,
+                          critical_frequency_infinite, exponent_A_thermal,
+                          gamma_coefficient, gamma_transition_scan,
                           linear_chain_amplitudes, mode_matrix,
                           thermal_weights, transverse_mode_set,
                           weighted_trig_sum, zigzag_displacement_amplitudes,
@@ -166,6 +169,21 @@ def test_zigzag_amplitudes_fold_onto_linear_at_b_zero():
             assert np.max(np.abs(w_zz - w_lin)) < 1e-12 * np.max(w_lin)
             assert gamma_coefficient(zz).direct == pytest.approx(
                 gamma_coefficient(lin).direct, rel=1e-12)
+
+
+def test_gamma_is_continuous_across_delta_zero():
+    # On (nu_c(N) - nu_c, 0) the scan takes the zigzag route, yet b = 0 there,
+    # so its Gamma must be the linear chain's at the same nu_t.
+    rng = np.random.default_rng(20261018)
+    for N in (16, 64, 256):
+        shift = critical_frequency_finite(N) - critical_frequency_infinite()
+        delta = float(rng.uniform(0.05, 0.95)) * shift
+        eta_c = float(rng.uniform(0.01, 0.3))
+        scan = gamma_transition_scan([delta, 0.0, -delta], N=N, eta_c=eta_c)
+        assert scan.kinds == ("zigzag", "linear", "linear")
+        lin = linear_chain_amplitudes(ChainParams.from_delta(N, delta, eta_c))
+        assert scan.gamma[0] == pytest.approx(gamma_coefficient(lin).direct,
+                                              rel=1e-12)
 
 
 @pytest.mark.parametrize("theta", [1e3, 1e5])

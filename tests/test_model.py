@@ -87,12 +87,15 @@ def test_chain_params_validation():
     for bad in (3, 2, 0, -4, 4.0, True):
         with pytest.raises(InvalidParameter):
             ChainParams(N=bad, nu_t=2.5, eta_c=0.1)
-    with pytest.raises(InvalidParameter):
-        ChainParams(N=8, nu_t=0.0, eta_c=0.1)
-    with pytest.raises(InvalidParameter):
-        ChainParams(N=8, nu_t=2.5, eta_c=-0.1)
-    with pytest.raises(InvalidParameter):
-        ChainParams(N=8, nu_t=2.5, eta_c=0.1, theta=-1.0)
+    for nu_t in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameter, match="nu_t must be positive"):
+            ChainParams(N=8, nu_t=nu_t, eta_c=0.1)
+    for eta_c in (-0.1, math.nan, math.inf):
+        with pytest.raises(InvalidParameter, match="eta_c must be >= 0"):
+            ChainParams(N=8, nu_t=2.5, eta_c=eta_c)
+    for theta in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameter, match="theta must be >= 0"):
+            ChainParams(N=8, nu_t=2.5, eta_c=0.1, theta=theta)
 
 
 def test_from_delta_and_eta0_identity():

@@ -1,5 +1,6 @@
 """Zigzag equilibrium, dynamical matrix, and mode classification."""
 
+import csv
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from coulombchain import (ChainParams, classify_zigzag_modes,
                           folded_linear_frequencies, zigzag_displacement_amplitudes,
                           zigzag_equilibrium, zigzag_spectrum)
 from coulombchain import zigzag
+from coulombchain.cli import run
 from coulombchain.errors import (InvalidParameter, NumericalFailure,
                                  ResourceLimit, SoftModeSingularity)
 
@@ -129,21 +131,32 @@ def _by_label(modes):
     return {(m.n, m.sigma, m.beta): m for m in modes}
 
 
-def test_classification_counts_and_residuals():
-    N = 16
-    nuc = critical_frequency_finite(N)
-    for nu in (nuc - 0.04, nuc + 0.3):
-        modes = classify_zigzag_modes(zigzag_spectrum(
-            ChainParams(N=N, nu_t=nu, eta_c=0.0)))
-        assert len(modes) == 2 * N
-        per_n = {}
-        for m in modes:
-            per_n[m.n] = per_n.get(m.n, 0) + 1
-            assert m.residual < 1e-6
-        assert per_n[0] == per_n[N // 4] == 4
-        assert all(per_n[n] == 8 for n in range(1, N // 4))
-        assert {m.special for m in modes} >= {"bulk_x", "bulk_y",
-                                              "zigzag_x", "zigzag_y"}
+@pytest.mark.parametrize("offset", [-0.04, 0.3], ids=["buckled", "linear"])
+@pytest.mark.parametrize("N", [16, 64, 256, 1024])
+def test_classification_counts_and_residuals(N, offset):
+    sp = zigzag_spectrum(ChainParams(
+        N=N, nu_t=critical_frequency_finite(N) + offset, eta_c=0.0))
+    assert (sp.b > 0.0) == (offset < 0.0)
+    modes = classify_zigzag_modes(sp)
+    assert len(modes) == 2 * N
+    assert len({(m.n, m.sigma, m.beta) for m in modes}) == 2 * N
+    assert max(m.residual for m in modes) < 1e-10
+    # The oracle reports the spectrum's own label arrays, row by row.
+    assert [(m.n, m.sigma, m.beta, m.omega, m.special) for m in modes] == \
+        list(zip(*(a[sp.label_order].tolist() for a in (
+            sp.n, sp.sigma, sp.beta, sp.omega, sp.special))))
+    assert np.array_equal(sp.k, 2.0 * np.pi * sp.n / N)
+    groups = {}
+    for m in modes:
+        groups.setdefault((m.n, m.sigma), []).append(m)
+    for group in groups.values():
+        assert [m.beta for m in group] == list(range(1, len(group) + 1))
+        assert all(a.omega >= b.omega for a, b in zip(group, group[1:]))
+    per_n = np.bincount([m.n for m in modes])
+    assert per_n[0] == per_n[N // 4] == 4 and len(per_n) == N // 4 + 1
+    assert np.all(per_n[1:N // 4] == 8)
+    assert sorted(m.special for m in modes if m.special) == \
+        ["bulk_x", "bulk_y", "zigzag_x", "zigzag_y"]
 
 
 def test_special_modes_match_dispersion_at_flat_line():
@@ -218,7 +231,7 @@ def test_probe_row_shape_and_orthonormality():
         sp.probe_row(1, "z")
 
 
-def test_block_route_scales_past_the_dense_budget():
+def test_block_route_scales_past_the_dense_budget(tmp_path):
     N = 10_000
     p = ChainParams(N=N, nu_t=critical_frequency_finite(N) - 0.01, eta_c=0.1)
     sp = zigzag_spectrum(p)
@@ -226,6 +239,13 @@ def test_block_route_scales_past_the_dense_budget():
     amps = zigzag_displacement_amplitudes(p, sp, probe_site=N // 2 + 1)
     total = float(np.sum(amps.weight * amps.omega))
     assert total == pytest.approx(p.eta0 ** 2 * p.nu_t, rel=1e-10)
+    # The zigzag subcommand labels a buckled N = 10^4 ring from its arrays.
+    rc = run(["zigzag", "--N", str(N), "--delta", "-0.01", "--eta-c", "0.1",
+              "--points", "3", "--out", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "zigzag_spectrum.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == len({(r[4], r[2], r[1]) for r in rows}) == 2 * N
     # The dense routes refuse before allocating their (2N)^2 arrays.
     from coulombchain.zigzag import _hessian
     tracemalloc.start()
