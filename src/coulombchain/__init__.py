@@ -9,21 +9,19 @@ visibility (`spectral`). `cli` exposes the figure pipelines.
 
 from .errors import (CoulombChainError, InvalidParameter, NumericalFailure,
                      ResourceLimit, SoftModeSingularity,
-                     UnstableConfiguration, UnstableLinearPhase, Unsupported)
-from .model import (ChainParams, DerivedScales, GapParams, H_STIFFNESS,
-                    PhysicalInput, critical_frequency_infinite,
-                    derive_parameters, gap_parameters, zeta3)
+                     UnstableConfiguration, UnstableLinearPhase)
+from .model import (ChainParams, DerivedScales, H_STIFFNESS, PhysicalInput,
+                    critical_frequency_infinite, derive_parameters, zeta3)
 from .linear_modes import (ModeMatrix, ModeSet, axial_mode_set,
                            critical_frequency_finite, dispersion_axial,
                            dispersion_transverse, group_velocity,
                            max_group_velocity, mode_matrix,
                            transverse_mode_set)
 from .ramsey import (DisplacementAmplitudes, VisibilityTrace,
-                     autocorrelation_G, displacement_amplitudes,
-                     distinguishability, evaluate_trace, exponent_A,
-                     exponent_A_thermal, linear_chain_amplitudes, overlap,
-                     ramsey_probability, thermal_weights, visibility,
-                     weighted_trig_sum)
+                     autocorrelation_G, distinguishability, evaluate_trace,
+                     exponent_A, exponent_A_thermal, linear_chain_amplitudes,
+                     overlap, ramsey_probability, thermal_weights,
+                     visibility, weighted_trig_sum)
 from .zigzag import (ZigzagEquilibrium, ZigzagMode, ZigzagSpectrum,
                      classify_zigzag_modes, folded_linear_frequencies,
                      zigzag_displacement_amplitudes, zigzag_equilibrium,

@@ -29,10 +29,10 @@ import numpy as np
 
 from .errors import (InvalidParameter, NumericalFailure, UnstableLinearPhase)
 from .linear_modes import max_group_velocity
-from .model import ChainParams, H_STIFFNESS, critical_frequency_infinite, \
-    gap_parameters
+from .model import ChainParams, H_STIFFNESS, critical_frequency_infinite
 from .ramsey import (DisplacementAmplitudes, VisibilityTrace,
                      linear_chain_amplitudes, weighted_trig_sum)
+from .zigzag import zigzag_displacement_amplitudes
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -41,6 +41,8 @@ _HANKEL_C = (1.0, 0.125, 0.0703125, 0.0732421875, 0.112152099609375,
              0.22710800170898438, 0.5725014209747314, 1.7277275025844574)
 _SERIES_CUT = 12.0
 MIN_BURST_SAMPLES = 8     # shortest trace `find_revival_burst` accepts
+DGAMMA_LOG_STEP = 1e-2    # ln(Delta) step of the dGamma/dDelta differences
+CUSP_POINTS_PER_SIDE = 5  # points nearest Delta = 0 in each cusp fit
 
 
 @dataclass(frozen=True)
@@ -53,10 +55,6 @@ class GammaForms:
 
     direct: float
     mean_frequency: float | None
-
-    @property
-    def value(self) -> float:
-        return self.direct
 
 
 def gamma_coefficient(amps: DisplacementAmplitudes) -> GammaForms:
@@ -107,13 +105,12 @@ class DerivativeScan:
     r_squared: float
 
 
-def gamma_derivative_scan(deltas, N: int, eta_c: float,
-                          log_step: float = 1e-2) -> DerivativeScan:
+def gamma_derivative_scan(deltas, N: int, eta_c: float) -> DerivativeScan:
     """d Gamma / d Delta over a positive Delta grid, then fit a + b ln Delta.
 
     The derivative at each grid point is a centered difference in ln(Delta)
-    with one Richardson halving (steps log_step and log_step/2), so the
-    estimate is independent of the grid spacing.
+    with one Richardson halving (steps DGAMMA_LOG_STEP and half of it), so
+    the estimate is independent of the grid spacing.
     """
     d = np.asarray(deltas, dtype=np.float64)
     if np.any(d <= 0):
@@ -127,8 +124,8 @@ def gamma_derivative_scan(deltas, N: int, eta_c: float,
 
     out = np.empty_like(d)
     for i, x in enumerate(d):
-        g_h = dgamma_dlog(float(x), log_step)
-        g_h2 = dgamma_dlog(float(x), 0.5 * log_step)
+        g_h = dgamma_dlog(float(x), DGAMMA_LOG_STEP)
+        g_h2 = dgamma_dlog(float(x), 0.5 * DGAMMA_LOG_STEP)
         out[i] = (4.0 * g_h2 - g_h) / (3.0 * x)
 
     ln = np.log(d)
@@ -153,10 +150,6 @@ class AInfinityForms:
 
     direct: float
     mean_inverse: float | None
-
-    @property
-    def value(self) -> float:
-        return self.direct
 
 
 def a_infinity(amps: DisplacementAmplitudes) -> AInfinityForms:
@@ -260,15 +253,14 @@ def bessel_Y0(x):
 
 def b_analytic(t, params: ChainParams):
     """Continuum B(t) = -(eta0^2 nu_t / (2 h)) Y0(delta t); needs Delta > 0, t > 0."""
-    gaps = gap_parameters(params)
-    if gaps.Delta <= 0:
+    if params.delta_trans <= 0:
         raise UnstableLinearPhase(
             "continuum B(t) is defined on the linear side, Delta > 0")
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr <= 0):
         raise InvalidParameter("b_analytic requires t > 0")
     pref = -params.eta0 ** 2 * params.nu_t / (2.0 * H_STIFFNESS)
-    return pref * bessel_Y0(t_arr * gaps.delta)
+    return pref * bessel_Y0(t_arr * params.soft_gap)
 
 
 @dataclass(frozen=True)
@@ -290,7 +282,6 @@ def gamma_transition_scan(deltas, N: int, eta_c: float,
     eta0^2 nu_t is Delta-independent at fixed eta_c, so the two sides join
     continuously at Delta = 0.
     """
-    from .zigzag import zigzag_displacement_amplitudes, zigzag_spectrum
     if zigzag_N is None:
         zigzag_N = N
     d = np.asarray(deltas, dtype=np.float64)
@@ -302,9 +293,8 @@ def gamma_transition_scan(deltas, N: int, eta_c: float,
             kinds.append("linear")
         else:
             params = ChainParams.from_delta(zigzag_N, float(x), eta_c)
-            amps = zigzag_displacement_amplitudes(params,
-                                                  zigzag_spectrum(params))
-            gam[i] = gamma_coefficient(amps).direct
+            gam[i] = gamma_coefficient(
+                zigzag_displacement_amplitudes(params)).direct
             kinds.append("zigzag")
     return GammaScan(deltas=d, gamma=gam, kinds=tuple(kinds))
 
@@ -339,16 +329,17 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, se
 
 
-def cusp_secant_slopes(scan: GammaScan, n_side: int = 5) -> CuspReport:
-    """Fit straight lines to the n_side points nearest Delta = 0 on each side.
+def cusp_secant_slopes(scan: GammaScan) -> CuspReport:
+    """Fit straight lines to the CUSP_POINTS_PER_SIDE points nearest
+    Delta = 0 on each side.
 
     The zero point (if present) joins both fits. A genuine cusp shows up as
     slopes separated by many standard errors.
     """
     d, g = scan.deltas, scan.gamma
     order = np.argsort(np.abs(d))
-    left_idx = [i for i in order if d[i] < 0][:n_side]
-    right_idx = [i for i in order if d[i] > 0][:n_side]
+    left_idx = [i for i in order if d[i] < 0][:CUSP_POINTS_PER_SIDE]
+    right_idx = [i for i in order if d[i] > 0][:CUSP_POINTS_PER_SIDE]
     zero_idx = [i for i in order if d[i] == 0.0][:1]
     if len(left_idx) < 3 or len(right_idx) < 3:
         raise InvalidParameter("scan must hold >= 3 points on each side of 0")

@@ -46,7 +46,7 @@ from .errors import CoulombChainError, InvalidParameter
 from .linear_modes import (axial_mode_set, critical_frequency_finite,
                            transverse_mode_set)
 from .model import (ChainParams, PhysicalInput, critical_frequency_infinite,
-                    derive_parameters, gap_parameters)
+                    derive_parameters)
 from .ramsey import evaluate_trace, linear_chain_amplitudes
 from .spectral import (DEFAULT_N_S, DEFAULT_T_F, check_trace_budget,
                        find_peaks, fourier_spectrum, overlay_band,
@@ -169,7 +169,7 @@ def _resolve_chain(ns, default_eta: float | None = None) -> ChainParams:
                 f"{', '.join(_PHYSICAL_KEYS)}; missing {', '.join(missing)}")
         phys = PhysicalInput(**{k: getattr(ns, k) for k in _PHYSICAL_KEYS},
                              temperature_k=ns.temperature_k)
-        derived = derive_parameters(phys, N)
+        derived = derive_parameters(phys)
 
     nu_t = ns.nu_t
     if nu_t is not None and ns.delta is not None:
@@ -194,6 +194,15 @@ def _resolve_chain(ns, default_eta: float | None = None) -> ChainParams:
         theta = derived.theta if derived else 0.0
     return ChainParams(N=N, nu_t=float(nu_t), eta_c=float(eta_c),
                        theta=float(theta))
+
+
+def _reject_infinite(ns, *keys) -> None:
+    """Grid bounds must be finite before any file is written. A NaN bound
+    already fails the range check of the grid or of its first chain."""
+    for key in keys:
+        value = getattr(ns, key)
+        if value is not None and math.isinf(value):
+            raise InvalidParameter(f"{key} must be finite, got {value}")
 
 
 def _params_dict(p: ChainParams) -> dict:
@@ -228,15 +237,19 @@ class _Run:
 # One function per table; the subcommands and the figure scenarios share them.
 
 
-def _spectrum(run: _Run, name: str, p: ChainParams, T_F: float = DEFAULT_T_F,
-              n_s: int = DEFAULT_N_S, trace_name: str | None = None):
-    """V(t) on the centred window and its normalized spectrum table."""
+def _spectrum(run: _Run, name: str, p: ChainParams, prominence: float,
+              T_F: float = DEFAULT_T_F, n_s: int = DEFAULT_N_S,
+              trace_name: str | None = None):
+    """V(t) on the centred window, its normalized spectrum table and the
+    spectral peaks of at least `prominence`, found before any file is
+    written."""
     tr = visibility_trace(p, T_F=T_F, n_s=n_s)
+    spec = fourier_spectrum(tr)
+    peaks = find_peaks(spec, prominence=prominence)
     if trace_name:
         emit_csv(("t", "A", "V"), zip(tr.t, tr.A, tr.V), run.path(trace_name))
-    spec = fourier_spectrum(tr)
     emit_csv(("omega", "F"), zip(spec.omega, spec.F), run.path(name))
-    return tr, spec
+    return tr, spec, peaks
 
 
 def _band_fractions(p: ChainParams, spec) -> list:
@@ -292,9 +305,8 @@ def _longtime(run: _Run, name: str, p: ChainParams, t_max: float | None,
     dt = t_max / samples
     t = dt * np.arange(1, samples + 1)
     tr = evaluate_trace(amps, t, theta=p.theta, with_overlap=False)
-    gaps = gap_parameters(p)
-    ana = a_infinity_analytic(p, delta_ref=gaps.Delta)
-    V_ana = np.exp(-ana.evaluate(gaps.Delta) + b_analytic(t, p))
+    ana = a_infinity_analytic(p, delta_ref=p.delta_trans)
+    V_ana = np.exp(-ana.evaluate(p.delta_trans) + b_analytic(t, p))
     emit_csv(("t", "V_exact", "V_analytic"), zip(t, tr.V, V_ana),
              run.path(name))
 
@@ -306,7 +318,7 @@ def _longtime(run: _Run, name: str, p: ChainParams, t_max: float | None,
     return t, tr.V, V_ana, {
         "t_max": float(t_max), "samples": int(samples),
         "t_star": rev.t_star, "v_max": rev.v_max, "k_star": rev.k_star,
-        "burst_time": burst, "soft_gap": gaps.delta}
+        "burst_time": burst, "soft_gap": p.soft_gap}
 
 
 # ---------------------------------------------------------------- subcommands
@@ -326,6 +338,7 @@ def _cmd_spectrum(ns) -> int:
 
 def _cmd_zigzag(ns) -> int:
     p = _resolve_chain(ns, default_eta=0.0)
+    _reject_infinite(ns, "nu_min", "nu_max")
     nu_cn = critical_frequency_finite(p.N)
     nu_min = nu_cn - 0.15 if ns.nu_min is None else ns.nu_min
     nu_max = nu_cn + 0.05 if ns.nu_max is None else ns.nu_max
@@ -354,6 +367,7 @@ def _cmd_zigzag(ns) -> int:
 
 def _cmd_visibility(ns) -> int:
     p = _resolve_chain(ns)
+    _reject_infinite(ns, "t_min", "t_max")
     if not ns.t_min < ns.t_max:
         raise InvalidParameter("need t_min < t_max")
     if ns.samples < 2:
@@ -375,8 +389,8 @@ def _cmd_visibility(ns) -> int:
 def _cmd_fourier(ns) -> int:
     p = _resolve_chain(ns)
     run = _Run("fourier", ns.out)
-    _, spec = _spectrum(run, "fourier.csv", p, T_F=ns.T_F, n_s=ns.n_s)
-    peaks = find_peaks(spec, prominence=ns.prominence)
+    _, spec, peaks = _spectrum(run, "fourier.csv", p, ns.prominence,
+                               T_F=ns.T_F, n_s=ns.n_s)
     emit_csv(("omega", "F"), peaks, run.path("fourier_peaks.csv"))
     grids = {"T_F": float(ns.T_F), "n_s": int(ns.n_s),
              "bin_width": spec.bin_width, "prominence": float(ns.prominence)}
@@ -392,6 +406,7 @@ def _cmd_fourier(ns) -> int:
 
 def _cmd_gamma_scan(ns) -> int:
     N, eta_c = _require(ns, "N"), _require(ns, "eta_c")
+    _reject_infinite(ns, "delta_min", "delta_max")
     if ns.points < 7 or ns.points % 2 == 0:
         raise InvalidParameter("points must be odd and >= 7 (both sides + 0)")
     run = _Run("gamma-scan", ns.out)
@@ -410,6 +425,7 @@ def _cmd_gamma_scan(ns) -> int:
 
 def _cmd_asymptotics(ns) -> int:
     N, eta_c = _require(ns, "N"), _require(ns, "eta_c")
+    _reject_infinite(ns, "delta_min", "delta_max")
     if min(ns.delta_min, ns.delta_max) <= 0:
         raise InvalidParameter("asymptotics needs delta_min, delta_max > 0")
     run = _Run("asymptotics", ns.out)
@@ -444,6 +460,7 @@ def _cmd_asymptotics(ns) -> int:
 
 def _cmd_longtime(ns) -> int:
     p = _resolve_chain(ns)
+    _reject_infinite(ns, "t_max")
     run = _Run("longtime", ns.out)
     grids = _longtime(run, "longtime.csv", p, ns.t_max, ns.samples)[3]
     run.finish(_params_dict(p), grids)
@@ -465,8 +482,8 @@ _FIG3_PARAMS = dict(N=100, delta=1e-4, eta_c=0.25)
 
 def _fig2(run: _Run, checks: list) -> dict:
     p = ChainParams.from_delta(**_FIG2_PARAMS)
-    tr, spec = _spectrum(run, "fig2_spectrum.csv", p,
-                         trace_name="fig2_visibility.csv")
+    tr, spec, peaks = _spectrum(run, "fig2_spectrum.csv", p, 1e-4,
+                                trace_name="fig2_visibility.csv")
 
     (_, lo, hi, frac), (_, _, _, frac_c) = _band_fractions(p, spec)
     _proxy(checks, "fig2 band confinement", frac >= 0.95,
@@ -475,7 +492,6 @@ def _fig2(run: _Run, checks: list) -> dict:
 
     # Away from the transition the signal is perturbative, so every line
     # sits on a mode frequency; combination lines are below prominence.
-    peaks = find_peaks(spec, prominence=1e-4)
     omega_y = transverse_mode_set(p).omega
     worst = max((float(np.min(np.abs(omega_y - w))) for w, _ in peaks),
                 default=0.0)
@@ -490,12 +506,11 @@ def _fig2(run: _Run, checks: list) -> dict:
 
 def _fig3(run: _Run, checks: list) -> dict:
     p = ChainParams.from_delta(**_FIG3_PARAMS)
-    tr, spec = _spectrum(run, "fig3_spectrum.csv", p,
-                         trace_name="fig3_visibility.csv")
+    tr, spec, peaks = _spectrum(run, "fig3_spectrum.csv", p, 1e-4,
+                                trace_name="fig3_visibility.csv")
 
     omega_y = transverse_mode_set(p).omega
     soft = float(np.min(omega_y[omega_y > 0]))
-    peaks = find_peaks(spec, prominence=1e-4)
     top = peaks[0][0] if peaks else math.nan
     _proxy(checks, "fig3 soft-mode peak",
            bool(peaks) and abs(top - soft) <= spec.bin_width,

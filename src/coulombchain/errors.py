@@ -32,7 +32,3 @@ class UnstableConfiguration(CoulombChainError):
 
 class ResourceLimit(CoulombChainError):
     """A requested computation exceeds the configured work/memory budget."""
-
-
-class Unsupported(CoulombChainError):
-    """The requested regime is outside what this package implements."""

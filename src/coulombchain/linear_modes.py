@@ -40,6 +40,10 @@ RADICAND_CLAMP = 1e-12
 _DENSE_R_ELEMENTS = 64_000_000
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# max_group_velocity: argmax grid on (0, pi) and final golden-section bracket
+# width in 1/a units; the revival-time estimate needs the width <= 1e-4.
+_VGRID_POINTS = 4096
+_VMAX_TOL = 1e-6
 
 
 def _check_even_n(N: int) -> None:
@@ -261,18 +265,14 @@ def group_velocity(k, nu_t: float, N: int):
     return v if np.ndim(k) else float(v)
 
 
-def max_group_velocity(nu_t: float, N: int, grid_points: int = 4096,
-                       tol: float = 1e-6) -> tuple[float, float]:
+def max_group_velocity(nu_t: float, N: int) -> tuple[float, float]:
     """(v_max, k_star) of the transverse branch on (0, pi/a).
 
-    Dense-grid argmax followed by golden-section refinement of the bracketing
-    interval; tol is the final bracket width in 1/a units and must not
-    exceed 1e-4 for the revival-time estimate to hold its tolerance.
+    Argmax on a grid of _VGRID_POINTS interior points, then golden-section
+    refinement of the bracketing interval down to a width of _VMAX_TOL.
     """
     _check_even_n(N)
-    if grid_points < 2048:
-        raise InvalidParameter("grid_points must be >= 2048")
-    ks = np.linspace(0.0, math.pi, grid_points + 2)[1:-1]
+    ks = np.linspace(0.0, math.pi, _VGRID_POINTS + 2)[1:-1]
     v = group_velocity(ks, nu_t, N)
     i = int(np.argmax(v))
     lo = ks[i - 1] if i > 0 else ks[i] / 2.0
@@ -285,7 +285,7 @@ def max_group_velocity(nu_t: float, N: int, grid_points: int = 4096,
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > _VMAX_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

@@ -144,6 +144,16 @@ class ChainParams:
         return self.nu_t - critical_frequency_infinite()
 
     @property
+    def soft_gap(self) -> float:
+        """Soft-mode gap delta = sqrt(Delta (2 nu_c + Delta)); linear side only."""
+        Delta = self.delta_trans
+        if Delta < 0:
+            raise UnstableLinearPhase(
+                "soft-mode gap is defined only for Delta >= 0")
+        nu_c = critical_frequency_infinite()
+        return math.sqrt(Delta * (2.0 * nu_c + Delta))
+
+    @property
     def eta0(self) -> float:
         """Lamb-Dicke parameter at the actual confinement, k_L sqrt(hbar/(2 m nu_t)).
 
@@ -161,32 +171,6 @@ class ChainParams:
 
 
 @dataclass(frozen=True)
-class GapParams:
-    """Soft-mode bookkeeping near the transition (omega_0 / a units).
-
-    Delta -- nu_t - nu_c, may be negative (zigzag side).
-    h     -- zone-edge dispersion stiffness sqrt(ln 2).
-    """
-
-    Delta: float
-    h: float = H_STIFFNESS
-
-    @property
-    def delta(self) -> float:
-        """Soft-mode gap sqrt(Delta (2 nu_c + Delta)); linear side only."""
-        if self.Delta < 0:
-            raise UnstableLinearPhase(
-                "soft-mode gap is defined only for Delta >= 0")
-        nu_c = critical_frequency_infinite()
-        return math.sqrt(self.Delta * (2.0 * nu_c + self.Delta))
-
-
-def gap_parameters(params: ChainParams) -> GapParams:
-    """Gap parameters for a given chain; Delta is carried signed."""
-    return GapParams(Delta=params.delta_trans)
-
-
-@dataclass(frozen=True)
 class DerivedScales:
     """Result of converting a PhysicalInput to dimensionless form."""
 
@@ -195,10 +179,9 @@ class DerivedScales:
     eta0: float
     eta_c: float
     theta: float
-    chain: ChainParams
 
 
-def derive_parameters(phys: PhysicalInput, N: int) -> DerivedScales:
+def derive_parameters(phys: PhysicalInput) -> DerivedScales:
     """Convert SI inputs to the dimensionless parameter set.
 
     Returns omega_0 in rad/s together with nu_t/omega_0, the Lamb-Dicke
@@ -212,6 +195,5 @@ def derive_parameters(phys: PhysicalInput, N: int) -> DerivedScales:
     nu_c = critical_frequency_infinite()
     eta_c = eta0 * math.sqrt(nu_t / nu_c)
     theta = K_B * phys.temperature_k / (HBAR * omega0)
-    chain = ChainParams(N=N, nu_t=nu_t, eta_c=eta_c, theta=theta)
     return DerivedScales(omega0_rad_s=omega0, nu_t=nu_t, eta0=eta0,
-                         eta_c=eta_c, theta=theta, chain=chain)
+                         eta_c=eta_c, theta=theta)

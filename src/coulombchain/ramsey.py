@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, SoftModeSingularity
-from .linear_modes import (RADICAND_CLAMP, ModeMatrix, ModeSet,
-                           critical_frequency_finite, mode_matrix,
-                           transverse_mode_set)
+from .linear_modes import (RADICAND_CLAMP, critical_frequency_finite,
+                           mode_matrix, transverse_mode_set)
 from .model import ChainParams
 
 # Target size of one t-by-mode block in the chunked trig sums (~64 MB).
@@ -48,7 +47,6 @@ class DisplacementAmplitudes:
     weight -- |alpha|^2
     eta0   -- Lamb-Dicke parameter at nu_t
     nu_t   -- confinement, omega_0 units
-    probe_site -- 1-based ion index that is kicked
     kind   -- 'linear' or 'zigzag'; the mean-frequency identities of the
               asymptotics module hold only for 'linear'
     """
@@ -58,7 +56,6 @@ class DisplacementAmplitudes:
     weight: np.ndarray
     eta0: float
     nu_t: float
-    probe_site: int
     kind: str = "linear"
 
     def __post_init__(self):
@@ -70,33 +67,22 @@ class DisplacementAmplitudes:
         return len(self.omega)
 
 
-def displacement_amplitudes(params: ChainParams, modes: ModeSet,
-                            R: ModeMatrix, probe_site: int = 1
-                            ) -> DisplacementAmplitudes:
-    """Amplitudes alpha_m = i eta0 sqrt(nu_t/omega_m) R[probe, m] for the y branch."""
-    if modes.branch != "y":
-        raise InvalidParameter("recoil couples to the transverse branch only")
-    if len(modes) != params.N or R.N != params.N:
-        raise InvalidParameter("modes/matrix size does not match params.N")
-    omega = np.asarray(modes.omega, dtype=np.float64)
+def linear_chain_amplitudes(params: ChainParams,
+                            probe_site: int = 1) -> DisplacementAmplitudes:
+    """Amplitudes alpha_m = i eta0 sqrt(nu_t/omega_m) R[probe, m] of the
+    y-branch modes for a kick on ion `probe_site` (1-based)."""
+    omega = transverse_mode_set(params).omega
     if np.any(omega == 0.0):
         delta = params.nu_t - critical_frequency_finite(params.N)
         raise SoftModeSingularity(
             f"soft mode at nu_t - critical_frequency_finite(N) = {delta:.3e}: "
             f"omega_y^2 below RADICAND_CLAMP = {RADICAND_CLAMP:g} snaps to 0")
-    row = R.row(probe_site)
+    row = mode_matrix(params.N).row(probe_site)
     alpha = 1j * params.eta0 * np.sqrt(params.nu_t / omega) * row
     weight = np.abs(alpha) ** 2
     return DisplacementAmplitudes(omega=omega, alpha=alpha, weight=weight,
                                   eta0=params.eta0, nu_t=params.nu_t,
-                                  probe_site=probe_site, kind="linear")
-
-
-def linear_chain_amplitudes(params: ChainParams,
-                            probe_site: int = 1) -> DisplacementAmplitudes:
-    """Convenience: y-branch modes and the probe row, then the amplitudes."""
-    return displacement_amplitudes(params, transverse_mode_set(params),
-                                   mode_matrix(params.N), probe_site)
+                                  kind="linear")
 
 
 def _uniform_step(t: np.ndarray) -> float | None:

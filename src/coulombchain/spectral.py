@@ -12,7 +12,7 @@ rectangular window the |F| leakage tails of lines near a band edge decay
 only like 1/|omega - omega_line| and would dominate an amplitude-weighted
 fraction, while the power tails converge fast and measure the physical line
 content. The transverse band of the linear chain is [omega_y(pi/a), nu_t];
-its large-N lower edge is the soft gap delta of `model.GapParams`.
+its large-N lower edge is the soft gap `model.ChainParams.soft_gap`.
 """
 
 from __future__ import annotations
@@ -24,41 +24,35 @@ import numpy as np
 
 from .errors import InvalidParameter, NumericalFailure, ResourceLimit
 from .model import ChainParams
-from .ramsey import (DisplacementAmplitudes, VisibilityTrace,
-                     evaluate_trace, linear_chain_amplitudes)
+from .ramsey import VisibilityTrace, evaluate_trace, linear_chain_amplitudes
 
 DEFAULT_T_F = 1e4      # 1/omega_0
 DEFAULT_N_S = 100_000
 DC_FLOOR_BINS = 3      # band metrics ignore the first bins: V has a large mean
 _MIN_SAMPLES = 1 << 10
-_DEFAULT_BUDGET = 2_000_000_000   # n_s * n_modes guard
+TRACE_BUDGET = 2_000_000_000   # largest n_samples * n_modes of one trace
 
 
-def check_trace_budget(n_samples: int, n_modes: int,
-                       budget: int = _DEFAULT_BUDGET) -> None:
+def check_trace_budget(n_samples: int, n_modes: int) -> None:
     """Raise ResourceLimit for an n_samples x n_modes mode sum over budget."""
-    if n_samples * n_modes > budget:
-        raise ResourceLimit(
-            f"mode sum of {n_samples} x {n_modes} exceeds budget {budget}")
+    if n_samples * n_modes > TRACE_BUDGET:
+        raise ResourceLimit(f"mode sum of {n_samples} x {n_modes} exceeds "
+                            f"budget {TRACE_BUDGET}")
 
 
 def visibility_trace(params: ChainParams, T_F: float = DEFAULT_T_F,
-                     n_s: int = DEFAULT_N_S, theta: float | None = None,
-                     amps: DisplacementAmplitudes | None = None,
-                     budget: int = _DEFAULT_BUDGET) -> VisibilityTrace:
-    """Sample V(t) on t_n = -T_F/2 + n dt, n = 0..n_s-1, dt = T_F/n_s."""
-    if T_F <= 0:
-        raise InvalidParameter("T_F must be positive")
+                     n_s: int = DEFAULT_N_S) -> VisibilityTrace:
+    """Sample V(t) at params.theta on t_n = -T_F/2 + n dt, n = 0..n_s-1,
+    dt = T_F/n_s."""
+    if not 0 < T_F < math.inf:
+        raise InvalidParameter(f"T_F must be positive and finite, got {T_F}")
     if n_s < _MIN_SAMPLES:
         raise InvalidParameter(f"n_s must be >= {_MIN_SAMPLES}")
-    if amps is None:
-        amps = linear_chain_amplitudes(params)
-    check_trace_budget(n_s, len(amps), budget)
-    if theta is None:
-        theta = params.theta
+    amps = linear_chain_amplitudes(params)
+    check_trace_budget(n_s, len(amps))
     dt = T_F / n_s
     t = -0.5 * T_F + dt * np.arange(n_s)
-    return evaluate_trace(amps, t, theta=theta, with_overlap=False)
+    return evaluate_trace(amps, t, theta=params.theta, with_overlap=False)
 
 
 @dataclass(frozen=True)
@@ -97,12 +91,11 @@ def fourier_spectrum(trace: VisibilityTrace) -> FourierSpectrum:
 
 
 def spectral_band_check(spectrum: FourierSpectrum, omega_min: float,
-                        omega_max: float,
-                        dc_floor_bins: int = DC_FLOOR_BINS) -> float:
+                        omega_max: float) -> float:
     """Fraction of DC-excluded spectral power lying inside [omega_min, omega_max]."""
     if not omega_min < omega_max:
         raise InvalidParameter("need omega_min < omega_max")
-    floor = spectrum.omega > dc_floor_bins * spectrum.bin_width
+    floor = spectrum.omega > DC_FLOOR_BINS * spectrum.bin_width
     total = float(np.sum(spectrum.F[floor] ** 2))
     if total == 0.0:
         return 0.0
@@ -191,8 +184,7 @@ def find_peaks(spectrum: FourierSpectrum, prominence: float,
 
 def transverse_band(params: ChainParams) -> tuple[float, float]:
     """Infinite-chain transverse band [delta, nu_t] used for confinement checks."""
-    from .model import gap_parameters
-    return gap_parameters(params).delta, params.nu_t
+    return params.soft_gap, params.nu_t
 
 
 def overlay_band(params: ChainParams) -> tuple[float, float]:

@@ -477,9 +477,7 @@ def classify_zigzag_modes(spectrum: ZigzagSpectrum) -> list[ZigzagMode]:
             for row in zip(*(c[sp.label_order].tolist() for c in columns))]
 
 
-def zigzag_displacement_amplitudes(params: ChainParams,
-                                   spectrum: ZigzagSpectrum | None = None,
-                                   probe_site: int = 1
+def zigzag_displacement_amplitudes(params: ChainParams, probe_site: int = 1
                                    ) -> DisplacementAmplitudes:
     """Recoil amplitudes for a transverse kick on one ion of the zigzag.
 
@@ -488,8 +486,7 @@ def zigzag_displacement_amplitudes(params: ChainParams,
     visibility. Zero-frequency modes must not couple (the uniform rotation
     is purely axial); a zero mode with transverse weight is an error.
     """
-    if spectrum is None:
-        spectrum = zigzag_spectrum(params)
+    spectrum = zigzag_spectrum(params)
     row = spectrum.probe_row(probe_site, "w")
     zero = spectrum.omega < 1e-12
     if np.any(zero & (row ** 2 > 1e-12)):
@@ -502,4 +499,4 @@ def zigzag_displacement_amplitudes(params: ChainParams,
     return DisplacementAmplitudes(omega=omega, alpha=alpha,
                                   weight=np.abs(alpha) ** 2,
                                   eta0=params.eta0, nu_t=params.nu_t,
-                                  probe_site=probe_site, kind="zigzag")
+                                  kind="zigzag")

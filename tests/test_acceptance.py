@@ -21,7 +21,7 @@ from coulombchain import (ChainParams, a_infinity, a_infinity_analytic,
                           find_revival_burst, folded_linear_frequencies,
                           fourier_spectrum, gamma_coefficient,
                           gamma_derivative_scan, gamma_fit,
-                          gamma_transition_scan, gap_parameters,
+                          gamma_transition_scan,
                           group_velocity, linear_chain_amplitudes,
                           max_group_velocity, mode_matrix, revival_time,
                           spectral_band_check, thermal_weights,
@@ -141,7 +141,7 @@ def test_criterion_6_revival_prediction():
     burst = find_revival_burst(t, tr.V)
     ana = a_infinity_analytic(p, delta_ref=1e-3)
     v_ana = np.exp(-ana.evaluate(1e-3) + b_analytic(t, p))
-    gap = gap_parameters(p).delta
+    gap = p.soft_gap
     win = (t >= 3.0 / gap) & (t <= 0.8 * rev.t_star)
     mad = float(np.median(np.abs(tr.V[win] - v_ana[win])))
     burst_dev = abs(burst - rev.t_star) / rev.t_star if burst else math.inf

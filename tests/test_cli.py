@@ -257,14 +257,29 @@ def test_longtime_rejects_bad_grids(flags, word, tmp_path, capsys):
     assert "error [InvalidParameter]" in err and word in err
 
 
+_CHAIN = ["--N", "16", "--delta", "0.05", "--eta-c", "0.1"]
+
+
 @pytest.mark.parametrize("argv, word", [
     (["zigzag", "--N", "16", "--nu-t", "2.0", "--points=-1"], "points"),
     (["asymptotics", "--N", "16", "--eta-c", "0.05", "--delta-max=-1"],
-     "delta_max")])
+     "delta_max"),
+    *[([cmd, "--N", "16", "--eta-c", "0.05", f"--delta-{end}", "inf"],
+       f"delta_{end} must be finite, got inf")
+      for cmd in ("gamma-scan", "asymptotics") for end in ("min", "max")],
+    *[(["zigzag", "--N", "16", "--nu-t", "2.0", f"--nu-{end}", "inf"],
+       f"nu_{end} must be finite, got inf") for end in ("min", "max")],
+    (["visibility", *_CHAIN, "--t-max", "inf"], "t_max must be finite"),
+    (["visibility", *_CHAIN, "--t-min=-inf"], "t_min must be finite"),
+    (["longtime", *_CHAIN, "--t-max", "inf"], "t_max must be finite"),
+    *[(["fourier", *_CHAIN, "--n-s", "1024", "--T-F", value],
+       f"T_F must be positive and finite, got {value}")
+      for value in ("nan", "inf")]])
 def test_scan_grids_are_validated(argv, word, tmp_path, capsys):
     assert run([*argv, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "error [InvalidParameter]" in err and word in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["visibility", "longtime"])
@@ -295,12 +310,13 @@ def test_fourier_band_table_is_optional(tmp_path, capsys):
 
 
 def test_fourier_rejects_a_nan_prominence(tmp_path, capsys):
-    rc = run(["fourier", "--N", "16", "--delta", "0.05", "--eta-c", "0.1",
-              "--T-F", "200", "--n-s", "1024", "--prominence", "nan",
-              "--out", str(tmp_path)])
-    assert rc == 2
-    assert "prominence must be positive and finite, got nan" in \
-        capsys.readouterr().err
+    for value, shown in (("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")):
+        rc = run(["fourier", *_CHAIN, "--T-F", "200", "--n-s", "1024",
+                  f"--prominence={value}", "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"prominence must be positive and finite, got {shown}" in \
+            capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

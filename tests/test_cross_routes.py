@@ -164,7 +164,7 @@ def test_zigzag_amplitudes_fold_onto_linear_at_b_zero():
         assert sp.b == 0.0
         for site in rng.integers(1, N + 1, 3):
             lin = linear_chain_amplitudes(p, probe_site=int(site))
-            zz = zigzag_displacement_amplitudes(p, sp, probe_site=int(site))
+            zz = zigzag_displacement_amplitudes(p, probe_site=int(site))
             w_lin, w_zz = _sums_per_frequency(lin, zz)
             assert np.max(np.abs(w_zz - w_lin)) < 1e-12 * np.max(w_lin)
             assert gamma_coefficient(zz).direct == pytest.approx(

@@ -172,8 +172,6 @@ def test_max_group_velocity():
     v_max, k_star = max_group_velocity(nu_t, 1000)
     assert v_max == pytest.approx(V_MAX_REF, rel=1e-8)
     assert k_star == pytest.approx(K_STAR_REF, abs=1e-5)
-    with pytest.raises(InvalidParameter):
-        max_group_velocity(nu_t, 1000, grid_points=100)
 
 
 def test_dispersion_vectorized_matches_scalar():

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import coulombchain as cc
-from coulombchain import (ChainParams, GapParams, PhysicalInput,
+from coulombchain import (H_STIFFNESS, ChainParams, PhysicalInput,
                           critical_frequency_infinite, derive_parameters,
-                          gap_parameters, zeta3)
+                          zeta3)
 from coulombchain.errors import (CoulombChainError, InvalidParameter,
                                  NumericalFailure, ResourceLimit,
                                  SoftModeSingularity, UnstableConfiguration,
-                                 UnstableLinearPhase, Unsupported)
+                                 UnstableLinearPhase)
 
 # Independent oracle values, frozen from mpmath (50 digits, rounded here).
 ZETA3_ORACLE = 1.2020569031595942854
@@ -61,15 +61,13 @@ def test_derive_parameters_roundtrip():
                          transverse_frequency_rad_s=2 * math.pi * 140e3,
                          laser_wavenumber_per_m=2 * math.pi / 280e-9,
                          temperature_k=1e-6)
-    der = derive_parameters(phys, N=16)
+    der = derive_parameters(phys)
     assert der.nu_t == pytest.approx(
         phys.transverse_frequency_rad_s / der.omega0_rad_s)
     # eta0 and eta_c are tied through the frequency ratio
     assert der.eta0 == pytest.approx(
         der.eta_c * math.sqrt(critical_frequency_infinite() / der.nu_t))
     assert der.theta > 0
-    assert der.chain.N == 16
-    assert der.chain.eta0 == pytest.approx(der.eta0)
 
 
 def test_physical_input_validation():
@@ -115,20 +113,18 @@ SOFT_GAP_REF = 0.06405694055487014   # sqrt(Delta (2 nu_c + Delta)) at 1e-3
 
 def test_gap_parameters():
     p = ChainParams.from_delta(100, DELTA_REF, 0.1)
-    gaps = gap_parameters(p)
-    assert gaps.Delta == pytest.approx(DELTA_REF, rel=1e-12)
-    assert gaps.delta == pytest.approx(SOFT_GAP_REF, rel=1e-12)
-    assert gaps.h == pytest.approx(math.sqrt(math.log(2.0)))
-    neg = GapParams(Delta=-1e-3)
-    assert neg.Delta < 0          # signed storage is allowed
+    assert p.delta_trans == pytest.approx(DELTA_REF, rel=1e-12)
+    assert p.soft_gap == pytest.approx(SOFT_GAP_REF, rel=1e-12)
+    assert H_STIFFNESS == pytest.approx(math.sqrt(math.log(2.0)))
+    neg = ChainParams.from_delta(100, -1e-3, 0.1)
+    assert neg.delta_trans < 0    # the zigzag side is a valid chain
     with pytest.raises(UnstableLinearPhase):
-        neg.delta
+        neg.soft_gap
 
 
 def test_error_taxonomy():
     for exc in (InvalidParameter, UnstableLinearPhase, SoftModeSingularity,
-                NumericalFailure, UnstableConfiguration, ResourceLimit,
-                Unsupported):
+                NumericalFailure, UnstableConfiguration, ResourceLimit):
         assert issubclass(exc, CoulombChainError)
     # invalid parameters are also ValueErrors for stdlib interoperability
     assert issubclass(InvalidParameter, ValueError)

@@ -11,11 +11,10 @@ import pytest
 
 from coulombchain import (ChainParams, DisplacementAmplitudes,
                           autocorrelation_G, critical_frequency_finite,
-                          displacement_amplitudes, distinguishability,
-                          evaluate_trace, exponent_A, exponent_A_thermal,
-                          linear_chain_amplitudes, mode_matrix, overlap,
-                          ramsey_probability, thermal_weights,
-                          transverse_mode_set, visibility)
+                          distinguishability, evaluate_trace, exponent_A,
+                          exponent_A_thermal, linear_chain_amplitudes,
+                          overlap, ramsey_probability, thermal_weights,
+                          visibility)
 from coulombchain.errors import InvalidParameter, SoftModeSingularity
 
 T_GRID = [0.0, 0.37, 1.0, 2.5, 7.3, 31.4]
@@ -196,7 +195,7 @@ def test_zero_frequency_mode_rejected():
         DisplacementAmplitudes(omega=np.array([0.0, 1.0]),
                                alpha=np.array([0.1j, 0.1j]),
                                weight=np.array([0.01, 0.01]),
-                               eta0=0.1, nu_t=2.5, probe_site=1)
+                               eta0=0.1, nu_t=2.5)
 
 
 def test_random_sweep_invariants():
@@ -214,14 +213,3 @@ def test_random_sweep_invariants():
         assert np.all(tr.A >= -1e-15)
         assert np.max(np.abs(np.abs(tr.S) - np.exp(-tr.A))) < 1e-12
         assert tr.S == pytest.approx(overlap(t, amps, p.theta), abs=1e-15)
-
-
-def test_displacement_amplitudes_explicit_modes():
-    # wiring displacement_amplitudes by hand equals the convenience path
-    p = ChainParams.from_delta(12, 0.2, 0.15)
-    ms = transverse_mode_set(p)
-    R = mode_matrix(p.N)
-    a1 = displacement_amplitudes(p, ms, R)
-    a2 = linear_chain_amplitudes(p)
-    assert a1.omega == pytest.approx(a2.omega)
-    assert a1.alpha == pytest.approx(a2.alpha)

@@ -7,8 +7,8 @@ import pytest
 
 from coulombchain import (ChainParams, FourierSpectrum, VisibilityTrace,
                           overlay_band, find_peaks, fourier_spectrum,
-                          gap_parameters, spectral_band_check,
-                          transverse_band, visibility_trace)
+                          spectral_band_check, transverse_band,
+                          visibility_trace)
 from coulombchain.errors import InvalidParameter, ResourceLimit
 from coulombchain.spectral import _peak_prominences
 
@@ -38,10 +38,12 @@ def test_trace_limits():
     p = ChainParams(N=8, nu_t=2.5, eta_c=0.1)
     with pytest.raises(InvalidParameter):
         visibility_trace(p, n_s=512)
-    with pytest.raises(InvalidParameter):
-        visibility_trace(p, T_F=0.0)
+    for T_F in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameter, match=f"T_F must be positive "
+                           f"and finite, got {T_F}"):
+            visibility_trace(p, T_F=T_F)
     with pytest.raises(ResourceLimit):
-        visibility_trace(p, n_s=2048, budget=1000)
+        visibility_trace(p, n_s=10**9)
 
 
 def test_constant_trace_is_pure_dc():
@@ -156,7 +158,7 @@ def test_band_conventions():
     p = ChainParams.from_delta(100, 0.1, 0.25)
     lo, hi = transverse_band(p)
     assert hi == p.nu_t
-    assert lo == pytest.approx(gap_parameters(p).delta, rel=1e-14)
+    assert lo == pytest.approx(p.soft_gap, rel=1e-14)
     clo, chi = overlay_band(p)
     assert chi == p.nu_t
     d = p.delta_trans

@@ -236,7 +236,7 @@ def test_block_route_scales_past_the_dense_budget(tmp_path):
     p = ChainParams(N=N, nu_t=critical_frequency_finite(N) - 0.01, eta_c=0.1)
     sp = zigzag_spectrum(p)
     assert sp.b > 0.0 and sp.omega.shape == (2 * N,)
-    amps = zigzag_displacement_amplitudes(p, sp, probe_site=N // 2 + 1)
+    amps = zigzag_displacement_amplitudes(p, probe_site=N // 2 + 1)
     total = float(np.sum(amps.weight * amps.omega))
     assert total == pytest.approx(p.eta0 ** 2 * p.nu_t, rel=1e-10)
     # The zigzag subcommand labels a buckled N = 10^4 ring from its arrays.
