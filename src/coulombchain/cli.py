@@ -196,12 +196,11 @@ def _resolve_chain(ns, default_eta: float | None = None) -> ChainParams:
                        theta=float(theta))
 
 
-def _reject_infinite(ns, *keys) -> None:
-    """Grid bounds must be finite before any file is written. A NaN bound
-    already fails the range check of the grid or of its first chain."""
+def _reject_non_finite(ns, *keys) -> None:
+    """Grid bounds must be finite before any file is written."""
     for key in keys:
         value = getattr(ns, key)
-        if value is not None and math.isinf(value):
+        if value is not None and not math.isfinite(value):
             raise InvalidParameter(f"{key} must be finite, got {value}")
 
 
@@ -338,7 +337,7 @@ def _cmd_spectrum(ns) -> int:
 
 def _cmd_zigzag(ns) -> int:
     p = _resolve_chain(ns, default_eta=0.0)
-    _reject_infinite(ns, "nu_min", "nu_max")
+    _reject_non_finite(ns, "nu_min", "nu_max")
     nu_cn = critical_frequency_finite(p.N)
     nu_min = nu_cn - 0.15 if ns.nu_min is None else ns.nu_min
     nu_max = nu_cn + 0.05 if ns.nu_max is None else ns.nu_max
@@ -367,7 +366,7 @@ def _cmd_zigzag(ns) -> int:
 
 def _cmd_visibility(ns) -> int:
     p = _resolve_chain(ns)
-    _reject_infinite(ns, "t_min", "t_max")
+    _reject_non_finite(ns, "t_min", "t_max")
     if not ns.t_min < ns.t_max:
         raise InvalidParameter("need t_min < t_max")
     if ns.samples < 2:
@@ -406,7 +405,7 @@ def _cmd_fourier(ns) -> int:
 
 def _cmd_gamma_scan(ns) -> int:
     N, eta_c = _require(ns, "N"), _require(ns, "eta_c")
-    _reject_infinite(ns, "delta_min", "delta_max")
+    _reject_non_finite(ns, "delta_min", "delta_max")
     if ns.points < 7 or ns.points % 2 == 0:
         raise InvalidParameter("points must be odd and >= 7 (both sides + 0)")
     run = _Run("gamma-scan", ns.out)
@@ -425,7 +424,7 @@ def _cmd_gamma_scan(ns) -> int:
 
 def _cmd_asymptotics(ns) -> int:
     N, eta_c = _require(ns, "N"), _require(ns, "eta_c")
-    _reject_infinite(ns, "delta_min", "delta_max")
+    _reject_non_finite(ns, "delta_min", "delta_max")
     if min(ns.delta_min, ns.delta_max) <= 0:
         raise InvalidParameter("asymptotics needs delta_min, delta_max > 0")
     run = _Run("asymptotics", ns.out)
@@ -460,7 +459,7 @@ def _cmd_asymptotics(ns) -> int:
 
 def _cmd_longtime(ns) -> int:
     p = _resolve_chain(ns)
-    _reject_infinite(ns, "t_max")
+    _reject_non_finite(ns, "t_max")
     run = _Run("longtime", ns.out)
     grids = _longtime(run, "longtime.csv", p, ns.t_max, ns.samples)[3]
     run.finish(_params_dict(p), grids)

@@ -17,7 +17,10 @@ displacements and normal coordinates; its first row fixes how strongly each
 mode couples to a probe on ion 1.
 
 On the mode grid k_n = 2 pi n / N the dispersion sums are one real FFT of
-j^-3; arbitrary k (group velocity, scans) keep the direct O(N) sum per k.
+j^-3. The argmax grid of `max_group_velocity` is an FFT grid too: both of its
+lattice sums come from one real FFT each, with j folded into j mod the FFT
+length. Arbitrary k (the golden-section refinement, scans) keep the direct
+O(N) sum per k.
 """
 
 from __future__ import annotations
@@ -265,16 +268,46 @@ def group_velocity(k, nu_t: float, N: int):
     return v if np.ndim(k) else float(v)
 
 
+def _grid_group_velocity(nu_t: float, N: int) -> np.ndarray:
+    """group_velocity at k_i = 2 pi i / L, i = 1.._VGRID_POINTS, with
+    L = 2 _VGRID_POINTS + 2, in O(N + L log L).
+
+    With F_p = rfft(c_p) and c_p[j mod L] += j^-p for j = 1..N/2 (the fold
+    is exact for trig sums at these k),
+        sum_j j^-3 sin^2(j k_i / 2) = (F_3[0] - Re F_3[i]) / 2,
+        sum_j j^-2 sin(j k_i)       = -Im F_2[i].
+    Clamp, snap and the raised errors are those of `group_velocity`.
+    """
+    if nu_t <= 0:
+        raise InvalidParameter("nu_t must be positive")
+    L = 2 * _VGRID_POINTS + 2
+    j = np.arange(1, N // 2 + 1)
+    fold = j % L
+    j = j.astype(np.float64)
+    F3 = np.fft.rfft(np.bincount(fold, weights=j ** -3, minlength=L))
+    F2 = np.fft.rfft(np.bincount(fold, weights=j ** -2, minlength=L))
+    grid = slice(1, _VGRID_POINTS + 1)
+    omega = _transverse_omega(0.5 * (F3[0].real - F3[grid].real), nu_t)
+    if np.any(omega == 0.0):
+        raise SoftModeSingularity(
+            "group velocity undefined where omega_y(k) = 0")
+    return np.abs(2.0 * F2[grid].imag) / (2.0 * omega)
+
+
 def max_group_velocity(nu_t: float, N: int) -> tuple[float, float]:
     """(v_max, k_star) of the transverse branch on (0, pi/a).
 
-    Argmax on a grid of _VGRID_POINTS interior points, then golden-section
-    refinement of the bracketing interval down to a width of _VMAX_TOL.
+    Argmax on a grid of _VGRID_POINTS interior points, taken from the FFT
+    grid of `_grid_group_velocity`; the direct `group_velocity` then picks
+    between that point and its two neighbours, so grid values within FFT
+    rounding of each other bracket as the direct grid does. Golden-section
+    refinement on the direct sums narrows the bracket to _VMAX_TOL.
     """
     _check_even_n(N)
     ks = np.linspace(0.0, math.pi, _VGRID_POINTS + 2)[1:-1]
-    v = group_velocity(ks, nu_t, N)
-    i = int(np.argmax(v))
+    i = int(np.argmax(_grid_group_velocity(nu_t, N)))
+    near = np.arange(max(i - 1, 0), min(i + 2, len(ks)))
+    i = int(near[np.argmax(group_velocity(ks[near], nu_t, N))])
     lo = ks[i - 1] if i > 0 else ks[i] / 2.0
     hi = ks[i + 1] if i < len(ks) - 1 else 0.5 * (ks[i] + math.pi)
 

@@ -1,6 +1,7 @@
 """Short- and long-time asymptotics: Gamma, A_inf, Y0, revivals."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -221,6 +222,20 @@ def test_revival_time_linear_in_n():
     t2 = revival_time(1000, nu_t).t_star
     # v_max converges with N; doubling N doubles t* to finite-size accuracy
     assert t2 == pytest.approx(2.0 * t1, rel=1e-4)
+
+
+def test_revival_time_memory_is_linear_in_n():
+    # The argmax grid takes two FFTs of fixed length; only the O(N) lattice
+    # sums of the refinement grow with N.
+    N = 100_000
+    nu_t = ChainParams.from_delta(N, 1e-3, 0.25).nu_t
+    tracemalloc.start()
+    try:
+        revival_time(N, nu_t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * N
 
 
 def test_burst_detector_synthetic():

@@ -274,7 +274,15 @@ _CHAIN = ["--N", "16", "--delta", "0.05", "--eta-c", "0.1"]
     (["longtime", *_CHAIN, "--t-max", "inf"], "t_max must be finite"),
     *[(["fourier", *_CHAIN, "--n-s", "1024", "--T-F", value],
        f"T_F must be positive and finite, got {value}")
-      for value in ("nan", "inf")]])
+      for value in ("nan", "inf")],
+    *[([cmd, "--N", "16", "--eta-c", "0.05", f"--delta-{end}", "nan"],
+       f"delta_{end} must be finite, got nan")
+      for cmd in ("gamma-scan", "asymptotics") for end in ("min", "max")],
+    *[(["zigzag", "--N", "16", "--nu-t", "2.0", f"--nu-{end}", "nan"],
+       f"nu_{end} must be finite, got nan") for end in ("min", "max")],
+    *[(["visibility", *_CHAIN, f"--t-{end}", "nan"],
+       f"t_{end} must be finite, got nan") for end in ("min", "max")],
+    (["longtime", *_CHAIN, "--t-max", "nan"], "t_max must be finite, got nan")])
 def test_scan_grids_are_validated(argv, word, tmp_path, capsys):
     assert run([*argv, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -321,8 +329,6 @@ def test_fourier_rejects_a_nan_prominence(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["zigzag", "--N", "16", "--nu-t", "nan"],
-    ["zigzag", "--N", "16", "--nu-t", "2.0", "--nu-min", "nan"],
-    ["gamma-scan", "--N", "16", "--eta-c", "0.05", "--delta-min", "nan"],
     ["spectrum", "--N", "16", "--nu-t", "inf"]])
 def test_non_finite_chain_parameters_are_usage_errors(argv, tmp_path, capsys):
     assert run([*argv, "--out", str(tmp_path)]) == 2

@@ -3,6 +3,8 @@
 - the blocked-product trig sum against the direct kernel on uniform grids;
 - the closed-form probe row against the dense mode matrix;
 - the FFT mode-grid dispersion against the direct sum;
+- the FFT argmax grid of the group velocity against the direct sums, and
+  max_group_velocity against the argmax of the direct grid;
 - the zigzag 2 x 2 Bloch blocks against the dense Hessian and eigh;
 - zigzag against linear-chain amplitudes at b = 0;
 - the zigzag side of the Gamma scan against the linear chain between
@@ -17,14 +19,18 @@ import pytest
 
 from coulombchain import (ChainParams, axial_mode_set,
                           classify_zigzag_modes, critical_frequency_finite,
-                          critical_frequency_infinite, exponent_A_thermal,
+                          critical_frequency_infinite,
+                          dispersion_transverse, exponent_A_thermal,
                           gamma_coefficient, gamma_transition_scan,
-                          linear_chain_amplitudes, mode_matrix,
-                          thermal_weights, transverse_mode_set,
-                          weighted_trig_sum, zigzag_displacement_amplitudes,
-                          zigzag_spectrum)
+                          group_velocity, linear_chain_amplitudes,
+                          max_group_velocity, mode_matrix, thermal_weights,
+                          transverse_mode_set, weighted_trig_sum,
+                          zigzag_displacement_amplitudes, zigzag_spectrum)
+from coulombchain import linear_modes
 from coulombchain.errors import SoftModeSingularity
-from coulombchain.linear_modes import _dispersion_sum, _mode_grid_sum
+from coulombchain.linear_modes import (_GOLDEN, _VGRID_POINTS, _VMAX_TOL,
+                                       _dispersion_sum, _grid_group_velocity,
+                                       _mode_grid_sum)
 from coulombchain.ramsey import _direct_trig_sum, _uniform_step
 from coulombchain.zigzag import _hessian
 
@@ -118,6 +124,93 @@ def test_fft_mode_grid_matches_direct_sum(N):
     assert omega[-1] == 0.0 and np.all(omega[:-1] > 0.0)
     with pytest.raises(SoftModeSingularity):
         linear_chain_amplitudes(p)
+
+
+def _velocity_grid():
+    return np.linspace(0.0, math.pi, _VGRID_POINTS + 2)[1:-1]
+
+
+@pytest.mark.parametrize("N", [4, 6, 16, 100, 1000, 8000, 20000])
+def test_fft_velocity_grid_matches_direct_sum(N):
+    # N = 20000 has N/2 > 2 _VGRID_POINTS + 2, so j is folded into the FFT.
+    rng = np.random.default_rng(N)
+    ks = _velocity_grid()
+    idx = np.arange(len(ks)) if N <= 1000 else \
+        np.sort(rng.choice(len(ks), 64, replace=False))
+    nus = [critical_frequency_finite(N)] + [
+        critical_frequency_infinite() + 10.0 ** rng.uniform(-6.0, 0.0)
+        for _ in range(3)]
+    for nu in nus:
+        fft = _grid_group_velocity(nu, N)[idx]
+        direct = group_velocity(ks[idx], nu, N)
+        # Both routes round nu_t^2 - 4 s to a few EPS nu_t^2, which is large
+        # against omega_y^2 next to a soft zone-edge mode.
+        omega = dispersion_transverse(ks[idx], nu, N)
+        tol = 1e-11 + 8 * EPS * nu ** 2 / omega ** 2
+        assert np.all(np.abs(fft - direct) <= tol * direct)
+
+
+def _direct_max_group_velocity(nu_t, N):
+    """max_group_velocity with its argmax on the direct grid: the route the
+    FFT grid replaced."""
+    ks = _velocity_grid()
+    i = int(np.argmax(group_velocity(ks, nu_t, N)))
+    lo = ks[i - 1] if i > 0 else ks[i] / 2.0
+    hi = ks[i + 1] if i < len(ks) - 1 else 0.5 * (ks[i] + math.pi)
+
+    def f(k):
+        return group_velocity(float(k), nu_t, N)
+
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > _VMAX_TOL:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    k_star = 0.5 * (a + b)
+    return f(k_star), k_star
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:            # the exception type is the outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize("N", [4, 6, 16, 100, 1000, 8000])
+def test_max_group_velocity_matches_direct_grid(N):
+    rng = np.random.default_rng(20261019 + N)
+    nuc = critical_frequency_finite(N)
+    nus = [nuc, nuc - 10.0 ** rng.uniform(-6.0, -1.0)] + [
+        critical_frequency_infinite() + 10.0 ** rng.uniform(-6.0, 0.0)
+        for _ in range(2)]
+    for nu in nus:
+        assert _outcome(max_group_velocity, nu, N) == \
+            _outcome(_direct_max_group_velocity, nu, N)
+
+
+def test_direct_sums_pick_among_the_fft_argmax_neighbours(monkeypatch):
+    # Two grid values within FFT rounding of each other: the FFT argmax may
+    # land one point off, and the direct sums must still pick the direct one.
+    N = 100
+    nu = critical_frequency_infinite() + 1e-3
+    v = _grid_group_velocity(nu, N)
+    i = int(np.argmax(v))
+    expected = _direct_max_group_velocity(nu, N)
+    for j in (i - 1, i + 1):
+        bumped = v.copy()
+        bumped[j] = v[i] * (1.0 + 1e-13)
+        monkeypatch.setattr(linear_modes, "_grid_group_velocity",
+                            lambda nu_t, N, bumped=bumped: bumped)
+        assert max_group_velocity(nu, N) == expected
 
 
 @pytest.mark.parametrize("N", [8, 16, 64, 256])

@@ -4,6 +4,7 @@ N = 4 oracle and random parameter sweeps."""
 import cmath
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,8 +15,10 @@ from coulombchain import (ChainParams, DisplacementAmplitudes,
                           distinguishability, evaluate_trace, exponent_A,
                           exponent_A_thermal, linear_chain_amplitudes,
                           overlap, ramsey_probability, thermal_weights,
-                          visibility)
+                          visibility, weighted_trig_sum)
 from coulombchain.errors import InvalidParameter, SoftModeSingularity
+from coulombchain.ramsey import (_CHUNK_ELEMENTS, _cis, _direct_trig_sum,
+                                 _uniform_step)
 
 T_GRID = [0.0, 0.37, 1.0, 2.5, 7.3, 31.4]
 
@@ -213,3 +216,72 @@ def test_random_sweep_invariants():
         assert np.all(tr.A >= -1e-15)
         assert np.max(np.abs(np.abs(tr.S) - np.exp(-tr.A))) < 1e-12
         assert tr.S == pytest.approx(overlap(t, amps, p.theta), abs=1e-15)
+
+
+def _shared_pass_grid(kind, rng):
+    if kind == "uniform":
+        return np.linspace(0.0, 300.0, 4001)
+    if kind == "straddles zero":
+        return np.linspace(-120.0, 180.0, 3001)
+    return np.sort(rng.uniform(0.0, 300.0, 3000))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+@pytest.mark.parametrize("grid", ["uniform", "straddles zero", "non-uniform"])
+def test_shared_pass_equals_separate_sums(grid, theta):
+    rng = np.random.default_rng(20261020)
+    N = 200
+    p = ChainParams.from_delta(N, float(10.0 ** rng.uniform(-4.0, -1.0)),
+                               0.25)
+    amps = linear_chain_amplitudes(p, probe_site=int(rng.integers(1, N + 1)))
+    t = _shared_pass_grid(grid, rng)
+    A = exponent_A_thermal(t, amps, theta)
+    S = np.exp(-A + 1j * weighted_trig_sum(t, amps.omega, amps.weight, "sin"))
+    tr = evaluate_trace(amps, t, theta=theta, with_overlap=True)
+    assert np.array_equal(tr.A, A)
+    assert np.array_equal(tr.S, S)
+    assert np.array_equal(overlap(t, amps, theta), S)
+
+
+def _one_weight_exponent_A(t, amps, theta):
+    """exponent_A_thermal as a one-weight blocked pass computed it before the
+    pass took several weights: the allocation reference."""
+    w = thermal_weights(amps, theta)
+    dt = _uniform_step(t)
+    near = np.max(amps.omega) * np.abs(t) <= 1.0
+    n, m = len(t), len(amps.omega)
+    rows = max(1, _CHUNK_ELEMENTS // (2 * m))
+    B = max(1, min(math.isqrt(n), rows))
+    E = _cis(np.multiply.outer(amps.omega, dt * np.arange(B)))
+    base = t[::B]
+    z = np.empty(len(base) * B, dtype=np.complex128)
+    for i in range(0, len(base), rows):
+        L = _cis(np.multiply.outer(base[i:i + rows], amps.omega))
+        L *= w
+        z[i * B:(i + len(L)) * B] = (L @ E).ravel()
+    out = 0.5 * (np.sum(w) - z[:n].real)
+    if np.any(near):
+        out[near] = _direct_trig_sum(t[near], amps.omega, w, "sin2half")
+    return 2.0 * out
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+def test_one_weight_trace_allocates_no_more_than_one_weight_pass(theta):
+    amps = linear_chain_amplitudes(ChainParams.from_delta(8000, 1e-3, 0.25),
+                                   probe_site=3)
+    t = np.linspace(0.0, 200.0, 4001)
+    ref = _traced_peak(lambda: np.exp(-_one_weight_exponent_A(t, amps, theta)))
+    got = _traced_peak(
+        lambda: evaluate_trace(amps, t, theta=theta, with_overlap=False))
+    assert ref > 16 * 2 ** 20           # one 8000-mode block of L and E
+    # The arrays are the same; 4 KiB covers the term and weight lists.
+    assert got <= ref + 4096
