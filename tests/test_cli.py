@@ -329,6 +329,8 @@ def test_fourier_rejects_a_nan_prominence(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["zigzag", "--N", "16", "--nu-t", "nan"],
+    ["visibility", "--N", "16", "--nu-t", "inf", "--eta-c", "0.1"],
+    ["longtime", "--N", "16", "--nu-t", "nan", "--eta-c", "0.1"],
     ["spectrum", "--N", "16", "--nu-t", "inf"]])
 def test_non_finite_chain_parameters_are_usage_errors(argv, tmp_path, capsys):
     assert run([*argv, "--out", str(tmp_path)]) == 2
