@@ -89,16 +89,25 @@ def _dispersion_sum(k, N: int):
         np.sin(np.multiply(x, 0.5, out=x), out=x), out=x))
 
 
+def _folded_rfft(N: int, L: int, power: int) -> np.ndarray:
+    """rfft of c, c[j mod L] += j^-power for j = 1..N/2.
+
+    Entry m is sum_j j^-power exp(-2 pi i m j / L); folding j into j mod L
+    leaves these sums exact, and with L > N/2 nothing is folded.
+    """
+    j = np.arange(1, N // 2 + 1)
+    c = np.bincount(j % L, weights=j.astype(np.float64) ** -power, minlength=L)
+    return np.fft.rfft(c)
+
+
 def _mode_grid_sum(N: int) -> np.ndarray:
     """_dispersion_sum at the k of every mode column, O(N log N).
 
-    With F = rfft(c), c_j = j^-3 for j = 1..N/2 and 0 otherwise,
+    With F = _folded_rfft(N, N, 3),
     sum_j j^-3 sin^2(j k_n / 2) = (F_0 - Re F_n) / 2; n = 0 is exactly 0.
     """
     n, _ = _columns(N)
-    c = np.zeros(N)
-    c[1:N // 2 + 1] = np.arange(1, N // 2 + 1, dtype=np.float64) ** -3
-    F = np.fft.rfft(c).real
+    F = _folded_rfft(N, N, 3).real
     s = 0.5 * (F[0] - F)
     return s[n]
 
@@ -109,6 +118,8 @@ def _transverse_omega(s, nu_t: float) -> np.ndarray:
     Radicands in (-1e-12, 0) are clamped to zero; anything lower means the
     linear phase is not a valid expansion point for this nu_t.
     """
+    if nu_t <= 0:
+        raise InvalidParameter("nu_t must be positive")
     rad = nu_t ** 2 - 4.0 * np.asarray(s)
     bad = rad < -RADICAND_CLAMP
     if np.any(bad):
@@ -132,8 +143,6 @@ def dispersion_axial(k, N: int):
 def dispersion_transverse(k, nu_t: float, N: int):
     """Transverse phonon frequency omega_y(k); raises below the instability."""
     _check_even_n(N)
-    if nu_t <= 0:
-        raise InvalidParameter("nu_t must be positive")
     omega = _transverse_omega(_dispersion_sum(k, N), nu_t)
     return omega if np.ndim(k) else float(omega)
 
@@ -258,13 +267,18 @@ def _dispersion_sq_derivative(k, N: int):
     return -2.0 * _lattice_sum(k, N, 2, lambda x: np.sin(x, out=x))
 
 
-def group_velocity(k, nu_t: float, N: int):
-    """Transverse group velocity |d omega_y / dk| in a*omega_0 units."""
-    omega = np.asarray(dispersion_transverse(k, nu_t, N))
+def _velocity(omega: np.ndarray, dsq) -> np.ndarray:
+    """|d omega_y / dk| from omega_y and d(omega_y^2)/dk."""
     if np.any(omega == 0.0):
         raise SoftModeSingularity(
             "group velocity undefined where omega_y(k) = 0")
-    v = np.abs(_dispersion_sq_derivative(k, N)) / (2.0 * omega)
+    return np.abs(dsq) / (2.0 * omega)
+
+
+def group_velocity(k, nu_t: float, N: int):
+    """Transverse group velocity |d omega_y / dk| in a*omega_0 units."""
+    omega = np.asarray(dispersion_transverse(k, nu_t, N))
+    v = _velocity(omega, _dispersion_sq_derivative(k, N))
     return v if np.ndim(k) else float(v)
 
 
@@ -272,26 +286,16 @@ def _grid_group_velocity(nu_t: float, N: int) -> np.ndarray:
     """group_velocity at k_i = 2 pi i / L, i = 1.._VGRID_POINTS, with
     L = 2 _VGRID_POINTS + 2, in O(N + L log L).
 
-    With F_p = rfft(c_p) and c_p[j mod L] += j^-p for j = 1..N/2 (the fold
-    is exact for trig sums at these k),
+    With F_p = _folded_rfft(N, L, p),
         sum_j j^-3 sin^2(j k_i / 2) = (F_3[0] - Re F_3[i]) / 2,
         sum_j j^-2 sin(j k_i)       = -Im F_2[i].
     Clamp, snap and the raised errors are those of `group_velocity`.
     """
-    if nu_t <= 0:
-        raise InvalidParameter("nu_t must be positive")
     L = 2 * _VGRID_POINTS + 2
-    j = np.arange(1, N // 2 + 1)
-    fold = j % L
-    j = j.astype(np.float64)
-    F3 = np.fft.rfft(np.bincount(fold, weights=j ** -3, minlength=L))
-    F2 = np.fft.rfft(np.bincount(fold, weights=j ** -2, minlength=L))
+    F3 = _folded_rfft(N, L, 3)
     grid = slice(1, _VGRID_POINTS + 1)
     omega = _transverse_omega(0.5 * (F3[0].real - F3[grid].real), nu_t)
-    if np.any(omega == 0.0):
-        raise SoftModeSingularity(
-            "group velocity undefined where omega_y(k) = 0")
-    return np.abs(2.0 * F2[grid].imag) / (2.0 * omega)
+    return _velocity(omega, 2.0 * _folded_rfft(N, L, 2)[grid].imag)
 
 
 def max_group_velocity(nu_t: float, N: int) -> tuple[float, float]:

@@ -127,58 +127,50 @@ def _cis(phase: np.ndarray) -> np.ndarray:
 
 
 def _blocked_exp_sum(t: np.ndarray, dt: float, omega: np.ndarray,
-                     weights: list[np.ndarray]) -> list[np.ndarray]:
-    """sum_m w_m exp(i omega_m t) on a uniform grid as a matrix product, for
-    each weight vector w in `weights`.
+                     weight: np.ndarray) -> np.ndarray:
+    """sum_m weight_m exp(i omega_m t) on a uniform grid as a matrix product.
 
     With t_{qB+r} = t_{qB} + r dt, the sum is (L @ E)[q, r] where
-    L[q, m] = w_m exp(i omega_m t_{qB}) and E[m, r] = exp(i omega_m r dt):
-    about 2 sqrt(T) M complex exponentials instead of T M trig calls. The
-    exponentials of each block are shared by all weights; the last weight
-    scales L in place. Each factor block holds at most _CHUNK_ELEMENTS / 2
-    complex entries, the bytes of one direct-kernel block.
+    L[q, m] = weight_m exp(i omega_m t_{qB}) and E[m, r] = exp(i omega_m r dt):
+    about 2 sqrt(T) M complex exponentials instead of T M trig calls. Each
+    factor block holds at most _CHUNK_ELEMENTS / 2 complex entries, the bytes
+    of one direct-kernel block.
     """
     n, m = len(t), len(omega)
     rows = max(1, _CHUNK_ELEMENTS // (2 * m))
     B = max(1, min(math.isqrt(n), rows))
     E = _cis(np.multiply.outer(omega, dt * np.arange(B)))
     base = t[::B]
-    outs = [np.empty(len(base) * B, dtype=np.complex128) for _ in weights]
+    out = np.empty(len(base) * B, dtype=np.complex128)
     for i in range(0, len(base), rows):
         L = _cis(np.multiply.outer(base[i:i + rows], omega))
-        block = slice(i * B, (i + len(L)) * B)
-        for w, out in zip(weights[:-1], outs):
-            out[block] = ((L * w) @ E).ravel()
-        L *= weights[-1]
-        outs[-1][block] = (L @ E).ravel()
-    return [out[:n] for out in outs]
+        L *= weight
+        out[i * B:(i + len(L)) * B] = (L @ E).ravel()
+    return out[:n]
 
 
-def _trig_sums(t, omega: np.ndarray, terms):
-    """weighted_trig_sum for each (weight, kind) of `terms`, with one blocked
-    pass over the exponentials for all of them; weights passed as the same
-    array object share one product."""
+def _trig_sums(t, omega: np.ndarray, weight: np.ndarray, kinds):
+    """weighted_trig_sum of `weight` for each kind in `kinds`, from one
+    blocked pass: Re of the product gives sin2half and cos, Im gives sin."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     dt = _uniform_step(t_arr)
     near = np.ones(len(t_arr), dtype=bool)
     if dt is not None:
         near = np.max(np.abs(omega), initial=0.0) * np.abs(t_arr) <= 1.0
     if np.all(near):
-        outs = [_direct_trig_sum(t_arr, omega, w, kind) for w, kind in terms]
+        outs = [_direct_trig_sum(t_arr, omega, weight, kind) for kind in kinds]
     else:
-        weights = list({id(w): w for w, _ in terms}.values())
-        z = dict(zip(map(id, weights),
-                     _blocked_exp_sum(t_arr, dt, omega, weights)))
+        z = _blocked_exp_sum(t_arr, dt, omega, weight)
         outs = []
-        for w, kind in terms:
+        for kind in kinds:
             if kind == "sin2half":
-                out = 0.5 * (np.sum(w) - z[id(w)].real)
+                out = 0.5 * (np.sum(weight) - z.real)
             elif kind == "sin":
-                out = z[id(w)].imag.copy()
+                out = z.imag.copy()
             else:
-                out = z[id(w)].real.copy()
+                out = z.real.copy()
             if np.any(near):
-                out[near] = _direct_trig_sum(t_arr[near], omega, w, kind)
+                out[near] = _direct_trig_sum(t_arr[near], omega, weight, kind)
             outs.append(out)
     return outs if np.ndim(t) else [float(out[0]) for out in outs]
 
@@ -196,7 +188,7 @@ def weighted_trig_sum(t, omega: np.ndarray, weight: np.ndarray,
     """
     if kind not in ("sin2half", "sin", "cos"):
         raise InvalidParameter(f"unknown kernel kind {kind!r}")
-    return _trig_sums(t, omega, [(weight, kind)])[0]
+    return _trig_sums(t, omega, weight, (kind,))[0]
 
 
 def exponent_A(t, amps: DisplacementAmplitudes):
@@ -225,11 +217,13 @@ def visibility(t, amps: DisplacementAmplitudes, theta: float = 0.0):
 
 
 def _thermal_A_and_phase(t, amps: DisplacementAmplitudes, theta: float):
-    """(A_T(t), sum_m |alpha_m|^2 sin(omega_m t)) from one blocked pass; at
-    theta = 0 both come from the same product."""
-    s2, phase = _trig_sums(t, amps.omega, [
-        (thermal_weights(amps, theta), "sin2half"), (amps.weight, "sin")])
-    return 2.0 * s2, phase
+    """(A_T(t), sum_m |alpha_m|^2 sin(omega_m t)); at theta = 0 the thermal
+    weights are |alpha|^2, so both come from one blocked pass."""
+    if theta == 0.0:
+        s2, phase = _trig_sums(t, amps.omega, amps.weight, ("sin2half", "sin"))
+        return 2.0 * s2, phase
+    return (exponent_A_thermal(t, amps, theta),
+            weighted_trig_sum(t, amps.omega, amps.weight, "sin"))
 
 
 def overlap(t, amps: DisplacementAmplitudes, theta: float = 0.0):

@@ -244,8 +244,8 @@ def test_shared_pass_equals_separate_sums(grid, theta):
 
 
 def _one_weight_exponent_A(t, amps, theta):
-    """exponent_A_thermal as a one-weight blocked pass computed it before the
-    pass took several weights: the allocation reference."""
+    """exponent_A_thermal written out as one blocked pass, without the
+    shared-pass helpers: the allocation reference."""
     w = thermal_weights(amps, theta)
     dt = _uniform_step(t)
     near = np.max(amps.omega) * np.abs(t) <= 1.0
@@ -282,6 +282,10 @@ def test_one_weight_trace_allocates_no_more_than_one_weight_pass(theta):
     ref = _traced_peak(lambda: np.exp(-_one_weight_exponent_A(t, amps, theta)))
     got = _traced_peak(
         lambda: evaluate_trace(amps, t, theta=theta, with_overlap=False))
+    both = _traced_peak(
+        lambda: evaluate_trace(amps, t, theta=theta, with_overlap=True))
     assert ref > 16 * 2 ** 20           # one 8000-mode block of L and E
-    # The arrays are the same; 4 KiB covers the term and weight lists.
+    # The arrays are the same; 4 KiB covers small Python objects.
     assert got <= ref + 4096
+    # A and the phase add no block-sized array next to L and E.
+    assert both <= ref + 4096
