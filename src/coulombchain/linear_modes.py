@@ -118,6 +118,8 @@ def _transverse_omega(s, nu_t: float) -> np.ndarray:
     Radicands in (-1e-12, 0) are clamped to zero; anything lower means the
     linear phase is not a valid expansion point for this nu_t.
     """
+    if not math.isfinite(nu_t):
+        raise InvalidParameter(f"nu_t must be finite, got {nu_t}")
     if nu_t <= 0:
         raise InvalidParameter("nu_t must be positive")
     rad = nu_t ** 2 - 4.0 * np.asarray(s)

@@ -15,11 +15,17 @@ With A(t) = 2 sum_m |alpha_m|^2 sin^2(omega_m t / 2):
 These formulas are phase agnostic: any orthogonal mode basis with positive
 frequencies and probe-row weights works, which is how the zigzag phase
 reuses this module.
+
+Every A(t), B(t) and overlap phase is a mode sum sum_m w_m f(omega_m t).
+On a uniform grid t_j = t_0 + j dt, sum_m w_m exp(i omega_m t_j) is a
+type-1 nonuniform FFT of the points omega_m dt mod 2 pi, so a trace of T
+samples costs O(M + T log T) instead of T M trig calls. Samples near t = 0
+and non-uniform grids use the direct kernel, one trig call per
+mode-sample, which is also the test oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +35,23 @@ from .linear_modes import (RADICAND_CLAMP, critical_frequency_finite,
                            mode_matrix, transverse_mode_set)
 from .model import ChainParams
 
-# Target size of one t-by-mode block in the chunked trig sums (~64 MB).
+# Target size of one t-by-mode block of the direct kernel (~64 MB).
 _CHUNK_ELEMENTS = 8_000_000
 
-# A grid is uniform for the blocked trig sum when it has at least this many
-# samples and every t_i lies within _UNIFORM_ULPS ulp of max|t| of t_0 + i dt.
+# A grid is uniform for the NUFFT when it has at least this many samples
+# and every t_i lies within _UNIFORM_ULPS ulp of max|t| of t_0 + i dt.
 _MIN_UNIFORM_SAMPLES = 64
 _UNIFORM_ULPS = 8
+
+# Type-1 NUFFT of the uniform-grid sums (Dutt & Rokhlin, SIAM J. Sci.
+# Comput. 14 (1993) 1368) with the "exponential of semicircle" kernel
+# exp(beta (sqrt(1 - z^2) - 1)) on |z| <= 1, _ES_WIDTH grid points wide
+# (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 41 (2019) C479),
+# on a grid oversampled by 2.
+_ES_WIDTH = 16
+_ES_BETA = 2.30 * _ES_WIDTH
+# Mode-by-kernel-point entries spread per np.bincount call.
+_SPREAD_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -118,40 +134,103 @@ def _direct_trig_sum(t: np.ndarray, omega: np.ndarray, weight: np.ndarray,
     return out
 
 
-def _cis(phase: np.ndarray) -> np.ndarray:
-    """exp(i phase) without a complex temporary."""
-    z = np.empty(phase.shape, dtype=np.complex128)
-    np.cos(phase, out=z.real)
-    np.sin(phase, out=z.imag)
-    return z
+def _fft_length(n: int) -> int:
+    """Smallest even 5-smooth integer >= n."""
+    m = n + n % 2
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 2
 
 
-def _blocked_exp_sum(t: np.ndarray, dt: float, omega: np.ndarray,
-                     weight: np.ndarray) -> np.ndarray:
-    """sum_m weight_m exp(i omega_m t) on a uniform grid as a matrix product.
+def _es_kernel(z: np.ndarray) -> np.ndarray:
+    """ES kernel at z in [-1, 1]; rounding past the edge reads as the edge."""
+    return np.exp(_ES_BETA * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) - 1.0))
 
-    With t_{qB+r} = t_{qB} + r dt, the sum is (L @ E)[q, r] where
-    L[q, m] = weight_m exp(i omega_m t_{qB}) and E[m, r] = exp(i omega_m r dt):
-    about 2 sqrt(T) M complex exponentials instead of T M trig calls. Each
-    factor block holds at most _CHUNK_ELEMENTS / 2 complex entries, the bytes
-    of one direct-kernel block.
+
+def _kernel_dft(n: int, k_max: int) -> np.ndarray:
+    """DFT of the ES kernel spread from x = 0 onto n points, at k <= k_max.
+
+    The kernel is real and even, so the DFT is
+    phi(0) + 2 sum_l phi(2 l / w) cos(2 pi k l / n) over 1 <= l <= w / 2,
+    summed by Clenshaw's recurrence in cos(2 pi k / n): O(w k_max) instead
+    of an FFT of length n.
     """
-    n, m = len(t), len(omega)
-    rows = max(1, _CHUNK_ELEMENTS // (2 * m))
-    B = max(1, min(math.isqrt(n), rows))
-    E = _cis(np.multiply.outer(omega, dt * np.arange(B)))
-    base = t[::B]
-    out = np.empty(len(base) * B, dtype=np.complex128)
-    for i in range(0, len(base), rows):
-        L = _cis(np.multiply.outer(base[i:i + rows], omega))
-        L *= weight
-        out[i * B:(i + len(L)) * B] = (L @ E).ravel()
-    return out[:n]
+    half = _ES_WIDTH // 2
+    a = _es_kernel(np.arange(half + 1) / half)
+    x = np.cos(np.arange(k_max + 1) * (2.0 * np.pi / n))
+    x2 = 2.0 * x
+    b1 = b2 = np.zeros_like(x)
+    for coef in 2.0 * a[:0:-1]:
+        b1, b2 = coef + x2 * b1 - b2, b1
+    return a[0] + x * b1 - b2
+
+
+def _deconvolved_real_part(a: np.ndarray, b: np.ndarray, p: np.ndarray,
+                           n_out: int) -> np.ndarray:
+    """Re sum_l (a_l + i b_l) exp(2 pi i k l / n) / p_|k| at k = j - n_out // 2
+    for j < n_out, n = len(a): one real inverse FFT of the Hermitian part of
+    a + i b, read out in two slices."""
+    n = len(a)
+    m = n // 2
+    herm = np.empty(m + 1, dtype=np.complex128)
+    herm.real = a[:m + 1]
+    herm.real[1:-1] += a[:m:-1]
+    herm.imag = b[:m + 1]
+    herm.imag[1:-1] -= b[:m:-1]
+    herm[1:-1] *= 0.5
+    F = np.fft.irfft(herm, n, norm="forward")
+    h = n_out // 2
+    out = np.empty(n_out)
+    np.divide(F[n - h:], p[h:0:-1], out=out[:h])
+    np.divide(F[:n_out - h], p[:n_out - h], out=out[h:])
+    return out
+
+
+def _nufft_exp_sum(t0: float, dt: float, n_out: int, omega: np.ndarray,
+                   weight: np.ndarray, imag: bool):
+    """(Re, Im) of sum_m weight_m exp(i omega_m (t0 + j dt)) for j < n_out,
+    as a type-1 NUFFT in O(M _ES_WIDTH + n log n); Im is None unless `imag`.
+
+    With x_m = omega_m dt mod 2 pi, taken in [-pi, pi] so that a small
+    |omega_m dt| of either sign keeps its bits, and h = n_out // 2, output j
+    is F_k = sum_m c_m exp(i k x_m) at k = j - h, where
+    c_m = weight_m exp(i (omega_m t0 + h x_m)) centres k on 0. Each c_m is
+    spread by the ES kernel onto the grid 2 pi l / n, n >= 2 n_out, wrapping
+    mod n; the FFT of the grid gives F_k times the DFT of the kernel spread
+    from x = 0, which is divided out. Re F and Im F = Re(-i F) take one real
+    FFT each, so Re has the same bits with or without Im.
+    """
+    n = _fft_length(2 * n_out)
+    half = _ES_WIDTH // 2
+    offsets = np.arange(_ES_WIDTH)
+    x = omega * dt
+    x -= 2.0 * np.pi * np.round(x / (2.0 * np.pi))
+    phase = omega * t0 + (n_out // 2) * x
+    c_re, c_im = weight * np.cos(phase), weight * np.sin(phase)
+    u = x * (n / (2.0 * np.pi))             # x in grid steps
+    re, im = np.zeros(n), np.zeros(n)       # the spread grid re + i im
+    rows = _SPREAD_ENTRIES // _ES_WIDTH
+    for i in range(0, len(u), rows):
+        left = np.ceil(u[i:i + rows] - half)
+        ker = _es_kernel(((left - u[i:i + rows])[:, None] + offsets) / half)
+        idx = ((left.astype(np.int64)[:, None] + offsets) % n).ravel()
+        re += np.bincount(idx, (ker * c_re[i:i + rows, None]).ravel(),
+                          minlength=n)
+        ker *= c_im[i:i + rows, None]
+        im += np.bincount(idx, ker.ravel(), minlength=n)
+    p = _kernel_dft(n, n_out // 2)
+    return (_deconvolved_real_part(re, im, p, n_out),
+            _deconvolved_real_part(im, -re, p, n_out) if imag else None)
 
 
 def _trig_sums(t, omega: np.ndarray, weight: np.ndarray, kinds):
     """weighted_trig_sum of `weight` for each kind in `kinds`, from one
-    blocked pass: Re of the product gives sin2half and cos, Im gives sin."""
+    NUFFT pass: Re of the sum gives sin2half and cos, Im gives sin."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     dt = _uniform_step(t_arr)
     near = np.ones(len(t_arr), dtype=bool)
@@ -160,15 +239,16 @@ def _trig_sums(t, omega: np.ndarray, weight: np.ndarray, kinds):
     if np.all(near):
         outs = [_direct_trig_sum(t_arr, omega, weight, kind) for kind in kinds]
     else:
-        z = _blocked_exp_sum(t_arr, dt, omega, weight)
+        re, im = _nufft_exp_sum(t_arr[0], dt, len(t_arr), omega, weight,
+                                imag="sin" in kinds)
         outs = []
         for kind in kinds:
             if kind == "sin2half":
-                out = 0.5 * (np.sum(weight) - z.real)
+                out = 0.5 * (np.sum(weight) - re)
             elif kind == "sin":
-                out = z.imag.copy()
+                out = im.copy()
             else:
-                out = z.real.copy()
+                out = re.copy()
             if np.any(near):
                 out[near] = _direct_trig_sum(t_arr[near], omega, weight, kind)
             outs.append(out)
@@ -181,9 +261,9 @@ def weighted_trig_sum(t, omega: np.ndarray, weight: np.ndarray,
 
     kind: 'sin2half' -> sin^2(w t / 2); 'sin' -> sin(w t); 'cos' -> cos(w t).
     Scalar t in, scalar out. On a uniform grid, samples with
-    max(omega) |t| > 1 come from the blocked product of _blocked_exp_sum;
-    the rest, and every non-uniform grid, use one trig call per mode-sample.
-    Near t = 0 the product form would lose sin^2 to the cancellation in
+    max(omega) |t| > 1 come from the type-1 NUFFT of _nufft_exp_sum; the
+    rest, and every non-uniform grid, use one trig call per mode-sample.
+    Near t = 0 the exponential sum would lose sin^2 to the cancellation in
     1 - cos, and the Gamma-fit window lies there.
     """
     if kind not in ("sin2half", "sin", "cos"):
@@ -218,7 +298,7 @@ def visibility(t, amps: DisplacementAmplitudes, theta: float = 0.0):
 
 def _thermal_A_and_phase(t, amps: DisplacementAmplitudes, theta: float):
     """(A_T(t), sum_m |alpha_m|^2 sin(omega_m t)); at theta = 0 the thermal
-    weights are |alpha|^2, so both come from one blocked pass."""
+    weights are |alpha|^2, so both come from one NUFFT pass."""
     if theta == 0.0:
         s2, phase = _trig_sums(t, amps.omega, amps.weight, ("sin2half", "sin"))
         return 2.0 * s2, phase

@@ -3,7 +3,10 @@
 Each subcommand runs once at a small size, and `figures --which all` runs
 once for the module. The SHA-256 of every CSV is compared with the digest
 recorded before the command-line pipelines were merged, so a refactor of
-`cli.py` that changes a single byte of any table fails here.
+`cli.py` that changes a single byte of any table fails here. The tables
+built from uniform-grid trig sums (fourier, longtime, visibility and
+fig2, fig3, fig6) were re-recorded when those sums became a type-1 NUFFT;
+each moved by at most 1e-12 of its column scale.
 """
 
 import hashlib
@@ -36,21 +39,21 @@ SUBCOMMAND_DIGESTS = {
         "revival_table.csv": "72df99355525720f014a7450f69f654b465aae4f4f4c2525b5e9e160bf388fe3",
     },
     "fourier": {
-        "fourier.csv": "b1d7b714a1bf7227b179188945c26f1dd5dac89ef992a4632fe2fbe0611debe1",
-        "fourier_band.csv": "85986bd9120538abea94a2c17cea6bdd24324d1bb1be67293720e45264224dd0",
-        "fourier_peaks.csv": "bbf1a78ddc9a169baae8d71637e32a12b5017d18cec01fa1f6be1828bfaecaa1",
+        "fourier.csv": "6a3f4d78014f60668e519207de04e63ff8e8a0b72ba9d0bc67f8a09c13998791",
+        "fourier_band.csv": "049a8e3a89a11161eff4a37a49af280c1765d417e718e2a46257fc5d3095f8f9",
+        "fourier_peaks.csv": "dc2f26d3a411918eb9ec5fd9dd92c3264e95e0df722ee1207b8a48b5c818ada7",
     },
     "gamma-scan": {
         "gamma_scan.csv": "437b02c5fea1c379f2d7951271eceff0700226cae828ac4d1737bbcbd42a43fc",
     },
     "longtime": {
-        "longtime.csv": "df4aaa98b9ee47915e21f70709d7507f2620d4574b4bacec92e0084fd927a092",
+        "longtime.csv": "ef52a609f82b2cee631290fd16ac73cfd5149dd92ca8afb825814cc3a17d0e8b",
     },
     "spectrum": {
         "spectrum.csv": "4ecf967e772fadcda3b4b82d6a083202fc55040699e04ae2306898a823d66201",
     },
     "visibility": {
-        "visibility.csv": "88e2eb86f36ee2858434a0ffa19d66314444d089a4ea6513ed9c35e5243e489c",
+        "visibility.csv": "7014c51eafbd1f4941520aa9c88c606b7c1a6f7bb8475d35adbff813117017b6",
     },
     "zigzag": {
         "zigzag_amplitude.csv": "6b895945e2b828447ea10f970aebff22c58ea3d892a2902377d69b904867fb43",
@@ -59,14 +62,14 @@ SUBCOMMAND_DIGESTS = {
 }
 
 FIGURES_DIGESTS = {
-    "fig2_spectrum.csv": "dba9a34d240f8220332b223842ce373cd856ef991ff7a2d872e83337b4ae676e",
-    "fig2_visibility.csv": "fe3ca6e9a33d89a5347e10893e467dc12eba24367262da2a4f336ab35f0f30d2",
-    "fig3_spectrum.csv": "5b3b6b477afe9a656c3f8d0bfc5aa6acc4e8bdff838ed065d388e1c9d0e4a914",
-    "fig3_visibility.csv": "4ce1aae5ff28e4abd74792eea5d3c2e44c300fdcaafd84f2acb937d843246e0c",
+    "fig2_spectrum.csv": "64e93057b9d8a8f6e2301e8e55f7f40aaf7f22f5c8ad01e917a36638344c6515",
+    "fig2_visibility.csv": "7c66d0ea41095ed2ae1a912adf7186309fc4088efa23a05ffc8832e5cb8bd73f",
+    "fig3_spectrum.csv": "8f98e8a833dbcd51215f71162cbf163daa143e1c59776ac11f90c9d395a75d9b",
+    "fig3_visibility.csv": "fda4e81765883719a4c52ff84bf3e81e63548306c89d4432a724ff9f6fa72530",
     "fig4_gamma.csv": "f72d6c38d3def5602ce76c1ba919e7f6a34e84309010add0e1ea21087770e280",
     "fig5_dgamma.csv": "079108c0614547b7dfeaf77bf285b1dd6ee342220774177473f6cce1c6776a2c",
     "fig5_gamma.csv": "abac25dad33b750baad4cf5f85fa09e84a1a27c104ed3f348c35e92601fc58d8",
-    "fig6_longtime.csv": "802367ac7c21132805f5c88ceaec22243cae994c48fe367430ebc0f3743efeda",
+    "fig6_longtime.csv": "cd41f93ef1de2e6fe9842fef5c736318a057dcf361735ba3a6805e929634c541",
     "fig7_a_infinity.csv": "9a47ed578ca34b9875d01a0ceb1aa70b4056655473728c65024d37c0137a7968",
 }
 

@@ -1,6 +1,6 @@
 """Seeded cross-route checks: each fast path against the route it replaced.
 
-- the blocked-product trig sum against the direct kernel on uniform grids;
+- the NUFFT trig sum against the direct kernel on uniform grids;
 - the closed-form probe row against the dense mode matrix;
 - the FFT mode-grid dispersion against the direct sum;
 - the FFT argmax grid of the group velocity against the direct sums, and
@@ -31,7 +31,8 @@ from coulombchain.errors import SoftModeSingularity
 from coulombchain.linear_modes import (_GOLDEN, _VGRID_POINTS, _VMAX_TOL,
                                        _dispersion_sum, _grid_group_velocity,
                                        _mode_grid_sum)
-from coulombchain.ramsey import _direct_trig_sum, _uniform_step
+from coulombchain.ramsey import (_MIN_UNIFORM_SAMPLES, _direct_trig_sum,
+                                 _uniform_step)
 from coulombchain.zigzag import _hessian
 
 KINDS = ("sin2half", "sin", "cos")
@@ -71,8 +72,72 @@ def test_blocked_trig_sum_matches_direct_kernel():
             assert np.max(np.abs(fast - slow)) < _bound(t, omega, weight)
 
 
+def _chain_case(rng):
+    # 10^5 modes of a real chain over the longtime scale probe's grid length.
+    amps = linear_chain_amplitudes(
+        ChainParams.from_delta(100_000, float(rng.uniform(5e-4, 2e-3)), 0.25),
+        probe_site=int(rng.integers(1, 100_001)))
+    return np.linspace(0.0, 3e4, 20_000), amps.omega, amps.weight
+
+
+def _descending_case(rng):
+    t0 = float(rng.uniform(200.0, 400.0))
+    return np.linspace(t0, t0 - 600.0, 3001), \
+        rng.uniform(0.05, 3.0, 300), rng.uniform(0.0, 0.1, 300)
+
+
+def _folded_case(rng):
+    # omega dt up to 30 rad: the points x = omega dt wrap round 2 pi.
+    dt = float(rng.uniform(5.0, 10.0))
+    return dt * np.arange(-500, 1500), \
+        rng.uniform(0.05, 3.0, 200), rng.uniform(0.0, 0.1, 200)
+
+
+def _shortest_case(rng):
+    return np.linspace(-3.0, 60.0, _MIN_UNIFORM_SAMPLES), \
+        rng.uniform(0.05, 3.0, 50), rng.uniform(0.0, 0.1, 50)
+
+
+def _one_mode_case(rng):
+    # The tightest case: a small omega shrinks _bound to a few 1e-14 w,
+    # near the NUFFT's own error; seeds have reached 0.48 of it.
+    return np.linspace(0.0, 500.0, 5000), \
+        rng.uniform(0.05, 3.0, 1), rng.uniform(0.0, 0.1, 1)
+
+
+def _figures_shape_case(rng):
+    # 100 modes on 10^5 samples, where the FFTs are the whole cost.
+    return np.linspace(0.0, 2e4, 100_000), \
+        rng.uniform(0.05, 3.0, 100), rng.uniform(0.0, 0.1, 100)
+
+
+NUFFT_CASES = {"N=1e5 chain, T=2e4": _chain_case,
+               "descending": _descending_case,
+               "omega dt > 2 pi": _folded_case,
+               "shortest uniform grid": _shortest_case,
+               "one mode": _one_mode_case,
+               "M=100, T=1e5": _figures_shape_case}
+
+
+@pytest.mark.parametrize("case", list(NUFFT_CASES))
+def test_nufft_trig_sum_matches_direct_kernel_on_a_subset(case):
+    rng = np.random.default_rng(20261018 + list(NUFFT_CASES).index(case))
+    t, omega, weight = NUFFT_CASES[case](rng)
+    assert _uniform_step(t) is not None
+    if case == "descending":
+        assert t[1] < t[0]
+    if case == "omega dt > 2 pi":
+        assert np.max(omega) * (t[1] - t[0]) > 2 * np.pi
+    sub = np.sort(rng.choice(len(t), min(400, len(t)), replace=False))
+    assert np.any(np.max(omega) * np.abs(t[sub]) > 1.0)
+    for kind in KINDS:
+        fast = weighted_trig_sum(t, omega, weight, kind)[sub]
+        slow = _direct_trig_sum(t[sub], omega, weight, kind)
+        assert np.max(np.abs(fast - slow)) < _bound(t, omega, weight)
+
+
 def test_small_t_samples_keep_relative_accuracy():
-    # The blocked product would lose sin^2(w t / 2) to 1 - cos near t = 0.
+    # The exponential sum would lose sin^2(w t / 2) to 1 - cos near t = 0.
     rng = np.random.default_rng(11)
     omega = rng.uniform(0.5, 2.5, 200)
     weight = rng.uniform(0.0, 0.1, 200)

@@ -11,7 +11,7 @@ from coulombchain import (ChainParams, axial_mode_set,
                           critical_frequency_infinite, dispersion_axial,
                           dispersion_transverse, group_velocity,
                           linear_chain_amplitudes, max_group_velocity,
-                          mode_matrix, transverse_mode_set)
+                          mode_matrix, revival_time, transverse_mode_set)
 from coulombchain.errors import (InvalidParameter, ResourceLimit,
                                  SoftModeSingularity, UnstableLinearPhase)
 
@@ -78,6 +78,20 @@ def test_transverse_softening_and_instability():
         dispersion_transverse(math.pi, nu_cn - 1e-3, 100)
     with pytest.raises(InvalidParameter):
         dispersion_transverse(math.pi, -1.0, 100)
+
+
+@pytest.mark.parametrize("nu_t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda nu_t: dispersion_transverse(1.0, nu_t, 100),
+    lambda nu_t: dispersion_transverse(np.linspace(0.1, 3.0, 5), nu_t, 100),
+    lambda nu_t: group_velocity(1.0, nu_t, 100),
+    lambda nu_t: max_group_velocity(nu_t, 100),
+    lambda nu_t: revival_time(100, nu_t),
+], ids=["dispersion_transverse", "dispersion_transverse[array]",
+        "group_velocity", "max_group_velocity", "revival_time"])
+def test_non_finite_nu_t_is_rejected(call, nu_t):
+    with pytest.raises(InvalidParameter, match="nu_t must be finite"):
+        call(nu_t)
 
 
 def test_mode_sets():

@@ -17,7 +17,7 @@ from coulombchain import (ChainParams, DisplacementAmplitudes,
                           overlap, ramsey_probability, thermal_weights,
                           visibility, weighted_trig_sum)
 from coulombchain.errors import InvalidParameter, SoftModeSingularity
-from coulombchain.ramsey import (_CHUNK_ELEMENTS, _cis, _direct_trig_sum,
+from coulombchain.ramsey import (_CHUNK_ELEMENTS, _direct_trig_sum,
                                  _uniform_step)
 
 T_GRID = [0.0, 0.37, 1.0, 2.5, 7.3, 31.4]
@@ -243,9 +243,18 @@ def test_shared_pass_equals_separate_sums(grid, theta):
     assert np.array_equal(overlap(t, amps, theta), S)
 
 
+def _cis(phase):
+    """exp(i phase) without a complex temporary."""
+    z = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=z.real)
+    np.sin(phase, out=z.imag)
+    return z
+
+
 def _one_weight_exponent_A(t, amps, theta):
-    """exponent_A_thermal written out as one blocked pass, without the
-    shared-pass helpers: the allocation reference."""
+    """exponent_A_thermal written out as one pass of the blocked matrix
+    product that the NUFFT replaced, without the shared-pass helpers: the
+    allocation reference."""
     w = thermal_weights(amps, theta)
     dt = _uniform_step(t)
     near = np.max(amps.omega) * np.abs(t) <= 1.0
@@ -289,3 +298,12 @@ def test_one_weight_trace_allocates_no_more_than_one_weight_pass(theta):
     assert got <= ref + 4096
     # A and the phase add no block-sized array next to L and E.
     assert both <= ref + 4096
+
+
+def test_trace_memory_at_n_1e5_stays_linear_in_modes_and_samples():
+    # 10^5 modes on 2 10^4 samples; the blocked product peaked at 214 MiB.
+    amps = linear_chain_amplitudes(ChainParams.from_delta(100_000, 1e-3, 0.25))
+    t = np.linspace(0.0, 3e4, 20_000)
+    peak = _traced_peak(
+        lambda: evaluate_trace(amps, t, with_overlap=False))
+    assert peak <= 64 * 2 ** 20
