@@ -16,9 +16,13 @@ defaults. Config lines go through the subcommand's own parser, so each key
 must name one of its options and is typed like the flag; dimensionless
 values win over physical (SI) ones with a warning. Each table is computed
 by one pipeline function, shared by the subcommands and the figures.
-Every run writes the CSVs listed in its JSON manifest. CSV payloads carry
-no timestamps, so identical inputs give bit-identical files; wall time
-lives in the manifest only.
+Each subcommand is only its pipeline: it writes CSVs through the path
+callable `run()` hands it and returns the manifest's (params, grids).
+`run()` owns the rest: it checks that grid bounds are finite before any
+pipeline starts, makes `--out` when the first file is written, times the
+run and writes `<subcommand>_manifest.json` listing every CSV. CSV payloads
+carry no timestamps, so identical inputs give bit-identical files; wall
+time lives in the manifest only.
 
 Exit codes: 0 success; 1 numerical or I/O failure (message names the error
 class); 2 usage errors, including invalid parameter values.
@@ -48,13 +52,15 @@ from .linear_modes import (axial_mode_set, critical_frequency_finite,
 from .model import (ChainParams, PhysicalInput, critical_frequency_infinite,
                     derive_parameters)
 from .ramsey import evaluate_trace, linear_chain_amplitudes
-from .spectral import (DEFAULT_N_S, DEFAULT_T_F, check_trace_budget,
+from .spectral import (DEFAULT_N_S, DEFAULT_T_F, check_trace_samples,
                        find_peaks, fourier_spectrum, overlay_band,
                        spectral_band_check, transverse_band, visibility_trace)
 from .zigzag import zigzag_equilibrium, zigzag_spectrum
 
 _PHYSICAL_KEYS = ("mass_kg", "charge_c", "spacing_m",
                   "transverse_frequency_rad_s", "laser_wavenumber_per_m")
+# Options that bound a scan or time grid; run() rejects non-finite values.
+_GRID_BOUNDS = ("nu_min", "nu_max", "t_min", "t_max", "delta_min", "delta_max")
 
 
 @dataclasses.dataclass
@@ -196,47 +202,16 @@ def _resolve_chain(ns, default_eta: float | None = None) -> ChainParams:
                        theta=float(theta))
 
 
-def _reject_non_finite(ns, *keys) -> None:
-    """Grid bounds must be finite before any file is written."""
-    for key in keys:
-        value = getattr(ns, key)
-        if value is not None and not math.isfinite(value):
-            raise InvalidParameter(f"{key} must be finite, got {value}")
-
-
 def _params_dict(p: ChainParams) -> dict:
     return {"N": p.N, "nu_t": p.nu_t, "eta_c": p.eta_c, "theta": p.theta,
             "delta": p.delta_trans, "eta0": p.eta0, "probe_site": 1}
-
-
-class _Run:
-    """Collects output paths and writes the manifest on close."""
-
-    def __init__(self, subcommand: str, out_dir: str):
-        os.makedirs(out_dir, exist_ok=True)
-        self.subcommand = subcommand
-        self.out_dir = out_dir
-        self.outputs: list[str] = []
-        self.t0 = time.time()
-
-    def path(self, name: str) -> str:
-        p = os.path.join(self.out_dir, name)
-        self.outputs.append(p)
-        return p
-
-    def finish(self, params: dict, grids: dict) -> None:
-        man = RunManifest(subcommand=self.subcommand, params=params,
-                          grids=grids, version=__version__,
-                          wall_time_s=time.time() - self.t0,
-                          outputs=list(self.outputs))
-        man.write(os.path.join(self.out_dir, f"{self.subcommand}_manifest.json"))
 
 
 # ------------------------------------------------------------------ pipelines
 # One function per table; the subcommands and the figure scenarios share them.
 
 
-def _spectrum(run: _Run, name: str, p: ChainParams, prominence: float,
+def _spectrum(path, name: str, p: ChainParams, prominence: float,
               T_F: float = DEFAULT_T_F, n_s: int = DEFAULT_N_S,
               trace_name: str | None = None):
     """V(t) on the centred window, its normalized spectrum table and the
@@ -246,8 +221,8 @@ def _spectrum(run: _Run, name: str, p: ChainParams, prominence: float,
     spec = fourier_spectrum(tr)
     peaks = find_peaks(spec, prominence=prominence)
     if trace_name:
-        emit_csv(("t", "A", "V"), zip(tr.t, tr.A, tr.V), run.path(trace_name))
-    emit_csv(("omega", "F"), zip(spec.omega, spec.F), run.path(name))
+        emit_csv(("t", "A", "V"), zip(tr.t, tr.A, tr.V), path(trace_name))
+    emit_csv(("omega", "F"), zip(spec.omega, spec.F), path(name))
     return tr, spec, peaks
 
 
@@ -258,35 +233,35 @@ def _band_fractions(p: ChainParams, spec) -> list:
                                    ("overlay", overlay_band(p)))]
 
 
-def _gamma_scan(run: _Run, name: str, deltas, N: int, eta_c: float):
+def _gamma_scan(path, name: str, deltas, N: int, eta_c: float):
     """Gamma(Delta) across the transition; cusp slopes, or None when the grid
     does not straddle zero (the table is still valid)."""
     scan = gamma_transition_scan(deltas, N=N, eta_c=eta_c)
     emit_csv(("delta", "gamma", "phase"),
-             zip(scan.deltas, scan.gamma, scan.kinds), run.path(name))
+             zip(scan.deltas, scan.gamma, scan.kinds), path(name))
     try:
         return scan, cusp_secant_slopes(scan)
     except InvalidParameter:
         return scan, None
 
 
-def _dgamma(run: _Run, name: str, deltas, N: int, eta_c: float):
+def _dgamma(path, name: str, deltas, N: int, eta_c: float):
     der = gamma_derivative_scan(deltas, N=N, eta_c=eta_c)
     emit_csv(("delta", "dgamma_ddelta"), zip(der.deltas, der.dgamma),
-             run.path(name))
+             path(name))
     return der
 
 
-def _a_infinity(run: _Run, name: str, deltas, amps: list, ana) -> list:
+def _a_infinity(path, name: str, deltas, amps: list, ana) -> list:
     """Exact A_inf per detuning next to the analytic saturation form `ana`."""
     a_inf = [a_infinity(a).direct for a in amps]
     emit_csv(("delta", "a_inf", "a_inf_analytic"),
              [(d, a, ana.evaluate(float(d))) for d, a in zip(deltas, a_inf)],
-             run.path(name))
+             path(name))
     return a_inf
 
 
-def _longtime(run: _Run, name: str, p: ChainParams, t_max: float | None,
+def _longtime(path, name: str, p: ChainParams, t_max: float | None,
               samples: int):
     """Exact V(t) against the analytic plateau-plus-tail envelope on
     t = dt, 2 dt, ..., t_max (the analytic form needs t > 0), and the
@@ -299,15 +274,15 @@ def _longtime(run: _Run, name: str, p: ChainParams, t_max: float | None,
     if samples < MIN_BURST_SAMPLES:
         raise InvalidParameter(f"samples must be >= {MIN_BURST_SAMPLES} "
                                "(the revival detector's minimum)")
+    check_trace_samples(samples)
     amps = linear_chain_amplitudes(p)
-    check_trace_budget(samples, len(amps))
     dt = t_max / samples
     t = dt * np.arange(1, samples + 1)
     tr = evaluate_trace(amps, t, theta=p.theta, with_overlap=False)
     ana = a_infinity_analytic(p, delta_ref=p.delta_trans)
     V_ana = np.exp(-ana.evaluate(p.delta_trans) + b_analytic(t, p))
     emit_csv(("t", "V_exact", "V_analytic"), zip(t, tr.V, V_ana),
-             run.path(name))
+             path(name))
 
     # Detector windows scale with t* so short chains stay detectable; at
     # t* ~ 1230 they reduce to the documented 50/50/200 defaults.
@@ -323,27 +298,23 @@ def _longtime(run: _Run, name: str, p: ChainParams, t_max: float | None,
 # ---------------------------------------------------------------- subcommands
 
 
-def _cmd_spectrum(ns) -> int:
+def _cmd_spectrum(ns, path):
     p = _resolve_chain(ns, default_eta=0.0)
-    run = _Run("spectrum", ns.out)
     ms_y = transverse_mode_set(p)
     ms_x = axial_mode_set(p.N)
     emit_csv(("n", "k_a", "parity", "omega_x", "omega_y"),
              zip(ms_y.n, ms_y.k, ms_y.sigma, ms_x.omega, ms_y.omega),
-             run.path("spectrum.csv"))
-    run.finish(_params_dict(p), {"modes": len(ms_y)})
-    return 0
+             path("spectrum.csv"))
+    return _params_dict(p), {"modes": len(ms_y)}
 
 
-def _cmd_zigzag(ns) -> int:
+def _cmd_zigzag(ns, path):
     p = _resolve_chain(ns, default_eta=0.0)
-    _reject_non_finite(ns, "nu_min", "nu_max")
     nu_cn = critical_frequency_finite(p.N)
     nu_min = nu_cn - 0.15 if ns.nu_min is None else ns.nu_min
     nu_max = nu_cn + 0.05 if ns.nu_max is None else ns.nu_max
     if ns.points < 1:
         raise InvalidParameter("points must be >= 1")
-    run = _Run("zigzag", ns.out)
 
     grid = np.linspace(nu_min, nu_max, ns.points)
     rows = []
@@ -351,83 +322,72 @@ def _cmd_zigzag(ns) -> int:
         eq = zigzag_equilibrium(dataclasses.replace(p, nu_t=float(nu)))
         rows.append((eq.nu_t, eq.b, eq.energy_per_ion))
     emit_csv(("nu_t", "b", "energy_per_ion"), rows,
-             run.path("zigzag_amplitude.csv"))
+             path("zigzag_amplitude.csv"))
 
     spec = zigzag_spectrum(p)
     columns = (spec.k, spec.beta, spec.sigma, spec.omega, spec.n, spec.special)
     emit_csv(("k_a", "beta", "parity", "omega", "n", "special"),
              zip(*(c[spec.label_order].tolist() for c in columns)),
-             run.path("zigzag_spectrum.csv"))
-    run.finish(_params_dict(p),
-               {"nu_min": float(nu_min), "nu_max": float(nu_max),
-                "points": int(ns.points), "b": spec.b})
-    return 0
+             path("zigzag_spectrum.csv"))
+    return _params_dict(p), {"nu_min": float(nu_min), "nu_max": float(nu_max),
+                             "points": int(ns.points), "b": spec.b}
 
 
-def _cmd_visibility(ns) -> int:
+def _cmd_visibility(ns, path):
     p = _resolve_chain(ns)
-    _reject_non_finite(ns, "t_min", "t_max")
     if not ns.t_min < ns.t_max:
         raise InvalidParameter("need t_min < t_max")
     if ns.samples < 2:
         raise InvalidParameter("samples must be >= 2")
-    run = _Run("visibility", ns.out)
+    check_trace_samples(ns.samples)
     amps = linear_chain_amplitudes(p)
-    check_trace_budget(ns.samples, len(amps))
     t = np.linspace(ns.t_min, ns.t_max, ns.samples)
     tr = evaluate_trace(amps, t, theta=p.theta)
     emit_csv(("t", "A", "V", "Re_S", "Im_S"),
              zip(tr.t, tr.A, tr.V, tr.S.real, tr.S.imag),
-             run.path("visibility.csv"))
-    run.finish(_params_dict(p),
-               {"t_min": float(ns.t_min), "t_max": float(ns.t_max),
-                "samples": int(ns.samples)})
-    return 0
+             path("visibility.csv"))
+    return _params_dict(p), {"t_min": float(ns.t_min),
+                             "t_max": float(ns.t_max),
+                             "samples": int(ns.samples)}
 
 
-def _cmd_fourier(ns) -> int:
+def _cmd_fourier(ns, path):
     p = _resolve_chain(ns)
-    run = _Run("fourier", ns.out)
-    _, spec, peaks = _spectrum(run, "fourier.csv", p, ns.prominence,
+    _, spec, peaks = _spectrum(path, "fourier.csv", p, ns.prominence,
                                T_F=ns.T_F, n_s=ns.n_s)
-    emit_csv(("omega", "F"), peaks, run.path("fourier_peaks.csv"))
+    emit_csv(("omega", "F"), peaks, path("fourier_peaks.csv"))
     grids = {"T_F": float(ns.T_F), "n_s": int(ns.n_s),
              "bin_width": spec.bin_width, "prominence": float(ns.prominence)}
     if ns.band:
         rows = _band_fractions(p, spec)
         emit_csv(("convention", "omega_min", "omega_max", "power_fraction"),
-                 rows, run.path("fourier_band.csv"))
+                 rows, path("fourier_band.csv"))
         grids["band"] = {r[0]: {"omega_min": r[1], "omega_max": r[2],
                                 "power_fraction": r[3]} for r in rows}
-    run.finish(_params_dict(p), grids)
-    return 0
+    return _params_dict(p), grids
 
 
-def _cmd_gamma_scan(ns) -> int:
+def _cmd_gamma_scan(ns, path):
     N, eta_c = _require(ns, "N"), _require(ns, "eta_c")
-    _reject_non_finite(ns, "delta_min", "delta_max")
     if ns.points < 7 or ns.points % 2 == 0:
         raise InvalidParameter("points must be odd and >= 7 (both sides + 0)")
-    run = _Run("gamma-scan", ns.out)
     deltas = np.linspace(ns.delta_min, ns.delta_max, ns.points)
-    _, rep = _gamma_scan(run, "gamma_scan.csv", deltas, N, eta_c)
+    _, rep = _gamma_scan(path, "gamma_scan.csv", deltas, N, eta_c)
     cusp = {} if rep is None else {
         "left_slope": rep.left_slope, "right_slope": rep.right_slope,
         "left_stderr": rep.left_stderr, "right_stderr": rep.right_stderr,
         "separation_se": rep.separation}
-    run.finish({"N": N, "eta_c": eta_c},
-               {"delta_min": float(ns.delta_min),
-                "delta_max": float(ns.delta_max),
-                "points": int(ns.points), "cusp": cusp})
-    return 0
+    return {"N": N, "eta_c": eta_c}, {"delta_min": float(ns.delta_min),
+                                      "delta_max": float(ns.delta_max),
+                                      "points": int(ns.points), "cusp": cusp}
 
 
-def _cmd_asymptotics(ns) -> int:
+def _cmd_asymptotics(ns, path):
     N, eta_c = _require(ns, "N"), _require(ns, "eta_c")
-    _reject_non_finite(ns, "delta_min", "delta_max")
     if min(ns.delta_min, ns.delta_max) <= 0:
         raise InvalidParameter("asymptotics needs delta_min, delta_max > 0")
-    run = _Run("asymptotics", ns.out)
+    if ns.points < 3:
+        raise InvalidParameter("points must be >= 3 (the dGamma/dDelta fit)")
     deltas = np.logspace(math.log10(ns.delta_min), math.log10(ns.delta_max),
                          ns.points)
     chains = [ChainParams.from_delta(N, float(d), eta_c) for d in deltas]
@@ -435,35 +395,30 @@ def _cmd_asymptotics(ns) -> int:
 
     emit_csv(("delta", "gamma"),
              zip(deltas, [gamma_coefficient(a).direct for a in amps]),
-             run.path("gamma_table.csv"))
-    der = _dgamma(run, "dgamma_table.csv", deltas, N, eta_c)
+             path("gamma_table.csv"))
+    der = _dgamma(path, "dgamma_table.csv", deltas, N, eta_c)
     ana = a_infinity_analytic(chains[-1], delta_ref=float(deltas[-1]))
-    _a_infinity(run, "a_infinity_table.csv", deltas, amps, ana)
+    _a_infinity(path, "a_infinity_table.csv", deltas, amps, ana)
 
     rev_rows = []
     for d, p in zip(deltas, chains):
         r = revival_time(N, p.nu_t)
         rev_rows.append((d, p.nu_t, r.v_max, r.k_star, r.t_star))
     emit_csv(("delta", "nu_t", "v_max", "k_star", "t_star"), rev_rows,
-             run.path("revival_table.csv"))
+             path("revival_table.csv"))
 
-    run.finish({"N": N, "eta_c": eta_c},
-               {"delta_min": float(ns.delta_min),
-                "delta_max": float(ns.delta_max), "points": int(ns.points),
-                "dgamma_fit": {"a": der.a, "b": der.b,
-                               "r_squared": der.r_squared},
-                "a_inf_analytic": {"slope": ana.slope, "offset": ana.offset,
-                                   "delta_ref": ana.delta_ref}})
-    return 0
+    return {"N": N, "eta_c": eta_c}, {
+        "delta_min": float(ns.delta_min), "delta_max": float(ns.delta_max),
+        "points": int(ns.points),
+        "dgamma_fit": {"a": der.a, "b": der.b, "r_squared": der.r_squared},
+        "a_inf_analytic": {"slope": ana.slope, "offset": ana.offset,
+                           "delta_ref": ana.delta_ref}}
 
 
-def _cmd_longtime(ns) -> int:
+def _cmd_longtime(ns, path):
     p = _resolve_chain(ns)
-    _reject_non_finite(ns, "t_max")
-    run = _Run("longtime", ns.out)
-    grids = _longtime(run, "longtime.csv", p, ns.t_max, ns.samples)[3]
-    run.finish(_params_dict(p), grids)
-    return 0
+    return (_params_dict(p),
+            _longtime(path, "longtime.csv", p, ns.t_max, ns.samples)[3])
 
 
 # ------------------------------------------------------------------- figures
@@ -479,9 +434,9 @@ _FIG2_PARAMS = dict(N=100, delta=1e-1, eta_c=0.25)
 _FIG3_PARAMS = dict(N=100, delta=1e-4, eta_c=0.25)
 
 
-def _fig2(run: _Run, checks: list) -> dict:
+def _fig2(path, checks: list) -> dict:
     p = ChainParams.from_delta(**_FIG2_PARAMS)
-    tr, spec, peaks = _spectrum(run, "fig2_spectrum.csv", p, 1e-4,
+    tr, spec, peaks = _spectrum(path, "fig2_spectrum.csv", p, 1e-4,
                                 trace_name="fig2_visibility.csv")
 
     (_, lo, hi, frac), (_, _, _, frac_c) = _band_fractions(p, spec)
@@ -503,9 +458,9 @@ def _fig2(run: _Run, checks: list) -> dict:
     return out
 
 
-def _fig3(run: _Run, checks: list) -> dict:
+def _fig3(path, checks: list) -> dict:
     p = ChainParams.from_delta(**_FIG3_PARAMS)
-    tr, spec, peaks = _spectrum(run, "fig3_spectrum.csv", p, 1e-4,
+    tr, spec, peaks = _spectrum(path, "fig3_spectrum.csv", p, 1e-4,
                                 trace_name="fig3_visibility.csv")
 
     omega_y = transverse_mode_set(p).omega
@@ -526,7 +481,7 @@ def _fig3(run: _Run, checks: list) -> dict:
     return out
 
 
-def _fig4(run: _Run, checks: list) -> dict:
+def _fig4(path, checks: list) -> dict:
     N, eta_c = 1000, 0.05
     rows = []
     worst = 0.0
@@ -542,15 +497,15 @@ def _fig4(run: _Run, checks: list) -> dict:
         worst = max(worst, rel)
         rows.append((d, gamma, gfit, rel, resid))
     emit_csv(("delta", "gamma", "gamma_fit", "rel_dev", "fit_rms"),
-             rows, run.path("fig4_gamma.csv"))
+             rows, path("fig4_gamma.csv"))
     _proxy(checks, "fig4 quadratic fit", worst < 0.01,
            f"worst relative deviation {worst:.2e}")
     return {"N": N, "eta_c": eta_c, "deltas": [1e-4, 1e-3, 1e-2]}
 
 
-def _fig5(run: _Run, checks: list) -> dict:
+def _fig5(path, checks: list) -> dict:
     N_scan, N_fit, eta_c = 256, 1000, 0.05
-    scan, rep = _gamma_scan(run, "fig5_gamma.csv",
+    scan, rep = _gamma_scan(path, "fig5_gamma.csv",
                             np.linspace(-1e-2, 1e-2, 21), N_scan, eta_c)
     i_min = int(np.argmin(scan.gamma))
     _proxy(checks, "fig5 minimum at zero", scan.deltas[i_min] == 0.0,
@@ -559,16 +514,16 @@ def _fig5(run: _Run, checks: list) -> dict:
            f"left {rep.left_slope:.4g}, right {rep.right_slope:.4g}, "
            f"{rep.separation:.1f} standard errors apart")
 
-    der = _dgamma(run, "fig5_dgamma.csv", np.logspace(-4, -2, 12), N_fit,
+    der = _dgamma(path, "fig5_dgamma.csv", np.logspace(-4, -2, 12), N_fit,
                   eta_c)
     _proxy(checks, "fig5 log fit", der.r_squared > 0.99,
            f"R^2 = {der.r_squared:.6f}, b = {der.b:.4g}")
     return {"N_scan": N_scan, "N_fit": N_fit, "eta_c": eta_c}
 
 
-def _fig6(run: _Run, checks: list) -> dict:
+def _fig6(path, checks: list) -> dict:
     p = ChainParams.from_delta(1000, 1e-3, 0.25)
-    t, V, V_ana, g = _longtime(run, "fig6_longtime.csv", p, None, 50_000)
+    t, V, V_ana, g = _longtime(path, "fig6_longtime.csv", p, None, 50_000)
     t_star, burst = g["t_star"], g["burst_time"]
     _proxy(checks, "fig6 v_max", abs(g["v_max"] - 0.81) / 0.81 < 0.01,
            f"v_max = {g['v_max']:.4f}")
@@ -589,13 +544,13 @@ def _fig6(run: _Run, checks: list) -> dict:
     return out
 
 
-def _fig7(run: _Run, checks: list) -> dict:
+def _fig7(path, checks: list) -> dict:
     N, eta_c = 1000, 0.05
     deltas = np.logspace(-4, -2, 12)
     amps = [linear_chain_amplitudes(ChainParams.from_delta(N, float(d), eta_c))
             for d in deltas]
     ana = a_infinity_analytic(ChainParams.from_delta(N, 1e-3, eta_c))
-    a_inf = _a_infinity(run, "fig7_a_infinity.csv", deltas, amps, ana)
+    a_inf = _a_infinity(path, "fig7_a_infinity.csv", deltas, amps, ana)
     slope = -float(np.polyfit(np.log(deltas), a_inf, 1)[0])
     rel = abs(slope - ana.slope) / ana.slope
     _proxy(checks, "fig7 saturation slope", rel < 0.10,
@@ -609,26 +564,22 @@ _FIGURES = {"2": _fig2, "3": _fig3, "4": _fig4, "5": _fig5,
             "6": _fig6, "7": _fig7}
 
 
-def _cmd_figures(ns) -> int:
-    which = ns.which
-    names = sorted(_FIGURES) if which == "all" else [which]
-    run = _Run("figures", ns.out)
+def _cmd_figures(ns, path):
+    names = sorted(_FIGURES) if ns.which == "all" else [ns.which]
     checks: list = []
     scenario_params = {}
     for name in names:
         print(f"scenario {name}:")
-        scenario_params[name] = _FIGURES[name](run, checks)
-    failed = [c for c in checks if not c[1]]
-    run.finish({"scenarios": scenario_params},
-               {"which": which,
-                "proxies": [{"name": n, "passed": ok, "detail": d}
-                            for n, ok, d in checks]})
-    if failed:
-        for name, _, detail in failed:
+        scenario_params[name] = _FIGURES[name](path, checks)
+    for name, ok, detail in checks:
+        if not ok:
             print(f"error: proxy failed: {name} ({detail})", file=sys.stderr)
-        return 1
-    print(f"all {len(checks)} proxies passed")
-    return 0
+    if all(ok for _, ok, _ in checks):
+        print(f"all {len(checks)} proxies passed")
+    return {"scenarios": scenario_params}, {
+        "which": ns.which,
+        "proxies": [{"name": n, "passed": ok, "detail": d}
+                    for n, ok, d in checks]}
 
 
 # ----------------------------------------------------------------- front end
@@ -733,7 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Parse argv and execute; returns the process exit code."""
+    """Parse argv and execute; returns the process exit code, 1 also when
+    the manifest records a failed proxy."""
     ap = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -743,7 +695,24 @@ def run(argv=None) -> int:
             # the parser types them, rejects unknown keys and lets flags win.
             ns = ap.parse_args([*argv[:1], *_read_config(ns.config, ns.parser),
                                 *argv[1:]])
-        return ns.func(ns)
+        for key in _GRID_BOUNDS:
+            value = getattr(ns, key, None)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParameter(f"{key} must be finite, got {value}")
+        outputs: list[str] = []
+
+        def path(name: str) -> str:
+            os.makedirs(ns.out, exist_ok=True)
+            outputs.append(os.path.join(ns.out, name))
+            return outputs[-1]
+
+        t0 = time.time()
+        params, grids = ns.func(ns, path)
+        manifest = RunManifest(subcommand=ns.subcommand, params=params,
+                               grids=grids, version=__version__,
+                               wall_time_s=time.time() - t0, outputs=outputs)
+        manifest.write(os.path.join(ns.out, f"{ns.subcommand}_manifest.json"))
+        return 1 if any(not c["passed"] for c in grids.get("proxies", ())) else 0
     except InvalidParameter as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2

@@ -30,13 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, SoftModeSingularity
+from .errors import InvalidParameter, ResourceLimit, SoftModeSingularity
 from .linear_modes import (RADICAND_CLAMP, critical_frequency_finite,
                            mode_matrix, transverse_mode_set)
 from .model import ChainParams
 
 # Target size of one t-by-mode block of the direct kernel (~64 MB).
 _CHUNK_ELEMENTS = 8_000_000
+# Largest samples x modes of one direct sum, the only O(T M) route.
+TRACE_BUDGET = 2_000_000_000
 
 # A grid is uniform for the NUFFT when it has at least this many samples
 # and every t_i lies within _UNIFORM_ULPS ulp of max|t| of t_0 + i dt.
@@ -118,7 +120,11 @@ def _uniform_step(t: np.ndarray) -> float | None:
 
 def _direct_trig_sum(t: np.ndarray, omega: np.ndarray, weight: np.ndarray,
                      kind: str) -> np.ndarray:
-    """One trig call per mode-sample, chunked over t."""
+    """One trig call per mode-sample, chunked over t; ResourceLimit above
+    TRACE_BUDGET mode-samples."""
+    if len(t) * len(omega) > TRACE_BUDGET:
+        raise ResourceLimit(f"direct mode sum of {len(t)} x {len(omega)} "
+                            f"exceeds budget {TRACE_BUDGET}")
     out = np.empty_like(t)
     chunk = max(1, _CHUNK_ELEMENTS // max(len(omega), 1))
     for i in range(0, len(t), chunk):

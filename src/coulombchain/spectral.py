@@ -30,14 +30,17 @@ DEFAULT_T_F = 1e4      # 1/omega_0
 DEFAULT_N_S = 100_000
 DC_FLOOR_BINS = 3      # band metrics ignore the first bins: V has a large mean
 _MIN_SAMPLES = 1 << 10
-TRACE_BUDGET = 2_000_000_000   # largest n_samples * n_modes of one trace
+MAX_TRACE_SAMPLES = 100_000_000    # ~10 GB of trace arrays at ~100 B/sample
 
 
-def check_trace_budget(n_samples: int, n_modes: int) -> None:
-    """Raise ResourceLimit for an n_samples x n_modes mode sum over budget."""
-    if n_samples * n_modes > TRACE_BUDGET:
-        raise ResourceLimit(f"mode sum of {n_samples} x {n_modes} exceeds "
-                            f"budget {TRACE_BUDGET}")
+def check_trace_samples(n_samples: int) -> None:
+    """Raise ResourceLimit before a time grid of n_samples is allocated.
+
+    A uniform grid costs O(M + T log T), so only T is capped here; the
+    T x M budget of the direct route is checked in ramsey."""
+    if n_samples > MAX_TRACE_SAMPLES:
+        raise ResourceLimit(f"trace of {n_samples} samples exceeds the cap "
+                            f"{MAX_TRACE_SAMPLES}")
 
 
 def visibility_trace(params: ChainParams, T_F: float = DEFAULT_T_F,
@@ -48,8 +51,8 @@ def visibility_trace(params: ChainParams, T_F: float = DEFAULT_T_F,
         raise InvalidParameter(f"T_F must be positive and finite, got {T_F}")
     if n_s < _MIN_SAMPLES:
         raise InvalidParameter(f"n_s must be >= {_MIN_SAMPLES}")
+    check_trace_samples(n_s)
     amps = linear_chain_amplitudes(params)
-    check_trace_budget(n_s, len(amps))
     dt = T_F / n_s
     t = -0.5 * T_F + dt * np.arange(n_s)
     return evaluate_trace(amps, t, theta=params.theta, with_overlap=False)

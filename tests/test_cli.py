@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import coulombchain
-from coulombchain import critical_frequency_finite, emit_csv
+from coulombchain import cli, critical_frequency_finite, emit_csv
 from coulombchain.cli import run
 from coulombchain.errors import InvalidParameter
 
@@ -245,6 +245,23 @@ def test_figures_scenario_four(tmp_path, capsys):
     assert all(p["passed"] for p in man["grids"]["proxies"])
 
 
+def test_failed_proxy_exits_1_after_the_manifest(tmp_path, capsys,
+                                                 monkeypatch):
+    def scenario(path, checks):
+        emit_csv(("x",), [(1.0,)], path("fig4_gamma.csv"))
+        cli._proxy(checks, "fig4 quadratic fit", False, "worst 1")
+        return {"N": 4}
+
+    monkeypatch.setitem(cli._FIGURES, "4", scenario)
+    assert run(["figures", "--which", "4", "--out", str(tmp_path)]) == 1
+    assert "error: proxy failed: fig4 quadratic fit (worst 1)" in \
+        capsys.readouterr().err
+    man = json.loads((tmp_path / "figures_manifest.json").read_text())
+    assert man["grids"]["proxies"] == [
+        {"name": "fig4 quadratic fit", "passed": False, "detail": "worst 1"}]
+    assert man["outputs"] == [str(tmp_path / "fig4_gamma.csv")]
+
+
 @pytest.mark.parametrize("flags, word", [
     (["--samples", "0"], "samples"), (["--samples", "-5"], "samples"),
     (["--samples", "7"], "samples"), (["--t-max", "0"], "t_max"),
@@ -282,12 +299,16 @@ _CHAIN = ["--N", "16", "--delta", "0.05", "--eta-c", "0.1"]
        f"nu_{end} must be finite, got nan") for end in ("min", "max")],
     *[(["visibility", *_CHAIN, f"--t-{end}", "nan"],
        f"t_{end} must be finite, got nan") for end in ("min", "max")],
-    (["longtime", *_CHAIN, "--t-max", "nan"], "t_max must be finite, got nan")])
+    (["longtime", *_CHAIN, "--t-max", "nan"], "t_max must be finite, got nan"),
+    *[(["asymptotics", "--N", "16", "--eta-c", "0.05", "--points", n],
+       "points must be >= 3") for n in ("0", "1", "2")],
+    (["longtime", *_CHAIN, "--samples", "7"], "samples must be >= 8"),
+    (["fourier", *_CHAIN, "--n-s", "100"], "n_s must be >= 1024")])
 def test_scan_grids_are_validated(argv, word, tmp_path, capsys):
-    assert run([*argv, "--out", str(tmp_path)]) == 2
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "error [InvalidParameter]" in err and word in err
-    assert not list(tmp_path.iterdir())
+    assert not list(tmp_path.iterdir())     # not even the --out directory
 
 
 @pytest.mark.parametrize("command", ["visibility", "longtime"])

@@ -16,9 +16,10 @@ from coulombchain import (ChainParams, DisplacementAmplitudes,
                           exponent_A_thermal, linear_chain_amplitudes,
                           overlap, ramsey_probability, thermal_weights,
                           visibility, weighted_trig_sum)
-from coulombchain.errors import InvalidParameter, SoftModeSingularity
-from coulombchain.ramsey import (_CHUNK_ELEMENTS, _direct_trig_sum,
-                                 _uniform_step)
+from coulombchain.errors import (InvalidParameter, ResourceLimit,
+                                 SoftModeSingularity)
+from coulombchain.ramsey import (_CHUNK_ELEMENTS, TRACE_BUDGET,
+                                 _direct_trig_sum, _uniform_step)
 
 T_GRID = [0.0, 0.37, 1.0, 2.5, 7.3, 31.4]
 
@@ -307,3 +308,16 @@ def test_trace_memory_at_n_1e5_stays_linear_in_modes_and_samples():
     peak = _traced_peak(
         lambda: evaluate_trace(amps, t, with_overlap=False))
     assert peak <= 64 * 2 ** 20
+
+
+def test_direct_sum_over_budget_raises_before_allocating():
+    t, omega = np.zeros(50_000), np.ones(50_000)        # 400 kB each
+    assert len(t) * len(omega) > TRACE_BUDGET
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="50000 x 50000 exceeds"):
+            _direct_trig_sum(t, omega, omega, "cos")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
