@@ -11,18 +11,19 @@ asymptotics   Gamma(Delta), dGamma/dDelta, A_inf(Delta), revival-time tables
 longtime      exact V(t) against the calibrated long-time envelope
 figures       canned parameter sets of the six bundled scenarios (2..7)
 
-Parameters come from CLI flags, then a flat key=value config file, then
-defaults. Config lines go through the subcommand's own parser, so each key
-must name one of its options and is typed like the flag; dimensionless
-values win over physical (SI) ones with a warning. Each table is computed
-by one pipeline function, shared by the subcommands and the figures.
-Each subcommand is only its pipeline: it writes CSVs through the path
-callable `run()` hands it and returns the manifest's (params, grids).
-`run()` owns the rest: it checks that grid bounds are finite before any
-pipeline starts, makes `--out` when the first file is written, times the
-run and writes `<subcommand>_manifest.json` listing every CSV. CSV payloads
-carry no timestamps, so identical inputs give bit-identical files; wall
-time lives in the manifest only.
+Each subcommand but `figures` is declared once, in `_COMMANDS`. Parameters
+come from CLI flags, then a flat key=value config file, then defaults.
+Config lines go through the subcommand's own parser, so each key must name
+one of its options and is typed like the flag; dimensionless values win
+over physical (SI) ones with a warning. Each table is computed by one
+pipeline function, shared by the subcommands and the figures. A pipeline
+writes CSVs through the path callable `run()` hands it and returns the
+manifest's params and derived values. `run()` owns the rest: it checks
+grid bounds are finite before any pipeline starts, makes `--out` when the
+first file is written, times the run and writes `<subcommand>_manifest.json`
+with every CSV and the subcommand's own valued options as parsed, overlaid
+by the derived values. CSV payloads carry no timestamps, so identical
+inputs give bit-identical files; wall time lives in the manifest only.
 
 Exit codes: 0 success; 1 numerical or I/O failure (message names the error
 class); 2 usage errors, including invalid parameter values.
@@ -290,9 +291,8 @@ def _longtime(path, name: str, p: ChainParams, t_max: float | None,
                                baseline_gap=0.04 * rev.t_star,
                                baseline_span=0.16 * rev.t_star)
     return t, tr.V, V_ana, {
-        "t_max": float(t_max), "samples": int(samples),
-        "t_star": rev.t_star, "v_max": rev.v_max, "k_star": rev.k_star,
-        "burst_time": burst, "soft_gap": p.soft_gap}
+        "t_max": float(t_max), "t_star": rev.t_star, "v_max": rev.v_max,
+        "k_star": rev.k_star, "burst_time": burst, "soft_gap": p.soft_gap}
 
 
 # ---------------------------------------------------------------- subcommands
@@ -330,7 +330,7 @@ def _cmd_zigzag(ns, path):
              zip(*(c[spec.label_order].tolist() for c in columns)),
              path("zigzag_spectrum.csv"))
     return _params_dict(p), {"nu_min": float(nu_min), "nu_max": float(nu_max),
-                             "points": int(ns.points), "b": spec.b}
+                             "b": spec.b}
 
 
 def _cmd_visibility(ns, path):
@@ -346,9 +346,7 @@ def _cmd_visibility(ns, path):
     emit_csv(("t", "A", "V", "Re_S", "Im_S"),
              zip(tr.t, tr.A, tr.V, tr.S.real, tr.S.imag),
              path("visibility.csv"))
-    return _params_dict(p), {"t_min": float(ns.t_min),
-                             "t_max": float(ns.t_max),
-                             "samples": int(ns.samples)}
+    return _params_dict(p), {}
 
 
 def _cmd_fourier(ns, path):
@@ -356,8 +354,7 @@ def _cmd_fourier(ns, path):
     _, spec, peaks = _spectrum(path, "fourier.csv", p, ns.prominence,
                                T_F=ns.T_F, n_s=ns.n_s)
     emit_csv(("omega", "F"), peaks, path("fourier_peaks.csv"))
-    grids = {"T_F": float(ns.T_F), "n_s": int(ns.n_s),
-             "bin_width": spec.bin_width, "prominence": float(ns.prominence)}
+    grids = {"bin_width": spec.bin_width}
     if ns.band:
         rows = _band_fractions(p, spec)
         emit_csv(("convention", "omega_min", "omega_max", "power_fraction"),
@@ -377,9 +374,7 @@ def _cmd_gamma_scan(ns, path):
         "left_slope": rep.left_slope, "right_slope": rep.right_slope,
         "left_stderr": rep.left_stderr, "right_stderr": rep.right_stderr,
         "separation_se": rep.separation}
-    return {"N": N, "eta_c": eta_c}, {"delta_min": float(ns.delta_min),
-                                      "delta_max": float(ns.delta_max),
-                                      "points": int(ns.points), "cusp": cusp}
+    return {"N": N, "eta_c": eta_c}, {"cusp": cusp}
 
 
 def _cmd_asymptotics(ns, path):
@@ -408,8 +403,6 @@ def _cmd_asymptotics(ns, path):
              path("revival_table.csv"))
 
     return {"N": N, "eta_c": eta_c}, {
-        "delta_min": float(ns.delta_min), "delta_max": float(ns.delta_max),
-        "points": int(ns.points),
         "dgamma_fit": {"a": der.a, "b": der.b, "r_squared": der.r_squared},
         "a_inf_analytic": {"slope": ana.slope, "offset": ana.offset,
                            "delta_ref": ana.delta_ref}}
@@ -471,8 +464,7 @@ def _fig3(path, checks: list) -> dict:
            f"top peak {top:.6f} vs omega_y(pi) {soft:.6f}")
 
     # Deeper decay near the transition: mean V below the detuned scenario's.
-    ref = visibility_trace(ChainParams.from_delta(**_FIG2_PARAMS),
-                           T_F=DEFAULT_T_F, n_s=DEFAULT_N_S)
+    ref = visibility_trace(ChainParams.from_delta(**_FIG2_PARAMS))
     mean_v, mean_ref = float(np.mean(tr.V)), float(np.mean(ref.V))
     _proxy(checks, "fig3 deeper decay", mean_v < mean_ref,
            f"mean V {mean_v:.4f} vs {mean_ref:.4f} at the larger detuning")
@@ -577,7 +569,6 @@ def _cmd_figures(ns, path):
     if all(ok for _, ok, _ in checks):
         print(f"all {len(checks)} proxies passed")
     return {"scenarios": scenario_params}, {
-        "which": ns.which,
         "proxies": [{"name": n, "passed": ok, "detail": d}
                     for n, ok, d in checks]}
 
@@ -585,35 +576,63 @@ def _cmd_figures(ns, path):
 # ----------------------------------------------------------------- front end
 
 
-def _add_common(sp, chain: bool = True):
-    """Options of every computing subcommand; `chain` adds those that pick
-    one chain: nu_t or delta, theta and the laboratory inputs."""
-    sp.add_argument("--config", help="flat key = value file of option values")
-    sp.set_defaults(parser=sp)      # run() checks config lines against it
-    sp.add_argument("--out", default=".", help="output directory (default .)")
-    sp.add_argument("--N", type=int, help="ion count")
-    sp.add_argument("--eta-c", dest="eta_c", type=float,
-                    help="Lamb-Dicke parameter at the critical frequency")
-    if not chain:
-        return
-    sp.add_argument("--nu-t", dest="nu_t", type=float,
-                    help="transverse confinement, omega_0 units")
-    sp.add_argument("--delta", type=float,
-                    help="detuning nu_t - nu_c, omega_0 units")
-    sp.add_argument("--theta", type=float,
-                    help="temperature k_B T / (hbar omega_0)")
-    for key in _PHYSICAL_KEYS:
-        sp.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
-    sp.add_argument("--temperature-k", dest="temperature_k", type=float,
-                    default=0.0)
+_OUT = ("--out", dict(default=".", help="output directory (default .)"))
+_COMMON = (
+    ("--config", dict(help="flat key = value file of option values")),
+    _OUT,
+    ("--N", dict(type=int, help="ion count")),
+    ("--eta-c", dict(type=float,
+                     help="Lamb-Dicke parameter at the critical frequency")))
+# Options of the subcommands that pick one chain.
+_CHAIN = (
+    ("--nu-t", dict(type=float, help="transverse confinement, omega_0 units")),
+    ("--delta", dict(type=float, help="detuning nu_t - nu_c, omega_0 units")),
+    ("--theta", dict(type=float, help="temperature k_B T / (hbar omega_0)")),
+    *(("--" + key.replace("_", "-"), dict(type=float))
+      for key in _PHYSICAL_KEYS),
+    ("--temperature-k", dict(type=float, default=0.0)))
+
+# Subcommand: (help, pipeline, picks one chain, its own options); options
+# are (flag, argparse keyword arguments) pairs.
+_COMMANDS = {
+    "spectrum": ("linear-chain mode table", _cmd_spectrum, True, ()),
+    "zigzag": ("order parameter and zigzag spectrum", _cmd_zigzag, True, (
+        ("--nu-min", dict(type=float,
+                          help="scan start (default: just below critical)")),
+        ("--nu-max", dict(type=float)),
+        ("--points", dict(type=int, default=41)))),
+    "visibility": ("V(t) on a time window", _cmd_visibility, True, (
+        ("--t-min", dict(type=float, default=0.0)),
+        ("--t-max", dict(type=float, default=100.0)),
+        ("--samples", dict(type=int, default=2001)))),
+    "fourier": ("normalized spectrum of V(t)", _cmd_fourier, True, (
+        ("--T-F", dict(type=float, default=DEFAULT_T_F,
+                       help="sampling interval length, 1/omega_0")),
+        ("--n-s", dict(type=int, default=DEFAULT_N_S, help="sample count")),
+        ("--prominence", dict(type=float, default=1e-4)),
+        ("--no-band", dict(dest="band", action="store_false",
+                           help="skip the band-confinement table")))),
+    "gamma-scan": ("Gamma(Delta) across the transition", _cmd_gamma_scan,
+                   False, (
+        ("--delta-min", dict(type=float, default=-1e-2)),
+        ("--delta-max", dict(type=float, default=1e-2)),
+        ("--points", dict(type=int, default=21)))),
+    "asymptotics": ("Gamma, dGamma/dDelta, A_inf, t* tables",
+                    _cmd_asymptotics, False, (
+        ("--delta-min", dict(type=float, default=1e-4)),
+        ("--delta-max", dict(type=float, default=1e-2)),
+        ("--points", dict(type=int, default=12)))),
+    "longtime": ("exact vs analytic V(t)", _cmd_longtime, True, (
+        ("--t-max", dict(type=float, help="trace end (default 1.35 t*)")),
+        ("--samples", dict(type=int, default=50_000,
+                           help=f"sample count, >= {MIN_BURST_SAMPLES}")))),
+}
 
 
-def _add_delta_grid(sp, delta_min: float, delta_max: float, points: int):
-    sp.add_argument("--delta-min", dest="delta_min", type=float,
-                    default=delta_min)
-    sp.add_argument("--delta-max", dest="delta_max", type=float,
-                    default=delta_max)
-    sp.add_argument("--points", type=int, default=points)
+def _add_options(sp, options) -> list:
+    """Add `options` to `sp`; returns the dests that take a value."""
+    actions = [sp.add_argument(flag, **kw) for flag, kw in options]
+    return [a.dest for a in actions if a.nargs != 0]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -622,64 +641,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ring-chain phonons and Ramsey visibility toolkit")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
+    # allow_abbrev=False: a flag or config key names its option in full.
+    for name, (help_, func, chain, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_, allow_abbrev=False)
+        _add_options(sp, _COMMON + _CHAIN if chain else _COMMON)
+        sp.set_defaults(func=func, recorded=_add_options(sp, options),
+                        parser=sp)  # run() checks config lines against it
 
-    sp = sub.add_parser("spectrum", help="linear-chain mode table")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_spectrum)
-
-    sp = sub.add_parser("zigzag", help="order parameter and zigzag spectrum")
-    _add_common(sp)
-    sp.add_argument("--nu-min", dest="nu_min", type=float,
-                    help="scan start (default: just below critical)")
-    sp.add_argument("--nu-max", dest="nu_max", type=float)
-    sp.add_argument("--points", type=int, default=41)
-    sp.set_defaults(func=_cmd_zigzag)
-
-    sp = sub.add_parser("visibility", help="V(t) on a time window")
-    _add_common(sp)
-    sp.add_argument("--t-min", dest="t_min", type=float, default=0.0)
-    sp.add_argument("--t-max", dest="t_max", type=float, default=100.0)
-    sp.add_argument("--samples", type=int, default=2001)
-    sp.set_defaults(func=_cmd_visibility)
-
-    sp = sub.add_parser("fourier", help="normalized spectrum of V(t)")
-    _add_common(sp)
-    sp.add_argument("--T-F", dest="T_F", type=float, default=DEFAULT_T_F,
-                    help="sampling interval length, 1/omega_0")
-    sp.add_argument("--n-s", dest="n_s", type=int, default=DEFAULT_N_S,
-                    help="sample count")
-    sp.add_argument("--prominence", type=float, default=1e-4)
-    sp.add_argument("--no-band", dest="band", action="store_false",
-                    help="skip the band-confinement table")
-    sp.set_defaults(func=_cmd_fourier)
-
-    sp = sub.add_parser("gamma-scan",
-                        help="Gamma(Delta) across the transition")
-    _add_common(sp, chain=False)
-    _add_delta_grid(sp, -1e-2, 1e-2, 21)
-    sp.set_defaults(func=_cmd_gamma_scan)
-
-    sp = sub.add_parser("asymptotics",
-                        help="Gamma, dGamma/dDelta, A_inf, t* tables")
-    _add_common(sp, chain=False)
-    _add_delta_grid(sp, 1e-4, 1e-2, 12)
-    sp.set_defaults(func=_cmd_asymptotics)
-
-    sp = sub.add_parser("longtime", help="exact vs analytic V(t)")
-    _add_common(sp)
-    sp.add_argument("--t-max", dest="t_max", type=float,
-                    help="trace end (default 1.35 t*)")
-    sp.add_argument("--samples", type=int, default=50_000,
-                    help=f"sample count, >= {MIN_BURST_SAMPLES}")
-    sp.set_defaults(func=_cmd_longtime)
-
-    sp = sub.add_parser("figures", help="canned scenario runs")
-    sp.add_argument("--which", choices=[*sorted(_FIGURES), "all"],
-                    default="all")
-    sp.add_argument("--out", default=".", help="output directory (default .)")
-    sp.set_defaults(func=_cmd_figures)
-    for sp in sub.choices.values():
-        sp.allow_abbrev = False     # a flag or config key names its option
+    sp = sub.add_parser("figures", help="canned scenario runs",
+                        allow_abbrev=False)
+    sp.set_defaults(func=_cmd_figures, recorded=_add_options(sp, [(
+        "--which", dict(choices=[*sorted(_FIGURES), "all"], default="all"))]))
+    _add_options(sp, [_OUT])
     return ap
 
 
@@ -707,7 +680,9 @@ def run(argv=None) -> int:
             return outputs[-1]
 
         t0 = time.time()
-        params, grids = ns.func(ns, path)
+        params, derived = ns.func(ns, path)
+        # Own options as parsed; derived values also resolve None defaults.
+        grids = {**{k: getattr(ns, k) for k in ns.recorded}, **derived}
         manifest = RunManifest(subcommand=ns.subcommand, params=params,
                                grids=grids, version=__version__,
                                wall_time_s=time.time() - t0, outputs=outputs)

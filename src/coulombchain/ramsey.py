@@ -61,8 +61,7 @@ class DisplacementAmplitudes:
     """Per-mode displacement data for one probe configuration.
 
     omega  -- mode frequencies, omega_0 units, all > 0
-    alpha  -- complex displacement amplitudes (purely imaginary here)
-    weight -- |alpha|^2
+    weight -- |alpha_m|^2 of the displacement amplitudes alpha_m
     eta0   -- Lamb-Dicke parameter at nu_t
     nu_t   -- confinement, omega_0 units
     kind   -- 'linear' or 'zigzag'; the mean-frequency identities of the
@@ -70,7 +69,6 @@ class DisplacementAmplitudes:
     """
 
     omega: np.ndarray
-    alpha: np.ndarray
     weight: np.ndarray
     eta0: float
     nu_t: float
@@ -96,9 +94,8 @@ def linear_chain_amplitudes(params: ChainParams,
             f"soft mode at nu_t - critical_frequency_finite(N) = {delta:.3e}: "
             f"omega_y^2 below RADICAND_CLAMP = {RADICAND_CLAMP:g} snaps to 0")
     row = mode_matrix(params.N).row(probe_site)
-    alpha = 1j * params.eta0 * np.sqrt(params.nu_t / omega) * row
-    weight = np.abs(alpha) ** 2
-    return DisplacementAmplitudes(omega=omega, alpha=alpha, weight=weight,
+    weight = (params.eta0 * np.sqrt(params.nu_t / omega) * row) ** 2
+    return DisplacementAmplitudes(omega=omega, weight=weight,
                                   eta0=params.eta0, nu_t=params.nu_t,
                                   kind="linear")
 
@@ -284,8 +281,8 @@ def exponent_A(t, amps: DisplacementAmplitudes):
 
 def thermal_weights(amps: DisplacementAmplitudes, theta: float) -> np.ndarray:
     """|alpha|^2 coth(omega / (2 theta)); theta = 0 returns |alpha|^2."""
-    if theta < 0:
-        raise InvalidParameter("theta must be >= 0")
+    if not 0.0 <= theta < np.inf:
+        raise InvalidParameter(f"theta must be >= 0 and finite, got {theta}")
     if theta == 0.0:
         return amps.weight
     return amps.weight / np.tanh(amps.omega / (2.0 * theta))

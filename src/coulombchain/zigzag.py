@@ -425,7 +425,7 @@ class ZigzagMode:
     """One labeled zigzag mode: its `ZigzagSpectrum` labels and residual.
 
     residual = 1 - |projection of the vector onto its (n, sigma) patterns|^2
-    is measured; degenerate is always False (no eigenspace is rotated).
+    is measured. No eigenspace is rotated, so no mode is `degenerate`.
     """
 
     n: int
@@ -434,7 +434,7 @@ class ZigzagMode:
     omega: float
     residual: float
     special: str
-    degenerate: bool = False
+    degenerate = False
 
 
 def _own_subspace_residuals(N: int, V: np.ndarray, n: np.ndarray,
@@ -495,8 +495,7 @@ def zigzag_displacement_amplitudes(params: ChainParams, probe_site: int = 1
             "the displacement picture breaks down")
     keep = ~zero
     omega = spectrum.omega[keep]
-    alpha = 1j * params.eta0 * np.sqrt(params.nu_t / omega) * row[keep]
-    return DisplacementAmplitudes(omega=omega, alpha=alpha,
-                                  weight=np.abs(alpha) ** 2,
+    weight = (params.eta0 * np.sqrt(params.nu_t / omega) * row[keep]) ** 2
+    return DisplacementAmplitudes(omega=omega, weight=weight,
                                   eta0=params.eta0, nu_t=params.nu_t,
                                   kind="zigzag")

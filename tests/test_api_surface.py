@@ -15,7 +15,6 @@ PINNED = {
     "ChainParams.from_delta(theta)",
     "DisplacementAmplitudes(kind)",
     "PhysicalInput(temperature_k)",
-    "ZigzagMode(degenerate)",
     "ZigzagSpectrum.probe_row(coordinate)",
     "ZigzagSpectrum.probe_row(site)",
     "a_infinity_analytic(delta_ref)",

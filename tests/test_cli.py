@@ -1,5 +1,6 @@
 """Command-line entry points: exit codes, CSV output, manifests, config."""
 
+import argparse
 import csv
 import json
 import math
@@ -420,3 +421,64 @@ def test_config_keys_go_through_the_parser(tmp_path, capsys):
     assert run(["spectrum", "--nu-t", "2.5", "--config", str(cfg)]) == 0
     man = json.loads((tmp_path / "o" / "spectrum_manifest.json").read_text())
     assert man["params"]["nu_t"] == 2.5 and man["params"]["N"] == 16
+
+
+# Every option string of each subcommand, in --help order: the command-line
+# counterpart of tests/test_api_surface.py.
+_COMMON_FLAGS = ["--config", "--out", "--N", "--eta-c"]
+_ONE_CHAIN_FLAGS = [*_COMMON_FLAGS, "--nu-t", "--delta", "--theta",
+                    "--mass-kg", "--charge-c", "--spacing-m",
+                    "--transverse-frequency-rad-s", "--laser-wavenumber-per-m",
+                    "--temperature-k"]
+PINNED_FLAGS = {
+    "spectrum": _ONE_CHAIN_FLAGS,
+    "zigzag": [*_ONE_CHAIN_FLAGS, "--nu-min", "--nu-max", "--points"],
+    "visibility": [*_ONE_CHAIN_FLAGS, "--t-min", "--t-max", "--samples"],
+    "fourier": [*_ONE_CHAIN_FLAGS, "--T-F", "--n-s", "--prominence",
+                "--no-band"],
+    "gamma-scan": [*_COMMON_FLAGS, "--delta-min", "--delta-max", "--points"],
+    "asymptotics": [*_COMMON_FLAGS, "--delta-min", "--delta-max", "--points"],
+    "longtime": [*_ONE_CHAIN_FLAGS, "--t-max", "--samples"],
+    "figures": ["--which", "--out"],
+}
+
+
+def test_subcommand_flags_are_pinned():
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {name: [s for a in sp._actions for s in a.option_strings
+                    if s not in ("-h", "--help")]
+             for name, sp in sub.choices.items()}
+    assert found == PINNED_FLAGS
+
+
+# Each subcommand with its own valued options, some given and some left at
+# their defaults; those whose default is None (resolved by the pipeline)
+# are given, so the parsed value is what the manifest must hold.
+_OWN_OPTIONS = [
+    (["zigzag", "--N", "16", "--nu-t", "2.0", "--nu-min", "1.9",
+      "--nu-max", "2.1", "--points", "3"], ["nu_min", "nu_max", "points"]),
+    (["visibility", *_CHAIN, "--t-max", "30", "--samples", "400"],
+     ["t_min", "t_max", "samples"]),
+    (["fourier", *_CHAIN, "--T-F", "200", "--n-s", "1024"],
+     ["T_F", "n_s", "prominence"]),
+    (["gamma-scan", "--N", "16", "--eta-c", "0.05", "--points", "7"],
+     ["delta_min", "delta_max", "points"]),
+    (["asymptotics", "--N", "16", "--eta-c", "0.05", "--delta-min", "1e-3",
+      "--points", "3"], ["delta_min", "delta_max", "points"]),
+    (["longtime", *_CHAIN, "--t-max", "200", "--samples", "600"],
+     ["t_max", "samples"]),
+    (["figures", "--which", "4"], ["which"])]
+
+
+@pytest.mark.parametrize("argv, own", _OWN_OPTIONS,
+                         ids=[argv[0] for argv, _ in _OWN_OPTIONS])
+def test_manifest_records_own_options(argv, own, tmp_path, capsys):
+    ns = cli.build_parser().parse_args(argv)
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    grids = json.loads(
+        (tmp_path / f"{argv[0]}_manifest.json").read_text())["grids"]
+    for key in own:
+        value = getattr(ns, key)
+        assert grids[key] == value and type(grids[key]) is type(value), key

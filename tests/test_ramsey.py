@@ -54,9 +54,8 @@ def brute_force_n4(nu_t, eta_c, t):
 def test_n4_oracle(nu_t, eta_c):
     p = ChainParams(N=4, nu_t=nu_t, eta_c=eta_c)
     amps = linear_chain_amplitudes(p)
-    om_ref, al_ref, w_ref, _, _ = brute_force_n4(nu_t, eta_c, 0.0)
+    om_ref, _, w_ref, _, _ = brute_force_n4(nu_t, eta_c, 0.0)
     assert amps.omega == pytest.approx(om_ref, abs=1e-12)
-    assert amps.alpha == pytest.approx(al_ref, abs=1e-12)
     assert amps.weight == pytest.approx(w_ref, abs=1e-12)
     for t in T_GRID:
         _, _, _, A_ref, S_ref = brute_force_n4(nu_t, eta_c, t)
@@ -121,6 +120,17 @@ def test_thermal_visibility_drops():
     amps = linear_chain_amplitudes(p)
     t = np.linspace(0.1, 10.0, 30)
     assert np.all(visibility(t, amps, theta=1.0) <= visibility(t, amps) + 1e-15)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -1.0])
+def test_non_finite_temperature_rejected(theta):
+    amps = linear_chain_amplitudes(ChainParams.from_delta(16, 0.1, 0.2))
+    t = np.linspace(0.0, 10.0, 30)
+    with pytest.raises(InvalidParameter, match="theta must be >= 0"):
+        visibility(t, amps, theta=theta)
+    for with_overlap in (False, True):
+        with pytest.raises(InvalidParameter, match="theta must be >= 0"):
+            evaluate_trace(amps, t, theta=theta, with_overlap=with_overlap)
 
 
 def test_phase_is_temperature_independent():
@@ -197,7 +207,6 @@ def test_snapped_soft_mode_names_the_clamp(above):
 def test_zero_frequency_mode_rejected():
     with pytest.raises(SoftModeSingularity):
         DisplacementAmplitudes(omega=np.array([0.0, 1.0]),
-                               alpha=np.array([0.1j, 0.1j]),
                                weight=np.array([0.01, 0.01]),
                                eta0=0.1, nu_t=2.5)
 
