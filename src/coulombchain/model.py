@@ -96,10 +96,14 @@ class PhysicalInput:
     def __post_init__(self):
         for name in ("mass_kg", "charge_c", "spacing_m",
                      "transverse_frequency_rad_s", "laser_wavenumber_per_m"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameter(f"{name} must be positive")
-        if self.temperature_k < 0:
-            raise InvalidParameter("temperature_k must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidParameter(
+                    f"{name} must be positive and finite, got {value}")
+        temperature = self.temperature_k
+        if not (math.isfinite(temperature) and temperature >= 0):
+            raise InvalidParameter(
+                f"temperature_k must be >= 0 and finite, got {temperature}")
 
     def omega0(self) -> float:
         """Natural frequency sqrt(Q^2/(m a^3)) in rad/s."""

@@ -23,9 +23,11 @@ therefore come from the block index, as arrays on `ZigzagSpectrum`, and the
 probe row of a site is closed form, O(N). The structural modes (rotation,
 bulk transverse, the two staggered zigzag modes) are tagged by name.
 
-The dense routes are oracles: the Hessian `_hessian` (diagonalised with eigh
-in the tests), `ZigzagSpectrum.vectors` and `classify_zigzag_modes`, which
-measures each vector against its own labels, need (2N)^2 arrays and raise
+The oracles are the Hessian `_hessian` (diagonalised with eigh in the
+tests), `ZigzagSpectrum.vectors` and `classify_zigzag_modes`. The first two
+need (2N)^2 arrays. `classify_zigzag_modes` measures each vector against its
+own labels band by band in n, in O(band x N) memory, from the same row
+builder as `probe_row`. All three keep the O(N^2) work budget and raise
 ResourceLimit above _DENSE_ELEMENTS entries before allocating.
 """
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,7 +48,8 @@ from .ramsey import DisplacementAmplitudes
 
 GRAD_TOL = 1e-10          # |dE/db| at the returned equilibrium
 EIG_CLAMP = 1e-10         # |eigenvalue| below this snaps to zero
-# Largest (2N)^2 dense array the oracle routes allocate (N <= 2000; 128 MB).
+# Work budget of the oracle routes in (2N)^2 entries: the largest dense array
+# `_hessian` and `vectors` allocate (N <= 2000; 128 MB).
 _DENSE_ELEMENTS = 16_000_000
 
 
@@ -263,6 +266,48 @@ def _eig2(a: np.ndarray, c: np.ndarray, d: np.ndarray):
     return lam, u, v
 
 
+@lru_cache(maxsize=8)
+def _trig_table(N: int) -> np.ndarray:
+    """cos and sin of 2 pi p / N for p = 0..N-1, as read-only rows [2, N]."""
+    angle = (2.0 * math.pi / N) * np.arange(N)
+    table = np.stack([np.cos(angle), np.sin(angle)])
+    table.flags.writeable = False
+    return table
+
+
+def _bloch_rows(N: int, block: np.ndarray, plus: np.ndarray,
+                qcoef: np.ndarray, wcoef: np.ndarray, sites: np.ndarray):
+    """q and w of real Bloch modes at 1-based sites, each [mode, site].
+
+    Mode i has block m = block[i] (k = 2 pi m / N):
+
+        plus[i]:      q_j = qcoef[i] cos(kj),  w_j = wcoef[i] (-1)^j sin(kj)
+        not plus[i]:  q_j = qcoef[i] sin(kj),  w_j = wcoef[i] (-1)^j cos(kj)
+
+    Phases are exact integers m j mod N, taken once per distinct block, into
+    one cos/sin table, so an entry does not depend on which other modes or
+    sites are evaluated.
+    """
+    # The distinct blocks in 0..N-1, ascending, and each mode's index among
+    # them (np.unique sorts, which costs more than probe_row's arithmetic).
+    present = np.zeros(N, dtype=bool)
+    present[block] = True
+    blocks = np.flatnonzero(present)
+    which = (np.cumsum(present) - 1)[block]
+    # m j mod N; numpy vectorises integer floor division by a scalar, not %.
+    phase = np.multiply.outer(blocks, sites)
+    phase -= phase // N * N
+    # The cos rows of the distinct blocks, then their sin rows.
+    trig = np.take(_trig_table(N), phase, axis=1).reshape(-1, len(sites))
+    cos_row, sin_row = which, which + len(blocks)
+    q = trig[np.where(plus, cos_row, sin_row)]
+    q *= qcoef[:, None]
+    trig *= np.where(sites & 1, -1.0, 1.0)      # exact: a sign per site
+    w = trig[np.where(plus, sin_row, cos_row)]
+    w *= wcoef[:, None]
+    return q, w
+
+
 @dataclass(frozen=True)
 class ZigzagSpectrum:
     """Phonon spectrum of the zigzag in real Bloch modes.
@@ -327,23 +372,10 @@ class ZigzagSpectrum:
              (m == half) & plus, (m == half) & ~plus],
             ["bulk_x", "zigzag_y", "zigzag_x", "bulk_y"], "")
 
-    def _components(self, modes, sites: np.ndarray,
-                    coordinate: str) -> np.ndarray:
-        """One coordinate of the selected modes at 1-based sites, [mode, site].
-
-        Phases are exact integers m j mod N into one cos/sin table, so an
-        entry does not depend on which other modes or sites are evaluated.
-        """
-        N = self.N
-        angle = (2.0 * math.pi / N) * np.arange(N)
-        table = np.concatenate([np.cos(angle), np.sin(angle)])
-        plus = self.plus[modes, None]
-        phase = np.multiply.outer(self.block[modes], sites) % N
-        if coordinate == "q":
-            return self.qcoef[modes, None] * table[phase + np.where(plus, 0, N)]
-        stag = np.where(sites % 2 == 0, 1.0, -1.0)
-        w = self.wcoef[modes, None] * table[phase + np.where(plus, N, 0)]
-        return w * stag
+    def _components(self, modes, sites: np.ndarray):
+        """(q, w) of the selected modes at 1-based sites, each [mode, site]."""
+        return _bloch_rows(self.N, self.block[modes], self.plus[modes],
+                           self.qcoef[modes], self.wcoef[modes], sites)
 
     def probe_row(self, site: int = 1, coordinate: str = "w") -> np.ndarray:
         """Eigenvector components of one site coordinate across all modes."""
@@ -351,7 +383,8 @@ class ZigzagSpectrum:
             raise InvalidParameter("site must lie in 1..N")
         if coordinate not in ("q", "w"):
             raise InvalidParameter("coordinate must be 'q' or 'w'")
-        return self._components(slice(None), np.array([site]), coordinate)[:, 0]
+        q, w = self._components(slice(None), np.array([site]))
+        return (q if coordinate == "q" else w)[:, 0]
 
     @cached_property
     def vectors(self) -> np.ndarray:
@@ -363,8 +396,7 @@ class ZigzagSpectrum:
         step = max(1, 2 ** 17 // N)             # ~1 MB temporaries per pass
         for lo in range(0, 2 * N, step):
             sel = slice(lo, lo + step)
-            modes[sel, 0::2] = self._components(sel, sites, "q")
-            modes[sel, 1::2] = self._components(sel, sites, "w")
+            modes[sel, 0::2], modes[sel, 1::2] = self._components(sel, sites)
         return modes.T
 
 
@@ -425,7 +457,8 @@ class ZigzagMode:
     """One labeled zigzag mode: its `ZigzagSpectrum` labels and residual.
 
     residual = 1 - |projection of the vector onto its (n, sigma) patterns|^2
-    is measured. No eigenspace is rotated, so no mode is `degenerate`.
+    is measured on the vector rebuilt from the spectrum, a band of n at a
+    time. No eigenspace is rotated, so no mode is `degenerate`.
     """
 
     n: int
@@ -437,41 +470,58 @@ class ZigzagMode:
     degenerate = False
 
 
-def _own_subspace_residuals(N: int, V: np.ndarray, n: np.ndarray,
+def _own_subspace_residuals(sp: ZigzagSpectrum, n: np.ndarray,
                             plus: np.ndarray) -> np.ndarray:
-    """1 - |projection|^2 of each column of V onto its (n, sigma) patterns.
+    """1 - |projection|^2 of each vector of sp onto the patterns of its label.
 
-    The sigma = '+' patterns of n are cos(k j)|q and (-1)^j sin(k j)|w, the
-    sigma = '-' ones sin(k j)|q and (-1)^j cos(k j)|w, for k = 2 pi n / N and
-    k = pi - 2 pi n / N; vanishing patterns (sin at k = 0, pi) are dropped.
+    Mode i of sp is measured against the label (n[i], plus[i]); the
+    classification passes the spectrum's own labels. The sigma = '+'
+    patterns of n are cos(k j)|q and (-1)^j sin(k j)|w, the sigma = '-' ones
+    sin(k j)|q and (-1)^j cos(k j)|w, for k = 2 pi n / N and k = pi - 2 pi
+    n / N; vanishing patterns (sin at k = 0, pi) are dropped. Modes are
+    taken in order of n, a band at a time: the band's vectors and its
+    distinct patterns come from `_bloch_rows`, and each vector is dotted
+    with its own at most four patterns.
     """
-    j = np.arange(1, N + 1, dtype=np.float64)
-    stag = np.where(j % 2 == 0, 1.0, -1.0)
-    rows = V.T                          # one row per mode
-    res = np.empty(V.shape[1])
-    for nn in range(N // 4 + 1):
-        k = (2.0 * math.pi / N) * np.array(sorted({nn, N // 2 - nn}))
-        phase = np.multiply.outer(k, j)
-        cos, sin = np.cos(phase), np.sin(phase)
-        for sig, pq, pw in ((True, cos, stag * sin), (False, sin, stag * cos)):
-            P = np.zeros((2 * len(k), 2 * N))
-            P[:len(k), 0::2] = pq
-            P[len(k):, 1::2] = pw
-            norm = np.linalg.norm(P, axis=1)
-            P = P[norm > 1e-9] / norm[norm > 1e-9, None]
-            cols = np.flatnonzero((n == nn) & (plus == sig))
-            res[cols] = 1.0 - np.sum((rows[cols] @ P.T) ** 2, axis=1)
+    N, half = sp.N, sp.N // 2
+    sites = np.arange(1, N + 1)
+    order = np.argsort(n, kind="stable")
+    res = np.empty(len(order))
+    step = max(1, 2 ** 16 // N)             # ~1 MB of q and w per band
+    for lo in range(0, len(order), step):
+        sel = order[lo:lo + step]
+        nn, sig = n[sel], plus[sel]
+        vectors = sp._components(sel, sites)
+        # The band's distinct unit patterns, keyed 2 m + sigma for block m:
+        # own[0] picks each mode's pattern at k_n, own[1] the one at pi - k_n,
+        # which is the same pattern at n = N/4.
+        key, own = np.unique(2 * np.stack([nn, half - nn]) + sig,
+                             return_inverse=True)
+        own = own.reshape(2, len(sel))
+        one = np.ones(len(key))
+        patterns = _bloch_rows(N, key // 2, key % 2 == 1, one, one, sites)
+        distinct = np.stack([np.ones(len(sel), bool), 2 * nn != half])
+        proj = np.zeros(len(sel))
+        for vec, pat in zip(vectors, patterns):
+            norm2 = np.einsum("ij,ij->i", pat, pat)[own]
+            keep = distinct & (norm2 > 1e-18)       # drop vanishing patterns
+            dot = np.where(keep, np.einsum("ij,kij->ki", vec, pat[own]), 0.0)
+            proj += np.sum(dot * dot / np.where(keep, norm2, 1.0), axis=0)
+        res[sel] = 1.0 - proj
     return res
 
 
 def classify_zigzag_modes(spectrum: ZigzagSpectrum) -> list[ZigzagMode]:
     """The spectrum's labels and measured residuals, in label order.
 
-    Oracle for the label arrays: builds `spectrum.vectors`, so it raises
-    ResourceLimit where that does.
+    Oracle for the label arrays: the vectors are rebuilt a band of n at a
+    time and measured against their own (n, sigma) patterns, in O(band x N)
+    memory. It keeps the O(N^2) work budget of the dense routes and raises
+    ResourceLimit above _DENSE_ELEMENTS entries before allocating.
     """
     sp = spectrum
-    residual = _own_subspace_residuals(sp.N, sp.vectors, sp.n, sp.plus)
+    _check_dense(sp.N, "eigenvector classification")
+    residual = _own_subspace_residuals(sp, sp.n, sp.plus)
     columns = (sp.n, sp.sigma, sp.beta, sp.omega, residual, sp.special)
     return [ZigzagMode(*row)
             for row in zip(*(c[sp.label_order].tolist() for c in columns))]

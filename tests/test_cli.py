@@ -191,6 +191,22 @@ def test_dimensionless_beats_physical_with_warning(tmp_path, capsys):
     assert "take precedence" in capsys.readouterr().err
 
 
+_SI_FLAGS = {"--mass-kg": "3.9e-26", "--charge-c": "1.6e-19",
+             "--spacing-m": "1e-5", "--transverse-frequency-rad-s": "1e6",
+             "--laser-wavenumber-per-m": "2.2e7"}
+
+
+@pytest.mark.parametrize("flag, key", [
+    ("--temperature-k", "temperature_k"), ("--mass-kg", "mass_kg")])
+def test_non_finite_physical_inputs_name_the_field(flag, key, tmp_path,
+                                                   capsys):
+    si = [arg for pair in {**_SI_FLAGS, flag: "nan"}.items() for arg in pair]
+    argv = ["visibility", "--N", "8", *si, "--out", str(tmp_path)]
+    assert run(argv) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_bad_config_line_cites_location(tmp_path, capsys):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("N = 16\nthis has no equals sign\n")

@@ -6,12 +6,15 @@
 - the FFT argmax grid of the group velocity against the direct sums, and
   max_group_velocity against the argmax of the direct grid;
 - the zigzag 2 x 2 Bloch blocks against the dense Hessian and eigh;
+- the banded zigzag mode residuals against the dense projection loop, on
+  true labels and on labels with one mode moved;
 - zigzag against linear-chain amplitudes at b = 0;
 - the zigzag side of the Gamma scan against the linear chain between
   nu_c(N) and nu_c, where Delta < 0 but the finite ring is still linear;
 - thermal weights and A_T against their theta -> infinity limit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -33,7 +36,7 @@ from coulombchain.linear_modes import (_GOLDEN, _VGRID_POINTS, _VMAX_TOL,
                                        _mode_grid_sum)
 from coulombchain.ramsey import (_MIN_UNIFORM_SAMPLES, _direct_trig_sum,
                                  _uniform_step)
-from coulombchain.zigzag import _hessian
+from coulombchain.zigzag import _hessian, _own_subspace_residuals
 
 KINDS = ("sin2half", "sin", "cos")
 EPS = np.finfo(np.float64).eps
@@ -299,6 +302,69 @@ def test_zigzag_blocks_match_dense_hessian(N):
                                       V[2 * (site - 1) + offset])
         modes = classify_zigzag_modes(sp)
         assert max(abs(m.residual) for m in modes) < 1e-10
+
+
+def _dense_own_subspace_residuals(N, V, n, plus):
+    """1 - |projection|^2 of each column of V onto its (n, sigma) patterns.
+
+    The dense route the banded `_own_subspace_residuals` replaced: one
+    4 x 2N pattern matrix per (n, sigma), with np.cos/np.sin phases.
+    """
+    j = np.arange(1, N + 1, dtype=np.float64)
+    stag = np.where(j % 2 == 0, 1.0, -1.0)
+    rows = V.T                          # one row per mode
+    res = np.empty(V.shape[1])
+    for nn in range(N // 4 + 1):
+        k = (2.0 * math.pi / N) * np.array(sorted({nn, N // 2 - nn}))
+        phase = np.multiply.outer(k, j)
+        cos, sin = np.cos(phase), np.sin(phase)
+        for sig, pq, pw in ((True, cos, stag * sin), (False, sin, stag * cos)):
+            P = np.zeros((2 * len(k), 2 * N))
+            P[:len(k), 0::2] = pq
+            P[len(k):, 1::2] = pw
+            norm = np.linalg.norm(P, axis=1)
+            P = P[norm > 1e-9] / norm[norm > 1e-9, None]
+            cols = np.flatnonzero((n == nn) & (plus == sig))
+            res[cols] = 1.0 - np.sum((rows[cols] @ P.T) ** 2, axis=1)
+    return res
+
+
+def _zigzag_at(N, offset):
+    return zigzag_spectrum(ChainParams(
+        N=N, nu_t=critical_frequency_finite(N) + offset, eta_c=0.0))
+
+
+@pytest.mark.parametrize("offset", [-0.04, 0.3], ids=["buckled", "linear"])
+@pytest.mark.parametrize("N", [16, 64, 256])
+def test_banded_residuals_match_dense_projection(N, offset):
+    sp = _zigzag_at(N, offset)
+    assert (sp.b > 0.0) == (offset < 0.0)
+    dense = _dense_own_subspace_residuals(N, sp.vectors, sp.n, sp.plus)
+    banded = np.array([m.residual for m in classify_zigzag_modes(sp)])
+    assert np.max(np.abs(banded - dense[sp.label_order])) < 1e-13
+
+
+@pytest.mark.parametrize("offset", [-0.04, 0.3], ids=["buckled", "linear"])
+@pytest.mark.parametrize("N", [16, 64])
+def test_residuals_flag_a_mode_with_wrong_labels(N, offset):
+    sp = _zigzag_at(N, offset)
+    interior = np.flatnonzero((sp.block > 0) & (sp.block < N // 2 - 1))
+    i = int(interior[len(interior) // 2])
+    plus = sp.plus.copy()
+    plus[i] = not plus[i]
+    block = sp.block.copy()
+    block[i] += 1                       # n moves by one either way
+    for bad in (dataclasses.replace(sp, plus=plus),
+                dataclasses.replace(sp, block=block)):
+        assert bad.n[i] != sp.n[i] or bad.plus[i] != sp.plus[i]
+        # The vectors of one spectrum against the labels of the other.
+        for vec, lab in ((sp, bad), (bad, sp)):
+            res = _own_subspace_residuals(vec, lab.n, lab.plus)
+            assert res[i] > 0.99
+            assert np.max(np.abs(np.delete(res, i))) < 1e-10
+            dense = _dense_own_subspace_residuals(N, vec.vectors, lab.n,
+                                                  lab.plus)
+            assert np.max(np.abs(res - dense)) < 1e-13
 
 
 def _sums_per_frequency(a, b):

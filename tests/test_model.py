@@ -81,6 +81,21 @@ def test_physical_input_validation():
                       laser_wavenumber_per_m=1.0, temperature_k=-0.1)
 
 
+_SI_FIELDS = dict(mass_kg=MG_AMU, charge_c=E_CHARGE, spacing_m=33e-6,
+                  transverse_frequency_rad_s=1e6, laser_wavenumber_per_m=2e7,
+                  temperature_k=1e-6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(_SI_FIELDS))
+def test_physical_input_rejects_non_finite_fields(name, bad):
+    # NaN passes both `<= 0` and `< 0`; the error must name the field given.
+    rule = ">= 0" if name == "temperature_k" else "positive"
+    with pytest.raises(InvalidParameter,
+                       match=f"^{name} must be {rule} and finite, got {bad}$"):
+        PhysicalInput(**{**_SI_FIELDS, name: bad})
+
+
 def test_chain_params_validation():
     for bad in (3, 2, 0, -4, 4.0, True):
         with pytest.raises(InvalidParameter):

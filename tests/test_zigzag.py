@@ -159,6 +159,21 @@ def test_classification_counts_and_residuals(N, offset):
         ["bulk_x", "bulk_y", "zigzag_x", "zigzag_y"]
 
 
+def test_classification_memory_is_banded():
+    # The dense 2N x 2N eigenvector matrix alone would be 33.5 MB here.
+    N = 1024
+    sp = zigzag_spectrum(ChainParams(
+        N=N, nu_t=critical_frequency_finite(N) - 0.04, eta_c=0.0))
+    tracemalloc.start()
+    try:
+        modes = classify_zigzag_modes(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(modes) == 2 * N and max(m.residual for m in modes) < 1e-10
+    assert peak < 12e6
+
+
 def test_special_modes_match_dispersion_at_flat_line():
     N = 16
     nu = critical_frequency_finite(N) + 0.3
