@@ -23,9 +23,8 @@ from .ramsey import (DisplacementAmplitudes, VisibilityTrace,
                      overlap, ramsey_probability, thermal_weights,
                      visibility, weighted_trig_sum)
 from .zigzag import (ZigzagEquilibrium, ZigzagMode, ZigzagSpectrum,
-                     classify_zigzag_modes, folded_linear_frequencies,
-                     zigzag_displacement_amplitudes, zigzag_equilibrium,
-                     zigzag_spectrum)
+                     classify_zigzag_modes, zigzag_displacement_amplitudes,
+                     zigzag_equilibrium, zigzag_spectrum)
 from .asymptotics import (AInfinityForms, AnalyticAInfinity, CuspReport,
                           DerivativeScan, GammaForms, GammaScan,
                           RevivalEstimate, a_infinity, a_infinity_analytic,

@@ -15,7 +15,8 @@ Each subcommand but `figures` is declared once, in `_COMMANDS`. Parameters
 come from CLI flags, then a flat key=value config file, then defaults.
 Config lines go through the subcommand's own parser, so each key must name
 one of its options and is typed like the flag; dimensionless values win
-over physical (SI) ones with a warning. Each table is computed by one
+over physical (SI) ones with a warning, and a temperature in kelvin without
+the SI inputs is a usage error. Each table is computed by one
 pipeline function, shared by the subcommands and the figures. A pipeline
 writes CSVs through the path callable `run()` hands it and returns the
 manifest's params and derived values. `run()` owns the rest: it checks
@@ -167,6 +168,11 @@ def _resolve_chain(ns, default_eta: float | None = None) -> ChainParams:
     """ChainParams from options; dimensionless beats physical with a warning."""
     N = _require(ns, "N")
     phys_given = [k for k in _PHYSICAL_KEYS if getattr(ns, k) is not None]
+    if ns.temperature_k is not None and not phys_given:
+        raise InvalidParameter(
+            f"temperature_k needs the physical inputs "
+            f"{', '.join(_PHYSICAL_KEYS)}; none is given (use --theta for "
+            "the dimensionless temperature k_B T / (hbar omega_0))")
     derived = None
     if phys_given:
         if len(phys_given) < len(_PHYSICAL_KEYS):
@@ -175,7 +181,7 @@ def _resolve_chain(ns, default_eta: float | None = None) -> ChainParams:
                 "physical input needs all of "
                 f"{', '.join(_PHYSICAL_KEYS)}; missing {', '.join(missing)}")
         phys = PhysicalInput(**{k: getattr(ns, k) for k in _PHYSICAL_KEYS},
-                             temperature_k=ns.temperature_k)
+                             temperature_k=ns.temperature_k or 0.0)
         derived = derive_parameters(phys)
 
     nu_t = ns.nu_t
@@ -183,7 +189,8 @@ def _resolve_chain(ns, default_eta: float | None = None) -> ChainParams:
         raise InvalidParameter("give either nu_t or delta, not both")
     if ns.delta is not None:
         nu_t = critical_frequency_infinite() + ns.delta
-    if derived is not None and (nu_t is not None or ns.eta_c is not None):
+    if derived is not None and any(
+            v is not None for v in (nu_t, ns.eta_c, ns.theta)):
         print("warning: both physical and dimensionless parameters given; "
               "dimensionless values take precedence", file=sys.stderr)
     if nu_t is None:
@@ -590,7 +597,9 @@ _CHAIN = (
     ("--theta", dict(type=float, help="temperature k_B T / (hbar omega_0)")),
     *(("--" + key.replace("_", "-"), dict(type=float))
       for key in _PHYSICAL_KEYS),
-    ("--temperature-k", dict(type=float, default=0.0)))
+    ("--temperature-k", dict(type=float,
+                             help="initial temperature in K; needs the SI "
+                                  "inputs above")))
 
 # Subcommand: (help, pipeline, picks one chain, its own options); options
 # are (flag, argparse keyword arguments) pairs.

@@ -13,8 +13,9 @@ zone edge k = pi/a; omega_y(pi/a) = 0 defines the finite-N critical
 frequency returned by `critical_frequency_finite`.
 
 The mode matrix R is the real orthogonal transformation between site
-displacements and normal coordinates; its first row fixes how strongly each
-mode couples to a probe on ion 1.
+displacements and normal coordinates. Only its probe rows are needed: row j
+fixes how strongly each mode couples to a probe on ion j, and `ModeMatrix.row`
+evaluates it in closed form, O(N); R itself is never built.
 
 On the mode grid k_n = 2 pi n / N the dispersion sums are one real FFT of
 j^-3. The argmax grid of `max_group_velocity` is an FFT grid too: both of its
@@ -27,20 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import (InvalidParameter, ResourceLimit, SoftModeSingularity,
+from .errors import (InvalidParameter, SoftModeSingularity,
                      UnstableLinearPhase)
 from .model import ChainParams
 
 # Radicand more negative than this is treated as a genuine instability;
 # anything in (-RADICAND_CLAMP, 0) is rounded up to zero.
 RADICAND_CLAMP = 1e-12
-
-# Largest dense oracle matrix ModeMatrix.R will allocate (N^2 entries; 512 MB).
-_DENSE_R_ELEMENTS = 64_000_000
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # max_group_velocity: argmax grid on (0, pi) and final golden-section bracket
@@ -206,40 +203,13 @@ class ModeMatrix:
         R[j, (n,-)]    = sqrt(2/N) sin(j k_n)
         R[j, (N/2,-)]  = (-1)^j sqrt(1/N)
 
-    `row` evaluates one probe row in O(N). The dense R is a test oracle,
-    built on first access; above _DENSE_R_ELEMENTS entries it raises
-    ResourceLimit before allocating.
+    `row` evaluates one probe row in O(N).
     """
 
     N: int
 
     def __post_init__(self):
         _check_even_n(self.N)
-
-    @cached_property
-    def R(self) -> np.ndarray:
-        """Dense R, one column per mode: the oracle `row` is tested against."""
-        N = self.N
-        if N ** 2 > _DENSE_R_ELEMENTS:
-            raise ResourceLimit(
-                f"dense {N} x {N} mode matrix exceeds budget "
-                f"{_DENSE_R_ELEMENTS} entries; use row()")
-        j = np.arange(1, N + 1, dtype=np.float64)
-        R = np.empty((N, N))
-        root1 = math.sqrt(1.0 / N)
-        root2 = math.sqrt(2.0 / N)
-        n, plus = _columns(N)
-        k = 2.0 * math.pi * n / N
-        for col in range(N):
-            if n[col] == 0:
-                R[:, col] = root1
-            elif n[col] == N // 2:
-                R[:, col] = root1 * np.where(j % 2 == 0, 1.0, -1.0)
-            elif plus[col]:
-                R[:, col] = root2 * np.cos(j * k[col])
-            else:
-                R[:, col] = root2 * np.sin(j * k[col])
-        return R
 
     def row(self, site: int) -> np.ndarray:
         """Probe row for ion `site` (1-based), in O(N)."""
@@ -253,11 +223,6 @@ class ModeMatrix:
         out[2:N - 1:2] = math.sqrt(2.0 / N) * np.sin(phase)
         out[N - 1] = math.sqrt(1.0 / N) * (1.0 if site % 2 == 0 else -1.0)
         return out
-
-    def orthogonality_error(self) -> float:
-        """max |R^T R - I|."""
-        G = self.R.T @ self.R
-        return float(np.max(np.abs(G - np.eye(self.N))))
 
 
 def mode_matrix(N: int) -> ModeMatrix:

@@ -44,25 +44,16 @@ COULOMB_K = 8.9875517923e9    # 1/(4 pi eps_0), N m^2 / C^2
 # omega_y(q)^2 ~ delta^2 + h^2 q^2 with q measured from the zone edge.
 H_STIFFNESS = math.sqrt(math.log(2.0))
 
-_ZETA3_TERMS = 10 ** 6
 
-
-@lru_cache(maxsize=1)
 def zeta3() -> float:
-    """Riemann zeta(3) by direct summation plus an Euler-Maclaurin tail.
+    """Riemann zeta(3) to double precision.
 
-    Sums 10^6 terms in ascending order and closes the tail with the
-    asymptotic correction through M^-6, which is exact to double precision.
-    Kept free of special-function libraries on purpose: this value fixes the
-    critical frequency and is cross-checked against an independent oracle in
-    the tests.
+    This value fixes the critical frequency. The literal is the sum of 10^6
+    terms in ascending order closed by the Euler-Maclaurin tail through
+    M^-6; the tests recompute that sum bit for bit and check both against an
+    independent oracle.
     """
-    M = _ZETA3_TERMS
-    j = np.arange(M, 0, -1, dtype=np.float64)   # ascending magnitudes
-    s = float(np.sum(j ** -3))
-    tail = 1.0 / (2 * M ** 2) - 1.0 / (2 * M ** 3) + 1.0 / (4 * M ** 4) \
-        - 1.0 / (12 * M ** 6)
-    return s + tail
+    return 1.2020569031595938
 
 
 @lru_cache(maxsize=1)

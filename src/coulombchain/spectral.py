@@ -164,9 +164,10 @@ def _peak_prominences(x: np.ndarray) -> tuple:
                                  range_min(peaks, right))
 
 
-def find_peaks(spectrum: FourierSpectrum, prominence: float,
-               dc_floor_bins: int = DC_FLOOR_BINS) -> list[tuple[float, float]]:
-    """Local maxima of F with prominence >= `prominence`, DC floor excluded.
+def find_peaks(spectrum: FourierSpectrum,
+               prominence: float) -> list[tuple[float, float]]:
+    """Local maxima of F with prominence >= `prominence` past the first
+    DC_FLOOR_BINS bins.
 
     Peaks, plateau midpoints and prominences follow scipy.signal.find_peaks.
     Returns (omega, F) pairs sorted by descending amplitude.
@@ -179,7 +180,7 @@ def find_peaks(spectrum: FourierSpectrum, prominence: float,
         bad = int(np.argmin(np.isfinite(F)))
         raise InvalidParameter(f"F must be finite; F[{bad}] = {F[bad]}")
     idx, prom = _peak_prominences(F)
-    idx = idx[(prom >= prominence) & (idx > dc_floor_bins)]
+    idx = idx[(prom >= prominence) & (idx > DC_FLOOR_BINS)]
     pairs = [(float(spectrum.omega[i]), float(F[i])) for i in idx]
     pairs.sort(key=lambda p: -p[1])
     return pairs

@@ -23,12 +23,11 @@ therefore come from the block index, as arrays on `ZigzagSpectrum`, and the
 probe row of a site is closed form, O(N). The structural modes (rotation,
 bulk transverse, the two staggered zigzag modes) are tagged by name.
 
-The oracles are the Hessian `_hessian` (diagonalised with eigh in the
-tests), `ZigzagSpectrum.vectors` and `classify_zigzag_modes`. The first two
-need (2N)^2 arrays. `classify_zigzag_modes` measures each vector against its
-own labels band by band in n, in O(band x N) memory, from the same row
-builder as `probe_row`. All three keep the O(N^2) work budget and raise
-ResourceLimit above _DENSE_ELEMENTS entries before allocating.
+`classify_zigzag_modes` checks the label arrays: it rebuilds each mode's
+vector band by band in n, in O(band x N) memory, from the same row builder
+as `probe_row`, and measures it against its own labels. It keeps the O(N^2)
+work budget and raises ResourceLimit above _DENSE_ELEMENTS entries before
+allocating.
 """
 
 from __future__ import annotations
@@ -41,15 +40,14 @@ import numpy as np
 
 from .errors import (InvalidParameter, NumericalFailure, ResourceLimit,
                      SoftModeSingularity, UnstableConfiguration)
-from .linear_modes import (_columns, critical_frequency_finite,
-                           dispersion_axial, dispersion_transverse)
+from .linear_modes import critical_frequency_finite
 from .model import ChainParams
 from .ramsey import DisplacementAmplitudes
 
 GRAD_TOL = 1e-10          # |dE/db| at the returned equilibrium
 EIG_CLAMP = 1e-10         # |eigenvalue| below this snaps to zero
-# Work budget of the oracle routes in (2N)^2 entries: the largest dense array
-# `_hessian` and `vectors` allocate (N <= 2000; 128 MB).
+# O(N^2) work budget of `classify_zigzag_modes` in (2N)^2 entries, the size
+# of a dense 2N x 2N matrix (N <= 2000; 128 MB).
 _DENSE_ELEMENTS = 16_000_000
 
 
@@ -171,56 +169,15 @@ def _check_dense(N: int, what: str) -> None:
             f"{_DENSE_ELEMENTS} entries; use the block spectrum and probe_row")
 
 
-def _hessian(N: int, nu_t: float, b: float) -> np.ndarray:
-    """Analytic 2N x 2N Hessian at the staggered configuration, omega_0^2 units.
-
-    Test oracle for the block route; raises ResourceLimit before allocating
-    above _DENSE_ELEMENTS entries.
-    """
-    _check_dense(N, "Hessian")
-    H = np.zeros((2 * N, 2 * N))
-    i = np.arange(N)
-    # Sites are 1-based: y0_site = (-1)^(i+1) b/2, so an odd-separation bond
-    # has y_j0 - y_i0 = -2 y_i0 = (-1)^i b.
-    sign_i = np.where(i % 2 == 0, 1.0, -1.0)
-    for d in range(1, N // 2 + 1):
-        j = (i + d) % N
-        if d % 2 == 1:
-            dy = sign_i * b                        # y_j0 - y_i0 for odd separation
-        else:
-            dy = np.zeros(N)
-        r2 = d * d + dy * dy
-        r5 = r2 ** 2.5
-        kxx = (3.0 * d * d - r2) / r5
-        kyy = (3.0 * dy * dy - r2) / r5
-        kxy = 3.0 * d * dy / r5
-        qi, wi = 2 * i, 2 * i + 1
-        qj, wj = 2 * j, 2 * j + 1
-        np.add.at(H, (qi, qi), kxx)
-        np.add.at(H, (qj, qj), kxx)
-        np.add.at(H, (qi, qj), -kxx)
-        np.add.at(H, (qj, qi), -kxx)
-        np.add.at(H, (wi, wi), kyy)
-        np.add.at(H, (wj, wj), kyy)
-        np.add.at(H, (wi, wj), -kyy)
-        np.add.at(H, (wj, wi), -kyy)
-        np.add.at(H, (qi, wi), kxy)
-        np.add.at(H, (wi, qi), kxy)
-        np.add.at(H, (qj, wj), kxy)
-        np.add.at(H, (wj, qj), kxy)
-        np.add.at(H, (qi, wj), -kxy)
-        np.add.at(H, (wj, qi), -kxy)
-        np.add.at(H, (wi, qj), -kxy)
-        np.add.at(H, (qj, wi), -kxy)
-    H[np.arange(1, 2 * N, 2), np.arange(1, 2 * N, 2)] += nu_t ** 2
-    return H
-
-
 def _block_entries(N: int, nu_t: float, b: float):
     """Dxx(k_m), Dyy(k_m + pi) and S(k_m) for m = 0..N/2, from one real FFT.
 
-    Same bond kernels as `_hessian`, with dy = b for odd d and 0 for even d
-    (the alternating sign of dy moves into the (-1)^j of the w pattern):
+    Bond d has dy = b for odd d and 0 for even d (the alternating sign of
+    dy moves into the (-1)^j of the w pattern), r^2 = d^2 + dy^2 and the
+    second derivatives of 1/r
+        kxx = (3 d^2 - r^2) / r^5, kyy = (3 dy^2 - r^2) / r^5,
+        kxy = 3 d dy / r^5,
+    which enter as
         Dxx(k) = 2 sum_d kxx(d) (1 - cos kd)
         Dyy(k) = nu_t^2 + 2 sum_d kyy(d) (1 - cos kd)
         S(k)   = sum_d kxy(d) sin kd          (kxy = 0 for even d)
@@ -322,9 +279,6 @@ class ZigzagSpectrum:
 
     The labels n, sigma, k, beta and special are arrays indexed like omega,
     and `label_order` sorts them into table rows. `probe_row` is O(N).
-    `vectors[:, i]`, the eigenvector of omega[i] in (q_1, w_1, ..., q_N, w_N)
-    order, is built on first access and raises ResourceLimit above
-    _DENSE_ELEMENTS entries.
     """
 
     N: int
@@ -386,19 +340,6 @@ class ZigzagSpectrum:
         q, w = self._components(slice(None), np.array([site]))
         return (q if coordinate == "q" else w)[:, 0]
 
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        """Dense orthonormal eigenvectors as columns; rows equal probe_row."""
-        N = self.N
-        _check_dense(N, "eigenvector matrix")
-        sites = np.arange(1, N + 1)
-        modes = np.empty((2 * N, 2 * N))        # one contiguous row per mode
-        step = max(1, 2 ** 17 // N)             # ~1 MB temporaries per pass
-        for lo in range(0, 2 * N, step):
-            sel = slice(lo, lo + step)
-            modes[sel, 0::2], modes[sel, 1::2] = self._components(sel, sites)
-        return modes.T
-
 
 def zigzag_spectrum(params: ChainParams) -> ZigzagSpectrum:
     """Phonon spectrum at the zigzag (or, above the transition, linear) minimum.
@@ -437,19 +378,6 @@ def zigzag_spectrum(params: ChainParams) -> ZigzagSpectrum:
                           omega=np.sqrt(lam[order]), block=src // 2,
                           plus=plus, qcoef=norm * u[src],
                           wcoef=np.where(plus, -norm, norm) * v[src])
-
-
-def folded_linear_frequencies(params: ChainParams) -> np.ndarray:
-    """Both planar linear-chain branches on the full mode set, sorted.
-
-    This is what the zigzag spectrum must reduce to at b = 0: the x and y
-    branches folded together into one list of 2N frequencies.
-    """
-    n, _ = _columns(params.N)
-    k = 2.0 * math.pi * n / params.N
-    wx = dispersion_axial(k, params.N)
-    wy = dispersion_transverse(k, params.nu_t, params.N)
-    return np.sort(np.concatenate([wx, wy]))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,117 @@
-"""The settable values of the public API, pinned.
+"""The public API, pinned: its names and its settable values.
+
+The names `coulombchain` exports (its submodules aside) and the public
+methods and properties of its exported classes are pinned, so that adding or
+removing one, a dense route included, shows up as a diff of this file.
 
 Every parameter with a default of a callable exported from `coulombchain`
 (dataclass fields included, through the constructor) and of the public
-methods of its exported classes is an option a caller may set. The set is
-pinned so that adding or removing one shows up as a diff of this file.
+methods of its exported classes is an option a caller may set. That set is
+pinned the same way.
 """
 
 import inspect
+from functools import cached_property
 
 import coulombchain
+
+EXPORTS = {
+    "AInfinityForms",
+    "AnalyticAInfinity",
+    "ChainParams",
+    "CoulombChainError",
+    "CuspReport",
+    "DerivativeScan",
+    "DerivedScales",
+    "DisplacementAmplitudes",
+    "FourierSpectrum",
+    "GammaForms",
+    "GammaScan",
+    "H_STIFFNESS",
+    "InvalidParameter",
+    "ModeMatrix",
+    "ModeSet",
+    "NumericalFailure",
+    "PhysicalInput",
+    "ResourceLimit",
+    "RevivalEstimate",
+    "RunManifest",
+    "SoftModeSingularity",
+    "UnstableConfiguration",
+    "UnstableLinearPhase",
+    "VisibilityTrace",
+    "ZigzagEquilibrium",
+    "ZigzagMode",
+    "ZigzagSpectrum",
+    "a_infinity",
+    "a_infinity_analytic",
+    "autocorrelation_G",
+    "axial_mode_set",
+    "b_analytic",
+    "b_of_t",
+    "bessel_Y0",
+    "classify_zigzag_modes",
+    "critical_frequency_finite",
+    "critical_frequency_infinite",
+    "cusp_secant_slopes",
+    "derive_parameters",
+    "dispersion_axial",
+    "dispersion_transverse",
+    "distinguishability",
+    "emit_csv",
+    "evaluate_trace",
+    "exponent_A",
+    "exponent_A_thermal",
+    "find_peaks",
+    "find_revival_burst",
+    "fourier_spectrum",
+    "gamma_coefficient",
+    "gamma_derivative_scan",
+    "gamma_fit",
+    "gamma_slope_analytic",
+    "gamma_transition_scan",
+    "group_velocity",
+    "linear_chain_amplitudes",
+    "max_group_velocity",
+    "mode_matrix",
+    "overlap",
+    "overlay_band",
+    "ramsey_probability",
+    "revival_time",
+    "spectral_band_check",
+    "thermal_weights",
+    "transverse_band",
+    "transverse_mode_set",
+    "visibility",
+    "visibility_trace",
+    "weighted_trig_sum",
+    "zeta3",
+    "zigzag_displacement_amplitudes",
+    "zigzag_equilibrium",
+    "zigzag_spectrum",
+}
+
+MEMBERS = {
+    "AnalyticAInfinity.evaluate",
+    "ChainParams.delta_trans",
+    "ChainParams.eta0",
+    "ChainParams.from_delta",
+    "ChainParams.soft_gap",
+    "CuspReport.separation",
+    "ModeMatrix.row",
+    "ModeSet.k",
+    "ModeSet.n",
+    "ModeSet.sigma",
+    "PhysicalInput.omega0",
+    "RunManifest.write",
+    "ZigzagSpectrum.beta",
+    "ZigzagSpectrum.k",
+    "ZigzagSpectrum.label_order",
+    "ZigzagSpectrum.n",
+    "ZigzagSpectrum.probe_row",
+    "ZigzagSpectrum.sigma",
+    "ZigzagSpectrum.special",
+}
 
 PINNED = {
     "ChainParams(theta)",
@@ -20,7 +123,6 @@ PINNED = {
     "a_infinity_analytic(delta_ref)",
     "evaluate_trace(theta)",
     "evaluate_trace(with_overlap)",
-    "find_peaks(dc_floor_bins)",
     "find_revival_burst(baseline_gap)",
     "find_revival_burst(baseline_span)",
     "find_revival_burst(factor)",
@@ -66,3 +168,26 @@ def test_public_options_are_pinned():
     found = _public_options()
     assert found - PINNED == set(), "new options"
     assert PINNED - found == set(), "removed options"
+
+
+def _exports() -> dict:
+    return {name: getattr(coulombchain, name) for name in dir(coulombchain)
+            if not name.startswith("_")
+            and not inspect.ismodule(getattr(coulombchain, name))}
+
+
+def test_exported_names_are_pinned():
+    found = set(_exports())
+    assert found - EXPORTS == set(), "new names"
+    assert EXPORTS - found == set(), "removed names"
+
+
+def test_class_members_are_pinned():
+    kinds = (property, cached_property, classmethod, staticmethod)
+    found = {f"{name}.{attr}"
+             for name, obj in _exports().items() if inspect.isclass(obj)
+             for attr, member in vars(obj).items()
+             if not attr.startswith("_")
+             and (isinstance(member, kinds) or inspect.isfunction(member))}
+    assert found - MEMBERS == set(), "new members"
+    assert MEMBERS - found == set(), "removed members"

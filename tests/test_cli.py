@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import coulombchain
-from coulombchain import cli, critical_frequency_finite, emit_csv
+from coulombchain import (PhysicalInput, cli, critical_frequency_finite,
+                          derive_parameters, emit_csv)
 from coulombchain.cli import run
 from coulombchain.errors import InvalidParameter
 
@@ -207,6 +208,36 @@ def test_non_finite_physical_inputs_name_the_field(flag, key, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+def test_temperature_in_kelvin_needs_the_si_inputs(tmp_path, capsys):
+    # Without the SI inputs a kelvin temperature cannot be converted to
+    # theta; it must not be dropped silently.
+    argv = ["visibility", "--N", "8", "--delta", "0.1", "--eta-c", "0.25",
+            "--temperature-k", "300", "--out", str(tmp_path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in cli._PHYSICAL_KEYS) and "--theta" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_si_temperature_sets_theta_unless_theta_is_given(tmp_path, capsys):
+    flags = {**_SI_FLAGS, "--transverse-frequency-rad-s": "1e7"}
+    phys = PhysicalInput(**{f[2:].replace("-", "_"): float(v)
+                            for f, v in flags.items()}, temperature_k=1e-5)
+    si = [arg for pair in flags.items() for arg in pair]
+    warm = derive_parameters(phys).theta
+    assert warm > 0.0
+    cases = [([], 0.0, False), (["--temperature-k", "1e-5"], warm, False),
+             (["--temperature-k", "1e-5", "--theta", "0.25"], 0.25, True)]
+    for i, (extra, theta, warned) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert run(["visibility", "--N", "8", *si, *extra, "--samples", "50",
+                    "--out", str(out)]) == 0
+        params = json.loads((out / "visibility_manifest.json").read_text())[
+            "params"]
+        assert params["theta"] == theta
+        assert ("take precedence" in capsys.readouterr().err) == warned
+
+
 def test_bad_config_line_cites_location(tmp_path, capsys):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("N = 16\nthis has no equals sign\n")
@@ -376,17 +407,28 @@ def test_non_finite_chain_parameters_are_usage_errors(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy is a test oracle only.
+def _scipy_modules_after(module: str) -> str:
+    """The scipy modules loaded by a fresh interpreter importing `module`."""
     src = os.path.dirname(os.path.dirname(coulombchain.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import sys, coulombchain.cli; print(sorted(m for m in "
+        [src, os.path.dirname(__file__)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = (f"import sys, {module}; print(sorted(m for m in "
             "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test oracle only.
+    assert _scipy_modules_after("coulombchain.cli") == "[]"
+
+
+def test_dense_oracles_load_no_scipy():
+    # The numpy-only CI job runs the tests that import tests/oracles.py.
+    assert _scipy_modules_after("oracles") == "[]"
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -36,7 +36,8 @@ from coulombchain.linear_modes import (_GOLDEN, _VGRID_POINTS, _VMAX_TOL,
                                        _mode_grid_sum)
 from coulombchain.ramsey import (_MIN_UNIFORM_SAMPLES, _direct_trig_sum,
                                  _uniform_step)
-from coulombchain.zigzag import _hessian, _own_subspace_residuals
+from coulombchain.zigzag import _own_subspace_residuals
+from oracles import dense_hessian, dense_mode_matrix, dense_vectors
 
 KINDS = ("sin2half", "sin", "cos")
 EPS = np.finfo(np.float64).eps
@@ -57,13 +58,13 @@ def _bound(t, omega, weight):
         1.0 + np.max(omega) * np.max(np.abs(t)))
 
 
-def test_blocked_trig_sum_matches_direct_kernel():
+def test_uniform_grid_trig_sum_matches_direct_kernel():
     rng = np.random.default_rng(20261017)
     for case in range(24):
         M = int(rng.integers(1, 600))
         n = int(rng.integers(64, 5000))
         if math.isqrt(n) ** 2 == n:
-            n += 1                      # last block shorter than B
+            n += 1                      # non-square n, as always seeded
         t = _random_grid(rng, n, straddle=case % 2 == 0)
         omega = rng.uniform(0.05, 3.0, M)
         weight = rng.uniform(0.0, 0.1, M)
@@ -169,9 +170,9 @@ def test_perturbed_grid_takes_the_direct_route():
 def test_probe_row_matches_dense_matrix():
     rng = np.random.default_rng(3)
     for N in (4, 6, 16, 100, 512):
-        R = mode_matrix(N)
+        R, dense = mode_matrix(N), dense_mode_matrix(N)
         for site in rng.integers(1, N + 1, 5):
-            assert np.max(np.abs(R.row(int(site)) - R.R[site - 1])) < 1e-15
+            assert np.max(np.abs(R.row(int(site)) - dense[site - 1])) < 1e-15
 
 
 @pytest.mark.parametrize("N", [4, 6, 8, 100, 1000])
@@ -288,12 +289,12 @@ def test_zigzag_blocks_match_dense_hessian(N):
     for nu in (nuc - rng.uniform(0.005, 0.3), nuc + rng.uniform(0.005, 0.5)):
         sp = zigzag_spectrum(ChainParams(N=N, nu_t=float(nu), eta_c=0.1))
         assert (sp.b > 0.0) == (nu < nuc)
-        H = _hessian(N, sp.nu_t, sp.b)
+        H = dense_hessian(N, sp.nu_t, sp.b)
         lam = np.linalg.eigvalsh(H)
         tol = 1e-12 * lam[-1]
         lam_blocks = sp.omega ** 2
         assert np.max(np.abs(np.sort(lam_blocks) - lam)) < tol
-        V = sp.vectors
+        V = dense_vectors(sp)
         assert np.max(np.abs(H @ V - V * lam_blocks)) < tol
         assert np.max(np.abs(V.T @ V - np.eye(2 * N))) < 1e-12
         for site in rng.integers(1, N + 1, 4):
@@ -339,7 +340,8 @@ def _zigzag_at(N, offset):
 def test_banded_residuals_match_dense_projection(N, offset):
     sp = _zigzag_at(N, offset)
     assert (sp.b > 0.0) == (offset < 0.0)
-    dense = _dense_own_subspace_residuals(N, sp.vectors, sp.n, sp.plus)
+    dense = _dense_own_subspace_residuals(N, dense_vectors(sp), sp.n,
+                                          sp.plus)
     banded = np.array([m.residual for m in classify_zigzag_modes(sp)])
     assert np.max(np.abs(banded - dense[sp.label_order])) < 1e-13
 
@@ -362,8 +364,8 @@ def test_residuals_flag_a_mode_with_wrong_labels(N, offset):
             res = _own_subspace_residuals(vec, lab.n, lab.plus)
             assert res[i] > 0.99
             assert np.max(np.abs(np.delete(res, i))) < 1e-10
-            dense = _dense_own_subspace_residuals(N, vec.vectors, lab.n,
-                                                  lab.plus)
+            dense = _dense_own_subspace_residuals(N, dense_vectors(vec),
+                                                  lab.n, lab.plus)
             assert np.max(np.abs(res - dense)) < 1e-13
 
 

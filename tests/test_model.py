@@ -14,6 +14,7 @@ from coulombchain.errors import (CoulombChainError, InvalidParameter,
                                  NumericalFailure, ResourceLimit,
                                  SoftModeSingularity, UnstableConfiguration,
                                  UnstableLinearPhase)
+from oracles import zeta3_sum
 
 # Independent oracle values, frozen from mpmath (50 digits, rounded here).
 ZETA3_ORACLE = 1.2020569031595942854
@@ -25,6 +26,8 @@ def test_zeta3_against_oracle():
     live = float(mpmath.zeta(3))
     assert abs(zeta3() - live) / live < 1e-12
     assert abs(zeta3() - ZETA3_ORACLE) < 1e-13
+    # the literal is the 10^6-term Euler-Maclaurin sum, bit for bit
+    assert zeta3() == zeta3_sum()
 
 
 def test_critical_frequency_value():

@@ -10,7 +10,7 @@ from coulombchain import (ChainParams, FourierSpectrum, VisibilityTrace,
                           spectral_band_check, transverse_band,
                           visibility_trace)
 from coulombchain.errors import InvalidParameter, ResourceLimit
-from coulombchain.spectral import _peak_prominences
+from coulombchain.spectral import DC_FLOOR_BINS, _peak_prominences
 
 
 def _tone_trace(omegas, amps, n_s=4096, T_F=400.0):
@@ -88,7 +88,7 @@ def test_find_peaks_rejects_bad_inputs(F, prominence, match):
     spec = FourierSpectrum(omega=np.arange(len(F), dtype=float), F=F,
                            bin_width=1.0)
     with pytest.raises(InvalidParameter, match=match):
-        find_peaks(spec, prominence=prominence, dc_floor_bins=0)
+        find_peaks(spec, prominence=prominence)
 
 
 def _seeded_peak_arrays(rng, count):
@@ -128,7 +128,8 @@ def test_find_peaks_equals_scipy_on_a_near_critical_spectrum():
     for prominence in (1e-6, 1e-4, 1e-2):
         idx, _ = signal.find_peaks(spec.F, prominence=prominence)
         want = sorted(((float(spec.omega[i]), float(spec.F[i]))
-                       for i in idx[idx > 3]), key=lambda p: -p[1])
+                       for i in idx[idx > DC_FLOOR_BINS]),
+                      key=lambda p: -p[1])
         assert find_peaks(spec, prominence) == want
     assert len(find_peaks(spec, 1e-4)) > 10
 

@@ -7,15 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coulombchain import (ChainParams, classify_zigzag_modes,
+from coulombchain import (ChainParams, axial_mode_set, classify_zigzag_modes,
                           critical_frequency_finite, dispersion_axial,
                           dispersion_transverse,
-                          folded_linear_frequencies, zigzag_displacement_amplitudes,
-                          zigzag_equilibrium, zigzag_spectrum)
+                          zigzag_displacement_amplitudes, zigzag_equilibrium,
+                          zigzag_spectrum)
 from coulombchain import zigzag
 from coulombchain.cli import run
 from coulombchain.errors import (InvalidParameter, NumericalFailure,
                                  ResourceLimit, SoftModeSingularity)
+from oracles import dense_hessian, dense_vectors
 
 # frozen equilibrium splitting at N = 16, nu_t = nu_c(16) - 0.05
 B_REF_16 = 0.18714377312465968
@@ -112,7 +113,10 @@ def test_fold_match_at_criticality(N):
     p = ChainParams(N=N, nu_t=critical_frequency_finite(N), eta_c=0.0)
     sp = zigzag_spectrum(p)
     assert sp.b == 0.0
-    fold = folded_linear_frequencies(p)
+    # both planar linear branches at the mode k's, folded into one list
+    k = axial_mode_set(N).k
+    fold = np.sort(np.concatenate([dispersion_axial(k, N),
+                                   dispersion_transverse(k, p.nu_t, N)]))
     assert fold.shape == sp.omega.shape == (2 * N,)
     assert np.max(np.abs(sp.omega - fold)) < 1e-8
 
@@ -122,8 +126,7 @@ def test_buckled_spectrum_is_stable_where_flat_line_is_not():
     p = ChainParams(N=16, nu_t=nuc - 0.1, eta_c=0.0)
     sp = zigzag_spectrum(p)          # buckled minimum: all omega real
     assert sp.b > 0 and np.all(sp.omega >= 0.0)
-    from coulombchain.zigzag import _hessian
-    lam = np.linalg.eigvalsh(_hessian(16, p.nu_t, 0.0))
+    lam = np.linalg.eigvalsh(dense_hessian(16, p.nu_t, 0.0))
     assert lam.min() < -1e-6         # the flat line itself is a saddle there
 
 
@@ -235,11 +238,12 @@ def test_probe_row_shape_and_orthonormality():
     N = 16
     p = ChainParams(N=N, nu_t=critical_frequency_finite(N) - 0.05, eta_c=0.0)
     sp = zigzag_spectrum(p)
-    gram = sp.vectors.T @ sp.vectors
+    V = dense_vectors(sp)
+    gram = V.T @ V
     assert np.max(np.abs(gram - np.eye(2 * N))) < 1e-10
     row = sp.probe_row(1, "w")
     assert row.shape == (2 * N,)
-    assert np.array_equal(row, sp.vectors[1, :])
+    assert np.array_equal(row, V[1, :])
     with pytest.raises(InvalidParameter):
         sp.probe_row(0, "w")
     with pytest.raises(InvalidParameter):
@@ -262,15 +266,14 @@ def test_block_route_scales_past_the_dense_budget(tmp_path):
         rows = list(csv.reader(fh))[1:]
     assert len(rows) == len({(r[4], r[2], r[1]) for r in rows}) == 2 * N
     # The dense routes refuse before allocating their (2N)^2 arrays.
-    from coulombchain.zigzag import _hessian
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimit):
-            sp.vectors
+            dense_vectors(sp)
         with pytest.raises(ResourceLimit):
             classify_zigzag_modes(sp)
         with pytest.raises(ResourceLimit):
-            _hessian(N, p.nu_t, sp.b)
+            dense_hessian(N, p.nu_t, sp.b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
