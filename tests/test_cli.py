@@ -149,6 +149,40 @@ def test_emit_csv_matches_per_cell_formatting(tmp_path):
     assert path.read_text() == ",".join(header) + "\n"
 
 
+def test_emit_csv_blocks_match_per_cell_formatting(tmp_path):
+    # Two full blocks and a partial third.
+    n = 2 * cli._BLOCK_ROWS + cli._BLOCK_ROWS // 2
+    rows = [(i,
+             i if i < cli._BLOCK_ROWS else i / 3.0,       # int, then float
+             (f"s{i}", i, np.float32(i / 7), np.bool_(i % 2), -0.0)[i % 5],
+             np.float64(i) * 1e-3)
+            for i in range(n)]
+    header = ["i", "switch", "mixed", "x"]
+    want = "\n".join([",".join(header)]
+                     + [",".join(map(_cell, r)) for r in rows]) + "\n"
+    path = tmp_path / "t.csv"
+    emit_csv(header, (iter(r) for r in rows), str(path))
+    assert path.read_bytes() == want.encode()
+
+    bad = [*rows[:2 * cli._BLOCK_ROWS + 10], rows[0][:3], *rows[2 * n // 3:]]
+    with pytest.raises(InvalidParameter, match="width 3 in a 4-column"):
+        emit_csv(header, iter(bad), str(path))
+    assert path.read_bytes() == want.encode()   # nothing half-written
+    assert sorted(os.listdir(tmp_path)) == ["t.csv"]
+
+
+@pytest.mark.parametrize("cell", [None, 1 + 2j, b"x"])
+def test_emit_csv_rejects_cells_it_cannot_print(cell, tmp_path):
+    path = tmp_path / "t.csv"
+    emit_csv(["a", "b"], [(1, 2.0)], str(path))
+    rows = [(i, 0.5) for i in range(2000)] + [(7, cell)]   # past a block
+    with pytest.raises(InvalidParameter,
+                       match=f"column 'b' holds a {type(cell).__name__}"):
+        emit_csv(["a", "b"], rows, str(path))
+    assert path.read_text() == "a,b\n1,2\n"
+    assert sorted(os.listdir(tmp_path)) == ["t.csv"]
+
+
 def test_runs_are_deterministic(tmp_path):
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     for d in (d1, d2):
