@@ -4,7 +4,8 @@ The package is organized around dimensionless chain parameters (`model`),
 the linear-phase normal modes (`linear_modes`), the zigzag phase
 (`zigzag`), the Ramsey signal of a recoil-kicked ion (`ramsey`), its short-
 and long-time asymptotics (`asymptotics`), and Fourier analysis of the
-visibility (`spectral`). `cli` exposes the figure pipelines.
+visibility (`spectral`). `output` writes CSVs and run manifests for `cli`,
+the command line and the figure scenarios, which `import coulombchain` skips.
 """
 
 from .errors import (CoulombChainError, InvalidParameter, NumericalFailure,
@@ -36,7 +37,6 @@ from .asymptotics import (AInfinityForms, AnalyticAInfinity, CuspReport,
 from .spectral import (FourierSpectrum, overlay_band, find_peaks,
                        fourier_spectrum, spectral_band_check,
                        transverse_band, visibility_trace)
+from .output import RunManifest, emit_csv
 
 __version__ = "0.1.0"
-
-from .cli import RunManifest, emit_csv  # noqa: E402  (needs __version__)

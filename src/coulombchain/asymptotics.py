@@ -431,6 +431,7 @@ def _running_extrema(x: np.ndarray, half: int) -> tuple:
     prefix of the next; running extrema forwards and backwards within the
     blocks give every window in O(len(x)), whatever its size.
     """
+    half = min(half, len(x) - 1)        # wider windows all see the whole x
     n, size = len(x), 2 * half + 1
     blocks = -(-(n + 2 * half) // size)
     padded = np.pad(x, (half, blocks * size - n - half), mode="edge")

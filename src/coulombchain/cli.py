@@ -1,4 +1,4 @@
-"""Command-line front end: parameter resolution, CSV emission, run manifests.
+"""Command line and the figure scenarios; `output` writes their files.
 
 Subcommands
 -----------
@@ -34,13 +34,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
-import tempfile
 import time
-from itertools import chain, islice
 
 import numpy as np
 
@@ -54,6 +51,7 @@ from .linear_modes import (axial_mode_set, critical_frequency_finite,
                            transverse_mode_set)
 from .model import (ChainParams, PhysicalInput, critical_frequency_infinite,
                     derive_parameters)
+from .output import RunManifest, emit_csv
 from .ramsey import evaluate_trace, linear_chain_amplitudes
 from .spectral import (DEFAULT_N_S, DEFAULT_T_F, check_trace_samples,
                        find_peaks, fourier_spectrum, overlay_band,
@@ -64,93 +62,6 @@ _PHYSICAL_KEYS = ("mass_kg", "charge_c", "spacing_m",
                   "transverse_frequency_rad_s", "laser_wavenumber_per_m")
 # Options that bound a scan or time grid; run() rejects non-finite values.
 _GRID_BOUNDS = ("nu_min", "nu_max", "t_min", "t_max", "delta_min", "delta_max")
-
-
-@dataclasses.dataclass
-class RunManifest:
-    """Inputs and outputs of one CLI run; JSON-serialized next to the CSVs."""
-
-    subcommand: str
-    params: dict
-    grids: dict
-    version: str
-    wall_time_s: float
-    outputs: list
-
-    def write(self, path: str) -> None:
-        _atomic_write(path, [json.dumps(dataclasses.asdict(self), indent=2,
-                                        sort_keys=True), "\n"])
-
-
-def _atomic_write(path: str, chunks) -> None:
-    """Stream the str `chunks` into a temp file beside `path`, then replace
-    `path` with it; on any error the temp file goes and `path` is as it was."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", newline="") as f:
-            f.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-# Rows per `%` format. From 256 to 4096 rows, a 100k x 3 float table times
-# alike; 1024 such rows make about 60 kB of text.
-_BLOCK_ROWS = 1024
-
-
-def _format_for(cls: type, column: str) -> str:
-    if issubclass(cls, str):
-        return "%s"
-    if issubclass(cls, (bool, np.bool_, int, np.integer)):
-        return "%d"
-    if issubclass(cls, (float, np.floating)):
-        return "%.17g"
-    raise InvalidParameter(f"column {column!r} holds a {cls.__name__}; cells "
-                           "must be str, integers, booleans or real floats")
-
-
-def _csv_chunks(header, rows):
-    """The header line, then one str per block of up to _BLOCK_ROWS rows."""
-    ncol = len(header)
-    yield ",".join(header) + "\n"
-    rows = iter(rows)
-    while block := list(map(tuple, islice(rows, _BLOCK_ROWS))):
-        widths = set(map(len, block)) - {ncol}
-        if widths:
-            raise InvalidParameter(
-                f"row of width {widths.pop()} in a {ncol}-column table")
-        cells = list(chain.from_iterable(block))
-        formats = []
-        for j, column in enumerate(header):
-            by_type = {cls: _format_for(cls, column)
-                       for cls in set(map(type, cells[j::ncol]))}
-            fmt, *others = set(by_type.values())
-            if others:
-                # Formats mix within the block: print the column cell by cell.
-                cells[j::ncol] = [by_type[type(c)] % c for c in cells[j::ncol]]
-                fmt = "%s"
-            formats.append(fmt)
-        yield ((",".join(formats) + "\n") * len(block)) % tuple(cells)
-
-
-def emit_csv(header, rows, path: str) -> None:
-    """Write a rectangular table: header row, >= 12 significant digits,
-    newline-terminated, no locale formatting, atomic replace.
-
-    Cells print as str, integers (booleans as 1/0) or %.17g floats; any
-    other cell type is an InvalidParameter naming its column. `rows` is
-    any iterable of rows (iterables of cells), taken 1024 at a time; each
-    block is one `%` format through a template with one format per column,
-    picked from the cell types that column holds in the block. A column
-    whose cells need different formats in one block prints cell by cell,
-    which gives the same bytes. Blocks stream into the temp file, so
-    neither the lines nor the whole text is held; a bad row in any block
-    leaves `path` as it was."""
-    _atomic_write(path, _csv_chunks(header, rows))
 
 
 def _read_config(path: str, parser: argparse.ArgumentParser) -> list:
@@ -350,12 +261,10 @@ def _cmd_zigzag(ns, path):
     if ns.points < 1:
         raise InvalidParameter("points must be >= 1")
 
-    grid = np.linspace(nu_min, nu_max, ns.points)
-    rows = []
-    for nu in grid:
-        eq = zigzag_equilibrium(dataclasses.replace(p, nu_t=float(nu)))
-        rows.append((eq.nu_t, eq.b, eq.energy_per_ion))
-    emit_csv(("nu_t", "b", "energy_per_ion"), rows,
+    eqs = [zigzag_equilibrium(dataclasses.replace(p, nu_t=float(nu)))
+           for nu in np.linspace(nu_min, nu_max, ns.points)]
+    emit_csv(("nu_t", "b", "energy_per_ion"),
+             [(eq.nu_t, eq.b, eq.energy_per_ion) for eq in eqs],
              path("zigzag_amplitude.csv"))
 
     spec = zigzag_spectrum(p)
@@ -429,11 +338,10 @@ def _cmd_asymptotics(ns, path):
     ana = a_infinity_analytic(chains[-1], delta_ref=float(deltas[-1]))
     _a_infinity(path, "a_infinity_table.csv", deltas, amps, ana)
 
-    rev_rows = []
-    for d, p in zip(deltas, chains):
-        r = revival_time(N, p.nu_t)
-        rev_rows.append((d, p.nu_t, r.v_max, r.k_star, r.t_star))
-    emit_csv(("delta", "nu_t", "v_max", "k_star", "t_star"), rev_rows,
+    revs = [revival_time(N, p.nu_t) for p in chains]
+    emit_csv(("delta", "nu_t", "v_max", "k_star", "t_star"),
+             [(d, p.nu_t, r.v_max, r.k_star, r.t_star)
+              for d, p, r in zip(deltas, chains, revs)],
              path("revival_table.csv"))
 
     return {"N": N, "eta_c": eta_c}, {
@@ -449,68 +357,54 @@ def _cmd_longtime(ns, path):
 
 
 # ------------------------------------------------------------------- figures
+# Each scenario writes its tables and returns (params, proxies); a proxy is
+# a (name, passed, detail) check of one of the paper's claims.
 
 
-def _proxy(checks: list, name: str, ok: bool, detail: str) -> None:
-    checks.append((name, bool(ok), detail))
-    tag = "ok" if ok else "FAIL"
-    print(f"  proxy {name}: {tag} ({detail})")
+def _spectrum_scenario(path, fig: str, delta: float):
+    """Scenarios 2 and 3: V(t) and its spectrum at N = 100, eta_c = 0.25 and
+    `delta`; the chain, spectrum, peaks, omega_y and the scenario's params."""
+    p = ChainParams.from_delta(100, delta, 0.25)
+    tr, spec, peaks = _spectrum(path, f"fig{fig}_spectrum.csv", p, 1e-4,
+                                trace_name=f"fig{fig}_visibility.csv")
+    params = {**_params_dict(p), "mean_V": float(np.mean(tr.V))}
+    return p, spec, peaks, transverse_mode_set(p).omega, params
 
 
-_FIG2_PARAMS = dict(N=100, delta=1e-1, eta_c=0.25)
-_FIG3_PARAMS = dict(N=100, delta=1e-4, eta_c=0.25)
-
-
-def _fig2(path, checks: list) -> dict:
-    p = ChainParams.from_delta(**_FIG2_PARAMS)
-    tr, spec, peaks = _spectrum(path, "fig2_spectrum.csv", p, 1e-4,
-                                trace_name="fig2_visibility.csv")
-
+def _fig2(path):
+    p, spec, peaks, omega_y, params = _spectrum_scenario(path, "2", 1e-1)
     (_, lo, hi, frac), (_, _, _, frac_c) = _band_fractions(p, spec)
-    _proxy(checks, "fig2 band confinement", frac >= 0.95,
-           f"power fraction {frac:.4f} in [{lo:.4f}, {hi:.4f}]; "
-           f"overlay-form fraction {frac_c:.4f}")
-
     # Away from the transition the signal is perturbative, so every line
     # sits on a mode frequency; combination lines are below prominence.
-    omega_y = transverse_mode_set(p).omega
     worst = max((float(np.min(np.abs(omega_y - w))) for w, _ in peaks),
                 default=0.0)
-    _proxy(checks, "fig2 peaks on mode grid",
-           bool(peaks) and worst <= spec.bin_width,
-           f"{len(peaks)} peaks, worst offset {worst:.2e} "
-           f"(bin {spec.bin_width:.2e})")
-    out = _params_dict(p)
-    out["mean_V"] = float(np.mean(tr.V))
-    return out
+    return params, [
+        ("fig2 band confinement", frac >= 0.95,
+         f"power fraction {frac:.4f} in [{lo:.4f}, {hi:.4f}]; "
+         f"overlay-form fraction {frac_c:.4f}"),
+        ("fig2 peaks on mode grid", bool(peaks) and worst <= spec.bin_width,
+         f"{len(peaks)} peaks, worst offset {worst:.2e} "
+         f"(bin {spec.bin_width:.2e})")]
 
 
-def _fig3(path, checks: list) -> dict:
-    p = ChainParams.from_delta(**_FIG3_PARAMS)
-    tr, spec, peaks = _spectrum(path, "fig3_spectrum.csv", p, 1e-4,
-                                trace_name="fig3_visibility.csv")
-
-    omega_y = transverse_mode_set(p).omega
+def _fig3(path):
+    p, spec, peaks, omega_y, params = _spectrum_scenario(path, "3", 1e-4)
     soft = float(np.min(omega_y[omega_y > 0]))
     top = peaks[0][0] if peaks else math.nan
-    _proxy(checks, "fig3 soft-mode peak",
-           bool(peaks) and abs(top - soft) <= spec.bin_width,
-           f"top peak {top:.6f} vs omega_y(pi) {soft:.6f}")
-
-    # Deeper decay near the transition: mean V below the detuned scenario's.
-    ref = visibility_trace(ChainParams.from_delta(**_FIG2_PARAMS))
-    mean_v, mean_ref = float(np.mean(tr.V)), float(np.mean(ref.V))
-    _proxy(checks, "fig3 deeper decay", mean_v < mean_ref,
-           f"mean V {mean_v:.4f} vs {mean_ref:.4f} at the larger detuning")
-    out = _params_dict(p)
-    out["mean_V"] = mean_v
-    return out
+    # Deeper decay near the transition: mean V below scenario 2's.
+    ref = visibility_trace(ChainParams.from_delta(p.N, 1e-1, p.eta_c))
+    mean_v, mean_ref = params["mean_V"], float(np.mean(ref.V))
+    return params, [
+        ("fig3 soft-mode peak",
+         bool(peaks) and abs(top - soft) <= spec.bin_width,
+         f"top peak {top:.6f} vs omega_y(pi) {soft:.6f}"),
+        ("fig3 deeper decay", mean_v < mean_ref,
+         f"mean V {mean_v:.4f} vs {mean_ref:.4f} at the larger detuning")]
 
 
-def _fig4(path, checks: list) -> dict:
+def _fig4(path):
     N, eta_c = 1000, 0.05
-    rows = []
-    worst = 0.0
+    rows, worst = [], 0.0
     for d in (1e-4, 1e-3, 1e-2):
         p = ChainParams.from_delta(N, d, eta_c)
         amps = linear_chain_amplitudes(p)
@@ -524,53 +418,50 @@ def _fig4(path, checks: list) -> dict:
         rows.append((d, gamma, gfit, rel, resid))
     emit_csv(("delta", "gamma", "gamma_fit", "rel_dev", "fit_rms"),
              rows, path("fig4_gamma.csv"))
-    _proxy(checks, "fig4 quadratic fit", worst < 0.01,
-           f"worst relative deviation {worst:.2e}")
-    return {"N": N, "eta_c": eta_c, "deltas": [1e-4, 1e-3, 1e-2]}
+    return {"N": N, "eta_c": eta_c, "deltas": [1e-4, 1e-3, 1e-2]}, [
+        ("fig4 quadratic fit", worst < 0.01,
+         f"worst relative deviation {worst:.2e}")]
 
 
-def _fig5(path, checks: list) -> dict:
+def _fig5(path):
     N_scan, N_fit, eta_c = 256, 1000, 0.05
     scan, rep = _gamma_scan(path, "fig5_gamma.csv",
                             np.linspace(-1e-2, 1e-2, 21), N_scan, eta_c)
-    i_min = int(np.argmin(scan.gamma))
-    _proxy(checks, "fig5 minimum at zero", scan.deltas[i_min] == 0.0,
-           f"minimum at delta = {scan.deltas[i_min]:g}")
-    _proxy(checks, "fig5 cusp slopes", rep.separation > 5.0,
-           f"left {rep.left_slope:.4g}, right {rep.right_slope:.4g}, "
-           f"{rep.separation:.1f} standard errors apart")
-
+    d_min = scan.deltas[int(np.argmin(scan.gamma))]
     der = _dgamma(path, "fig5_dgamma.csv", np.logspace(-4, -2, 12), N_fit,
                   eta_c)
-    _proxy(checks, "fig5 log fit", der.r_squared > 0.99,
-           f"R^2 = {der.r_squared:.6f}, b = {der.b:.4g}")
-    return {"N_scan": N_scan, "N_fit": N_fit, "eta_c": eta_c}
+    return {"N_scan": N_scan, "N_fit": N_fit, "eta_c": eta_c}, [
+        ("fig5 minimum at zero", d_min == 0.0, f"minimum at delta = {d_min:g}"),
+        ("fig5 cusp slopes", rep.separation > 5.0,
+         f"left {rep.left_slope:.4g}, right {rep.right_slope:.4g}, "
+         f"{rep.separation:.1f} standard errors apart"),
+        ("fig5 log fit", der.r_squared > 0.99,
+         f"R^2 = {der.r_squared:.6f}, b = {der.b:.4g}")]
 
 
-def _fig6(path, checks: list) -> dict:
+def _fig6(path):
     p = ChainParams.from_delta(1000, 1e-3, 0.25)
     t, V, V_ana, g = _longtime(path, "fig6_longtime.csv", p, None, 50_000)
     t_star, burst = g["t_star"], g["burst_time"]
-    _proxy(checks, "fig6 v_max", abs(g["v_max"] - 0.81) / 0.81 < 0.01,
-           f"v_max = {g['v_max']:.4f}")
-    _proxy(checks, "fig6 k_star", abs(g["k_star"] - 2.64) / 2.64 < 0.02,
-           f"k* = {g['k_star']:.4f}")
-    _proxy(checks, "fig6 t_star", abs(t_star - 1229.0) / 1229.0 < 0.02,
-           f"t* = {t_star:.2f}")
-    _proxy(checks, "fig6 revival detector",
-           burst is not None and abs(burst - t_star) < 0.1 * t_star,
-           f"burst at {burst if burst is None else round(burst, 2)} "
-           f"vs t* = {t_star:.2f}")
     mask = (t >= 3.0 / g["soft_gap"]) & (t <= 0.8 * t_star)
     mad = float(np.mean(np.abs(V_ana[mask] - V[mask])))
-    _proxy(checks, "fig6 envelope deviation", mad < 0.05,
-           f"mean absolute deviation {mad:.2e}")
-    out = _params_dict(p)
-    out.update({k: g[k] for k in ("t_star", "v_max", "k_star", "burst_time")})
-    return out
+    keep = ("t_star", "v_max", "k_star", "burst_time")
+    return {**_params_dict(p), **{k: g[k] for k in keep}}, [
+        ("fig6 v_max", abs(g["v_max"] - 0.81) / 0.81 < 0.01,
+         f"v_max = {g['v_max']:.4f}"),
+        ("fig6 k_star", abs(g["k_star"] - 2.64) / 2.64 < 0.02,
+         f"k* = {g['k_star']:.4f}"),
+        ("fig6 t_star", abs(t_star - 1229.0) / 1229.0 < 0.02,
+         f"t* = {t_star:.2f}"),
+        ("fig6 revival detector",
+         burst is not None and abs(burst - t_star) < 0.1 * t_star,
+         f"burst at {burst if burst is None else round(burst, 2)} "
+         f"vs t* = {t_star:.2f}"),
+        ("fig6 envelope deviation", mad < 0.05,
+         f"mean absolute deviation {mad:.2e}")]
 
 
-def _fig7(path, checks: list) -> dict:
+def _fig7(path):
     N, eta_c = 1000, 0.05
     deltas = np.logspace(-4, -2, 12)
     amps = [linear_chain_amplitudes(ChainParams.from_delta(N, float(d), eta_c))
@@ -579,11 +470,11 @@ def _fig7(path, checks: list) -> dict:
     a_inf = _a_infinity(path, "fig7_a_infinity.csv", deltas, amps, ana)
     slope = -float(np.polyfit(np.log(deltas), a_inf, 1)[0])
     rel = abs(slope - ana.slope) / ana.slope
-    _proxy(checks, "fig7 saturation slope", rel < 0.10,
-           f"fit slope {slope:.6g} vs analytic {ana.slope:.6g} "
-           f"({rel:.1%} off)")
     return {"N": N, "eta_c": eta_c, "slope_fit": slope,
-            "slope_analytic": ana.slope}
+            "slope_analytic": ana.slope}, [
+        ("fig7 saturation slope", rel < 0.10,
+         f"fit slope {slope:.6g} vs analytic {ana.slope:.6g} "
+         f"({rel:.1%} off)")]
 
 
 _FIGURES = {"2": _fig2, "3": _fig3, "4": _fig4, "5": _fig5,
@@ -592,14 +483,16 @@ _FIGURES = {"2": _fig2, "3": _fig3, "4": _fig4, "5": _fig5,
 
 def _cmd_figures(ns, path):
     names = sorted(_FIGURES) if ns.which == "all" else [ns.which]
-    checks: list = []
-    scenario_params = {}
+    scenario_params, checks = {}, []
     for name in names:
         print(f"scenario {name}:")
-        scenario_params[name] = _FIGURES[name](path, checks)
-    for name, ok, detail in checks:
+        scenario_params[name], proxies = _FIGURES[name](path)
+        for check, ok, detail in proxies:
+            print(f"  proxy {check}: {'ok' if ok else 'FAIL'} ({detail})")
+            checks.append((check, bool(ok), detail))
+    for check, ok, detail in checks:
         if not ok:
-            print(f"error: proxy failed: {name} ({detail})", file=sys.stderr)
+            print(f"error: proxy failed: {check} ({detail})", file=sys.stderr)
     if all(ok for _, ok, _ in checks):
         print(f"all {len(checks)} proxies passed")
     return {"scenarios": scenario_params}, {

@@ -123,9 +123,10 @@ class ChainParams:
             raise InvalidParameter("N must be an integer")
         if self.N < 4 or self.N % 2 != 0:
             raise InvalidParameter("N must be an even integer >= 4")
-        if not (math.isfinite(self.nu_t) and self.nu_t > 0):
-            raise InvalidParameter(
-                f"nu_t must be positive and finite, got {self.nu_t}")
+        nu_t = float(self.nu_t)     # the spectra square it: nu_t^2 < inf too
+        if not (math.isfinite(nu_t * nu_t) and nu_t > 0):
+            raise InvalidParameter(f"nu_t must be positive and finite, and "
+                                   f"so must nu_t^2; got {self.nu_t}")
         if not (math.isfinite(self.eta_c) and self.eta_c >= 0):
             raise InvalidParameter(
                 f"eta_c must be >= 0 and finite, got {self.eta_c}")

@@ -285,7 +285,11 @@ def thermal_weights(amps: DisplacementAmplitudes, theta: float) -> np.ndarray:
         raise InvalidParameter(f"theta must be >= 0 and finite, got {theta}")
     if theta == 0.0:
         return amps.weight
-    return amps.weight / np.tanh(amps.omega / (2.0 * theta))
+    with np.errstate(divide="ignore", over="ignore"):
+        w = amps.weight / np.tanh(amps.omega / (2.0 * theta))
+    if np.isfinite(w).all():
+        return w
+    raise InvalidParameter(f"theta = {theta} gives non-finite thermal weights")
 
 
 def exponent_A_thermal(t, amps: DisplacementAmplitudes, theta: float):

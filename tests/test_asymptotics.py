@@ -321,6 +321,32 @@ def test_running_extrema_equal_scipy_filters():
             lo, ndimage.minimum_filter1d(x, size=size, mode="nearest"))
 
 
+@pytest.mark.parametrize("n", [8, 9, 50, 1001])
+def test_running_extrema_of_windows_wider_than_the_trace(n):
+    # Every window with half >= n - 1 covers the whole edge-padded trace.
+    x = np.random.default_rng(n).normal(size=n)
+    for half in (n - 1, n, 3 * n + 1, 10 * n):
+        hi, lo = _running_extrema(x, half)
+        assert np.array_equal(hi, np.full(n, x.max()))
+        assert np.array_equal(lo, np.full(n, x.min()))
+
+
+def test_burst_detector_memory_is_bounded_by_the_trace():
+    # window / dt sets a half-width near 10^5 samples on an 8-sample trace;
+    # the padded blocks must follow the trace, not the window.
+    t = 1e-3 * np.arange(1, 9)
+    V = np.linspace(0.9, 0.8, 8)
+    tracemalloc.start()
+    try:
+        hit = find_revival_burst(t, V, window=200.0, baseline_gap=0.0,
+                                 baseline_span=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit is None
+    assert peak < 1_000_000
+
+
 def test_sliding_medians_equal_np_median():
     rng = np.random.default_rng(2026)
     mismatches = 0

@@ -15,7 +15,7 @@ import pytest
 
 import coulombchain
 from coulombchain import (PhysicalInput, cli, critical_frequency_finite,
-                          derive_parameters, emit_csv)
+                          derive_parameters, emit_csv, output)
 from coulombchain.cli import run
 from coulombchain.errors import InvalidParameter
 
@@ -151,9 +151,9 @@ def test_emit_csv_matches_per_cell_formatting(tmp_path):
 
 def test_emit_csv_blocks_match_per_cell_formatting(tmp_path):
     # Two full blocks and a partial third.
-    n = 2 * cli._BLOCK_ROWS + cli._BLOCK_ROWS // 2
+    n = 2 * output._BLOCK_ROWS + output._BLOCK_ROWS // 2
     rows = [(i,
-             i if i < cli._BLOCK_ROWS else i / 3.0,       # int, then float
+             i if i < output._BLOCK_ROWS else i / 3.0,       # int, then float
              (f"s{i}", i, np.float32(i / 7), np.bool_(i % 2), -0.0)[i % 5],
              np.float64(i) * 1e-3)
             for i in range(n)]
@@ -164,7 +164,7 @@ def test_emit_csv_blocks_match_per_cell_formatting(tmp_path):
     emit_csv(header, (iter(r) for r in rows), str(path))
     assert path.read_bytes() == want.encode()
 
-    bad = [*rows[:2 * cli._BLOCK_ROWS + 10], rows[0][:3], *rows[2 * n // 3:]]
+    bad = [*rows[:2 * output._BLOCK_ROWS + 10], rows[0][:3], *rows[2 * n // 3:]]
     with pytest.raises(InvalidParameter, match="width 3 in a 4-column"):
         emit_csv(header, iter(bad), str(path))
     assert path.read_bytes() == want.encode()   # nothing half-written
@@ -329,10 +329,9 @@ def test_figures_scenario_four(tmp_path, capsys):
 
 def test_failed_proxy_exits_1_after_the_manifest(tmp_path, capsys,
                                                  monkeypatch):
-    def scenario(path, checks):
+    def scenario(path):
         emit_csv(("x",), [(1.0,)], path("fig4_gamma.csv"))
-        cli._proxy(checks, "fig4 quadratic fit", False, "worst 1")
-        return {"N": 4}
+        return {"N": 4}, [("fig4 quadratic fit", False, "worst 1")]
 
     monkeypatch.setitem(cli._FIGURES, "4", scenario)
     assert run(["figures", "--which", "4", "--out", str(tmp_path)]) == 1
@@ -441,18 +440,58 @@ def test_non_finite_chain_parameters_are_usage_errors(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def _scipy_modules_after(module: str) -> str:
-    """The scipy modules loaded by a fresh interpreter importing `module`."""
+def test_nu_t_whose_square_overflows_is_a_usage_error(tmp_path, capsys):
+    # The spectra square nu_t; 1e308 ** 2 overflowed deep in the pipeline.
+    assert run(["visibility", "--N", "16", "--nu-t", "1e308", "--eta-c", "0.1",
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "[InvalidParameter]" in err and "nu_t^2" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_non_finite_thermal_weights_are_usage_errors(tmp_path, capsys):
+    # omega / (2 theta) underflows to 0, so coth would divide by tanh(0).
+    assert run(["visibility", "--N", "16", "--delta", "0.1", "--eta-c", "0.1",
+                "--theta", "1e308", "--samples", "5",
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "[InvalidParameter]" in err and "theta = 1e+308" in err
+    assert not list(tmp_path.iterdir())
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the package and tests/ on its path."""
     src = os.path.dirname(os.path.dirname(coulombchain.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src, os.path.dirname(__file__)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = (f"import sys, {module}; print(sorted(m for m in "
-            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def _scipy_modules_after(module: str) -> str:
+    """The scipy modules loaded by a fresh interpreter importing `module`."""
+    out = _python("-c", f"import sys, {module}; print(sorted(m for m in "
+                  "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    assert out.returncode == 0, out.stderr
     return out.stdout.strip()
+
+
+def test_module_run_executes_one_copy_of_cli(tmp_path):
+    # runpy warns when the package has imported coulombchain.cli already.
+    out = _python("-W", "error::RuntimeWarning", "-m", "coulombchain.cli",
+                  "spectrum", "--N", "8", "--nu-t", "2.5",
+                  "--out", str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "spectrum.csv").exists()
+
+
+def test_package_import_loads_no_command_line():
+    out = _python("-c", "import sys, coulombchain; print([m for m in "
+                  "('coulombchain.cli', 'argparse') if m in sys.modules])")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_import_loads_no_scipy():

@@ -6,10 +6,12 @@ recorded before the command-line pipelines were merged, so a refactor of
 `cli.py` that changes a single byte of any table fails here. The tables
 built from uniform-grid trig sums (fourier, longtime, visibility and
 fig2, fig3, fig6) were re-recorded when those sums became a type-1 NUFFT;
-each moved by at most 1e-12 of its column scale.
+each moved by at most 1e-12 of its column scale. The names of the proxies
+that `figures` reports are pinned too, in order.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -73,6 +75,17 @@ FIGURES_DIGESTS = {
     "fig7_a_infinity.csv": "9a47ed578ca34b9875d01a0ceb1aa70b4056655473728c65024d37c0137a7968",
 }
 
+# The checks `figures --which all` reports, in order.
+FIGURES_PROXIES = [
+    "fig2 band confinement", "fig2 peaks on mode grid",
+    "fig3 soft-mode peak", "fig3 deeper decay",
+    "fig4 quadratic fit",
+    "fig5 minimum at zero", "fig5 cusp slopes", "fig5 log fit",
+    "fig6 v_max", "fig6 k_star", "fig6 t_star", "fig6 revival detector",
+    "fig6 envelope deviation",
+    "fig7 saturation slope",
+]
+
 
 def _digests(directory):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -94,3 +107,8 @@ def figures_dir(tmp_path_factory):
 
 def test_figures_csv_bytes(figures_dir):
     assert _digests(figures_dir) == FIGURES_DIGESTS
+
+
+def test_figures_proxy_names(figures_dir):
+    manifest = json.loads((figures_dir / "figures_manifest.json").read_text())
+    assert [c["name"] for c in manifest["grids"]["proxies"]] == FIGURES_PROXIES

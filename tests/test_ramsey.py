@@ -133,6 +133,14 @@ def test_non_finite_temperature_rejected(theta):
             evaluate_trace(amps, t, theta=theta, with_overlap=with_overlap)
 
 
+@pytest.mark.parametrize("theta", [1e308, 1.7e308])
+def test_temperature_with_non_finite_weights_rejected(theta):
+    # 2 theta overflows, so omega / (2 theta) is 0 and coth divides by 0.
+    amps = linear_chain_amplitudes(ChainParams.from_delta(16, 0.1, 0.2))
+    with pytest.raises(InvalidParameter, match="non-finite thermal weights"):
+        thermal_weights(amps, theta)
+
+
 def test_phase_is_temperature_independent():
     p = ChainParams.from_delta(16, 0.1, 0.2)
     amps = linear_chain_amplitudes(p)
