@@ -41,6 +41,7 @@ _HANKEL_C = (1.0, 0.125, 0.0703125, 0.0732421875, 0.112152099609375,
              0.22710800170898438, 0.5725014209747314, 1.7277275025844574)
 _SERIES_CUT = 12.0
 MIN_BURST_SAMPLES = 8     # shortest trace `find_revival_burst` accepts
+BURST_FACTOR = 2.0        # burst: amplitude above this times its baseline
 DGAMMA_LOG_STEP = 1e-2    # ln(Delta) step of the dGamma/dDelta differences
 CUSP_POINTS_PER_SIDE = 5  # points nearest Delta = 0 in each cusp fit
 
@@ -277,8 +278,8 @@ def gamma_transition_scan(deltas, N: int, eta_c: float,
     """Gamma over a Delta grid spanning both phases.
 
     Points with Delta >= 0 use the linear chain of size N; negative Delta
-    uses the zigzag Hessian spectrum (size zigzag_N, default N) with the
-    probe on the transverse coordinate of ion 1. The combination
+    uses the folded zigzag kick weights (size zigzag_N, default N), which
+    are the same for every probed ion. The combination
     eta0^2 nu_t is Delta-independent at fixed eta_c, so the two sides join
     continuously at Delta = 0.
     """
@@ -368,18 +369,18 @@ def revival_time(N: int, nu_t: float) -> RevivalEstimate:
 
 
 def find_revival_burst(t: np.ndarray, V: np.ndarray, window: float = 50.0,
-                       baseline_gap: float = 50.0, baseline_span: float = 200.0,
-                       factor: float = 2.0) -> float | None:
+                       baseline_gap: float = 50.0, baseline_span: float = 200.0
+                       ) -> float | None:
     """First time the local oscillation amplitude jumps above its own past.
 
     The trace is scanned with a rolling window of width `window`; the
     oscillation amplitude is max - min of V inside the window. The baseline
     at time t is the median amplitude over [t - gap - span, t - gap]. The
-    detector fires at the first sample whose amplitude exceeds factor *
-    baseline, and returns None if that never happens. Heuristic, reported
-    alongside the raw trace rather than instead of it. V must be finite;
-    window, factor and a baseline span of at least one sample must be
-    positive, and the gap non-negative.
+    detector fires at the first sample whose amplitude exceeds BURST_FACTOR
+    times the baseline, and returns None if that never happens. Heuristic,
+    reported alongside the raw trace rather than instead of it. V must be
+    finite; window and a baseline span of at least one sample positive, the
+    gap non-negative, and all three a finite number of samples.
     """
     t = np.asarray(t, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
@@ -400,11 +401,14 @@ def find_revival_burst(t: np.ndarray, V: np.ndarray, window: float = 50.0,
     if not 0 < baseline_span < math.inf:
         raise InvalidParameter(f"baseline_span must be positive and finite, "
                                f"got {baseline_span}")
-    if not factor > 0:
-        raise InvalidParameter(f"factor must be > 0, got {factor}")
     dt = float(t[1] - t[0])
     if dt <= 0 or not np.allclose(np.diff(t), dt, rtol=1e-6, atol=1e-12):
         raise InvalidParameter("revival detection expects a uniform time grid")
+    for name, value in (("window", window), ("baseline_gap", baseline_gap),
+                        ("baseline_span", baseline_span)):
+        if not math.isfinite(value / dt):
+            raise InvalidParameter(f"{name} / dt = {value} / {dt} is not a "
+                                   "finite number of samples")
     span_n = int(round(baseline_span / dt))
     if span_n < 1:
         raise InvalidParameter(f"baseline_span = {baseline_span} rounds to "
@@ -417,7 +421,7 @@ def find_revival_burst(t: np.ndarray, V: np.ndarray, window: float = 50.0,
     # Sample i's baseline is the median of a[i - gap_n - span_n:i - gap_n].
     for i, base in zip(range(gap_n + span_n, len(a)),
                        _sliding_medians(a, span_n)):
-        if base > 0 and a[i] > factor * base:
+        if base > 0 and a[i] > BURST_FACTOR * base:
             return float(t[i])
     return None
 

@@ -227,14 +227,14 @@ def _longtime(path, name: str, p: ChainParams, t_max: float | None,
     tr = evaluate_trace(amps, t, theta=p.theta, with_overlap=False)
     ana = a_infinity_analytic(p, delta_ref=p.delta_trans)
     V_ana = np.exp(-ana.evaluate(p.delta_trans) + b_analytic(t, p))
-    emit_csv(("t", "V_exact", "V_analytic"), zip(t, tr.V, V_ana),
-             path(name))
-
     # Detector windows scale with t* so short chains stay detectable; at
-    # t* ~ 1230 they reduce to the documented 50/50/200 defaults.
+    # t* ~ 1230 they reduce to the documented 50/50/200 defaults. It runs
+    # first, so a grid it rejects writes no table.
     burst = find_revival_burst(t, tr.V, window=0.04 * rev.t_star,
                                baseline_gap=0.04 * rev.t_star,
                                baseline_span=0.16 * rev.t_star)
+    emit_csv(("t", "V_exact", "V_analytic"), zip(t, tr.V, V_ana),
+             path(name))
     return t, tr.V, V_ana, {
         "t_max": float(t_max), "t_star": rev.t_star, "v_max": rev.v_max,
         "k_star": rev.k_star, "burst_time": burst, "soft_gap": p.soft_gap}

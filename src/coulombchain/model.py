@@ -159,11 +159,10 @@ class ChainParams:
         return self.eta_c * math.sqrt(critical_frequency_infinite() / self.nu_t)
 
     @classmethod
-    def from_delta(cls, N: int, delta: float, eta_c: float,
-                   theta: float = 0.0) -> "ChainParams":
+    def from_delta(cls, N: int, delta: float, eta_c: float) -> "ChainParams":
         """Build params from the detuning Delta = nu_t - nu_c."""
         return cls(N=N, nu_t=critical_frequency_infinite() + delta,
-                   eta_c=eta_c, theta=theta)
+                   eta_c=eta_c)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ With A(t) = 2 sum_m |alpha_m|^2 sin^2(omega_m t / 2):
     visibility   V(t) = exp(-A_T(t)),  A_T = thermal A with coth(w/(2 theta))
     probability  P_g  = (1 + Re[e^{i phi} S]) / 2
 
-These formulas are phase agnostic: any orthogonal mode basis with positive
-frequencies and probe-row weights works, which is how the zigzag phase
-reuses this module.
+These formulas are phase agnostic: they need positive frequencies and the
+weight summed over the modes at each, which is how the zigzag phase, its
+real modes folded per Bloch eigenpair, reuses this module.
 
 Every A(t), B(t) and overlap phase is a mode sum sum_m w_m f(omega_m t).
 On a uniform grid t_j = t_0 + j dt, sum_m w_m exp(i omega_m t_j) is a
@@ -58,10 +58,11 @@ _SPREAD_ENTRIES = 1_000_000
 
 @dataclass(frozen=True)
 class DisplacementAmplitudes:
-    """Per-mode displacement data for one probe configuration.
+    """Kick weights of one probe configuration.
 
-    omega  -- mode frequencies, omega_0 units, all > 0
-    weight -- |alpha_m|^2 of the displacement amplitudes alpha_m
+    omega  -- entry frequencies, omega_0 units, all > 0
+    weight -- |alpha_m|^2 summed over the modes m an entry stands for, all
+              at its frequency (degenerate modes: one entry or several)
     eta0   -- Lamb-Dicke parameter at nu_t
     nu_t   -- confinement, omega_0 units
     kind   -- 'linear' or 'zigzag'; the mean-frequency identities of the

@@ -19,15 +19,16 @@ whose entries are sums of the analytic second derivatives of 1/r over d,
 all three from one real FFT. The blocks are diagonalised in closed form; the
 real and imaginary parts of each eigenvector are the sigma = '+' and '-'
 real modes with folded label n = min(m, N/2 - m) = 0..N/4. Mode labels
-therefore come from the block index, as arrays on `ZigzagSpectrum`, and the
-probe row of a site is closed form, O(N). The structural modes (rotation,
-bulk transverse, the two staggered zigzag modes) are tagged by name.
+therefore come from the block index, as arrays on `ZigzagSpectrum`. The
+structural modes (rotation, bulk transverse, the two staggered zigzag modes)
+are tagged by name. The real modes of one block eigenpair share its
+frequency and, summed, a kick weight that is the same on every site, so the
+Ramsey amplitudes fold to one entry per eigenpair, with no mode vector.
 
 `classify_zigzag_modes` checks the label arrays: it rebuilds each mode's
-vector band by band in n, in O(band x N) memory, from the same row builder
-as `probe_row`, and measures it against its own labels. It keeps the O(N^2)
-work budget and raises ResourceLimit above _DENSE_ELEMENTS entries before
-allocating.
+vector band by band in n, in O(band x N) memory, from one row builder, and
+measures it against its own labels. It keeps the O(N^2) work budget and
+raises ResourceLimit above _DENSE_ELEMENTS entries before allocating.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def _check_dense(N: int, what: str) -> None:
     if (2 * N) ** 2 > _DENSE_ELEMENTS:
         raise ResourceLimit(
             f"dense {2 * N} x {2 * N} {what} exceeds budget "
-            f"{_DENSE_ELEMENTS} entries; use the block spectrum and probe_row")
+            f"{_DENSE_ELEMENTS} entries; use the block spectrum")
 
 
 def _block_entries(N: int, nu_t: float, b: float):
@@ -246,7 +247,7 @@ def _bloch_rows(N: int, block: np.ndarray, plus: np.ndarray,
     sites are evaluated.
     """
     # The distinct blocks in 0..N-1, ascending, and each mode's index among
-    # them (np.unique sorts, which costs more than probe_row's arithmetic).
+    # them (a presence mask: np.unique would sort).
     present = np.zeros(N, dtype=bool)
     present[block] = True
     blocks = np.flatnonzero(present)
@@ -278,7 +279,7 @@ class ZigzagSpectrum:
         sigma = '-':  q_j = qcoef sin(kj),  w_j = wcoef (-1)^j cos(kj)
 
     The labels n, sigma, k, beta and special are arrays indexed like omega,
-    and `label_order` sorts them into table rows. `probe_row` is O(N).
+    and `label_order` sorts them into table rows.
     """
 
     N: int
@@ -331,51 +332,45 @@ class ZigzagSpectrum:
         return _bloch_rows(self.N, self.block[modes], self.plus[modes],
                            self.qcoef[modes], self.wcoef[modes], sites)
 
-    def probe_row(self, site: int = 1, coordinate: str = "w") -> np.ndarray:
-        """Eigenvector components of one site coordinate across all modes."""
-        if not 1 <= site <= self.N:
-            raise InvalidParameter("site must lie in 1..N")
-        if coordinate not in ("q", "w"):
-            raise InvalidParameter("coordinate must be 'q' or 'w'")
-        q, w = self._components(slice(None), np.array([site]))
-        return (q if coordinate == "q" else w)[:, 0]
+
+def _block_eigenpairs(params: ChainParams):
+    """b, the block eigenpairs lam, u, v (flat: pair p is block p // 2) and
+    the mask `edge` of the diagonal blocks m = 0 and m = N/2. A negative lam
+    raises UnstableConfiguration; zero modes (rotation; the soft mode exactly
+    at the transition) come out as +/- rounding noise and snap to 0.
+    """
+    N, b = params.N, zigzag_equilibrium(params).b
+    dxx, dyy, s = _block_entries(N, params.nu_t, b)
+    lam, u, v = (x.ravel() for x in _eig2(dxx, 2.0 * s, dyy))
+    if lam.min() < -EIG_CLAMP:
+        raise UnstableConfiguration(
+            f"negative Hessian eigenvalue {lam.min():.3e}: the staggered "
+            "ansatz is not a stable configuration here")
+    block = np.arange(N + 2) // 2
+    return (b, np.where(np.abs(lam) < EIG_CLAMP, 0.0, lam), u, v,
+            (block == 0) | (block == N // 2))
 
 
 def zigzag_spectrum(params: ChainParams) -> ZigzagSpectrum:
     """Phonon spectrum at the zigzag (or, above the transition, linear) minimum.
 
-    Diagonalises the N/2 + 1 blocks [[Dxx(k), 2 S(k)], [2 S(k), Dyy(k + pi)]]
-    in closed form. For 0 < m < N/2 each block eigenvector gives two real
-    modes (sigma = +/-, norm sqrt(2/N)); at m = 0 and m = N/2 the blocks are
-    diagonal and only the nonvanishing part is a mode (norm sqrt(1/N)).
+    For 0 < m < N/2 each block eigenvector gives two real modes (sigma =
+    +/-, norm sqrt(2/N)); at m = 0 and m = N/2 the blocks are diagonal and
+    only the nonvanishing part is a mode (norm sqrt(1/N)).
     """
-    eq = zigzag_equilibrium(params)
-    N, half = params.N, params.N // 2
-    dxx, dyy, s = _block_entries(N, params.nu_t, eq.b)
-    # Flattened, eigenpair p is block p // 2, branch p % 2.
-    lam, u, v = (x.ravel() for x in _eig2(dxx, 2.0 * s, dyy))
-    pair = np.arange(2 * half + 2)
-    edge = (pair // 2 == 0) | (pair // 2 == half)
+    b, lam, u, v, edge = _block_eigenpairs(params)
+    N, pair = params.N, np.arange(params.N + 2)
     # An interior pair gives a '+' and a '-' mode. An edge block is diagonal,
     # and its axial eigenvector (u != 0) lives in the real part only.
     src = np.concatenate([pair[~edge], pair[~edge], pair[edge]])
-    plus = np.concatenate([np.ones(2 * half - 2, dtype=bool),
-                           np.zeros(2 * half - 2, dtype=bool), u[edge] != 0.0])
-
-    lam = lam[src]
-    if lam.min() < -EIG_CLAMP:
-        raise UnstableConfiguration(
-            f"negative Hessian eigenvalue {lam.min():.3e}: the staggered "
-            "ansatz is not a stable configuration here")
-    # Zero modes (rotation; the soft mode exactly at the transition) come out
-    # as +/- rounding noise; snap them so omega is exactly zero.
-    lam = np.where(np.abs(lam) < EIG_CLAMP, 0.0, lam)
-    order = np.argsort(lam, kind="stable")
+    plus = np.concatenate([np.ones(N - 2, dtype=bool),
+                           np.zeros(N - 2, dtype=bool), u[edge] != 0.0])
+    order = np.argsort(lam[src], kind="stable")
     src, plus = src[order], plus[order]
     norm = np.where(edge[src], math.sqrt(1.0 / N), math.sqrt(2.0 / N))
     # w_j = Re/Im of i v (-1)^j e^{ikj}: -v (-1)^j sin(kj) and v (-1)^j cos(kj)
-    return ZigzagSpectrum(N=N, nu_t=params.nu_t, b=eq.b,
-                          omega=np.sqrt(lam[order]), block=src // 2,
+    return ZigzagSpectrum(N=N, nu_t=params.nu_t, b=b,
+                          omega=np.sqrt(lam[src]), block=src // 2,
                           plus=plus, qcoef=norm * u[src],
                           wcoef=np.where(plus, -norm, norm) * v[src])
 
@@ -455,25 +450,25 @@ def classify_zigzag_modes(spectrum: ZigzagSpectrum) -> list[ZigzagMode]:
             for row in zip(*(c[sp.label_order].tolist() for c in columns))]
 
 
-def zigzag_displacement_amplitudes(params: ChainParams, probe_site: int = 1
+def zigzag_displacement_amplitudes(params: ChainParams
                                    ) -> DisplacementAmplitudes:
-    """Recoil amplitudes for a transverse kick on one ion of the zigzag.
+    """Kick weights eta0^2 nu_t s v^2 / omega, one per block eigenpair.
 
-    The kick couples to the fluctuation w of the probed ion; the static
-    offset (-1)^j b/2 only contributes a global phase and drops out of the
-    visibility. Zero-frequency modes must not couple (the uniform rotation
-    is purely axial); a zero mode with transverse weight is an error.
+    The kick couples to the fluctuation w of the probed ion (the static
+    offset (-1)^j b/2 is a global phase). At any site the w^2 of the real
+    modes of an eigenpair sum to s v^2, s = 2/N (sigma = +/-) or 1/N (m = 0,
+    N/2), so no probe site enters. Zero modes are dropped; one with
+    transverse weight (at the transition) is an error.
     """
-    spectrum = zigzag_spectrum(params)
-    row = spectrum.probe_row(probe_site, "w")
-    zero = spectrum.omega < 1e-12
-    if np.any(zero & (row ** 2 > 1e-12)):
+    _, lam, _, v, edge = _block_eigenpairs(params)
+    share = np.where(edge, 1.0, 2.0) / params.N * v * v
+    zero = lam == 0.0
+    if np.any(zero & (share > 1e-12)):
         raise SoftModeSingularity(
             "zero-frequency mode couples to the probe: at the transition "
             "the displacement picture breaks down")
-    keep = ~zero
-    omega = spectrum.omega[keep]
-    weight = (params.eta0 * np.sqrt(params.nu_t / omega) * row[keep]) ** 2
+    omega = np.sqrt(lam[~zero])
+    weight = params.eta0 ** 2 * params.nu_t * share[~zero] / omega
     return DisplacementAmplitudes(omega=omega, weight=weight,
                                   eta0=params.eta0, nu_t=params.nu_t,
                                   kind="zigzag")

@@ -111,8 +111,9 @@ def dense_vectors(sp) -> np.ndarray:
     """Dense orthonormal eigenvectors of a ZigzagSpectrum as columns.
 
     Column i is the eigenvector of sp.omega[i] in (q_1, w_1, ..., q_N, w_N)
-    order; its rows equal `sp.probe_row`. Raises ResourceLimit before
-    allocating above the zigzag's dense work budget.
+    order, so row 2 j - 1 holds every mode's w at site j: the unfolded
+    weights that `zigzag_displacement_amplitudes` sums per eigenpair. Raises
+    ResourceLimit before allocating above the zigzag's dense work budget.
     """
     N = sp.N
     _check_dense(N, "eigenvector matrix")

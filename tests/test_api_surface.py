@@ -108,24 +108,19 @@ MEMBERS = {
     "ZigzagSpectrum.k",
     "ZigzagSpectrum.label_order",
     "ZigzagSpectrum.n",
-    "ZigzagSpectrum.probe_row",
     "ZigzagSpectrum.sigma",
     "ZigzagSpectrum.special",
 }
 
 PINNED = {
     "ChainParams(theta)",
-    "ChainParams.from_delta(theta)",
     "DisplacementAmplitudes(kind)",
     "PhysicalInput(temperature_k)",
-    "ZigzagSpectrum.probe_row(coordinate)",
-    "ZigzagSpectrum.probe_row(site)",
     "a_infinity_analytic(delta_ref)",
     "evaluate_trace(theta)",
     "evaluate_trace(with_overlap)",
     "find_revival_burst(baseline_gap)",
     "find_revival_burst(baseline_span)",
-    "find_revival_burst(factor)",
     "find_revival_burst(window)",
     "gamma_transition_scan(zigzag_N)",
     "linear_chain_amplitudes(probe_site)",
@@ -134,7 +129,6 @@ PINNED = {
     "visibility(theta)",
     "visibility_trace(T_F)",
     "visibility_trace(n_s)",
-    "zigzag_displacement_amplitudes(probe_site)",
 }
 
 

@@ -271,9 +271,7 @@ def test_burst_detector_names_a_short_trace():
     (0.8, {"window": 0.0}, "window must be positive"),
     (0.8, {"baseline_gap": -1.0}, "baseline_gap must be >= 0"),
     (0.8, {"baseline_span": 0.2}, "baseline_span = 0.2 rounds to 0 samples"),
-    (0.8, {"factor": 0.0}, "factor must be > 0"),
-], ids=["nan_V", "inf_V", "window", "baseline_gap", "baseline_span",
-        "factor"])
+], ids=["nan_V", "inf_V", "window", "baseline_gap", "baseline_span"])
 def test_burst_detector_rejects_bad_inputs(V_value, kwargs, match):
     t = 0.5 * np.arange(2000)
     V = 0.8 + 0.002 * np.sin(2.0 * t)
@@ -282,8 +280,23 @@ def test_burst_detector_rejects_bad_inputs(V_value, kwargs, match):
         find_revival_burst(t, V, **kwargs)
 
 
+@pytest.mark.parametrize("name", ["window", "baseline_gap",
+                                  "baseline_span"])
+def test_burst_detector_rejects_a_window_of_infinitely_many_samples(name):
+    # A subnormal time step makes value / dt overflow to inf, which has no
+    # sample count (int(round(inf)) raises OverflowError).
+    dt = 1.25e-316
+    t = dt * np.arange(1, 9)
+    V = np.linspace(0.9, 0.8, 8)
+    kw = dict(window=dt, baseline_gap=0.0, baseline_span=dt)
+    kw[name] = 1.0
+    with pytest.raises(InvalidParameter,
+                       match=f"{name} / dt = .* is not a finite number"):
+        find_revival_burst(t, V, **kw)
+
+
 def _np_median_burst(t, V, window=50.0, baseline_gap=50.0,
-                     baseline_span=200.0, factor=2.0):
+                     baseline_span=200.0):
     """The detector as a per-sample np.median loop: the reference."""
     ndimage = pytest.importorskip("scipy.ndimage")
     dt = float(t[1] - t[0])
@@ -294,7 +307,7 @@ def _np_median_burst(t, V, window=50.0, baseline_gap=50.0,
     span_n = int(round(baseline_span / dt))
     for i in range(gap_n + span_n, len(t)):
         base = float(np.median(amp[i - gap_n - span_n:i - gap_n]))
-        if base > 0 and amp[i] > factor * base:
+        if base > 0 and amp[i] > 2.0 * base:
             return float(t[i])
     return None
 
@@ -372,8 +385,7 @@ def test_burst_detector_matches_np_median_loop():
         V = np.round(rng.normal(0.0, 1.0, t.size), 1)
         V[int(rng.integers(100, 300)):] *= 4.0      # a burst somewhere
         kw = dict(window=dt * int(rng.integers(0, 5)) + dt,
-                  baseline_gap=gap * dt, baseline_span=span * dt,
-                  factor=float(rng.uniform(1.0, 3.0)))
+                  baseline_gap=gap * dt, baseline_span=span * dt)
         hit = find_revival_burst(t, V, **kw)
         assert hit == _np_median_burst(t, V, **kw)
         fired += hit is not None

@@ -346,13 +346,18 @@ def test_failed_proxy_exits_1_after_the_manifest(tmp_path, capsys,
 @pytest.mark.parametrize("flags, word", [
     (["--samples", "0"], "samples"), (["--samples", "-5"], "samples"),
     (["--samples", "7"], "samples"), (["--t-max", "0"], "t_max"),
-    (["--t-max=-3"], "t_max")])
+    (["--t-max=-3"], "t_max"),
+    # dt = 1.25e-316 is subnormal: the revival detector's window / dt
+    # overflows, and the detector runs before the table is written.
+    (["--t-max", "1e-315", "--samples", "8"], "is not a finite number")])
 def test_longtime_rejects_bad_grids(flags, word, tmp_path, capsys):
+    out = tmp_path / "out"
     rc = run(["longtime", "--N", "16", "--delta", "0.05", "--eta-c", "0.1",
-              *flags, "--out", str(tmp_path)])
+              *flags, "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "error [InvalidParameter]" in err and word in err
+    assert not out.exists()
 
 
 _CHAIN = ["--N", "16", "--delta", "0.05", "--eta-c", "0.1"]

@@ -6,7 +6,10 @@ recorded before the command-line pipelines were merged, so a refactor of
 `cli.py` that changes a single byte of any table fails here. The tables
 built from uniform-grid trig sums (fourier, longtime, visibility and
 fig2, fig3, fig6) were re-recorded when those sums became a type-1 NUFFT;
-each moved by at most 1e-12 of its column scale. The names of the proxies
+each moved by at most 1e-12 of its column scale. gamma_scan.csv and
+fig5_gamma.csv were re-recorded when the zigzag kick weights were folded
+per Bloch eigenpair; their zigzag rows moved by at most 4.2e-16 of the
+column scale. The names of the proxies
 that `figures` reports are pinned too, in order.
 """
 
@@ -46,7 +49,7 @@ SUBCOMMAND_DIGESTS = {
         "fourier_peaks.csv": "dc2f26d3a411918eb9ec5fd9dd92c3264e95e0df722ee1207b8a48b5c818ada7",
     },
     "gamma-scan": {
-        "gamma_scan.csv": "437b02c5fea1c379f2d7951271eceff0700226cae828ac4d1737bbcbd42a43fc",
+        "gamma_scan.csv": "6e34f319ba108a5a6a95fee9444ae82fa35e6ee352229aeb3deba84e94255d68",
     },
     "longtime": {
         "longtime.csv": "ef52a609f82b2cee631290fd16ac73cfd5149dd92ca8afb825814cc3a17d0e8b",
@@ -70,7 +73,7 @@ FIGURES_DIGESTS = {
     "fig3_visibility.csv": "fda4e81765883719a4c52ff84bf3e81e63548306c89d4432a724ff9f6fa72530",
     "fig4_gamma.csv": "f72d6c38d3def5602ce76c1ba919e7f6a34e84309010add0e1ea21087770e280",
     "fig5_dgamma.csv": "079108c0614547b7dfeaf77bf285b1dd6ee342220774177473f6cce1c6776a2c",
-    "fig5_gamma.csv": "abac25dad33b750baad4cf5f85fa09e84a1a27c104ed3f348c35e92601fc58d8",
+    "fig5_gamma.csv": "25bf029292cb7022b5eeaa140efbe9662d2ff445ee363d9d1f7779367b14d75a",
     "fig6_longtime.csv": "cd41f93ef1de2e6fe9842fef5c736318a057dcf361735ba3a6805e929634c541",
     "fig7_a_infinity.csv": "9a47ed578ca34b9875d01a0ceb1aa70b4056655473728c65024d37c0137a7968",
 }

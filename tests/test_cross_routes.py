@@ -8,6 +8,8 @@
 - the zigzag 2 x 2 Bloch blocks against the dense Hessian and eigh;
 - the banded zigzag mode residuals against the dense projection loop, on
   true labels and on labels with one mode moved;
+- the folded zigzag kick weights against the dense eigenvectors' per-mode
+  weights at a random site, summed per frequency, in both phases;
 - zigzag against linear-chain amplitudes at b = 0;
 - the zigzag side of the Gamma scan against the linear chain between
   nu_c(N) and nu_c, where Delta < 0 but the finite ring is still linear;
@@ -20,7 +22,7 @@ import math
 import numpy as np
 import pytest
 
-from coulombchain import (ChainParams, axial_mode_set,
+from coulombchain import (ChainParams, DisplacementAmplitudes, axial_mode_set,
                           classify_zigzag_modes, critical_frequency_finite,
                           critical_frequency_infinite,
                           dispersion_transverse, exponent_A_thermal,
@@ -297,10 +299,6 @@ def test_zigzag_blocks_match_dense_hessian(N):
         V = dense_vectors(sp)
         assert np.max(np.abs(H @ V - V * lam_blocks)) < tol
         assert np.max(np.abs(V.T @ V - np.eye(2 * N))) < 1e-12
-        for site in rng.integers(1, N + 1, 4):
-            for which, offset in (("q", 0), ("w", 1)):
-                assert np.array_equal(sp.probe_row(int(site), which),
-                                      V[2 * (site - 1) + offset])
         modes = classify_zigzag_modes(sp)
         assert max(abs(m.residual) for m in modes) < 1e-10
 
@@ -388,13 +386,38 @@ def test_zigzag_amplitudes_fold_onto_linear_at_b_zero():
         p = ChainParams(N=N, nu_t=nu, eta_c=0.1)
         sp = zigzag_spectrum(p)
         assert sp.b == 0.0
+        zz = zigzag_displacement_amplitudes(p)
         for site in rng.integers(1, N + 1, 3):
             lin = linear_chain_amplitudes(p, probe_site=int(site))
-            zz = zigzag_displacement_amplitudes(p, probe_site=int(site))
             w_lin, w_zz = _sums_per_frequency(lin, zz)
             assert np.max(np.abs(w_zz - w_lin)) < 1e-12 * np.max(w_lin)
             assert gamma_coefficient(zz).direct == pytest.approx(
                 gamma_coefficient(lin).direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [16, 64, 256])
+def test_folded_zigzag_weights_match_dense_mode_sums(N):
+    # The unfolded weights eta0^2 nu_t w_j^2 / omega of every real mode at a
+    # random site j, from the dense eigenvectors, summed per frequency.
+    rng = np.random.default_rng(20261019 + N)
+    nuc = critical_frequency_finite(N)
+    for nu in (nuc - rng.uniform(0.005, 0.3), nuc + rng.uniform(0.005, 0.5)):
+        p = ChainParams(N=N, nu_t=float(nu),
+                        eta_c=float(rng.uniform(0.05, 0.3)))
+        sp = zigzag_spectrum(p)
+        assert (sp.b > 0.0) == (nu < nuc)
+        zz = zigzag_displacement_amplitudes(p)
+        assert len(zz) <= N + 2
+        assert np.sum(zz.weight * zz.omega) == pytest.approx(
+            p.eta0 ** 2 * p.nu_t, rel=1e-10)
+        V, live = dense_vectors(sp), sp.omega > 0.0
+        for site in rng.integers(1, N + 1, 3):
+            row = V[2 * site - 1, live]
+            dense = DisplacementAmplitudes(
+                omega=sp.omega[live], eta0=p.eta0, nu_t=p.nu_t,
+                weight=p.eta0 ** 2 * p.nu_t * row ** 2 / sp.omega[live])
+            w_dense, w_zz = _sums_per_frequency(dense, zz)
+            assert np.all(np.abs(w_zz - w_dense) <= 1e-12 * np.abs(w_dense))
 
 
 def test_gamma_is_continuous_across_delta_zero():

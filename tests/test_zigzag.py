@@ -234,28 +234,13 @@ def test_amplitudes_singular_exactly_at_transition():
         zigzag_displacement_amplitudes(p)
 
 
-def test_probe_row_shape_and_orthonormality():
-    N = 16
-    p = ChainParams(N=N, nu_t=critical_frequency_finite(N) - 0.05, eta_c=0.0)
-    sp = zigzag_spectrum(p)
-    V = dense_vectors(sp)
-    gram = V.T @ V
-    assert np.max(np.abs(gram - np.eye(2 * N))) < 1e-10
-    row = sp.probe_row(1, "w")
-    assert row.shape == (2 * N,)
-    assert np.array_equal(row, V[1, :])
-    with pytest.raises(InvalidParameter):
-        sp.probe_row(0, "w")
-    with pytest.raises(InvalidParameter):
-        sp.probe_row(1, "z")
-
-
 def test_block_route_scales_past_the_dense_budget(tmp_path):
     N = 10_000
     p = ChainParams(N=N, nu_t=critical_frequency_finite(N) - 0.01, eta_c=0.1)
     sp = zigzag_spectrum(p)
     assert sp.b > 0.0 and sp.omega.shape == (2 * N,)
-    amps = zigzag_displacement_amplitudes(p, probe_site=N // 2 + 1)
+    amps = zigzag_displacement_amplitudes(p)
+    assert len(amps) == N + 1           # all eigenpairs but the rotation
     total = float(np.sum(amps.weight * amps.omega))
     assert total == pytest.approx(p.eta0 ** 2 * p.nu_t, rel=1e-10)
     # The zigzag subcommand labels a buckled N = 10^4 ring from its arrays.
