@@ -235,20 +235,21 @@ def _y0_asymptotic(x: np.ndarray) -> np.ndarray:
 
 
 def bessel_Y0(x):
-    """Irregular Bessel function Y0(x) for x > 0.
+    """Irregular Bessel function Y0(x) for finite x > 0.
 
     Series below x = 12, Hankel asymptotics above; absolute error below
     1e-7 over (0, 1e3] (verified against an independent oracle in tests).
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if np.any(arr <= 0.0):
-        raise InvalidParameter("Y0 requires x > 0")
+    if not np.all((arr > 0.0) & (arr < math.inf)):
+        raise InvalidParameter("Y0 requires finite x > 0")
     out = np.empty_like(arr)
     small = arr <= _SERIES_CUT
     if np.any(small):
         out[small] = _y0_series(arr[small])
     if np.any(~small):
-        out[~small] = _y0_asymptotic(arr[~small])
+        with np.errstate(over="ignore"):    # 1 / x^2 -> 0 above 1e154
+            out[~small] = _y0_asymptotic(arr[~small])
     return out if np.ndim(x) else float(out[0])
 
 
@@ -378,7 +379,10 @@ def find_revival_burst(t: np.ndarray, V: np.ndarray, window: float = 50.0,
     at time t is the median amplitude over [t - gap - span, t - gap]. The
     detector fires at the first sample whose amplitude exceeds BURST_FACTOR
     times the baseline, and returns None if that never happens. Heuristic,
-    reported alongside the raw trace rather than instead of it. V must be
+    reported alongside the raw trace rather than instead of it. The
+    amplitudes and every baseline window's minimum cost O(n) in numpy; a
+    median is never below its window's minimum, so medians are taken only
+    where the amplitude exceeds BURST_FACTOR times that minimum. V must be
     finite; window and a baseline span of at least one sample positive, the
     gap non-negative, and all three a finite number of samples.
     """
@@ -414,52 +418,71 @@ def find_revival_burst(t: np.ndarray, V: np.ndarray, window: float = 50.0,
         raise InvalidParameter(f"baseline_span = {baseline_span} rounds to "
                                f"{span_n} samples at dt = {dt}; need >= 1")
     half = max(1, int(round(0.5 * window / dt)))
-    hi, lo = _running_extrema(V, half)
-    amp = hi - lo
+    amp = np.subtract(*_running_extrema(V, half))
     gap_n = int(round(baseline_gap / dt))
-    a = amp.tolist()
-    # Sample i's baseline is the median of a[i - gap_n - span_n:i - gap_n].
-    for i, base in zip(range(gap_n + span_n, len(a)),
-                       _sliding_medians(a, span_n)):
-        if base > 0 and a[i] > BURST_FACTOR * base:
-            return float(t[i])
+    first = gap_n + span_n          # the first sample with a full baseline
+    if first >= len(amp):
+        return None
+    # Sample first + j's baseline is the median of amp[j:j + span_n].
+    floor, = _window_extrema(amp[:len(amp) - gap_n - 1], span_n,
+                             (np.minimum,))
+    starts = np.flatnonzero(amp[first:] > BURST_FACTOR * floor)
+    del floor
+    for j, base in zip(starts, _sliding_medians(amp, span_n, starts)):
+        if base > 0 and amp[first + j] > BURST_FACTOR * base:
+            return float(t[first + j])
     return None
+
+
+def _window_extrema(x: np.ndarray, size: int,
+                    ops=(np.maximum, np.minimum)) -> list:
+    """Each op of `ops` over every window x[j:j + size], j = 0, ...,
+    len(x) - size, for any size from 1 to len(x), odd or even.
+
+    van Herk / Gil-Werman: x is cut into blocks of the window size, so each
+    window is the suffix of one block joined to the prefix of the next;
+    running extrema forwards and backwards within the blocks give every
+    window in O(len(x)), whatever its size. The edge values that fill the
+    last block lie in no window.
+    """
+    n = len(x) - size + 1
+    blocks = np.pad(x, (0, -len(x) % size), mode="edge").reshape(-1, size)
+    out = []
+    for op in ops:
+        prefix = op.accumulate(blocks, axis=1).ravel()
+        suffix = op.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+        out.append(op(suffix[:n], prefix[size - 1:size - 1 + n]))
+    return out
 
 
 def _running_extrema(x: np.ndarray, half: int) -> tuple:
     """Max and min of x over each centred window x[i - half:i + half + 1],
-    with x continued by its edge values (scipy.ndimage's mode="nearest").
-
-    van Herk / Gil-Werman: the padded trace is cut into blocks of the
-    window size, so each window is the suffix of one block joined to the
-    prefix of the next; running extrema forwards and backwards within the
-    blocks give every window in O(len(x)), whatever its size.
+    with x continued by its edge values (scipy.ndimage's mode="nearest"),
+    in O(len(x)) by `_window_extrema`.
     """
     half = min(half, len(x) - 1)        # wider windows all see the whole x
-    n, size = len(x), 2 * half + 1
-    blocks = -(-(n + 2 * half) // size)
-    padded = np.pad(x, (half, blocks * size - n - half), mode="edge")
-    padded = padded.reshape(blocks, size)
-    out = []
-    for op in (np.maximum, np.minimum):
-        prefix = op.accumulate(padded, axis=1).ravel()
-        suffix = op.accumulate(padded[:, ::-1], axis=1)[:, ::-1].ravel()
-        out.append(op(suffix[:n], prefix[size - 1:size - 1 + n]))
-    return tuple(out)
+    return tuple(_window_extrema(np.pad(x, half, mode="edge"), 2 * half + 1))
 
 
-def _sliding_medians(values: list, span: int):
-    """Median of values[j:j + span] for j = 0, 1, ..., len(values) - span.
+def _sliding_medians(x: np.ndarray, span: int, starts):
+    """Median of x[j:j + span] for each j of the increasing `starts`.
 
-    The window is kept sorted as it slides (bisect out, insort in), so each
-    median is one lookup, equal to np.median's: the middle element, or
-    (a + b) / 2 of the middle pair for an even span. Values must be finite,
+    A sorted window moves from one start to the next (bisect out, insort
+    in) while the two windows overlap, and is sorted afresh at a start a
+    span or more away, so each median is one lookup, equal to np.median's:
+    the middle element, or (a + b) / 2 of the middle pair for an even span.
+    Only the windows examined become Python lists. Values must not be NaN,
     because NaN breaks the ordering bisect relies on.
     """
-    win = sorted(values[:span])
     mid = span // 2
-    for j in range(len(values) - span + 1):
+    win, at = [], -span
+    for j in starts:
+        if j - at < span:
+            for old, new in zip(x[at:j].tolist(),
+                                x[at + span:j + span].tolist()):
+                del win[bisect_left(win, old)]
+                insort(win, new)
+        else:
+            win = sorted(x[j:j + span].tolist())
+        at = j
         yield win[mid] if span % 2 else (win[mid - 1] + win[mid]) / 2
-        if j + span < len(values):
-            del win[bisect_left(win, values[j])]
-            insort(win, values[j + span])

@@ -225,14 +225,14 @@ def _longtime(path, name: str, p: ChainParams, t_max: float | None,
     dt = t_max / samples
     t = dt * np.arange(1, samples + 1)
     tr = evaluate_trace(amps, t, theta=p.theta, with_overlap=False)
-    ana = a_infinity_analytic(p, delta_ref=p.delta_trans)
-    V_ana = np.exp(-ana.evaluate(p.delta_trans) + b_analytic(t, p))
     # Detector windows scale with t* so short chains stay detectable; at
     # t* ~ 1230 they reduce to the documented 50/50/200 defaults. It runs
-    # first, so a grid it rejects writes no table.
+    # before the envelope and the table, so a grid it rejects makes neither.
     burst = find_revival_burst(t, tr.V, window=0.04 * rev.t_star,
                                baseline_gap=0.04 * rev.t_star,
                                baseline_span=0.16 * rev.t_star)
+    ana = a_infinity_analytic(p, delta_ref=p.delta_trans)
+    V_ana = np.exp(-ana.evaluate(p.delta_trans) + b_analytic(t, p))
     emit_csv(("t", "V_exact", "V_analytic"), zip(t, tr.V, V_ana),
              path(name))
     return t, tr.V, V_ana, {

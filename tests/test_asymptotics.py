@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,7 +15,9 @@ from coulombchain import (ChainParams, VisibilityTrace, a_infinity,
                           gamma_derivative_scan, gamma_fit,
                           gamma_slope_analytic, gamma_transition_scan,
                           linear_chain_amplitudes, revival_time)
-from coulombchain.asymptotics import _running_extrema, _sliding_medians
+from coulombchain import asymptotics
+from coulombchain.asymptotics import (_running_extrema, _sliding_medians,
+                                      _window_extrema)
 from coulombchain.errors import InvalidParameter, UnstableLinearPhase
 
 
@@ -193,6 +196,24 @@ def test_y0_domain():
         bessel_Y0(np.array([1.0, -2.0]))
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_y0_rejects_non_finite_x(x):
+    with pytest.raises(InvalidParameter, match="Y0 requires finite x > 0"):
+        bessel_Y0(x)
+    with pytest.raises(InvalidParameter, match="Y0 requires finite x > 0"):
+        bessel_Y0(np.array([1.0, x]))
+
+
+def test_y0_far_tail_is_quiet():
+    # Above x ~ 1.34e154, x * x overflows and 1 / x^2 takes its limit 0,
+    # without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e160, 1e300):
+            y = bessel_Y0(x)
+            assert abs(y) <= math.sqrt(2.0 / (math.pi * x))
+
+
 def test_b_analytic():
     p = ChainParams.from_delta(1000, 1e-3, 0.25)
     t = np.array([50.0, 100.0, 400.0])
@@ -369,7 +390,8 @@ def test_sliding_medians_equal_np_median():
                         1)                      # rounded, so ties occur
         want = [np.median(vals[j:j + span])
                 for j in range(len(vals) - span + 1)]
-        got = list(_sliding_medians(vals.tolist(), span))
+        got = list(_sliding_medians(vals, span,
+                                    range(len(vals) - span + 1)))
         assert len(got) == len(want)
         mismatches += sum(g != w for g, w in zip(got, want))
     assert mismatches == 0
@@ -399,3 +421,137 @@ def test_burst_time_on_the_criterion_6_trace_is_unchanged():
     V = evaluate_trace(linear_chain_amplitudes(p), t, with_overlap=False).V
     burst = find_revival_burst(t, V)
     assert burst is not None and burst == _np_median_burst(t, V)
+
+
+# The reference below needs no scipy: the amplitude comes from
+# `_running_extrema`, itself pinned to scipy's filters above.
+
+def _median_loop_burst(t, V, window=50.0, baseline_gap=50.0,
+                       baseline_span=200.0):
+    """The detector as a per-sample np.median loop over every sample."""
+    dt = float(t[1] - t[0])
+    hi, lo = _running_extrema(V, max(1, int(round(0.5 * window / dt))))
+    amp = hi - lo
+    gap_n = int(round(baseline_gap / dt))
+    span_n = int(round(baseline_span / dt))
+    for i in range(gap_n + span_n, len(t)):
+        base = float(np.median(amp[i - gap_n - span_n:i - gap_n]))
+        if base > 0 and amp[i] > 2.0 * base:
+            return float(t[i])
+    return None
+
+
+def _record_starts(monkeypatch):
+    """Wrap the detector's median helper; the list gets the start of each
+    window whose median the detector takes."""
+    examined = []
+
+    def recorded(x, span, starts):
+        for j, m in zip(starts, _sliding_medians(x, span, starts)):
+            examined.append(int(j))
+            yield m
+
+    monkeypatch.setattr(asymptotics, "_sliding_medians", recorded)
+    return examined
+
+
+@pytest.mark.parametrize("span", [100, 101])
+def test_burst_detector_every_sample_a_candidate_none_fires(span,
+                                                            monkeypatch):
+    # amp grows by e per 100 samples: above twice its window's minimum
+    # (e^1 > 2) but not above twice its median (e^0.5 < 2).
+    dt = 0.5
+    t = dt * np.arange(1500)
+    V = 0.5 * np.exp(0.01 * np.arange(t.size)) * (-1.0) ** np.arange(t.size)
+    examined = _record_starts(monkeypatch)
+    kw = dict(window=dt, baseline_gap=0.0, baseline_span=span * dt)
+    assert find_revival_burst(t, V, **kw) is None
+    assert _median_loop_burst(t, V, **kw) is None
+    assert len(examined) == t.size - span          # every sample examined
+
+
+@pytest.mark.parametrize("span", [1, 2, 7, 8, 40, 41])
+def test_burst_detector_matches_median_loop_without_scipy(span):
+    rng = np.random.default_rng(span)
+    dt = 0.25
+    t = dt * np.arange(1, 601)
+    fired = 0
+    for trial in range(12):
+        V = np.round(rng.normal(0.0, 1.0, t.size), 1)       # ties
+        if trial % 3 == 0:                                   # sparse bursts
+            V *= 1.0 + 6.0 * (rng.uniform(size=t.size) < 0.02)
+        elif trial % 3 == 1:                                 # a late burst
+            V[int(rng.integers(200, 600)):] *= 4.0
+        gap = 0 if trial % 2 else int(rng.integers(1, 30))
+        kw = dict(window=dt * int(rng.integers(1, 8)),
+                  baseline_gap=gap * dt, baseline_span=span * dt)
+        hit = find_revival_burst(t, V, **kw)
+        assert hit == _median_loop_burst(t, V, **kw)
+        fired += hit is not None
+    assert fired >= 4
+
+
+def test_burst_detector_with_a_span_longer_than_the_trace():
+    t = 0.5 * np.arange(1, 101)
+    V = np.sin(3.0 * t) * (1.0 + 9.0 * (t > 30.0))
+    for gap, span in ((0.0, 60.0), (20.0, 40.0), (49.5, 0.5), (60.0, 1.0)):
+        kw = dict(window=1.0, baseline_gap=gap, baseline_span=span)
+        assert find_revival_burst(t, V, **kw) is None
+        assert _median_loop_burst(t, V, **kw) is None
+
+
+def test_sliding_medians_at_scattered_starts_equal_np_median():
+    # Starts closer than a span slide the sorted window; starts a span or
+    # more apart sort it afresh. Both occur for every span below.
+    rng = np.random.default_rng(19)
+    for span in range(1, 31):
+        x = np.round(rng.uniform(0.0, 1.0, 400), 1)
+        steps = np.where(rng.uniform(size=60) < 0.5,
+                         rng.integers(1, span + 1, 60),
+                         rng.integers(span, 3 * span + 1, 60))
+        starts = np.cumsum(steps)
+        starts = starts[starts <= x.size - span]
+        gaps = np.diff(starts)
+        assert np.any(gaps < span) or span == 1
+        assert np.any(gaps >= span)
+        got = list(_sliding_medians(x, span, starts))
+        assert got == [np.median(x[j:j + span]) for j in starts]
+
+
+def test_window_extrema_equal_sliding_window_view():
+    rng = np.random.default_rng(5)
+    n = 97
+    for x in (np.round(rng.normal(size=n), 0),          # ties
+              np.cumsum(rng.normal(size=n)),             # long monotone runs
+              np.arange(n, dtype=float)[::-1]):
+        for size in range(1, n + 1):
+            view = np.lib.stride_tricks.sliding_window_view(x, size)
+            hi, lo = _window_extrema(x, size)
+            assert np.array_equal(hi, view.max(axis=1))
+            assert np.array_equal(lo, view.min(axis=1))
+
+
+@pytest.fixture(scope="module")
+def criterion_6_trace():
+    p = ChainParams.from_delta(1000, 1e-3, 0.25)
+    n = 50_000
+    t = 1.35 * revival_time(1000, p.nu_t).t_star / n * np.arange(1, n + 1)
+    return t, evaluate_trace(linear_chain_amplitudes(p), t,
+                             with_overlap=False).V
+
+
+def test_burst_detector_takes_few_medians_on_the_criterion_6_trace(
+        criterion_6_trace, monkeypatch):
+    t, V = criterion_6_trace
+    examined = _record_starts(monkeypatch)
+    burst = find_revival_burst(t, V)
+    assert burst is not None and burst == _median_loop_burst(t, V)
+    # The amplitude rises through twice its window minimum a few hundred
+    # samples before it passes twice the median: one run of consecutive
+    # starts, so one window sorted from the trace and then slid.
+    dt = float(t[1] - t[0])
+    span_n = int(round(200.0 / dt))
+    positions = len(t) - int(round(50.0 / dt)) - span_n
+    sorted_afresh = 1 + int(np.sum(np.diff(examined) >= span_n))
+    assert 1 <= sorted_afresh <= 10
+    assert len(examined) <= positions // 50

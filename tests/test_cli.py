@@ -360,6 +360,19 @@ def test_longtime_rejects_bad_grids(flags, word, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_longtime_rejects_a_grid_before_the_analytic_envelope(tmp_path):
+    # dt = 1.25e299 leaves the baseline span no sample; the analytic Y0 tail
+    # at t ~ 1e300 is never evaluated, so nothing warns before the error.
+    out = tmp_path / "out"
+    res = _python("-m", "coulombchain.cli", "longtime", "--N", "16",
+                  "--delta", "0.1", "--eta-c", "0.1", "--samples", "8",
+                  "--t-max", "1e300", "--out", str(out))
+    assert res.returncode == 2
+    assert "baseline_span" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    assert not out.exists()
+
+
 _CHAIN = ["--N", "16", "--delta", "0.05", "--eta-c", "0.1"]
 
 
