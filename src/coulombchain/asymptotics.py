@@ -435,23 +435,35 @@ def find_revival_burst(t: np.ndarray, V: np.ndarray, window: float = 50.0,
 
 
 def _window_extrema(x: np.ndarray, size: int,
-                    ops=(np.maximum, np.minimum)) -> list:
-    """Each op of `ops` over every window x[j:j + size], j = 0, ...,
-    len(x) - size, for any size from 1 to len(x), odd or even.
+                    ops=(np.maximum, np.minimum), pad: int = 0) -> list:
+    """Each op of `ops` over every window of size `size` of x continued by
+    `pad` copies of its edge values at each end, for any size from 1 to
+    len(x) + 2 pad, odd or even; window j is x_padded[j:j + size].
 
-    van Herk / Gil-Werman: x is cut into blocks of the window size, so each
-    window is the suffix of one block joined to the prefix of the next;
-    running extrema forwards and backwards within the blocks give every
-    window in O(len(x)), whatever its size. The edge values that fill the
-    last block lie in no window.
+    van Herk / Gil-Werman: the padded x is copied once into blocks of the
+    window size, so each window is the suffix of one block joined to the
+    prefix of the next; running extrema forwards and backwards within the
+    blocks give every window in O(len(x)), whatever its size. The edge
+    values that fill the last block lie in no window. The last op's
+    suffixes overwrite the blocks, so besides x only the blocks, one prefix
+    buffer and one result per earlier op are live.
     """
-    n = len(x) - size + 1
-    blocks = np.pad(x, (0, -len(x) % size), mode="edge").reshape(-1, size)
+    length = len(x) + 2 * pad
+    n = length - size + 1
+    blocks = np.empty(-(-length // size) * size)
+    blocks[:pad] = x[0]
+    blocks[pad:pad + len(x)] = x
+    blocks[pad + len(x):] = x[-1]
+    blocks = blocks.reshape(-1, size)
+    prefix = np.empty_like(blocks)
     out = []
-    for op in ops:
-        prefix = op.accumulate(blocks, axis=1).ravel()
-        suffix = op.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-        out.append(op(suffix[:n], prefix[size - 1:size - 1 + n]))
+    for i, op in enumerate(ops):
+        op.accumulate(blocks, axis=1, out=prefix)
+        suffix = blocks if i == len(ops) - 1 else np.empty_like(blocks)
+        op.accumulate(blocks[:, ::-1], axis=1, out=suffix[:, ::-1])
+        res = suffix.reshape(-1)[:n]
+        op(res, prefix.reshape(-1)[size - 1:size - 1 + n], out=res)
+        out.append(res)
     return out
 
 
@@ -461,7 +473,7 @@ def _running_extrema(x: np.ndarray, half: int) -> tuple:
     in O(len(x)) by `_window_extrema`.
     """
     half = min(half, len(x) - 1)        # wider windows all see the whole x
-    return tuple(_window_extrema(np.pad(x, half, mode="edge"), 2 * half + 1))
+    return tuple(_window_extrema(x, 2 * half + 1, pad=half))
 
 
 def _sliding_medians(x: np.ndarray, span: int, starts):

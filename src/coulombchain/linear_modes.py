@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,10 +67,20 @@ def _columns(N: int) -> tuple[np.ndarray, np.ndarray]:
     return (col + 1) // 2, plus
 
 
+@lru_cache(maxsize=8)
+def _lattice_terms(N: int, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (j, j^-power) for j = N/2 .. 1, descending so the terms
+    ascend; cached because the golden-section search of
+    `max_group_velocity` sums at one k per call."""
+    j = np.arange(N // 2, 0, -1, dtype=np.float64)
+    w = j ** -power
+    j.flags.writeable = w.flags.writeable = False
+    return j, w
+
+
 def _lattice_sum(k, N: int, power: int, f):
     """sum_{j=1}^{N/2} j^-power f(j k), chunked over k; f may work in place."""
-    j = np.arange(N // 2, 0, -1, dtype=np.float64)   # descending j: ascending terms
-    w = j ** -power
+    j, w = _lattice_terms(N, power)
     karr = np.atleast_1d(np.asarray(k, dtype=np.float64))
     out = np.empty_like(karr)
     # Chunk so the outer product stays below ~32 MB.
@@ -298,5 +309,5 @@ def max_group_velocity(nu_t: float, N: int) -> tuple[float, float]:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = f(d)
-    k_star = 0.5 * (a + b)
+    k_star = float(0.5 * (a + b))        # the bracket ends are numpy scalars
     return f(k_star), k_star

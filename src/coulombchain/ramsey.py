@@ -234,7 +234,18 @@ def _nufft_exp_sum(t0: float, dt: float, n_out: int, omega: np.ndarray,
 
 def _trig_sums(t, omega: np.ndarray, weight: np.ndarray, kinds):
     """weighted_trig_sum of `weight` for each kind in `kinds`, from one
-    NUFFT pass: Re of the sum gives sin2half and cos, Im gives sin."""
+    NUFFT pass: Re of the sum gives sin2half and cos, Im gives sin.
+
+    Bit-equal frequencies are merged first, their weights summed, so a
+    linear chain's degenerate (n, +/-) pairs reach either route as N/2 + 1
+    frequencies; every kernel depends on omega alone, so the merge changes
+    the sum only by rounding. When all frequencies differ, omega and weight
+    reach the routes untouched.
+    """
+    distinct, inv = np.unique(omega, return_inverse=True)
+    if len(distinct) < len(omega):
+        omega = distinct
+        weight = np.bincount(inv.reshape(-1), weight, minlength=len(distinct))
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     dt = _uniform_step(t_arr)
     near = np.ones(len(t_arr), dtype=bool)
@@ -268,7 +279,9 @@ def weighted_trig_sum(t, omega: np.ndarray, weight: np.ndarray,
     max(omega) |t| > 1 come from the type-1 NUFFT of _nufft_exp_sum; the
     rest, and every non-uniform grid, use one trig call per mode-sample.
     Near t = 0 the exponential sum would lose sin^2 to the cancellation in
-    1 - cos, and the Gamma-fit window lies there.
+    1 - cos, and the Gamma-fit window lies there. Bit-equal frequencies
+    merge, weights summed, before either route; inputs whose frequencies
+    are all distinct reach it untouched.
     """
     if kind not in ("sin2half", "sin", "cos"):
         raise InvalidParameter(f"unknown kernel kind {kind!r}")

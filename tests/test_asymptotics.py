@@ -237,6 +237,12 @@ def test_revival_time_frozen():
     assert rev.t_star == pytest.approx(T_STAR_REF, rel=1e-6)
 
 
+def test_revival_estimate_holds_python_floats():
+    rev = revival_time(8000, ChainParams.from_delta(8000, 1e-3, 0.25).nu_t)
+    assert type(rev.k_star) is float and type(rev.v_max) is float
+    assert type(rev.t_star) is float
+
+
 def test_revival_time_linear_in_n():
     nu_t = 2.2
     t1 = revival_time(500, nu_t).t_star
@@ -529,6 +535,21 @@ def test_window_extrema_equal_sliding_window_view():
             hi, lo = _window_extrema(x, size)
             assert np.array_equal(hi, view.max(axis=1))
             assert np.array_equal(lo, view.min(axis=1))
+
+
+def test_burst_detector_memory_at_1e6_samples():
+    # An 8 MB trace; the padded and blocked copies, both accumulates and
+    # both extrema once peaked at 55 MiB.
+    t = np.linspace(0.0, 4000.0, 1_000_000)
+    V = 0.5 + 0.01 * np.sin(3.0 * t) + 0.2 * np.sin(5.0 * t) * (t > 3000.0)
+    tracemalloc.start()
+    try:
+        burst = find_revival_burst(t, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert burst is not None and 2950.0 < burst < 3000.0   # window 50 wide
+    assert peak <= 32 * 2 ** 20
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,11 @@ fig2, fig3, fig6) were re-recorded when those sums became a type-1 NUFFT;
 each moved by at most 1e-12 of its column scale. gamma_scan.csv and
 fig5_gamma.csv were re-recorded when the zigzag kick weights were folded
 per Bloch eigenpair; their zigzag rows moved by at most 4.2e-16 of the
-column scale. The names of the proxies
+column scale. The tables built from linear-chain traces (fourier,
+longtime, visibility and fig2, fig3, fig4, fig6) were re-recorded when the
+trig sums began to merge bit-equal frequencies; traces and spectra moved
+by at most 5.5e-16 of their column scale, fig4's rel_dev and fit_rms,
+differences of nearly equal numbers, by 8.5e-13. The names of the proxies
 that `figures` reports are pinned too, in order.
 """
 
@@ -44,21 +48,21 @@ SUBCOMMAND_DIGESTS = {
         "revival_table.csv": "72df99355525720f014a7450f69f654b465aae4f4f4c2525b5e9e160bf388fe3",
     },
     "fourier": {
-        "fourier.csv": "6a3f4d78014f60668e519207de04e63ff8e8a0b72ba9d0bc67f8a09c13998791",
-        "fourier_band.csv": "049a8e3a89a11161eff4a37a49af280c1765d417e718e2a46257fc5d3095f8f9",
-        "fourier_peaks.csv": "dc2f26d3a411918eb9ec5fd9dd92c3264e95e0df722ee1207b8a48b5c818ada7",
+        "fourier.csv": "e9d3161a43bf9fd66190410f647d9aa2b8de9736c0dc842d425995f46c81ba75",
+        "fourier_band.csv": "376f37bd0346aaeeea2fc198c701b9bdb8cfddde4592e08618e0c87d3dbde9b7",
+        "fourier_peaks.csv": "106b15573a1ddf8838362b6a32f2e5fa17ed1d7fbaa2864c5b8cc8b5677de3de",
     },
     "gamma-scan": {
         "gamma_scan.csv": "6e34f319ba108a5a6a95fee9444ae82fa35e6ee352229aeb3deba84e94255d68",
     },
     "longtime": {
-        "longtime.csv": "ef52a609f82b2cee631290fd16ac73cfd5149dd92ca8afb825814cc3a17d0e8b",
+        "longtime.csv": "9b949f09178515d0ca3b2d426450d8eb09c40e78e3c110ebd4478371a4741fb6",
     },
     "spectrum": {
         "spectrum.csv": "4ecf967e772fadcda3b4b82d6a083202fc55040699e04ae2306898a823d66201",
     },
     "visibility": {
-        "visibility.csv": "7014c51eafbd1f4941520aa9c88c606b7c1a6f7bb8475d35adbff813117017b6",
+        "visibility.csv": "40cde995c05ddd6fff0561b16d5d495c266d402a90c80530d3e50233d42c2ff5",
     },
     "zigzag": {
         "zigzag_amplitude.csv": "6b895945e2b828447ea10f970aebff22c58ea3d892a2902377d69b904867fb43",
@@ -67,14 +71,14 @@ SUBCOMMAND_DIGESTS = {
 }
 
 FIGURES_DIGESTS = {
-    "fig2_spectrum.csv": "64e93057b9d8a8f6e2301e8e55f7f40aaf7f22f5c8ad01e917a36638344c6515",
-    "fig2_visibility.csv": "7c66d0ea41095ed2ae1a912adf7186309fc4088efa23a05ffc8832e5cb8bd73f",
-    "fig3_spectrum.csv": "8f98e8a833dbcd51215f71162cbf163daa143e1c59776ac11f90c9d395a75d9b",
-    "fig3_visibility.csv": "fda4e81765883719a4c52ff84bf3e81e63548306c89d4432a724ff9f6fa72530",
-    "fig4_gamma.csv": "f72d6c38d3def5602ce76c1ba919e7f6a34e84309010add0e1ea21087770e280",
+    "fig2_spectrum.csv": "b65ae9ce19cd9b4418f41902822f3c101b6f93cebd6ce6f8b477d49115481f43",
+    "fig2_visibility.csv": "ddd54a18bfaee5fda95f1b3127878ff969caf35d05da8ce2dce8496f6fa8e9ca",
+    "fig3_spectrum.csv": "6131c5f92151ca64cb8f521e695176760498eb609b7b3f6f9bcfefed0ca7b32e",
+    "fig3_visibility.csv": "964844b8a8b0bfdc4443a2d6c2e785c8fb43222d0c09097354b7274b767084ff",
+    "fig4_gamma.csv": "75d41b0165b3c3532c3fe1bce2caef7014e5601f9470e193d372b9d74d3fb401",
     "fig5_dgamma.csv": "079108c0614547b7dfeaf77bf285b1dd6ee342220774177473f6cce1c6776a2c",
     "fig5_gamma.csv": "25bf029292cb7022b5eeaa140efbe9662d2ff445ee363d9d1f7779367b14d75a",
-    "fig6_longtime.csv": "cd41f93ef1de2e6fe9842fef5c736318a057dcf361735ba3a6805e929634c541",
+    "fig6_longtime.csv": "86922b76acd81d62b18c968f1b4840223e86b7a3dc808b999d28c38a4b0b5683",
     "fig7_a_infinity.csv": "9a47ed578ca34b9875d01a0ceb1aa70b4056655473728c65024d37c0137a7968",
 }
 

@@ -1,6 +1,8 @@
 """Seeded cross-route checks: each fast path against the route it replaced.
 
 - the NUFFT trig sum against the direct kernel on uniform grids;
+- trig sums over a linear chain's merged degenerate frequencies against the
+  direct kernel over every mode;
 - the closed-form probe row against the dense mode matrix;
 - the FFT mode-grid dispersion against the direct sum;
 - the FFT argmax grid of the group velocity against the direct sums, and
@@ -31,13 +33,13 @@ from coulombchain import (ChainParams, DisplacementAmplitudes, axial_mode_set,
                           max_group_velocity, mode_matrix, thermal_weights,
                           transverse_mode_set, weighted_trig_sum,
                           zigzag_displacement_amplitudes, zigzag_spectrum)
-from coulombchain import linear_modes
+from coulombchain import linear_modes, ramsey
 from coulombchain.errors import SoftModeSingularity
 from coulombchain.linear_modes import (_GOLDEN, _VGRID_POINTS, _VMAX_TOL,
                                        _dispersion_sum, _grid_group_velocity,
                                        _mode_grid_sum)
 from coulombchain.ramsey import (_MIN_UNIFORM_SAMPLES, _direct_trig_sum,
-                                 _uniform_step)
+                                 _thermal_A_and_phase, _uniform_step)
 from coulombchain.zigzag import _own_subspace_residuals
 from oracles import dense_hessian, dense_mode_matrix, dense_vectors
 
@@ -167,6 +169,93 @@ def test_perturbed_grid_takes_the_direct_route():
     for kind in KINDS:
         assert np.array_equal(weighted_trig_sum(t, omega, weight, kind),
                               _direct_trig_sum(t, omega, weight, kind))
+
+
+def _degenerate_chain(rng, N=64):
+    """Linear amplitudes: N modes on N/2 + 1 distinct frequencies."""
+    amps = linear_chain_amplitudes(
+        ChainParams.from_delta(N, float(10.0 ** rng.uniform(-3.0, -1.0)),
+                               0.25),
+        probe_site=int(rng.integers(1, N + 1)))
+    assert len(np.unique(amps.omega)) == N // 2 + 1
+    return amps
+
+
+def _merge_grid(grid, rng):
+    if grid == "uniform":
+        t = np.linspace(-20.0, 400.0, 3001)
+        assert _uniform_step(t) is not None
+    else:
+        t = np.sort(rng.uniform(-20.0, 400.0, 3000))
+        assert _uniform_step(t) is None
+    return t
+
+
+@pytest.mark.parametrize("grid", ["uniform", "non-uniform"])
+def test_merged_degenerate_modes_match_direct_kernel_over_every_mode(grid):
+    rng = np.random.default_rng(20261019)
+    amps = _degenerate_chain(rng)
+    t = _merge_grid(grid, rng)
+    bound = _bound(t, amps.omega, amps.weight)
+    slow = {kind: _direct_trig_sum(t, amps.omega, amps.weight, kind)
+            for kind in KINDS}
+    for kind in KINDS:
+        fast = weighted_trig_sum(t, amps.omega, amps.weight, kind)
+        assert np.max(np.abs(fast - slow[kind])) < bound
+    A, phase = _thermal_A_and_phase(t, amps, 0.0)      # the overlap's pass
+    assert np.max(np.abs(A - 2.0 * slow["sin2half"])) < 2.0 * bound
+    assert np.max(np.abs(phase - slow["sin"])) < bound
+
+
+def _spy_on_routes(monkeypatch):
+    """Wrap both kernels; the list gets (omega, weight) of every call."""
+    calls = []
+    direct, nufft = ramsey._direct_trig_sum, ramsey._nufft_exp_sum
+
+    def spy_direct(t, omega, weight, kind):
+        calls.append((omega, weight))
+        return direct(t, omega, weight, kind)
+
+    def spy_nufft(t0, dt, n_out, omega, weight, imag):
+        calls.append((omega, weight))
+        return nufft(t0, dt, n_out, omega, weight, imag)
+
+    monkeypatch.setattr(ramsey, "_direct_trig_sum", spy_direct)
+    monkeypatch.setattr(ramsey, "_nufft_exp_sum", spy_nufft)
+    return calls
+
+
+@pytest.mark.parametrize("grid", ["uniform", "non-uniform"])
+def test_kernels_receive_distinct_frequencies_only(grid, monkeypatch):
+    rng = np.random.default_rng(7)
+    amps = _degenerate_chain(rng)
+    t = _merge_grid(grid, rng)
+    calls = _spy_on_routes(monkeypatch)
+    for kind in KINDS:
+        weighted_trig_sum(t, amps.omega, amps.weight, kind)
+    _thermal_A_and_phase(t, amps, 0.0)
+    # One direct call per kind of the four passes (5); the uniform grid,
+    # which straddles t = 0, adds one NUFFT per pass (4).
+    assert len(calls) == (9 if grid == "uniform" else 5)
+    distinct = np.unique(amps.omega)
+    for omega, weight in calls:
+        assert len(omega) == 64 // 2 + 1
+        assert np.array_equal(omega, distinct)
+        assert weight.sum() == pytest.approx(amps.weight.sum(), rel=1e-14)
+
+    calls.clear()
+    omega = rng.uniform(0.5, 2.5, 50)
+    weight = rng.uniform(0.0, 0.1, 50)
+    zz = zigzag_displacement_amplitudes(ChainParams(
+        N=64, nu_t=critical_frequency_finite(64) - 0.04, eta_c=0.1))
+    assert len(np.unique(zz.omega)) == len(zz.omega)
+    for om, w in ((omega, weight), (zz.omega, zz.weight)):
+        for kind in KINDS:
+            weighted_trig_sum(t, om, w, kind)
+    assert len(calls) == 2 * (6 if grid == "uniform" else 3)
+    assert all(om is omega and w is weight for om, w in calls[:len(calls) // 2])
+    assert all(om is zz.omega and w is zz.weight
+               for om, w in calls[len(calls) // 2:])
 
 
 def test_probe_row_matches_dense_matrix():

@@ -12,6 +12,7 @@ from coulombchain import (ChainParams, axial_mode_set,
                           dispersion_transverse, group_velocity,
                           linear_chain_amplitudes, max_group_velocity,
                           mode_matrix, revival_time, transverse_mode_set)
+from coulombchain import linear_modes
 from coulombchain.errors import (InvalidParameter, ResourceLimit,
                                  SoftModeSingularity, UnstableLinearPhase)
 from oracles import dense_mode_matrix
@@ -187,6 +188,15 @@ def test_max_group_velocity():
     v_max, k_star = max_group_velocity(nu_t, 1000)
     assert v_max == pytest.approx(V_MAX_REF, rel=1e-8)
     assert k_star == pytest.approx(K_STAR_REF, abs=1e-5)
+
+
+def test_lattice_terms_are_cached_read_only():
+    j, w = linear_modes._lattice_terms(64, 3)
+    again = linear_modes._lattice_terms(64, 3)
+    assert again[0] is j and again[1] is w
+    assert not j.flags.writeable and not w.flags.writeable
+    ref = np.arange(32, 0, -1, dtype=np.float64)
+    assert np.array_equal(j, ref) and np.array_equal(w, ref ** -3)
 
 
 def test_dispersion_vectorized_matches_scalar():
