@@ -10,7 +10,6 @@ With A(t) = 2 sum_m |alpha_m|^2 sin^2(omega_m t / 2):
 
     overlap      S(t) = prod_m exp(i |a_m|^2 sin w_m t) exp(-2 |a_m|^2 sin^2(w_m t/2))
     visibility   V(t) = exp(-A_T(t)),  A_T = thermal A with coth(w/(2 theta))
-    probability  P_g  = (1 + Re[e^{i phi} S]) / 2
 
 These formulas are phase agnostic: they need positive frequencies and the
 weight summed over the modes at each, which is how the zigzag phase, its
@@ -19,7 +18,8 @@ real modes folded per Bloch eigenpair, reuses this module.
 Every A(t), B(t) and overlap phase is a mode sum sum_m w_m f(omega_m t).
 On a uniform grid t_j = t_0 + j dt, sum_m w_m exp(i omega_m t_j) is a
 type-1 nonuniform FFT of the points omega_m dt mod 2 pi, so a trace of T
-samples costs O(M + T log T) instead of T M trig calls. Samples near t = 0
+samples costs O(M + T log T) instead of T M trig calls; the magnitude and
+the phase of S share one spread of their weight vectors. Samples near t = 0
 and non-uniform grids use the direct kernel, one trig call per
 mode-sample, which is also the test oracle.
 """
@@ -76,9 +76,18 @@ class DisplacementAmplitudes:
     kind: str = "linear"
 
     def __post_init__(self):
+        if np.ndim(self.omega) != 1 or \
+                np.shape(self.weight) != np.shape(self.omega):
+            raise InvalidParameter(
+                f"omega and weight must be 1-d arrays of equal length, got "
+                f"shapes {np.shape(self.omega)} and {np.shape(self.weight)}")
+        if not np.all(np.isfinite(self.omega)):
+            raise InvalidParameter("frequencies must be finite")
         if np.any(self.omega <= 0.0):
             raise SoftModeSingularity(
                 "displacement amplitudes need strictly positive frequencies")
+        if not np.all(np.isfinite(self.weight) & (self.weight >= 0.0)):
+            raise InvalidParameter("weights must be finite and >= 0")
 
     def __len__(self):
         return len(self.omega)
@@ -195,19 +204,21 @@ def _deconvolved_real_part(a: np.ndarray, b: np.ndarray, p: np.ndarray,
     return out
 
 
-def _nufft_exp_sum(t0: float, dt: float, n_out: int, omega: np.ndarray,
-                   weight: np.ndarray, imag: bool):
-    """(Re, Im) of sum_m weight_m exp(i omega_m (t0 + j dt)) for j < n_out,
-    as a type-1 NUFFT in O(M _ES_WIDTH + n log n); Im is None unless `imag`.
+def _nufft_spread(t0: float, dt: float, n_out: int, omega: np.ndarray,
+                  weights: list):
+    """Spread grids and kernel DFT of sum_m w_m exp(i omega_m (t0 + j dt)),
+    j < n_out, for each w in `weights`: a type-1 NUFFT in
+    O(M _ES_WIDTH + n log n) that evaluates the kernel once for every vector.
 
     With x_m = omega_m dt mod 2 pi, taken in [-pi, pi] so that a small
     |omega_m dt| of either sign keeps its bits, and h = n_out // 2, output j
     is F_k = sum_m c_m exp(i k x_m) at k = j - h, where
-    c_m = weight_m exp(i (omega_m t0 + h x_m)) centres k on 0. Each c_m is
+    c_m = w_m exp(i (omega_m t0 + h x_m)) centres k on 0. Each c_m is
     spread by the ES kernel onto the grid 2 pi l / n, n >= 2 n_out, wrapping
-    mod n; the FFT of the grid gives F_k times the DFT of the kernel spread
-    from x = 0, which is divided out. Re F and Im F = Re(-i F) take one real
-    FFT each, so Re has the same bits with or without Im.
+    mod n; the FFT of the grid gives F_k times the DFT p of the kernel spread
+    from x = 0. Returns ([(re, im) grid per vector], p): Re F is
+    _deconvolved_real_part(re, im, p, n_out), Im F = Re(-i F) that of
+    (im, -re).
     """
     n = _fft_length(2 * n_out)
     half = _ES_WIDTH // 2
@@ -215,55 +226,62 @@ def _nufft_exp_sum(t0: float, dt: float, n_out: int, omega: np.ndarray,
     x = omega * dt
     x -= 2.0 * np.pi * np.round(x / (2.0 * np.pi))
     phase = omega * t0 + (n_out // 2) * x
-    c_re, c_im = weight * np.cos(phase), weight * np.sin(phase)
+    cos, sin = np.cos(phase), np.sin(phase)
+    coefs = [c for w in weights for c in (w * cos, w * sin)]
+    grids = [np.zeros(n) for _ in coefs]
     u = x * (n / (2.0 * np.pi))             # x in grid steps
-    re, im = np.zeros(n), np.zeros(n)       # the spread grid re + i im
     rows = _SPREAD_ENTRIES // _ES_WIDTH
     for i in range(0, len(u), rows):
         left = np.ceil(u[i:i + rows] - half)
         ker = _es_kernel(((left - u[i:i + rows])[:, None] + offsets) / half)
         idx = ((left.astype(np.int64)[:, None] + offsets) % n).ravel()
-        re += np.bincount(idx, (ker * c_re[i:i + rows, None]).ravel(),
-                          minlength=n)
-        ker *= c_im[i:i + rows, None]
-        im += np.bincount(idx, ker.ravel(), minlength=n)
-    p = _kernel_dft(n, n_out // 2)
-    return (_deconvolved_real_part(re, im, p, n_out),
-            _deconvolved_real_part(im, -re, p, n_out) if imag else None)
+        prod = np.empty_like(ker)
+        for grid, c in zip(grids, coefs):
+            np.multiply(ker, c[i:i + rows, None], out=prod)
+            grid += np.bincount(idx, prod.ravel(), minlength=n)
+    return list(zip(grids[0::2], grids[1::2])), _kernel_dft(n, n_out // 2)
 
 
-def _trig_sums(t, omega: np.ndarray, weight: np.ndarray, kinds):
-    """weighted_trig_sum of `weight` for each kind in `kinds`, from one
-    NUFFT pass: Re of the sum gives sin2half and cos, Im gives sin.
+def _trig_sums(t, omega: np.ndarray, requests):
+    """weighted_trig_sum for each (kind, weight) of `requests`, from one
+    NUFFT spread: Re of a vector's sum gives sin2half and cos, Im gives sin.
 
-    Bit-equal frequencies are merged first, their weights summed, so a
-    linear chain's degenerate (n, +/-) pairs reach either route as N/2 + 1
-    frequencies; every kernel depends on omega alone, so the merge changes
-    the sum only by rounding. When all frequencies differ, omega and weight
-    reach the routes untouched.
+    Bit-equal frequencies are merged first, each weight vector summed onto
+    them, so a linear chain's degenerate (n, +/-) pairs reach either route
+    as N/2 + 1 frequencies; every kernel depends on omega alone, so the
+    merge changes the sums only by rounding. When all frequencies differ,
+    omega and the weights reach the routes untouched. A vector named by
+    several requests is merged and spread once.
     """
+    vectors = {id(w): w for _, w in requests}
     distinct, inv = np.unique(omega, return_inverse=True)
     if len(distinct) < len(omega):
         omega = distinct
-        weight = np.bincount(inv.reshape(-1), weight, minlength=len(distinct))
+        vectors = {key: np.bincount(inv.reshape(-1), w, minlength=len(omega))
+                   for key, w in vectors.items()}
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     dt = _uniform_step(t_arr)
     near = np.ones(len(t_arr), dtype=bool)
     if dt is not None:
         near = np.max(np.abs(omega), initial=0.0) * np.abs(t_arr) <= 1.0
     if np.all(near):
-        outs = [_direct_trig_sum(t_arr, omega, weight, kind) for kind in kinds]
+        outs = [_direct_trig_sum(t_arr, omega, vectors[id(w)], kind)
+                for kind, w in requests]
     else:
-        re, im = _nufft_exp_sum(t_arr[0], dt, len(t_arr), omega, weight,
-                                imag="sin" in kinds)
+        n_out = len(t_arr)
+        grids, p = _nufft_spread(t_arr[0], dt, n_out, omega,
+                                 list(vectors.values()))
+        grids = dict(zip(vectors, grids))
         outs = []
-        for kind in kinds:
-            if kind == "sin2half":
-                out = 0.5 * (np.sum(weight) - re)
-            elif kind == "sin":
-                out = im.copy()
+        for kind, w in requests:
+            weight = vectors[id(w)]
+            re, im = grids[id(w)]
+            if kind == "sin":
+                out = _deconvolved_real_part(im, -re, p, n_out)
             else:
-                out = re.copy()
+                out = _deconvolved_real_part(re, im, p, n_out)
+                if kind == "sin2half":
+                    out = 0.5 * (np.sum(weight) - out)
             if np.any(near):
                 out[near] = _direct_trig_sum(t_arr[near], omega, weight, kind)
             outs.append(out)
@@ -276,7 +294,7 @@ def weighted_trig_sum(t, omega: np.ndarray, weight: np.ndarray,
 
     kind: 'sin2half' -> sin^2(w t / 2); 'sin' -> sin(w t); 'cos' -> cos(w t).
     Scalar t in, scalar out. On a uniform grid, samples with
-    max(omega) |t| > 1 come from the type-1 NUFFT of _nufft_exp_sum; the
+    max(omega) |t| > 1 come from the type-1 NUFFT of _nufft_spread; the
     rest, and every non-uniform grid, use one trig call per mode-sample.
     Near t = 0 the exponential sum would lose sin^2 to the cancellation in
     1 - cos, and the Gamma-fit window lies there. Bit-equal frequencies
@@ -285,7 +303,11 @@ def weighted_trig_sum(t, omega: np.ndarray, weight: np.ndarray,
     """
     if kind not in ("sin2half", "sin", "cos"):
         raise InvalidParameter(f"unknown kernel kind {kind!r}")
-    return _trig_sums(t, omega, weight, (kind,))[0]
+    if np.shape(omega) != np.shape(weight):
+        raise InvalidParameter(
+            f"omega and weight must have the same shape, got "
+            f"{np.shape(omega)} and {np.shape(weight)}")
+    return _trig_sums(t, omega, [(kind, weight)])[0]
 
 
 def exponent_A(t, amps: DisplacementAmplitudes):
@@ -318,13 +340,12 @@ def visibility(t, amps: DisplacementAmplitudes, theta: float = 0.0):
 
 
 def _thermal_A_and_phase(t, amps: DisplacementAmplitudes, theta: float):
-    """(A_T(t), sum_m |alpha_m|^2 sin(omega_m t)); at theta = 0 the thermal
-    weights are |alpha|^2, so both come from one NUFFT pass."""
-    if theta == 0.0:
-        s2, phase = _trig_sums(t, amps.omega, amps.weight, ("sin2half", "sin"))
-        return 2.0 * s2, phase
-    return (exponent_A_thermal(t, amps, theta),
-            weighted_trig_sum(t, amps.omega, amps.weight, "sin"))
+    """(A_T(t), sum_m |alpha_m|^2 sin(omega_m t)) from one trig-sum pass; at
+    theta = 0 the thermal weights are |alpha|^2 itself, one vector."""
+    s2, phase = _trig_sums(t, amps.omega,
+                           [("sin2half", thermal_weights(amps, theta)),
+                            ("sin", amps.weight)])
+    return 2.0 * s2, phase
 
 
 def overlap(t, amps: DisplacementAmplitudes, theta: float = 0.0):
@@ -335,32 +356,6 @@ def overlap(t, amps: DisplacementAmplitudes, theta: float = 0.0):
     """
     mag, phase = _thermal_A_and_phase(t, amps, theta)
     return np.exp(-mag + 1j * phase)
-
-
-def ramsey_probability(phi, t, amps: DisplacementAmplitudes,
-                       theta: float = 0.0):
-    """Ground-state probability P_g = (1 + Re[e^{i phi} S(t)]) / 2."""
-    s = overlap(t, amps, theta)
-    return 0.5 * (1.0 + np.real(np.exp(1j * phi) * s))
-
-
-def autocorrelation_G(t, amps: DisplacementAmplitudes):
-    """Displacement autocorrelation G(t) = <[y(t) - y(0)]^2>.
-
-    Returned in units of hbar / (2 m omega_0), where it equals
-    2 A(t) / (eta0^2 nu_t); the recoil identity A = (k_L^2 / 2) G then holds
-    by construction.
-    """
-    return 2.0 * exponent_A(t, amps) / (amps.eta0 ** 2 * amps.nu_t)
-
-
-def distinguishability(V):
-    """Which-path distinguishability D = sqrt(1 - V^2) for V in [0, 1]."""
-    v = np.asarray(V, dtype=np.float64)
-    if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
-        raise InvalidParameter("visibility must lie in [0, 1]")
-    d = np.sqrt(np.clip(1.0 - np.clip(v, 0.0, 1.0) ** 2, 0.0, None))
-    return d if np.ndim(V) else float(d)
 
 
 @dataclass(frozen=True)
@@ -387,8 +382,10 @@ class VisibilityTrace:
 def evaluate_trace(amps: DisplacementAmplitudes, t: np.ndarray,
                    theta: float = 0.0, with_overlap: bool = True
                    ) -> VisibilityTrace:
-    """Evaluate A, V (and optionally S) on an arbitrary time grid."""
+    """Evaluate A, V (and optionally S) on an arbitrary 1-d time grid."""
     t = np.asarray(t, dtype=np.float64)
+    if t.ndim != 1:
+        raise InvalidParameter(f"t must be a 1-d grid, got shape {t.shape}")
     S = None
     if with_overlap:    # as overlap()
         A, phase = _thermal_A_and_phase(t, amps, theta)

@@ -45,7 +45,6 @@ EXPORTS = {
     "ZigzagSpectrum",
     "a_infinity",
     "a_infinity_analytic",
-    "autocorrelation_G",
     "axial_mode_set",
     "b_analytic",
     "b_of_t",
@@ -57,7 +56,6 @@ EXPORTS = {
     "derive_parameters",
     "dispersion_axial",
     "dispersion_transverse",
-    "distinguishability",
     "emit_csv",
     "evaluate_trace",
     "exponent_A",
@@ -76,7 +74,6 @@ EXPORTS = {
     "mode_matrix",
     "overlap",
     "overlay_band",
-    "ramsey_probability",
     "revival_time",
     "spectral_band_check",
     "thermal_weights",
@@ -125,7 +122,6 @@ PINNED = {
     "gamma_transition_scan(zigzag_N)",
     "linear_chain_amplitudes(probe_site)",
     "overlap(theta)",
-    "ramsey_probability(theta)",
     "visibility(theta)",
     "visibility_trace(T_F)",
     "visibility_trace(n_s)",

@@ -202,26 +202,38 @@ def test_merged_degenerate_modes_match_direct_kernel_over_every_mode(grid):
     for kind in KINDS:
         fast = weighted_trig_sum(t, amps.omega, amps.weight, kind)
         assert np.max(np.abs(fast - slow[kind])) < bound
-    A, phase = _thermal_A_and_phase(t, amps, 0.0)      # the overlap's pass
-    assert np.max(np.abs(A - 2.0 * slow["sin2half"])) < 2.0 * bound
-    assert np.max(np.abs(phase - slow["sin"])) < bound
+    # The overlap's pass, cold and warm: A_T and the phase from one spread.
+    for theta in (0.0, 0.5):
+        w = thermal_weights(amps, theta)
+        A, phase = _thermal_A_and_phase(t, amps, theta)
+        slow_A = 2.0 * _direct_trig_sum(t, amps.omega, w, "sin2half")
+        assert np.max(np.abs(A - slow_A)) < 2.0 * _bound(t, amps.omega, w)
+        assert np.max(np.abs(phase - slow["sin"])) < bound
 
 
 def _spy_on_routes(monkeypatch):
-    """Wrap both kernels; the list gets (omega, weight) of every call."""
+    """Wrap _trig_sums and both kernels. Each _trig_sums call appends a
+    list, which gets (omega, [weight]) of every direct call and
+    (omega, weights) of every spread."""
     calls = []
-    direct, nufft = ramsey._direct_trig_sum, ramsey._nufft_exp_sum
+    trig_sums = ramsey._trig_sums
+    direct, spread = ramsey._direct_trig_sum, ramsey._nufft_spread
+
+    def spy_trig_sums(t, omega, requests):
+        calls.append([])
+        return trig_sums(t, omega, requests)
 
     def spy_direct(t, omega, weight, kind):
-        calls.append((omega, weight))
+        calls[-1].append((omega, [weight]))
         return direct(t, omega, weight, kind)
 
-    def spy_nufft(t0, dt, n_out, omega, weight, imag):
-        calls.append((omega, weight))
-        return nufft(t0, dt, n_out, omega, weight, imag)
+    def spy_spread(t0, dt, n_out, omega, weights):
+        calls[-1].append((omega, weights))
+        return spread(t0, dt, n_out, omega, weights)
 
+    monkeypatch.setattr(ramsey, "_trig_sums", spy_trig_sums)
     monkeypatch.setattr(ramsey, "_direct_trig_sum", spy_direct)
-    monkeypatch.setattr(ramsey, "_nufft_exp_sum", spy_nufft)
+    monkeypatch.setattr(ramsey, "_nufft_spread", spy_spread)
     return calls
 
 
@@ -233,15 +245,28 @@ def test_kernels_receive_distinct_frequencies_only(grid, monkeypatch):
     calls = _spy_on_routes(monkeypatch)
     for kind in KINDS:
         weighted_trig_sum(t, amps.omega, amps.weight, kind)
-    _thermal_A_and_phase(t, amps, 0.0)
-    # One direct call per kind of the four passes (5); the uniform grid,
-    # which straddles t = 0, adds one NUFFT per pass (4).
-    assert len(calls) == (9 if grid == "uniform" else 5)
+    for theta in (0.0, 0.5):
+        _thermal_A_and_phase(t, amps, theta)
+    # One direct call per request. The uniform grid, which straddles t = 0,
+    # adds one spread per _trig_sums call, of one vector per distinct
+    # weight vector: the overlap's thermal weights are |alpha|^2 itself at
+    # theta = 0 and a second vector at theta > 0.
+    uniform = grid == "uniform"
+    per_call = [2, 2, 2, 3, 3] if uniform else [1, 1, 1, 2, 2]
+    assert [len(group) for group in calls] == per_call
+    if uniform:
+        assert [len(group[0][1]) for group in calls] == [1, 1, 1, 1, 2]
     distinct = np.unique(amps.omega)
-    for omega, weight in calls:
-        assert len(omega) == 64 // 2 + 1
-        assert np.array_equal(omega, distinct)
-        assert weight.sum() == pytest.approx(amps.weight.sum(), rel=1e-14)
+    sums = (amps.weight.sum(), thermal_weights(amps, 0.5).sum())
+    for group in calls:
+        for omega, weights in group:
+            assert np.array_equal(omega, distinct)
+            for weight in weights:
+                assert weight.sum() == pytest.approx(sums[0], rel=1e-14) or \
+                    weight.sum() == pytest.approx(sums[1], rel=1e-14)
+    if uniform:
+        assert [w.sum() for w in calls[-1][0][1]] == \
+            pytest.approx(sums[::-1], rel=1e-14)
 
     calls.clear()
     omega = rng.uniform(0.5, 2.5, 50)
@@ -252,10 +277,11 @@ def test_kernels_receive_distinct_frequencies_only(grid, monkeypatch):
     for om, w in ((omega, weight), (zz.omega, zz.weight)):
         for kind in KINDS:
             weighted_trig_sum(t, om, w, kind)
-    assert len(calls) == 2 * (6 if grid == "uniform" else 3)
-    assert all(om is omega and w is weight for om, w in calls[:len(calls) // 2])
+    flat = [(om, w) for group in calls for om, ws in group for w in ws]
+    assert len(flat) == 2 * (6 if uniform else 3)
+    assert all(om is omega and w is weight for om, w in flat[:len(flat) // 2])
     assert all(om is zz.omega and w is zz.weight
-               for om, w in calls[len(calls) // 2:])
+               for om, w in flat[len(flat) // 2:])
 
 
 def test_probe_row_matches_dense_matrix():

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from coulombchain import (ChainParams, DisplacementAmplitudes,
-                          autocorrelation_G, critical_frequency_finite,
-                          distinguishability, evaluate_trace, exponent_A,
-                          exponent_A_thermal, linear_chain_amplitudes,
-                          overlap, ramsey_probability, thermal_weights,
+                          critical_frequency_finite, evaluate_trace,
+                          exponent_A, exponent_A_thermal,
+                          linear_chain_amplitudes, overlap, thermal_weights,
                           visibility, weighted_trig_sum)
 from coulombchain.errors import (InvalidParameter, ResourceLimit,
                                  SoftModeSingularity)
@@ -150,40 +149,6 @@ def test_phase_is_temperature_independent():
     assert ph_hot == pytest.approx(ph_cold, abs=1e-12)
 
 
-def test_ramsey_probability():
-    p = ChainParams.from_delta(16, 0.1, 0.2)
-    amps = linear_chain_amplitudes(p)
-    assert float(ramsey_probability(0.0, 0.0, amps)) == pytest.approx(1.0)
-    assert float(ramsey_probability(math.pi, 0.0, amps)) == pytest.approx(0.0)
-    t = np.linspace(0.0, 10.0, 101)
-    for phi in (0.0, 0.7, math.pi / 2):
-        pg = ramsey_probability(phi, t, amps)
-        assert np.all((pg >= -1e-12) & (pg <= 1 + 1e-12))
-        S = overlap(t, amps)
-        ref = 0.5 * (1.0 + (np.exp(1j * phi) * S).real)
-        assert pg == pytest.approx(ref, abs=1e-14)
-
-
-def test_autocorrelation_relation():
-    # G = 2 A / (eta0^2 nu_t): A in units of the recoil coupling
-    p = ChainParams.from_delta(16, 0.1, 0.2)
-    amps = linear_chain_amplitudes(p)
-    t = np.linspace(0.0, 10.0, 101)
-    G = autocorrelation_G(t, amps)
-    A = exponent_A(t, amps)
-    assert G == pytest.approx(2.0 * A / (p.eta0 ** 2 * p.nu_t), rel=1e-12)
-
-
-def test_distinguishability():
-    assert distinguishability(1.0) == pytest.approx(0.0)
-    assert distinguishability(0.0) == pytest.approx(1.0)
-    v = np.array([0.2, 0.6, 1.0])
-    d = distinguishability(v)
-    assert d ** 2 + v ** 2 == pytest.approx(np.ones(3), abs=1e-12)
-    with pytest.raises(InvalidParameter):
-        distinguishability(1.5)
-
-
 def test_probe_site_equivalence():
     # the ring is translation invariant: every probe site gives the same A
     p = ChainParams.from_delta(16, 0.1, 0.2)
@@ -217,6 +182,39 @@ def test_zero_frequency_mode_rejected():
         DisplacementAmplitudes(omega=np.array([0.0, 1.0]),
                                weight=np.array([0.01, 0.01]),
                                eta0=0.1, nu_t=2.5)
+
+
+MALFORMED_AMPLITUDES = {
+    "short weight": ([1.0, 2.0], [0.01]),
+    "2-d arrays": ([[1.0, 2.0]], [[0.01, 0.01]]),
+    "nan omega": ([math.nan, 2.0], [0.01, 0.01]),
+    "inf omega": ([1.0, math.inf], [0.01, 0.01]),
+    "nan weight": ([1.0, 2.0], [math.nan, 0.01]),
+    "inf weight": ([1.0, 2.0], [0.01, math.inf]),
+    "negative weight": ([1.0, 2.0], [0.01, -0.01]),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_AMPLITUDES))
+def test_malformed_amplitudes_rejected(case):
+    omega, weight = (np.array(a) for a in MALFORMED_AMPLITUDES[case])
+    with pytest.raises(InvalidParameter):
+        DisplacementAmplitudes(omega=omega, weight=weight, eta0=0.1, nu_t=2.5)
+
+
+@pytest.mark.parametrize("t", [np.linspace(0.0, 10.0, 100), 2.0])
+def test_trig_sum_rejects_weights_of_another_shape(t):
+    with pytest.raises(InvalidParameter, match="same shape"):
+        weighted_trig_sum(t, np.array([1.0, 2.0]), np.array([0.01]), "cos")
+
+
+@pytest.mark.parametrize("t", [2.0, np.linspace(0.0, 10.0, 100)[None, :]],
+                         ids=["scalar", "2-d"])
+def test_trace_needs_a_1d_grid(t):
+    amps = linear_chain_amplitudes(ChainParams.from_delta(16, 0.1, 0.2))
+    for with_overlap in (False, True):
+        with pytest.raises(InvalidParameter, match="1-d grid"):
+            evaluate_trace(amps, t, with_overlap=with_overlap)
 
 
 def test_random_sweep_invariants():
@@ -255,9 +253,14 @@ def test_shared_pass_equals_separate_sums(grid, theta):
     t = _shared_pass_grid(grid, rng)
     A = exponent_A_thermal(t, amps, theta)
     S = np.exp(-A + 1j * weighted_trig_sum(t, amps.omega, amps.weight, "sin"))
-    tr = evaluate_trace(amps, t, theta=theta, with_overlap=True)
-    assert np.array_equal(tr.A, A)
-    assert np.array_equal(tr.S, S)
+    for with_overlap in (False, True):
+        tr = evaluate_trace(amps, t, theta=theta, with_overlap=with_overlap)
+        assert np.array_equal(tr.A, A)
+        assert np.array_equal(tr.V, np.exp(-A))
+        if with_overlap:
+            assert np.array_equal(tr.S, S)
+        else:
+            assert tr.S is None
     assert np.array_equal(overlap(t, amps, theta), S)
 
 
