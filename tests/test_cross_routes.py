@@ -1,8 +1,9 @@
 """Seeded cross-route checks: each fast path against the route it replaced.
 
 - the NUFFT trig sum against the direct kernel on uniform grids;
-- trig sums over a linear chain's merged degenerate frequencies against the
-  direct kernel over every mode;
+- trig sums over a linear chain's merged degenerate frequencies, and the
+  overlap's A_T and phase from one spread at theta = 0 and theta > 0,
+  against the direct kernel over every mode;
 - the closed-form probe row against the dense mode matrix;
 - the FFT mode-grid dispersion against the direct sum;
 - the FFT argmax grid of the group velocity against the direct sums, and
