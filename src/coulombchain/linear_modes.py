@@ -225,6 +225,8 @@ class ModeMatrix:
     def row(self, site: int) -> np.ndarray:
         """Probe row for ion `site` (1-based), in O(N)."""
         N = self.N
+        if not isinstance(site, (int, np.integer)) or isinstance(site, bool):
+            raise InvalidParameter("site must be an integer")
         if not 1 <= site <= N:
             raise InvalidParameter("site must lie in 1..N")
         phase = site * (2.0 * math.pi * np.arange(1, N // 2) / N)

@@ -253,13 +253,15 @@ def _trig_sums(t, omega: np.ndarray, requests):
     omega and the weights reach the routes untouched. A vector named by
     several requests is merged and spread once.
     """
+    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if not np.all(np.isfinite(t_arr)):
+        raise InvalidParameter("times t must be finite")
     vectors = {id(w): w for _, w in requests}
     distinct, inv = np.unique(omega, return_inverse=True)
     if len(distinct) < len(omega):
         omega = distinct
         vectors = {key: np.bincount(inv.reshape(-1), w, minlength=len(omega))
                    for key, w in vectors.items()}
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     dt = _uniform_step(t_arr)
     near = np.ones(len(t_arr), dtype=bool)
     if dt is not None:
@@ -299,7 +301,8 @@ def weighted_trig_sum(t, omega: np.ndarray, weight: np.ndarray,
     Near t = 0 the exponential sum would lose sin^2 to the cancellation in
     1 - cos, and the Gamma-fit window lies there. Bit-equal frequencies
     merge, weights summed, before either route; inputs whose frequencies
-    are all distinct reach it untouched.
+    are all distinct reach it untouched. Non-finite times raise
+    InvalidParameter.
     """
     if kind not in ("sin2half", "sin", "cos"):
         raise InvalidParameter(f"unknown kernel kind {kind!r}")

@@ -25,31 +25,27 @@ are tagged by name. The real modes of one block eigenpair share its
 frequency and, summed, a kick weight that is the same on every site, so the
 Ramsey amplitudes fold to one entry per eigenpair, with no mode vector.
 
-`classify_zigzag_modes` checks the label arrays: it rebuilds each mode's
-vector band by band in n, in O(band x N) memory, from one row builder, and
-measures it against its own labels. It keeps the O(N^2) work budget and
-raises ResourceLimit above _DENSE_ELEMENTS entries before allocating.
+`classify_zigzag_modes` turns the label arrays into table rows, in O(N).
+The dense eigenvectors and the check of each mode against its label live
+with the test oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (InvalidParameter, NumericalFailure, ResourceLimit,
-                     SoftModeSingularity, UnstableConfiguration)
+from .errors import (InvalidParameter, NumericalFailure, SoftModeSingularity,
+                     UnstableConfiguration)
 from .linear_modes import critical_frequency_finite
 from .model import ChainParams
 from .ramsey import DisplacementAmplitudes
 
 GRAD_TOL = 1e-10          # |dE/db| at the returned equilibrium
 EIG_CLAMP = 1e-10         # |eigenvalue| below this snaps to zero
-# O(N^2) work budget of `classify_zigzag_modes` in (2N)^2 entries, the size
-# of a dense 2N x 2N matrix (N <= 2000; 128 MB).
-_DENSE_ELEMENTS = 16_000_000
 
 
 @dataclass(frozen=True)
@@ -163,13 +159,6 @@ def zigzag_equilibrium(params: ChainParams) -> ZigzagEquilibrium:
                              grad=grad if b else 0.0)
 
 
-def _check_dense(N: int, what: str) -> None:
-    if (2 * N) ** 2 > _DENSE_ELEMENTS:
-        raise ResourceLimit(
-            f"dense {2 * N} x {2 * N} {what} exceeds budget "
-            f"{_DENSE_ELEMENTS} entries; use the block spectrum")
-
-
 def _block_entries(N: int, nu_t: float, b: float):
     """Dxx(k_m), Dyy(k_m + pi) and S(k_m) for m = 0..N/2, from one real FFT.
 
@@ -222,48 +211,6 @@ def _eig2(a: np.ndarray, c: np.ndarray, d: np.ndarray):
     v = np.stack([y, x], axis=1)
     lam = a[:, None] * u * u + 2.0 * c[:, None] * u * v + d[:, None] * v * v
     return lam, u, v
-
-
-@lru_cache(maxsize=8)
-def _trig_table(N: int) -> np.ndarray:
-    """cos and sin of 2 pi p / N for p = 0..N-1, as read-only rows [2, N]."""
-    angle = (2.0 * math.pi / N) * np.arange(N)
-    table = np.stack([np.cos(angle), np.sin(angle)])
-    table.flags.writeable = False
-    return table
-
-
-def _bloch_rows(N: int, block: np.ndarray, plus: np.ndarray,
-                qcoef: np.ndarray, wcoef: np.ndarray, sites: np.ndarray):
-    """q and w of real Bloch modes at 1-based sites, each [mode, site].
-
-    Mode i has block m = block[i] (k = 2 pi m / N):
-
-        plus[i]:      q_j = qcoef[i] cos(kj),  w_j = wcoef[i] (-1)^j sin(kj)
-        not plus[i]:  q_j = qcoef[i] sin(kj),  w_j = wcoef[i] (-1)^j cos(kj)
-
-    Phases are exact integers m j mod N, taken once per distinct block, into
-    one cos/sin table, so an entry does not depend on which other modes or
-    sites are evaluated.
-    """
-    # The distinct blocks in 0..N-1, ascending, and each mode's index among
-    # them (a presence mask: np.unique would sort).
-    present = np.zeros(N, dtype=bool)
-    present[block] = True
-    blocks = np.flatnonzero(present)
-    which = (np.cumsum(present) - 1)[block]
-    # m j mod N; numpy vectorises integer floor division by a scalar, not %.
-    phase = np.multiply.outer(blocks, sites)
-    phase -= phase // N * N
-    # The cos rows of the distinct blocks, then their sin rows.
-    trig = np.take(_trig_table(N), phase, axis=1).reshape(-1, len(sites))
-    cos_row, sin_row = which, which + len(blocks)
-    q = trig[np.where(plus, cos_row, sin_row)]
-    q *= qcoef[:, None]
-    trig *= np.where(sites & 1, -1.0, 1.0)      # exact: a sign per site
-    w = trig[np.where(plus, sin_row, cos_row)]
-    w *= wcoef[:, None]
-    return q, w
 
 
 @dataclass(frozen=True)
@@ -327,11 +274,6 @@ class ZigzagSpectrum:
              (m == half) & plus, (m == half) & ~plus],
             ["bulk_x", "zigzag_y", "zigzag_x", "bulk_y"], "")
 
-    def _components(self, modes, sites: np.ndarray):
-        """(q, w) of the selected modes at 1-based sites, each [mode, site]."""
-        return _bloch_rows(self.N, self.block[modes], self.plus[modes],
-                           self.qcoef[modes], self.wcoef[modes], sites)
-
 
 def _block_eigenpairs(params: ChainParams):
     """b, the block eigenpairs lam, u, v (flat: pair p is block p // 2) and
@@ -377,75 +319,25 @@ def zigzag_spectrum(params: ChainParams) -> ZigzagSpectrum:
 
 @dataclass(frozen=True)
 class ZigzagMode:
-    """One labeled zigzag mode: its `ZigzagSpectrum` labels and residual.
+    """One row of the zigzag label table, read from `ZigzagSpectrum`.
 
-    residual = 1 - |projection of the vector onto its (n, sigma) patterns|^2
-    is measured on the vector rebuilt from the spectrum, a band of n at a
-    time. No eigenspace is rotated, so no mode is `degenerate`.
+    Labels come from the Bloch block index, so no eigenspace is rotated and
+    no mode is `degenerate`; the constant stays for callers that count
+    degenerate rows.
     """
 
     n: int
     sigma: str
     beta: int
     omega: float
-    residual: float
     special: str
     degenerate = False
 
 
-def _own_subspace_residuals(sp: ZigzagSpectrum, n: np.ndarray,
-                            plus: np.ndarray) -> np.ndarray:
-    """1 - |projection|^2 of each vector of sp onto the patterns of its label.
-
-    Mode i of sp is measured against the label (n[i], plus[i]); the
-    classification passes the spectrum's own labels. The sigma = '+'
-    patterns of n are cos(k j)|q and (-1)^j sin(k j)|w, the sigma = '-' ones
-    sin(k j)|q and (-1)^j cos(k j)|w, for k = 2 pi n / N and k = pi - 2 pi
-    n / N; vanishing patterns (sin at k = 0, pi) are dropped. Modes are
-    taken in order of n, a band at a time: the band's vectors and its
-    distinct patterns come from `_bloch_rows`, and each vector is dotted
-    with its own at most four patterns.
-    """
-    N, half = sp.N, sp.N // 2
-    sites = np.arange(1, N + 1)
-    order = np.argsort(n, kind="stable")
-    res = np.empty(len(order))
-    step = max(1, 2 ** 16 // N)             # ~1 MB of q and w per band
-    for lo in range(0, len(order), step):
-        sel = order[lo:lo + step]
-        nn, sig = n[sel], plus[sel]
-        vectors = sp._components(sel, sites)
-        # The band's distinct unit patterns, keyed 2 m + sigma for block m:
-        # own[0] picks each mode's pattern at k_n, own[1] the one at pi - k_n,
-        # which is the same pattern at n = N/4.
-        key, own = np.unique(2 * np.stack([nn, half - nn]) + sig,
-                             return_inverse=True)
-        own = own.reshape(2, len(sel))
-        one = np.ones(len(key))
-        patterns = _bloch_rows(N, key // 2, key % 2 == 1, one, one, sites)
-        distinct = np.stack([np.ones(len(sel), bool), 2 * nn != half])
-        proj = np.zeros(len(sel))
-        for vec, pat in zip(vectors, patterns):
-            norm2 = np.einsum("ij,ij->i", pat, pat)[own]
-            keep = distinct & (norm2 > 1e-18)       # drop vanishing patterns
-            dot = np.where(keep, np.einsum("ij,kij->ki", vec, pat[own]), 0.0)
-            proj += np.sum(dot * dot / np.where(keep, norm2, 1.0), axis=0)
-        res[sel] = 1.0 - proj
-    return res
-
-
 def classify_zigzag_modes(spectrum: ZigzagSpectrum) -> list[ZigzagMode]:
-    """The spectrum's labels and measured residuals, in label order.
-
-    Oracle for the label arrays: the vectors are rebuilt a band of n at a
-    time and measured against their own (n, sigma) patterns, in O(band x N)
-    memory. It keeps the O(N^2) work budget of the dense routes and raises
-    ResourceLimit above _DENSE_ELEMENTS entries before allocating.
-    """
+    """The spectrum's label arrays as `ZigzagMode` rows, in label order."""
     sp = spectrum
-    _check_dense(sp.N, "eigenvector classification")
-    residual = _own_subspace_residuals(sp, sp.n, sp.plus)
-    columns = (sp.n, sp.sigma, sp.beta, sp.omega, residual, sp.special)
+    columns = (sp.n, sp.sigma, sp.beta, sp.omega, sp.special)
     return [ZigzagMode(*row)
             for row in zip(*(c[sp.label_order].tolist() for c in columns))]
 

@@ -8,23 +8,28 @@ tests can check the fast routes against them:
 - `dense_mode_matrix`: the N x N site-to-mode matrix R of the linear ring;
 - `dense_hessian`: the analytic 2N x 2N zigzag Hessian;
 - `dense_vectors`: the (2N)^2 eigenvector matrix of a `ZigzagSpectrum`;
+- `label_residuals`: each zigzag mode vector, rebuilt band by band in n,
+  measured against the (n, sigma) patterns of a given label;
 - `zeta3_sum`: zeta(3) by direct summation with an Euler-Maclaurin tail.
 
-The dense ones keep their work budgets and raise ResourceLimit before
-allocating above them. numpy and the package are all they import.
+The dense and O(N^2) ones keep their work budgets and raise ResourceLimit
+before allocating above them. numpy and the package are all they import.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from coulombchain.errors import ResourceLimit
 from coulombchain.linear_modes import _check_even_n, _columns
-from coulombchain.zigzag import _check_dense
 
 # Largest dense mode matrix dense_mode_matrix will allocate (N^2 entries;
 # 512 MB).
 _DENSE_R_ELEMENTS = 64_000_000
+# O(N^2) work budget of the zigzag oracles in (2N)^2 entries, the size of a
+# dense 2N x 2N matrix (N <= 2000; 128 MB).
+_DENSE_ELEMENTS = 16_000_000
 
 _ZETA3_TERMS = 10 ** 6
 
@@ -60,6 +65,13 @@ def dense_mode_matrix(N: int) -> np.ndarray:
         else:
             R[:, col] = root2 * np.sin(j * k[col])
     return R
+
+
+def _check_dense(N: int, what: str) -> None:
+    if (2 * N) ** 2 > _DENSE_ELEMENTS:
+        raise ResourceLimit(
+            f"dense {2 * N} x {2 * N} {what} exceeds budget "
+            f"{_DENSE_ELEMENTS} entries; use the block spectrum")
 
 
 def dense_hessian(N: int, nu_t: float, b: float) -> np.ndarray:
@@ -107,6 +119,48 @@ def dense_hessian(N: int, nu_t: float, b: float) -> np.ndarray:
     return H
 
 
+@lru_cache(maxsize=8)
+def _trig_table(N: int) -> np.ndarray:
+    """cos and sin of 2 pi p / N for p = 0..N-1, as read-only rows [2, N]."""
+    angle = (2.0 * math.pi / N) * np.arange(N)
+    table = np.stack([np.cos(angle), np.sin(angle)])
+    table.flags.writeable = False
+    return table
+
+
+def _bloch_rows(N: int, block: np.ndarray, plus: np.ndarray,
+                qcoef: np.ndarray, wcoef: np.ndarray, sites: np.ndarray):
+    """q and w of real Bloch modes at 1-based sites, each [mode, site].
+
+    Mode i has block m = block[i] (k = 2 pi m / N):
+
+        plus[i]:      q_j = qcoef[i] cos(kj),  w_j = wcoef[i] (-1)^j sin(kj)
+        not plus[i]:  q_j = qcoef[i] sin(kj),  w_j = wcoef[i] (-1)^j cos(kj)
+
+    Phases are exact integers m j mod N, taken once per distinct block, into
+    one cos/sin table, so an entry does not depend on which other modes or
+    sites are evaluated.
+    """
+    # The distinct blocks in 0..N-1, ascending, and each mode's index among
+    # them (a presence mask: np.unique would sort).
+    present = np.zeros(N, dtype=bool)
+    present[block] = True
+    blocks = np.flatnonzero(present)
+    which = (np.cumsum(present) - 1)[block]
+    # m j mod N; numpy vectorises integer floor division by a scalar, not %.
+    phase = np.multiply.outer(blocks, sites)
+    phase -= phase // N * N
+    # The cos rows of the distinct blocks, then their sin rows.
+    trig = np.take(_trig_table(N), phase, axis=1).reshape(-1, len(sites))
+    cos_row, sin_row = which, which + len(blocks)
+    q = trig[np.where(plus, cos_row, sin_row)]
+    q *= qcoef[:, None]
+    trig *= np.where(sites & 1, -1.0, 1.0)      # exact: a sign per site
+    w = trig[np.where(plus, sin_row, cos_row)]
+    w *= wcoef[:, None]
+    return q, w
+
+
 def dense_vectors(sp) -> np.ndarray:
     """Dense orthonormal eigenvectors of a ZigzagSpectrum as columns.
 
@@ -122,8 +176,54 @@ def dense_vectors(sp) -> np.ndarray:
     step = max(1, 2 ** 17 // N)             # ~1 MB temporaries per pass
     for lo in range(0, 2 * N, step):
         sel = slice(lo, lo + step)
-        modes[sel, 0::2], modes[sel, 1::2] = sp._components(sel, sites)
+        modes[sel, 0::2], modes[sel, 1::2] = _bloch_rows(
+            N, sp.block[sel], sp.plus[sel], sp.qcoef[sel], sp.wcoef[sel],
+            sites)
     return modes.T
+
+
+def label_residuals(sp, n: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """1 - |projection|^2 of each vector of sp onto the patterns of a label.
+
+    Mode i of sp is measured against the label (n[i], plus[i]); passing the
+    spectrum's own sp.n and sp.plus checks its label arrays, but only
+    against the same block/plus arrays that rebuild the vector. The sigma =
+    '+' patterns of n are cos(k j)|q and (-1)^j sin(k j)|w, the sigma = '-'
+    ones sin(k j)|q and (-1)^j cos(k j)|w, for k = 2 pi n / N and k = pi -
+    2 pi n / N; vanishing patterns (sin at k = 0, pi) are dropped. Modes are
+    taken in order of n, a band at a time, in O(band x N) memory: the
+    band's vectors and its distinct patterns come from `_bloch_rows`, and
+    each vector is dotted with its own at most four patterns. Raises
+    ResourceLimit before allocating above the zigzag's work budget.
+    """
+    N, half = sp.N, sp.N // 2
+    _check_dense(N, "eigenvector classification")
+    sites = np.arange(1, N + 1)
+    order = np.argsort(n, kind="stable")
+    res = np.empty(len(order))
+    step = max(1, 2 ** 16 // N)             # ~1 MB of q and w per band
+    for lo in range(0, len(order), step):
+        sel = order[lo:lo + step]
+        nn, sig = n[sel], plus[sel]
+        vectors = _bloch_rows(N, sp.block[sel], sp.plus[sel], sp.qcoef[sel],
+                              sp.wcoef[sel], sites)
+        # The band's distinct unit patterns, keyed 2 m + sigma for block m:
+        # own[0] picks each mode's pattern at k_n, own[1] the one at pi - k_n,
+        # which is the same pattern at n = N/4.
+        key, own = np.unique(2 * np.stack([nn, half - nn]) + sig,
+                             return_inverse=True)
+        own = own.reshape(2, len(sel))
+        one = np.ones(len(key))
+        patterns = _bloch_rows(N, key // 2, key % 2 == 1, one, one, sites)
+        distinct = np.stack([np.ones(len(sel), bool), 2 * nn != half])
+        proj = np.zeros(len(sel))
+        for vec, pat in zip(vectors, patterns):
+            norm2 = np.einsum("ij,ij->i", pat, pat)[own]
+            keep = distinct & (norm2 > 1e-18)       # drop vanishing patterns
+            dot = np.where(keep, np.einsum("ij,kij->ki", vec, pat[own]), 0.0)
+            proj += np.sum(dot * dot / np.where(keep, norm2, 1.0), axis=0)
+        res[sel] = 1.0 - proj
+    return res
 
 
 def zeta3_sum() -> float:

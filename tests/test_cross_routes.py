@@ -9,8 +9,8 @@
 - the FFT argmax grid of the group velocity against the direct sums, and
   max_group_velocity against the argmax of the direct grid;
 - the zigzag 2 x 2 Bloch blocks against the dense Hessian and eigh;
-- the banded zigzag mode residuals against the dense projection loop, on
-  true labels and on labels with one mode moved;
+- the banded zigzag label residuals of the oracles against the dense
+  projection loop, on true labels and on labels with one mode moved;
 - the folded zigzag kick weights against the dense eigenvectors' per-mode
   weights at a random site, summed per frequency, in both phases;
 - zigzag against linear-chain amplitudes at b = 0;
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from coulombchain import (ChainParams, DisplacementAmplitudes, axial_mode_set,
-                          classify_zigzag_modes, critical_frequency_finite,
+                          critical_frequency_finite,
                           critical_frequency_infinite,
                           dispersion_transverse, exponent_A_thermal,
                           gamma_coefficient, gamma_transition_scan,
@@ -41,8 +41,8 @@ from coulombchain.linear_modes import (_GOLDEN, _VGRID_POINTS, _VMAX_TOL,
                                        _mode_grid_sum)
 from coulombchain.ramsey import (_MIN_UNIFORM_SAMPLES, _direct_trig_sum,
                                  _thermal_A_and_phase, _uniform_step)
-from coulombchain.zigzag import _own_subspace_residuals
-from oracles import dense_hessian, dense_mode_matrix, dense_vectors
+from oracles import (dense_hessian, dense_mode_matrix, dense_vectors,
+                     label_residuals)
 
 KINDS = ("sin2half", "sin", "cos")
 EPS = np.finfo(np.float64).eps
@@ -415,14 +415,13 @@ def test_zigzag_blocks_match_dense_hessian(N):
         V = dense_vectors(sp)
         assert np.max(np.abs(H @ V - V * lam_blocks)) < tol
         assert np.max(np.abs(V.T @ V - np.eye(2 * N))) < 1e-12
-        modes = classify_zigzag_modes(sp)
-        assert max(abs(m.residual) for m in modes) < 1e-10
+        assert np.max(np.abs(label_residuals(sp, sp.n, sp.plus))) < 1e-10
 
 
 def _dense_own_subspace_residuals(N, V, n, plus):
     """1 - |projection|^2 of each column of V onto its (n, sigma) patterns.
 
-    The dense route the banded `_own_subspace_residuals` replaced: one
+    The dense route the banded `label_residuals` replaced: one
     4 x 2N pattern matrix per (n, sigma), with np.cos/np.sin phases.
     """
     j = np.arange(1, N + 1, dtype=np.float64)
@@ -456,8 +455,8 @@ def test_banded_residuals_match_dense_projection(N, offset):
     assert (sp.b > 0.0) == (offset < 0.0)
     dense = _dense_own_subspace_residuals(N, dense_vectors(sp), sp.n,
                                           sp.plus)
-    banded = np.array([m.residual for m in classify_zigzag_modes(sp)])
-    assert np.max(np.abs(banded - dense[sp.label_order])) < 1e-13
+    banded = label_residuals(sp, sp.n, sp.plus)
+    assert np.max(np.abs(banded - dense)) < 1e-13
 
 
 @pytest.mark.parametrize("offset", [-0.04, 0.3], ids=["buckled", "linear"])
@@ -475,7 +474,7 @@ def test_residuals_flag_a_mode_with_wrong_labels(N, offset):
         assert bad.n[i] != sp.n[i] or bad.plus[i] != sp.plus[i]
         # The vectors of one spectrum against the labels of the other.
         for vec, lab in ((sp, bad), (bad, sp)):
-            res = _own_subspace_residuals(vec, lab.n, lab.plus)
+            res = label_residuals(vec, lab.n, lab.plus)
             assert res[i] > 0.99
             assert np.max(np.abs(np.delete(res, i))) < 1e-10
             dense = _dense_own_subspace_residuals(N, dense_vectors(vec),

@@ -127,9 +127,21 @@ def test_mode_matrix_n4_entries():
         [0.5,  s,  0.0,  0.5],
     ])
     assert np.allclose(R, expect, atol=1e-15)
-    assert mode_matrix(4).row(1) == pytest.approx([0.5, 0.0, s, -0.5])
+    for site in (1, np.int64(1), np.int32(1)):
+        assert mode_matrix(4).row(site) == pytest.approx([0.5, 0.0, s, -0.5])
     with pytest.raises(InvalidParameter):
         mode_matrix(4).row(0)
+
+
+@pytest.mark.parametrize("site", [1.5, 2.0, np.float64(3.0), True, "1"],
+                         ids=["1.5", "2.0", "float64", "True", "str"])
+def test_probe_site_must_be_an_integer(site):
+    # A non-integer site would build the cos/sin row of no ion.
+    with pytest.raises(InvalidParameter, match="site must be an integer"):
+        mode_matrix(16).row(site)
+    with pytest.raises(InvalidParameter, match="site must be an integer"):
+        linear_chain_amplitudes(ChainParams.from_delta(16, 0.1, 0.2),
+                                probe_site=site)
 
 
 def test_dense_mode_matrix_budget():

@@ -208,13 +208,30 @@ def test_trig_sum_rejects_weights_of_another_shape(t):
         weighted_trig_sum(t, np.array([1.0, 2.0]), np.array([0.01]), "cos")
 
 
-@pytest.mark.parametrize("t", [2.0, np.linspace(0.0, 10.0, 100)[None, :]],
-                         ids=["scalar", "2-d"])
-def test_trace_needs_a_1d_grid(t):
+BAD_GRIDS = {
+    "scalar": (2.0, "1-d grid"),
+    "2-d": (np.linspace(0.0, 10.0, 100)[None, :], "1-d grid"),
+    "nan": (np.full(100, math.nan), "must be finite"),
+    "inf-last": (np.append(np.linspace(0.0, 10.0, 99), math.inf),
+                 "must be finite"),
+    "minus-inf-first": (np.append(-math.inf, np.linspace(0.0, 10.0, 99)),
+                        "must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_GRIDS))
+def test_trace_needs_a_1d_grid(case):
+    # A non-finite time is rejected, not returned as NaN, by the trace and
+    # by the trig sum behind every A/B/phase/overlap route, grid or scalar.
+    t, match = BAD_GRIDS[case]
     amps = linear_chain_amplitudes(ChainParams.from_delta(16, 0.1, 0.2))
     for with_overlap in (False, True):
-        with pytest.raises(InvalidParameter, match="1-d grid"):
+        with pytest.raises(InvalidParameter, match=match):
             evaluate_trace(amps, t, with_overlap=with_overlap)
+    if match == "must be finite":
+        for t_bad in (t, float(t[~np.isfinite(t)][0])):
+            with pytest.raises(InvalidParameter, match=match):
+                weighted_trig_sum(t_bad, amps.omega, amps.weight, "cos")
 
 
 def test_random_sweep_invariants():

@@ -19,7 +19,8 @@ import pytest
 
 pytest.importorskip("resource", reason="ru_maxrss needs the resource module")
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 REPORT = """
 import json
@@ -40,11 +41,11 @@ LAUNCH = ("import subprocess, sys; "
 
 
 def _run(script: str) -> dict:
-    """Run REPORT + script in a fresh interpreter under LAUNCH; the facts
-    it reports."""
+    """Run REPORT + script in a fresh interpreter under LAUNCH, with the
+    package and the test oracles importable; the facts it reports."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        p for p in (str(SRC), str(TESTS), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", LAUNCH, REPORT + script],
                           env=env, capture_output=True, text=True,
                           timeout=600)
@@ -120,18 +121,19 @@ report(code=code, lines=lines)
 
 
 def test_zigzag_classification_at_n_2000_under_80_mb():
-    # The largest N under the dense work budget: the banded oracle must
-    # not hold the 128 MB (2N)^2 eigenvector matrix.
+    # The largest N under the dense work budget: the banded label oracle
+    # must not hold the 128 MB (2N)^2 eigenvector matrix.
     facts = _run("""
 from coulombchain import (ChainParams, classify_zigzag_modes,
                           critical_frequency_finite, zigzag_spectrum)
+from oracles import label_residuals
 
 N = 2000
 sp = zigzag_spectrum(ChainParams(
     N=N, nu_t=critical_frequency_finite(N) - 0.04, eta_c=0.0))
 modes = classify_zigzag_modes(sp)
 report(N=N, b=sp.b, modes=len(modes),
-       worst=max(m.residual for m in modes))
+       worst=float(max(label_residuals(sp, sp.n, sp.plus))))
 """)
     assert facts["b"] > 0
     assert facts["modes"] == 2 * facts["N"]

@@ -16,7 +16,7 @@ from coulombchain import zigzag
 from coulombchain.cli import run
 from coulombchain.errors import (InvalidParameter, NumericalFailure,
                                  ResourceLimit, SoftModeSingularity)
-from oracles import dense_hessian, dense_vectors
+from oracles import dense_hessian, dense_vectors, label_residuals
 
 # frozen equilibrium splitting at N = 16, nu_t = nu_c(16) - 0.05
 B_REF_16 = 0.18714377312465968
@@ -143,8 +143,8 @@ def test_classification_counts_and_residuals(N, offset):
     modes = classify_zigzag_modes(sp)
     assert len(modes) == 2 * N
     assert len({(m.n, m.sigma, m.beta) for m in modes}) == 2 * N
-    assert max(m.residual for m in modes) < 1e-10
-    # The oracle reports the spectrum's own label arrays, row by row.
+    assert max(label_residuals(sp, sp.n, sp.plus)) < 1e-10
+    # The classifier reports the spectrum's own label arrays, row by row.
     assert [(m.n, m.sigma, m.beta, m.omega, m.special) for m in modes] == \
         list(zip(*(a[sp.label_order].tolist() for a in (
             sp.n, sp.sigma, sp.beta, sp.omega, sp.special))))
@@ -169,11 +169,11 @@ def test_classification_memory_is_banded():
         N=N, nu_t=critical_frequency_finite(N) - 0.04, eta_c=0.0))
     tracemalloc.start()
     try:
-        modes = classify_zigzag_modes(sp)
+        res = label_residuals(sp, sp.n, sp.plus)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(modes) == 2 * N and max(m.residual for m in modes) < 1e-10
+    assert len(res) == 2 * N and max(res) < 1e-10
     assert peak < 12e6
 
 
@@ -208,11 +208,10 @@ def test_structural_projections_in_buckled_phase():
     # uniform and staggered q/w patterns stay exact eigenvector content
     N = 16
     p = ChainParams(N=N, nu_t=critical_frequency_finite(N) - 0.05, eta_c=0.0)
-    modes = classify_zigzag_modes(zigzag_spectrum(p))
-    tagged = [m for m in modes if m.n in (0, N // 4)]
-    assert len(tagged) == 8
-    for m in tagged:
-        assert m.residual < 1e-6
+    sp = zigzag_spectrum(p)
+    tagged = np.isin(sp.n, (0, N // 4))
+    assert np.count_nonzero(tagged) == 8
+    assert np.all(label_residuals(sp, sp.n, sp.plus)[tagged] < 1e-6)
 
 
 def test_amplitude_sum_rule_both_phases():
@@ -250,13 +249,16 @@ def test_block_route_scales_past_the_dense_budget(tmp_path):
     with open(tmp_path / "zigzag_spectrum.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert len(rows) == len({(r[4], r[2], r[1]) for r in rows}) == 2 * N
-    # The dense routes refuse before allocating their (2N)^2 arrays.
+    # So does the classifier, with no work budget.
+    modes = classify_zigzag_modes(sp)
+    assert len(modes) == len({(m.n, m.sigma, m.beta) for m in modes}) == 2 * N
+    # The O(N^2) oracles refuse before allocating.
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimit):
-            dense_vectors(sp)
+            label_residuals(sp, sp.n, sp.plus)
         with pytest.raises(ResourceLimit):
-            classify_zigzag_modes(sp)
+            dense_vectors(sp)
         with pytest.raises(ResourceLimit):
             dense_hessian(N, p.nu_t, sp.b)
         peak = tracemalloc.get_traced_memory()[1]
