@@ -172,11 +172,16 @@ def _spectrum(path, name: str, p: ChainParams, prominence: float,
     return tr, spec, peaks
 
 
-def _band_fractions(p: ChainParams, spec) -> list:
-    """(convention, omega_min, omega_max, power fraction) of both bands."""
+def _bands(p: ChainParams) -> dict:
+    """(omega_min, omega_max) of both band conventions. Both need the linear
+    side of nu_c and raise on the other, so take them before writing."""
+    return {"transverse": transverse_band(p), "overlay": overlay_band(p)}
+
+
+def _band_fractions(bands: dict, spec) -> list:
+    """(convention, omega_min, omega_max, power fraction) of each band."""
     return [(name, lo, hi, spectral_band_check(spec, lo, hi))
-            for name, (lo, hi) in (("transverse", transverse_band(p)),
-                                   ("overlay", overlay_band(p)))]
+            for name, (lo, hi) in bands.items()]
 
 
 def _gamma_scan(path, name: str, deltas, N: int, eta_c: float):
@@ -212,6 +217,10 @@ def _longtime(path, name: str, p: ChainParams, t_max: float | None,
     """Exact V(t) against the analytic plateau-plus-tail envelope on
     t = dt, 2 dt, ..., t_max (the analytic form needs t > 0), and the
     revival burst; returns t, V, the envelope and the manifest grids."""
+    if not p.delta_trans > 0:
+        raise InvalidParameter(
+            "longtime needs the linear side, delta = nu_t - nu_c > 0; got "
+            f"delta = {p.delta_trans:g}")
     rev = revival_time(p.N, p.nu_t)
     if t_max is None:
         t_max = 1.35 * rev.t_star
@@ -294,12 +303,13 @@ def _cmd_visibility(ns, path):
 
 def _cmd_fourier(ns, path):
     p = _resolve_chain(ns)
+    bands = _bands(p) if ns.band else {}
     _, spec, peaks = _spectrum(path, "fourier.csv", p, ns.prominence,
                                T_F=ns.T_F, n_s=ns.n_s)
     emit_csv(("omega", "F"), peaks, path("fourier_peaks.csv"))
     grids = {"bin_width": spec.bin_width}
-    if ns.band:
-        rows = _band_fractions(p, spec)
+    if bands:
+        rows = _band_fractions(bands, spec)
         emit_csv(("convention", "omega_min", "omega_max", "power_fraction"),
                  rows, path("fourier_band.csv"))
         grids["band"] = {r[0]: {"omega_min": r[1], "omega_max": r[2],
@@ -373,7 +383,7 @@ def _spectrum_scenario(path, fig: str, delta: float):
 
 def _fig2(path):
     p, spec, peaks, omega_y, params = _spectrum_scenario(path, "2", 1e-1)
-    (_, lo, hi, frac), (_, _, _, frac_c) = _band_fractions(p, spec)
+    (_, lo, hi, frac), (_, _, _, frac_c) = _band_fractions(_bands(p), spec)
     # Away from the transition the signal is perturbative, so every line
     # sits on a mode frequency; combination lines are below prominence.
     worst = max((float(np.min(np.abs(omega_y - w))) for w, _ in peaks),

@@ -1,11 +1,13 @@
 """Zigzag phase: equilibrium amplitude, phonon spectrum, mode labels.
 
 Below the finite-N critical frequency the ring buckles into the planar
-zigzag y_j = (-1)^j b / 2 at fixed axial spacing. Interactions run over the
-ring separations d = 1..N/2 in both directions, which double-counts the
-diametral pair; this is exactly the pair convention under which the linear
-dispersion sums of `linear_modes` are recovered term by term, so the b -> 0
-spectrum matches the folded linear branches to machine precision.
+zigzag y_j = (-1)^j b / 2 at fixed axial spacing, where b > 0 is the one
+root of dE/db, reached by a monotone Newton iteration in b^2. Interactions
+run over the ring separations d = 1..N/2 in both directions, which
+double-counts the diametral pair; this is exactly the pair convention under
+which the linear dispersion sums of `linear_modes` are recovered term by
+term, so the b -> 0 spectrum matches the folded linear branches to machine
+precision.
 
 The staggered equilibrium is invariant under a two-site translation, so the
 2N x 2N dynamical matrix in (q_1, w_1, ..., q_N, w_N) is block diagonal in
@@ -46,6 +48,7 @@ from .ramsey import DisplacementAmplitudes
 
 GRAD_TOL = 1e-10          # |dE/db| at the returned equilibrium
 EIG_CLAMP = 1e-10         # |eigenvalue| below this snaps to zero
+NEWTON_CAP = 100          # Newton steps for b^2; far out each gains x 5/3
 
 
 @dataclass(frozen=True)
@@ -65,98 +68,49 @@ def _energy_per_ion(b: float, nu_t: float, N: int) -> float:
     return 0.125 * nu_t ** 2 * b * b + float(np.sum(1.0 / np.sqrt(d * d + off)))
 
 
-def _grad_over_b(nu_t: float, N: int):
-    """b -> (dE/db) / (N b), monotone increasing in b; its root is b > 0."""
-    d_odd = np.arange(1, N // 2 + 1, dtype=np.float64)[::2]
-    return lambda b: (0.25 * nu_t ** 2
-                      - float(np.sum((d_odd * d_odd + b * b) ** -1.5)))
-
-
-def _brentq(f, xa: float, xb: float, xtol: float = 1e-15,
-            rtol: float = 8.9e-16, maxiter: int = 200) -> float:
-    """Root of f in [xa, xb], where f(xa) and f(xb) differ in sign.
-
-    A line-for-line port of scipy's brentq.c (Brent 1973: inverse quadratic
-    interpolation or secant steps, bisection when they stall), so the roots
-    are bit-identical to scipy.optimize.brentq with the same tolerances.
-    Raises NumericalFailure without a sign change or after maxiter steps.
-    """
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise NumericalFailure(f"no sign change of f on [{xa}, {xb}]")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:        # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                   # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry         # good short step
-            else:
-                spre = scur = sbis              # bisect
-        else:
-            spre = scur = sbis                  # bisect
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise NumericalFailure(f"Brent root did not converge in {maxiter} steps "
-                           f"on [{xa}, {xb}]")
-
-
 def zigzag_equilibrium(params: ChainParams) -> ZigzagEquilibrium:
     """Minimize the ring energy over the staggered amplitude b >= 0.
 
-    Returns the b = 0 branch whenever that is the energy minimum (nu_t at or
-    above the finite-N critical frequency).
+    At and above the finite-N critical frequency the flat line b = 0 is the
+    minimum. Below it, dE/db = b (nu_t^2 / 4 - h(b^2)) per ion with
+    h(x) = sum_{d odd <= N/2} (d^2 + x)^(-3/2), convex and decreasing, and
+    h(0) = nu_c(N)^2 / 4 > nu_t^2 / 4. So dE/db < 0 up to the one root of
+    h(x) = nu_t^2 / 4, which is the minimum, and Newton's iteration in
+    x = b^2 from x = 0 climbs to it monotonically: no bracket, no overshoot,
+    and no energy comparison, whose gain ~ (nu_c(N) - nu_t) b^2 drowns in
+    the rounding of E near the transition.
     """
     N, nu_t = params.N, params.nu_t
     if N < 8 or N % 4 != 0:
         raise InvalidParameter(
             "zigzag routines need N divisible by 4 (commensurate pattern)")
-    nu_cn = critical_frequency_finite(N)
-    if nu_t >= nu_cn:
+    if nu_t >= critical_frequency_finite(N):
         return ZigzagEquilibrium(N=N, nu_t=nu_t, b=0.0,
                                  energy_per_ion=_energy_per_ion(0.0, nu_t, N),
                                  grad=0.0)
 
-    g = _grad_over_b(nu_t, N)
-    hi = 0.1
-    while g(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e3:
-            raise NumericalFailure("no bracket for the zigzag amplitude")
-    b = _brentq(g, 0.0, hi)
-    grad = b * g(b)
+    d2 = np.arange(1, N // 2 + 1, 2, dtype=np.float64) ** 2
+    c, x = 0.25 * nu_t ** 2, 0.0
+    for _ in range(NEWTON_CAP):
+        r3 = (d2 + x) ** -1.5
+        g = c - float(np.sum(r3))              # (dE/db) / b, increasing in x
+        if g >= 0.0:
+            break
+        step = -g / (1.5 * float(np.sum(r3 / (d2 + x))))
+        if x + step == x:
+            break
+        x += step
+    else:
+        raise NumericalFailure(
+            f"zigzag amplitude: Newton did not converge in {NEWTON_CAP} steps")
+    b = math.sqrt(x)
+    grad = b * g
     if abs(grad) > GRAD_TOL:
         raise NumericalFailure(
             f"zigzag equilibrium gradient {grad:.2e} exceeds {GRAD_TOL}")
-    e_zz = _energy_per_ion(b, nu_t, N)
-    if e_zz > _energy_per_ion(0.0, nu_t, N):
-        b, e_zz = 0.0, _energy_per_ion(0.0, nu_t, N)
-    return ZigzagEquilibrium(N=N, nu_t=nu_t, b=b, energy_per_ion=e_zz,
-                             grad=grad if b else 0.0)
+    return ZigzagEquilibrium(N=N, nu_t=nu_t, b=b,
+                             energy_per_ion=_energy_per_ion(b, nu_t, N),
+                             grad=grad)
 
 
 def _block_entries(N: int, nu_t: float, b: float):

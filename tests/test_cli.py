@@ -373,6 +373,40 @@ def test_longtime_rejects_a_grid_before_the_analytic_envelope(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("chain", [["--delta", "0"], ["--delta=-0.01"],
+                                   ["--nu-t", "1.5"]])
+def test_longtime_rejects_the_zigzag_side_before_any_work(chain, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("longtime did work before checking delta")
+
+    for name in ("revival_time", "linear_chain_amplitudes", "evaluate_trace"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "out"
+    rc = run(["longtime", "--N", "100", *chain, "--eta-c", "0.25",
+              "--samples", "600", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error [InvalidParameter]" in err and "delta = nu_t - nu_c" in err
+    assert "delta_ref" not in err
+    assert not out.exists()
+
+
+def test_fourier_checks_the_bands_before_writing(tmp_path, capsys):
+    # nu_c(32) < Delta + nu_c: a stable linear chain, but on the zigzag side
+    # of the infinite-chain soft gap that both bands need.
+    args = ["fourier", "--N", "32", "--delta", "-0.0005", "--eta-c", "0.1",
+            "--T-F", "500", "--n-s", "2048"]
+    out = tmp_path / "out"
+    assert run([*args, "--out", str(out)]) == 1
+    assert "error [UnstableLinearPhase]" in capsys.readouterr().err
+    assert not out.exists()
+    assert run([*args, "--no-band", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "fourier.csv", "fourier_manifest.json", "fourier_peaks.csv"]
+
+
 _CHAIN = ["--N", "16", "--delta", "0.05", "--eta-c", "0.1"]
 
 

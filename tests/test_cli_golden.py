@@ -13,8 +13,11 @@ column scale. The tables built from linear-chain traces (fourier,
 longtime, visibility and fig2, fig3, fig4, fig6) were re-recorded when the
 trig sums began to merge bit-equal frequencies; traces and spectra moved
 by at most 5.5e-16 of their column scale, fig4's rel_dev and fit_rms,
-differences of nearly equal numbers, by 8.5e-13. The names of the proxies
-that `figures` reports are pinned too, in order.
+differences of nearly equal numbers, by 8.5e-13. zigzag_amplitude.csv,
+zigzag_spectrum.csv, gamma_scan.csv and fig5_gamma.csv were re-recorded
+when the zigzag equilibrium became a Newton root in b^2; b moved by at most
+8.3e-16, omega by 4.0e-16 and gamma by 1.4e-15 of the column scale. The
+names of the proxies that `figures` reports are pinned too, in order.
 """
 
 import hashlib
@@ -53,7 +56,7 @@ SUBCOMMAND_DIGESTS = {
         "fourier_peaks.csv": "106b15573a1ddf8838362b6a32f2e5fa17ed1d7fbaa2864c5b8cc8b5677de3de",
     },
     "gamma-scan": {
-        "gamma_scan.csv": "6e34f319ba108a5a6a95fee9444ae82fa35e6ee352229aeb3deba84e94255d68",
+        "gamma_scan.csv": "131af10228da1df073ffced9e519d5facfdfd0114e78e3419e8d7583a3588c36",
     },
     "longtime": {
         "longtime.csv": "9b949f09178515d0ca3b2d426450d8eb09c40e78e3c110ebd4478371a4741fb6",
@@ -65,8 +68,8 @@ SUBCOMMAND_DIGESTS = {
         "visibility.csv": "40cde995c05ddd6fff0561b16d5d495c266d402a90c80530d3e50233d42c2ff5",
     },
     "zigzag": {
-        "zigzag_amplitude.csv": "6b895945e2b828447ea10f970aebff22c58ea3d892a2902377d69b904867fb43",
-        "zigzag_spectrum.csv": "ab4580d16e21250aeeb3a51a85ef312b6bc3a7df3be94b61e01024dbf106eae7",
+        "zigzag_amplitude.csv": "3a355e648f174c09c0f07123e0ec2831ce7affb1c8f414cfbf695f3ab9ac5f49",
+        "zigzag_spectrum.csv": "ba833a8ae4a7cccd4071299651fef59446dcd671c5316d0474f388834585f094",
     },
 }
 
@@ -77,7 +80,7 @@ FIGURES_DIGESTS = {
     "fig3_visibility.csv": "964844b8a8b0bfdc4443a2d6c2e785c8fb43222d0c09097354b7274b767084ff",
     "fig4_gamma.csv": "75d41b0165b3c3532c3fe1bce2caef7014e5601f9470e193d372b9d74d3fb401",
     "fig5_dgamma.csv": "079108c0614547b7dfeaf77bf285b1dd6ee342220774177473f6cce1c6776a2c",
-    "fig5_gamma.csv": "25bf029292cb7022b5eeaa140efbe9662d2ff445ee363d9d1f7779367b14d75a",
+    "fig5_gamma.csv": "bfcc754b51721242a7ee1fda677a6ed277136bdd7e63cf0f433fb87eb80e9c45",
     "fig6_longtime.csv": "86922b76acd81d62b18c968f1b4840223e86b7a3dc808b999d28c38a4b0b5683",
     "fig7_a_infinity.csv": "9a47ed578ca34b9875d01a0ceb1aa70b4056655473728c65024d37c0137a7968",
 }

@@ -51,54 +51,57 @@ def test_bifurcation_exponent():
     assert slope == pytest.approx(0.5, abs=0.05)
 
 
-def test_brent_root_is_scipys_on_both_sides_of_critical(monkeypatch):
-    optimize = pytest.importorskip("scipy.optimize")
-    pairs = []
-    port = zigzag._brentq
-
-    def both(f, xa, xb):
-        root = port(f, xa, xb)
-        pairs.append((root, optimize.brentq(f, xa, xb, xtol=1e-15,
-                                            rtol=8.9e-16, maxiter=200)))
-        return root
-
-    monkeypatch.setattr(zigzag, "_brentq", both)
-    rng = np.random.default_rng(4096)
-    below = 0
-    for N in (8, 12, 16, 64, 256, 1024, 4096):
+def test_near_critical_roots_are_buckled_and_stable():
+    # Within 1e-7 below nu_c(N) the energy gain of buckling, about e b^2, is
+    # far below the rounding of the energy itself; b must still come out.
+    for N in (8, 16, 64, 256, 1024):
         nuc = critical_frequency_finite(N)
-        for side in (-1.0, 1.0):
-            for d in 10.0 ** rng.uniform(-14, math.log10(0.3), 12):
-                eq = zigzag_equilibrium(ChainParams(N=N, nu_t=nuc + side * d,
+        b_prev = math.inf
+        for e in np.logspace(-7, -12, 60):      # nu_t ascending
+            p = ChainParams(N=N, nu_t=nuc - e, eta_c=0.0)
+            eq = zigzag_equilibrium(p)
+            assert 0.0 < eq.b <= b_prev and abs(eq.grad) <= zigzag.GRAD_TOL
+            b_prev = eq.b
+            assert zigzag_spectrum(p).b == eq.b
+
+
+def test_root_matches_mpmath_oracle():
+    # The root of h(x) = sum_{d odd} (d^2 + x)^(-3/2) = c, c = nu_t^2 / 4,
+    # at 40 digits. Near the transition the root's own conditioning is
+    # eps c / f(0), f(0) = h(0) - c; away from it, the rounding of b.
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for N in (8, 16, 64, 256):
+            nuc = critical_frequency_finite(N)
+            d2 = [mpmath.mpf(d) ** 2 for d in range(1, N // 2 + 1, 2)]
+            for e in np.logspace(-12, math.log10(1.5), 12):
+                eq = zigzag_equilibrium(ChainParams(N=N, nu_t=nuc - e,
                                                     eta_c=0.0))
-                below += side < 0
-                assert eq.b >= 0.0 if side < 0 else eq.b == 0.0
-    assert len(pairs) == below == 84
-    assert all(ours == theirs for ours, theirs in pairs)
+                c = mpmath.mpf(eq.nu_t) ** 2 / 4
+
+                def f(x):
+                    return mpmath.fsum((d + x) ** -1.5 for d in d2) - c
+
+                hi = mpmath.mpf(1)
+                while f(hi) > 0:
+                    hi *= 2
+                b = mpmath.sqrt(mpmath.findroot(f, (0, hi),
+                                                solver="anderson"))
+                rel = float(abs(eq.b - b) / b)
+                cond = float(c / f(0))
+                assert rel <= 4 * eps * max(1.0, cond)
+                if e >= 1e-4:
+                    assert rel <= 1e-12
 
 
-def test_brent_port_converges_and_fails_where_scipy_does():
-    optimize = pytest.importorskip("scipy.optimize")
-    rtol = 4 * np.finfo(float).eps
-
-    def f(x):
-        return math.tanh(3.0 * (x - 0.3)) + 0.1 * x ** 3
-
-    outcomes = set()
-    for maxiter in range(1, 30):
-        try:
-            want = optimize.brentq(f, -2.0, 3.0, xtol=2e-12, rtol=rtol,
-                                   maxiter=maxiter)
-        except RuntimeError:
-            with pytest.raises(NumericalFailure, match="did not converge"):
-                zigzag._brentq(f, -2.0, 3.0, 2e-12, rtol, maxiter)
-            outcomes.add("fail")
-            continue
-        assert zigzag._brentq(f, -2.0, 3.0, 2e-12, rtol, maxiter) == want
-        outcomes.add("root")
-    assert outcomes == {"fail", "root"}
-    with pytest.raises(NumericalFailure, match="no sign change"):
-        zigzag._brentq(f, 1.0, 3.0)
+def test_far_roots_converge_and_a_vanishing_nu_t_fails():
+    for N, nu_t, b in ((8, 1e-6, 2e4), (1024, 1e-3, 967.29)):
+        eq = zigzag_equilibrium(ChainParams(N=N, nu_t=nu_t, eta_c=0.0))
+        assert eq.b == pytest.approx(b, rel=1e-5)
+        assert abs(eq.grad) <= zigzag.GRAD_TOL
+    with pytest.raises(NumericalFailure, match="did not converge"):
+        zigzag_equilibrium(ChainParams(N=8, nu_t=1e-100, eta_c=0.0))
 
 
 def test_size_validation():
