@@ -27,11 +27,10 @@ from .zigzag import (ZigzagEquilibrium, ZigzagMode, ZigzagSpectrum,
 from .asymptotics import (AInfinityForms, AnalyticAInfinity, CuspReport,
                           DerivativeScan, GammaForms, GammaScan,
                           RevivalEstimate, a_infinity, a_infinity_analytic,
-                          b_analytic, b_of_t, bessel_Y0, cusp_secant_slopes,
+                          b_analytic, bessel_Y0, cusp_secant_slopes,
                           find_revival_burst, gamma_coefficient,
                           gamma_derivative_scan, gamma_fit,
-                          gamma_slope_analytic, gamma_transition_scan,
-                          revival_time)
+                          gamma_transition_scan, revival_time)
 from .spectral import (FourierSpectrum, overlay_band, find_peaks,
                        fourier_spectrum, spectral_band_check,
                        transverse_band, visibility_trace)

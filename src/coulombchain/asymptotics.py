@@ -2,8 +2,9 @@
 
 Short times: A(t) ~ Gamma t^2 with Gamma = (1/2) sum |alpha|^2 omega^2;
 for the linear chain the sum collapses to (eta0^2 nu_t / 2) times the mean
-transverse frequency, and d Gamma / d Delta diverges logarithmically at the
-transition.
+transverse frequency. Since eta0^2 nu_t is fixed at fixed eta_c and
+d omega_m / d nu_t = nu_t / omega_m, d Gamma / d Delta = nu_t A_inf / 2
+exactly, so it diverges logarithmically at the transition, as A_inf does.
 
 Long times: A(t) = A_inf - B(t) with A_inf = sum |alpha|^2 and
 B(t) = sum |alpha|^2 cos(omega t). Near the transition the mode sum is
@@ -31,7 +32,7 @@ from .errors import (InvalidParameter, NumericalFailure, UnstableLinearPhase)
 from .linear_modes import max_group_velocity
 from .model import ChainParams, H_STIFFNESS, critical_frequency_infinite
 from .ramsey import (DisplacementAmplitudes, VisibilityTrace,
-                     linear_chain_amplitudes, weighted_trig_sum)
+                     linear_chain_amplitudes)
 from .zigzag import zigzag_displacement_amplitudes
 
 EULER_GAMMA = 0.5772156649015329
@@ -42,7 +43,6 @@ _HANKEL_C = (1.0, 0.125, 0.0703125, 0.0732421875, 0.112152099609375,
 _SERIES_CUT = 12.0
 MIN_BURST_SAMPLES = 8     # shortest trace `find_revival_burst` accepts
 BURST_FACTOR = 2.0        # burst: amplitude above this times its baseline
-DGAMMA_LOG_STEP = 1e-2    # ln(Delta) step of the dGamma/dDelta differences
 CUSP_POINTS_PER_SIDE = 5  # points nearest Delta = 0 in each cusp fit
 
 
@@ -90,11 +90,6 @@ def gamma_fit(trace: VisibilityTrace) -> tuple[float, float]:
     return gamma, float(np.sqrt(np.mean(resid ** 2)))
 
 
-def _gamma_of_delta(delta: float, N: int, eta_c: float) -> float:
-    params = ChainParams.from_delta(N, delta, eta_c)
-    return gamma_coefficient(linear_chain_amplitudes(params)).direct
-
-
 @dataclass(frozen=True)
 class DerivativeScan:
     """d Gamma / d Delta on a grid, with the log fit a + b ln(Delta)."""
@@ -109,25 +104,20 @@ class DerivativeScan:
 def gamma_derivative_scan(deltas, N: int, eta_c: float) -> DerivativeScan:
     """d Gamma / d Delta over a positive Delta grid, then fit a + b ln Delta.
 
-    The derivative at each grid point is a centered difference in ln(Delta)
-    with one Richardson halving (steps DGAMMA_LOG_STEP and half of it), so
-    the estimate is independent of the grid spacing.
+    By the probe-row sum rule Gamma = (eta0^2 nu_t / 2N) sum_m omega_m and
+    A_inf = (eta0^2 nu_t / N) sum_m 1 / omega_m over the N modes. At fixed
+    eta_c, eta0^2 nu_t = eta_c^2 nu_c does not depend on Delta = nu_t - nu_c,
+    and omega_m^2 - nu_t^2 does not either, so d omega_m / d Delta =
+    nu_t / omega_m and each point is exactly nu_t A_inf / 2, for any N and
+    probe site. The fit needs at least 3 distinct Delta.
     """
     d = np.asarray(deltas, dtype=np.float64)
     if np.any(d <= 0):
         raise UnstableLinearPhase("derivative scan requires Delta > 0")
-    if len(d) < 3:
-        raise InvalidParameter("need at least 3 grid points")
-
-    def dgamma_dlog(x: float, h: float) -> float:
-        return (_gamma_of_delta(x * math.exp(h), N, eta_c)
-                - _gamma_of_delta(x * math.exp(-h), N, eta_c)) / (2.0 * h)
-
-    out = np.empty_like(d)
-    for i, x in enumerate(d):
-        g_h = dgamma_dlog(float(x), DGAMMA_LOG_STEP)
-        g_h2 = dgamma_dlog(float(x), 0.5 * DGAMMA_LOG_STEP)
-        out[i] = (4.0 * g_h2 - g_h) / (3.0 * x)
+    _check_distinct(d, "the dGamma/dDelta fit")
+    out = np.array([
+        0.5 * p.nu_t * a_infinity(linear_chain_amplitudes(p)).direct
+        for p in (ChainParams.from_delta(N, float(x), eta_c) for x in d)])
 
     ln = np.log(d)
     coeffs = np.polyfit(ln, out, 1)
@@ -139,10 +129,13 @@ def gamma_derivative_scan(deltas, N: int, eta_c: float) -> DerivativeScan:
     return DerivativeScan(deltas=d, dgamma=out, a=a, b=b, r_squared=r2)
 
 
-def gamma_slope_analytic(params: ChainParams) -> float:
-    """Predicted |b| prefactor: dGamma/dDelta ~ -(eta0^2 nu_t nu_c / (4 pi h)) ln Delta."""
-    return params.eta0 ** 2 * params.nu_t * critical_frequency_infinite() \
-        / (4.0 * math.pi * H_STIFFNESS)
+def _check_distinct(x: np.ndarray, what: str) -> None:
+    """A line fit needs 3 distinct abscissae; fewer fit exactly or not at all.
+    (A set, not np.unique, which imports numpy.ma: 1 MB of resident memory.)"""
+    distinct = len(set(x.tolist()))
+    if distinct < 3:
+        raise InvalidParameter(f"{what} needs >= 3 distinct Delta, got "
+                               f"{distinct}")
 
 
 @dataclass(frozen=True)
@@ -160,11 +153,6 @@ def a_infinity(amps: DisplacementAmplitudes) -> AInfinityForms:
     if amps.kind == "linear":
         mean = amps.eta0 ** 2 * amps.nu_t * float(np.mean(1.0 / amps.omega))
     return AInfinityForms(direct=direct, mean_inverse=mean)
-
-
-def b_of_t(t, amps: DisplacementAmplitudes):
-    """Oscillatory part B(t) = sum_m |alpha_m|^2 cos(omega_m t); A = A_inf - B."""
-    return weighted_trig_sum(t, amps.omega, amps.weight, "cos")
 
 
 @dataclass(frozen=True)
@@ -291,13 +279,13 @@ def gamma_transition_scan(deltas, N: int, eta_c: float,
     kinds = []
     for i, x in enumerate(d):
         if x >= 0.0:
-            gam[i] = _gamma_of_delta(float(x), N, eta_c)
-            kinds.append("linear")
+            amps = linear_chain_amplitudes(
+                ChainParams.from_delta(N, float(x), eta_c))
         else:
-            params = ChainParams.from_delta(zigzag_N, float(x), eta_c)
-            gam[i] = gamma_coefficient(
-                zigzag_displacement_amplitudes(params)).direct
-            kinds.append("zigzag")
+            amps = zigzag_displacement_amplitudes(
+                ChainParams.from_delta(zigzag_N, float(x), eta_c))
+        gam[i] = gamma_coefficient(amps).direct
+        kinds.append(amps.kind)
     return GammaScan(deltas=d, gamma=gam, kinds=tuple(kinds))
 
 
@@ -320,9 +308,8 @@ class CuspReport:
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares slope and its standard error."""
+    _check_distinct(x, "each cusp side")
     n = len(x)
-    if n < 3:
-        raise InvalidParameter("need at least 3 points per side")
     coeffs, residuals, *_ = np.polyfit(x, y, 1, full=True)
     slope = float(coeffs[0])
     ss = float(residuals[0]) if len(residuals) else 0.0

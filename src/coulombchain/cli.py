@@ -196,11 +196,9 @@ def _gamma_scan(path, name: str, deltas, N: int, eta_c: float):
         return scan, None
 
 
-def _dgamma(path, name: str, deltas, N: int, eta_c: float):
-    der = gamma_derivative_scan(deltas, N=N, eta_c=eta_c)
+def _dgamma(path, name: str, der) -> None:
     emit_csv(("delta", "dgamma_ddelta"), zip(der.deltas, der.dgamma),
              path(name))
-    return der
 
 
 def _a_infinity(path, name: str, deltas, amps: list, ana) -> list:
@@ -338,13 +336,15 @@ def _cmd_asymptotics(ns, path):
         raise InvalidParameter("points must be >= 3 (the dGamma/dDelta fit)")
     deltas = np.logspace(math.log10(ns.delta_min), math.log10(ns.delta_max),
                          ns.points)
+    # First, so a grid without 3 distinct Delta writes no CSV.
+    der = gamma_derivative_scan(deltas, N=N, eta_c=eta_c)
     chains = [ChainParams.from_delta(N, float(d), eta_c) for d in deltas]
     amps = [linear_chain_amplitudes(p) for p in chains]
 
     emit_csv(("delta", "gamma"),
              zip(deltas, [gamma_coefficient(a).direct for a in amps]),
              path("gamma_table.csv"))
-    der = _dgamma(path, "dgamma_table.csv", deltas, N, eta_c)
+    _dgamma(path, "dgamma_table.csv", der)
     ana = a_infinity_analytic(chains[-1], delta_ref=float(deltas[-1]))
     _a_infinity(path, "a_infinity_table.csv", deltas, amps, ana)
 
@@ -438,8 +438,8 @@ def _fig5(path):
     scan, rep = _gamma_scan(path, "fig5_gamma.csv",
                             np.linspace(-1e-2, 1e-2, 21), N_scan, eta_c)
     d_min = scan.deltas[int(np.argmin(scan.gamma))]
-    der = _dgamma(path, "fig5_dgamma.csv", np.logspace(-4, -2, 12), N_fit,
-                  eta_c)
+    der = gamma_derivative_scan(np.logspace(-4, -2, 12), N=N_fit, eta_c=eta_c)
+    _dgamma(path, "fig5_dgamma.csv", der)
     return {"N_scan": N_scan, "N_fit": N_fit, "eta_c": eta_c}, [
         ("fig5 minimum at zero", d_min == 0.0, f"minimum at delta = {d_min:g}"),
         ("fig5 cusp slopes", rep.separation > 5.0,

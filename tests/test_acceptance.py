@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from coulombchain import (ChainParams, a_infinity, a_infinity_analytic,
-                          axial_mode_set, b_analytic, b_of_t, bessel_Y0,
+                          axial_mode_set, b_analytic, bessel_Y0,
                           critical_frequency_finite,
                           critical_frequency_infinite, cusp_secant_slopes,
                           dispersion_axial, dispersion_transverse,
@@ -26,8 +26,8 @@ from coulombchain import (ChainParams, a_infinity, a_infinity_analytic,
                           max_group_velocity, revival_time,
                           spectral_band_check, thermal_weights,
                           transverse_band, transverse_mode_set,
-                          visibility_trace, zigzag_equilibrium,
-                          zigzag_spectrum)
+                          visibility_trace, weighted_trig_sum,
+                          zigzag_equilibrium, zigzag_spectrum)
 from coulombchain.spectral import overlay_band
 from oracles import dense_mode_matrix, label_residuals
 
@@ -188,7 +188,8 @@ def test_criterion_8_property_suite():
 
     t = np.linspace(0.0, 40.0, 501)
     A = exponent_A(t, amps)
-    ident = np.max(np.abs(A - (a_infinity(amps).direct - b_of_t(t, amps))))
+    B = weighted_trig_sum(t, amps.omega, amps.weight, "cos")
+    ident = np.max(np.abs(A - (a_infinity(amps).direct - B)))
     checks.append(("decomposition", ident < 1e-12))
 
     tr = evaluate_trace(amps, t, with_overlap=True)

@@ -47,7 +47,6 @@ EXPORTS = {
     "a_infinity_analytic",
     "axial_mode_set",
     "b_analytic",
-    "b_of_t",
     "bessel_Y0",
     "classify_zigzag_modes",
     "critical_frequency_finite",
@@ -66,7 +65,6 @@ EXPORTS = {
     "gamma_coefficient",
     "gamma_derivative_scan",
     "gamma_fit",
-    "gamma_slope_analytic",
     "gamma_transition_scan",
     "group_velocity",
     "linear_chain_amplitudes",

@@ -8,17 +8,18 @@ import mpmath
 import numpy as np
 import pytest
 
-from coulombchain import (ChainParams, VisibilityTrace, a_infinity,
-                          a_infinity_analytic, b_analytic, b_of_t, bessel_Y0,
-                          cusp_secant_slopes, evaluate_trace, exponent_A,
-                          find_revival_burst, gamma_coefficient,
+from coulombchain import (ChainParams, GammaScan, VisibilityTrace,
+                          a_infinity, a_infinity_analytic, b_analytic,
+                          bessel_Y0, cusp_secant_slopes, evaluate_trace,
+                          exponent_A, find_revival_burst, gamma_coefficient,
                           gamma_derivative_scan, gamma_fit,
-                          gamma_slope_analytic, gamma_transition_scan,
-                          linear_chain_amplitudes, revival_time)
+                          gamma_transition_scan, linear_chain_amplitudes,
+                          revival_time, weighted_trig_sum)
 from coulombchain import asymptotics
 from coulombchain.asymptotics import (_running_extrema, _sliding_medians,
                                       _window_extrema)
 from coulombchain.errors import InvalidParameter, UnstableLinearPhase
+from oracles import dgamma_richardson
 
 
 def test_gamma_two_forms():
@@ -43,10 +44,11 @@ def test_a_decomposition_identity():
     amps = linear_chain_amplitudes(p)
     t = np.linspace(0.0, 50.0, 777)
     A = exponent_A(t, amps)
-    B = b_of_t(t, amps)
+    B = weighted_trig_sum(t, amps.omega, amps.weight, "cos")
     a_inf = a_infinity(amps).direct
     assert np.max(np.abs(A - (a_inf - B))) < 1e-12
-    assert float(b_of_t(0.0, amps)) == pytest.approx(a_inf, rel=1e-14)
+    B0 = weighted_trig_sum(0.0, amps.omega, amps.weight, "cos")
+    assert float(B0) == pytest.approx(a_inf, rel=1e-14)
 
 
 def _synthetic_trace(gamma, nu_t=2.0, n=101):
@@ -93,7 +95,8 @@ def test_gamma_derivative_scan_log_law():
     assert np.all(der.dgamma > 0)
     assert der.dgamma[0] > der.dgamma[-1]
     p = ChainParams.from_delta(1000, 1e-3, 0.05)
-    assert abs(der.b) == pytest.approx(gamma_slope_analytic(p), rel=0.15)
+    slope = p.nu_t / 2 * a_infinity_analytic(p).slope
+    assert abs(der.b) == pytest.approx(slope, rel=0.15)
 
 
 def test_gamma_derivative_scan_validation():
@@ -101,6 +104,53 @@ def test_gamma_derivative_scan_validation():
         gamma_derivative_scan(np.array([-1e-3, 1e-3, 1e-2]), N=64, eta_c=0.1)
     with pytest.raises(InvalidParameter):
         gamma_derivative_scan(np.array([1e-3, 1e-2]), N=64, eta_c=0.1)
+
+
+@pytest.mark.parametrize("deltas, distinct", [([1e-3, 1e-3, 2e-3], 2),
+                                              ([1e-3] * 3, 1)])
+def test_gamma_derivative_fit_needs_three_distinct_deltas(deltas, distinct):
+    # A line through fewer distinct points fits exactly (R^2 = 1) or, at
+    # one abscissa, not at all (numpy's RankWarning and arbitrary a, b).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter,
+                           match=f"3 distinct Delta, got {distinct}"):
+            gamma_derivative_scan(deltas, N=16, eta_c=0.05)
+
+
+# Delta so close to the transition that nu_c + Delta e^(+-h) round to the
+# same or neighbouring doubles: finite differences of Gamma fail there.
+NEAR_TRANSITION = [1e-15, 1e-14, 1e-13, 1e-12, 1e-10]
+
+
+def test_dgamma_is_half_nu_t_a_infinity_near_the_transition():
+    der = gamma_derivative_scan(NEAR_TRANSITION, N=64, eta_c=0.1)
+    for delta, dgamma in zip(NEAR_TRANSITION, der.dgamma):
+        p = ChainParams.from_delta(64, delta, 0.1)
+        a_inf = a_infinity(linear_chain_amplitudes(p)).mean_inverse
+        assert dgamma == pytest.approx(0.5 * p.nu_t * a_inf, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [16, 64, 256, 1000, 4000])
+@pytest.mark.parametrize("eta_c", [0.05, 0.25])
+def test_dgamma_matches_richardson_differences(N, eta_c):
+    deltas = np.logspace(-4, 0, 17)
+    der = gamma_derivative_scan(deltas, N=N, eta_c=eta_c)
+    oracle = [dgamma_richardson(float(d), N, eta_c) for d in deltas]
+    np.testing.assert_allclose(der.dgamma, oracle, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("site", [1, 2, 7, 32, 64])
+def test_dgamma_identity_holds_at_every_probe_site(site):
+    deltas = np.array([1e-4, 1e-3, 1e-2, 1e-1])
+    der = gamma_derivative_scan(deltas, N=64, eta_c=0.1)
+    for delta, dgamma in zip(deltas, der.dgamma):
+        p = ChainParams.from_delta(64, float(delta), 0.1)
+        a_inf = a_infinity(linear_chain_amplitudes(p, probe_site=site)).direct
+        assert dgamma == pytest.approx(0.5 * p.nu_t * a_inf, rel=1e-12)
+        assert dgamma == pytest.approx(
+            dgamma_richardson(float(delta), 64, 0.1, probe_site=site),
+            rel=1e-9)
 
 
 def test_transition_scan_and_cusp():
@@ -121,6 +171,16 @@ def test_transition_scan_and_cusp():
 def test_cusp_needs_both_sides():
     scan = gamma_transition_scan(np.linspace(1e-3, 1e-2, 7), N=64, eta_c=0.05)
     with pytest.raises(InvalidParameter):
+        cusp_secant_slopes(scan)
+
+
+def test_cusp_side_needs_three_distinct_deltas():
+    # Three equal Delta on the left and no zero point: the left line has one
+    # abscissa and no slope.
+    d = np.array([-1e-3, -1e-3, -1e-3, 1e-3, 2e-3, 3e-3])
+    scan = GammaScan(deltas=d, gamma=np.abs(d),
+                     kinds=("zigzag",) * 3 + ("linear",) * 3)
+    with pytest.raises(InvalidParameter, match="distinct Delta, got 1"):
         cusp_secant_slopes(scan)
 
 

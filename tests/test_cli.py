@@ -436,7 +436,9 @@ _CHAIN = ["--N", "16", "--delta", "0.05", "--eta-c", "0.1"]
     *[(["asymptotics", "--N", "16", "--eta-c", "0.05", "--points", n],
        "points must be >= 3") for n in ("0", "1", "2")],
     (["longtime", *_CHAIN, "--samples", "7"], "samples must be >= 8"),
-    (["fourier", *_CHAIN, "--n-s", "100"], "n_s must be >= 1024")])
+    (["fourier", *_CHAIN, "--n-s", "100"], "n_s must be >= 1024"),
+    (["asymptotics", "--N", "16", "--eta-c", "0.05", "--delta-min", "1e-3",
+      "--delta-max", "1e-3", "--points", "3"], "3 distinct Delta, got 1")])
 def test_scan_grids_are_validated(argv, word, tmp_path, capsys):
     assert run([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

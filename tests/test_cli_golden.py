@@ -16,8 +16,12 @@ by at most 5.5e-16 of their column scale, fig4's rel_dev and fit_rms,
 differences of nearly equal numbers, by 8.5e-13. zigzag_amplitude.csv,
 zigzag_spectrum.csv, gamma_scan.csv and fig5_gamma.csv were re-recorded
 when the zigzag equilibrium became a Newton root in b^2; b moved by at most
-8.3e-16, omega by 4.0e-16 and gamma by 1.4e-15 of the column scale. The
-names of the proxies that `figures` reports are pinned too, in order.
+8.3e-16, omega by 4.0e-16 and gamma by 1.4e-15 of the column scale.
+dgamma_table.csv and fig5_dgamma.csv were re-recorded when dGamma/dDelta
+became nu_t A_inf / 2 (the probe-row sum rule) instead of Richardson
+differences of Gamma; it moved by at most 1.0e-11 and 1.2e-10 of the column
+scale, the truncation error of those differences. The names of the proxies
+that `figures` reports are pinned too, in order.
 """
 
 import hashlib
@@ -46,7 +50,7 @@ SUBCOMMANDS = {
 SUBCOMMAND_DIGESTS = {
     "asymptotics": {
         "a_infinity_table.csv": "de86da6dd08372689cc739b3255a1bcdcc29c1165318b9e495fda1a0eeb4ec28",
-        "dgamma_table.csv": "de6b2d20f5ffe78f946a7376797317722c2877cd635710c608ce0eaaa9d7705a",
+        "dgamma_table.csv": "eeea387f604d5d57fe74b1560a6e121fb2acc660596900a88e0d1ae17f7eb309",
         "gamma_table.csv": "8749fe2a1938018b1299206432af78e37f66a00a89bfe05a43a1b6e2adc08e2a",
         "revival_table.csv": "72df99355525720f014a7450f69f654b465aae4f4f4c2525b5e9e160bf388fe3",
     },
@@ -79,7 +83,7 @@ FIGURES_DIGESTS = {
     "fig3_spectrum.csv": "6131c5f92151ca64cb8f521e695176760498eb609b7b3f6f9bcfefed0ca7b32e",
     "fig3_visibility.csv": "964844b8a8b0bfdc4443a2d6c2e785c8fb43222d0c09097354b7274b767084ff",
     "fig4_gamma.csv": "75d41b0165b3c3532c3fe1bce2caef7014e5601f9470e193d372b9d74d3fb401",
-    "fig5_dgamma.csv": "079108c0614547b7dfeaf77bf285b1dd6ee342220774177473f6cce1c6776a2c",
+    "fig5_dgamma.csv": "9002c35cb9a4c44423bbe5f127d8aec228f1fac6163169e36bafc970b972795e",
     "fig5_gamma.csv": "bfcc754b51721242a7ee1fda677a6ed277136bdd7e63cf0f433fb87eb80e9c45",
     "fig6_longtime.csv": "86922b76acd81d62b18c968f1b4840223e86b7a3dc808b999d28c38a4b0b5683",
     "fig7_a_infinity.csv": "9a47ed578ca34b9875d01a0ceb1aa70b4056655473728c65024d37c0137a7968",
