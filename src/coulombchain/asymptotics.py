@@ -92,17 +92,20 @@ def gamma_fit(trace: VisibilityTrace) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class DerivativeScan:
-    """d Gamma / d Delta on a grid, with the log fit a + b ln(Delta)."""
+    """Gamma, A_inf and d Gamma / d Delta per Delta, all from the one
+    amplitude set built for that Delta, and the log fit a + b ln(Delta)."""
 
     deltas: np.ndarray
     dgamma: np.ndarray
     a: float
     b: float
     r_squared: float
+    gamma: np.ndarray
+    a_inf: np.ndarray
 
 
 def gamma_derivative_scan(deltas, N: int, eta_c: float) -> DerivativeScan:
-    """d Gamma / d Delta over a positive Delta grid, then fit a + b ln Delta.
+    """Gamma, A_inf and d Gamma / d Delta over Delta > 0; fit a + b ln Delta.
 
     By the probe-row sum rule Gamma = (eta0^2 nu_t / 2N) sum_m omega_m and
     A_inf = (eta0^2 nu_t / N) sum_m 1 / omega_m over the N modes. At fixed
@@ -115,9 +118,11 @@ def gamma_derivative_scan(deltas, N: int, eta_c: float) -> DerivativeScan:
     if np.any(d <= 0):
         raise UnstableLinearPhase("derivative scan requires Delta > 0")
     _check_distinct(d, "the dGamma/dDelta fit")
-    out = np.array([
-        0.5 * p.nu_t * a_infinity(linear_chain_amplitudes(p)).direct
-        for p in (ChainParams.from_delta(N, float(x), eta_c) for x in d)])
+    sets = (linear_chain_amplitudes(ChainParams.from_delta(N, float(x), eta_c))
+            for x in d)     # built and dropped one at a time
+    nu_t, gamma, a_inf = np.array([(s.nu_t, gamma_coefficient(s).direct,
+                                    a_infinity(s).direct) for s in sets]).T
+    out = 0.5 * nu_t * a_inf
 
     ln = np.log(d)
     coeffs = np.polyfit(ln, out, 1)
@@ -126,7 +131,8 @@ def gamma_derivative_scan(deltas, N: int, eta_c: float) -> DerivativeScan:
     ss_res = float(np.sum((out - pred) ** 2))
     ss_tot = float(np.sum((out - np.mean(out)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return DerivativeScan(deltas=d, dgamma=out, a=a, b=b, r_squared=r2)
+    return DerivativeScan(deltas=d, dgamma=out, a=a, b=b, r_squared=r2,
+                          gamma=gamma, a_inf=a_inf)
 
 
 def _check_distinct(x: np.ndarray, what: str) -> None:

@@ -8,7 +8,7 @@ visibility    V(t) trace on an explicit time window
 fourier       sampled V(t) -> normalized spectrum, peaks, optional band table
 gamma-scan    Gamma(Delta) across the transition with cusp statistics
 asymptotics   Gamma(Delta), dGamma/dDelta, A_inf(Delta), revival-time tables
-longtime      exact V(t) against the calibrated long-time envelope
+longtime      exact V(t) against the long-time plateau-plus-tail envelope
 figures       canned parameter sets of the six bundled scenarios (2..7)
 
 Each subcommand but `figures` is declared once, in `_COMMANDS`. Parameters
@@ -201,20 +201,20 @@ def _dgamma(path, name: str, der) -> None:
              path(name))
 
 
-def _a_infinity(path, name: str, deltas, amps: list, ana) -> list:
-    """Exact A_inf per detuning next to the analytic saturation form `ana`."""
-    a_inf = [a_infinity(a).direct for a in amps]
+def _a_infinity(path, name: str, der, ana) -> None:
+    """The scan's exact A_inf per detuning next to the analytic form `ana`."""
     emit_csv(("delta", "a_inf", "a_inf_analytic"),
-             [(d, a, ana.evaluate(float(d))) for d, a in zip(deltas, a_inf)],
-             path(name))
-    return a_inf
+             [(d, a, ana.evaluate(float(d)))
+              for d, a in zip(der.deltas, der.a_inf)], path(name))
 
 
 def _longtime(path, name: str, p: ChainParams, t_max: float | None,
               samples: int):
-    """Exact V(t) against the analytic plateau-plus-tail envelope on
-    t = dt, 2 dt, ..., t_max (the analytic form needs t > 0), and the
-    revival burst; returns t, V, the envelope and the manifest grids."""
+    """Exact V(t) against the envelope exp(-A_inf + B(t)), with the chain's
+    exact plateau A_inf and the continuum tail B(t), on t = dt, 2 dt, ...,
+    t_max (the tail needs t > 0), and the revival burst; returns t, V, the
+    envelope and the manifest grids. At theta > 0 V is thermal but the
+    envelope is still the theta = 0 one, so the columns part by design."""
     if not p.delta_trans > 0:
         raise InvalidParameter(
             "longtime needs the linear side, delta = nu_t - nu_c > 0; got "
@@ -238,8 +238,7 @@ def _longtime(path, name: str, p: ChainParams, t_max: float | None,
     burst = find_revival_burst(t, tr.V, window=0.04 * rev.t_star,
                                baseline_gap=0.04 * rev.t_star,
                                baseline_span=0.16 * rev.t_star)
-    ana = a_infinity_analytic(p, delta_ref=p.delta_trans)
-    V_ana = np.exp(-ana.evaluate(p.delta_trans) + b_analytic(t, p))
+    V_ana = np.exp(-a_infinity(amps).direct + b_analytic(t, p))
     emit_csv(("t", "V_exact", "V_analytic"), zip(t, tr.V, V_ana),
              path(name))
     return t, tr.V, V_ana, {
@@ -319,6 +318,9 @@ def _cmd_gamma_scan(ns, path):
     N, eta_c = _require(ns, "N"), _require(ns, "eta_c")
     if ns.points < 7 or ns.points % 2 == 0:
         raise InvalidParameter("points must be odd and >= 7 (both sides + 0)")
+    if ns.delta_min == ns.delta_max:
+        raise InvalidParameter("delta_min and delta_max must differ, got "
+                               f"{ns.delta_min:g} for both")
     deltas = np.linspace(ns.delta_min, ns.delta_max, ns.points)
     _, rep = _gamma_scan(path, "gamma_scan.csv", deltas, N, eta_c)
     cusp = {} if rep is None else {
@@ -339,14 +341,12 @@ def _cmd_asymptotics(ns, path):
     # First, so a grid without 3 distinct Delta writes no CSV.
     der = gamma_derivative_scan(deltas, N=N, eta_c=eta_c)
     chains = [ChainParams.from_delta(N, float(d), eta_c) for d in deltas]
-    amps = [linear_chain_amplitudes(p) for p in chains]
 
-    emit_csv(("delta", "gamma"),
-             zip(deltas, [gamma_coefficient(a).direct for a in amps]),
+    emit_csv(("delta", "gamma"), zip(deltas, der.gamma),
              path("gamma_table.csv"))
     _dgamma(path, "dgamma_table.csv", der)
     ana = a_infinity_analytic(chains[-1], delta_ref=float(deltas[-1]))
-    _a_infinity(path, "a_infinity_table.csv", deltas, amps, ana)
+    _a_infinity(path, "a_infinity_table.csv", der, ana)
 
     revs = [revival_time(N, p.nu_t) for p in chains]
     emit_csv(("delta", "nu_t", "v_max", "k_star", "t_star"),
@@ -473,12 +473,10 @@ def _fig6(path):
 
 def _fig7(path):
     N, eta_c = 1000, 0.05
-    deltas = np.logspace(-4, -2, 12)
-    amps = [linear_chain_amplitudes(ChainParams.from_delta(N, float(d), eta_c))
-            for d in deltas]
+    der = gamma_derivative_scan(np.logspace(-4, -2, 12), N=N, eta_c=eta_c)
     ana = a_infinity_analytic(ChainParams.from_delta(N, 1e-3, eta_c))
-    a_inf = _a_infinity(path, "fig7_a_infinity.csv", deltas, amps, ana)
-    slope = -float(np.polyfit(np.log(deltas), a_inf, 1)[0])
+    _a_infinity(path, "fig7_a_infinity.csv", der, ana)
+    slope = -float(np.polyfit(np.log(der.deltas), der.a_inf, 1)[0])
     rel = abs(slope - ana.slope) / ana.slope
     return {"N": N, "eta_c": eta_c, "slope_fit": slope,
             "slope_analytic": ana.slope}, [

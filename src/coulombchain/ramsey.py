@@ -76,6 +76,19 @@ class DisplacementAmplitudes:
     kind: str = "linear"
 
     def __post_init__(self):
+        if self.kind not in ("linear", "zigzag"):
+            raise InvalidParameter(
+                f"kind must be 'linear' or 'zigzag', got {self.kind!r}")
+        for name in ("omega", "weight"):    # a float64 array is not copied
+            try:
+                value = np.asarray(getattr(self, name))
+            except ValueError as exc:           # ragged nested sequences
+                raise InvalidParameter(f"{name}: {exc}") from None
+            if value.dtype.kind not in "biuf":
+                raise InvalidParameter(
+                    f"{name} must be real numbers, got dtype {value.dtype}")
+            object.__setattr__(self, name,
+                               value.astype(np.float64, copy=False))
         if np.ndim(self.omega) != 1 or \
                 np.shape(self.weight) != np.shape(self.omega):
             raise InvalidParameter(
@@ -365,9 +378,9 @@ def overlap(t, amps: DisplacementAmplitudes, theta: float = 0.0):
 class VisibilityTrace:
     """Sampled Ramsey signal on a time grid.
 
-    t, A, V are equal-length arrays; S is the complex overlap (None when the
-    producer skipped it). nu_t is carried along so downstream fits can build
-    dimensionless windows like t * nu_t <= 0.1.
+    t, A, V are equal-length arrays; S is the complex overlap on the same
+    grid (None when the producer skipped it). nu_t is carried along so
+    downstream fits can build dimensionless windows like t * nu_t <= 0.1.
     """
 
     t: np.ndarray
@@ -378,7 +391,8 @@ class VisibilityTrace:
     nu_t: float
 
     def __post_init__(self):
-        if not (len(self.t) == len(self.A) == len(self.V)):
+        if not (len(self.t) == len(self.A) == len(self.V)) or \
+                (self.S is not None and len(self.S) != len(self.t)):
             raise InvalidParameter("trace arrays must have equal length")
 
 

@@ -97,6 +97,14 @@ def test_gamma_derivative_scan_log_law():
     p = ChainParams.from_delta(1000, 1e-3, 0.05)
     slope = p.nu_t / 2 * a_infinity_analytic(p).slope
     assert abs(der.b) == pytest.approx(slope, rel=0.15)
+    # Gamma and A_inf are those of freshly built sets, bit for bit, and
+    # dGamma/dDelta is nu_t A_inf / 2 of that same A_inf.
+    chains = [ChainParams.from_delta(1000, float(d), 0.05) for d in deltas]
+    fresh = [linear_chain_amplitudes(c) for c in chains]
+    assert der.gamma.tolist() == [gamma_coefficient(a).direct for a in fresh]
+    assert der.a_inf.tolist() == [a_infinity(a).direct for a in fresh]
+    nu_t = np.array([c.nu_t for c in chains])
+    assert np.array_equal(der.dgamma, 0.5 * nu_t * der.a_inf)
 
 
 def test_gamma_derivative_scan_validation():

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import coulombchain
-from coulombchain import (PhysicalInput, cli, critical_frequency_finite,
-                          derive_parameters, emit_csv, output)
+from coulombchain import (PhysicalInput, asymptotics, cli,
+                          critical_frequency_finite, derive_parameters,
+                          emit_csv, output)
 from coulombchain.cli import run
 from coulombchain.errors import InvalidParameter
 
@@ -317,6 +318,52 @@ def test_longtime_manifest(tmp_path):
     assert len(rows) == 6000
 
 
+def test_longtime_envelope_is_the_cold_one_at_any_theta(tmp_path):
+    # At theta > 0, V_exact is thermal but V_analytic stays the theta = 0
+    # envelope: its column does not move with --theta.
+    columns = []
+    for extra in ([], ["--theta", "0.5"]):
+        out = tmp_path / f"theta{len(extra)}"
+        assert run(["longtime", "--N", "100", "--delta", "1e-3",
+                    "--eta-c", "0.25", "--samples", "600", *extra,
+                    "--out", str(out)]) == 0
+        _, rows = _read_csv(out / "longtime.csv")
+        columns.append(list(zip(*rows)))
+    (t0, exact0, ana0), (t1, exact1, ana1) = columns
+    assert t0 == t1 and ana0 == ana1
+    assert np.mean(np.float64(exact1)) < np.mean(np.float64(exact0))
+
+
+def test_asymptotics_holds_one_amplitude_set_at_a_time(tmp_path):
+    # 40 sets of 20000 modes would be ~13 MB; one set and its tables ~1 MB.
+    tracemalloc.start()
+    try:
+        rc = run(["asymptotics", "--N", "20000", "--eta-c", "0.05",
+                  "--points", "40", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 4 << 20
+
+
+def test_asymptotics_builds_each_amplitude_set_once(tmp_path, monkeypatch):
+    # One set per Delta in the scan, plus the analytic form's reference.
+    calls = []
+    build = asymptotics.linear_chain_amplitudes
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for module in (cli, asymptotics):
+        monkeypatch.setattr(module, "linear_chain_amplitudes", counted)
+    points = 7
+    assert run(["asymptotics", "--N", "64", "--eta-c", "0.05", "--points",
+                str(points), "--out", str(tmp_path)]) == 0
+    assert len(calls) == points + 1
+
+
 def test_figures_scenario_four(tmp_path, capsys):
     rc = run(["figures", "--which", "4", "--out", str(tmp_path)])
     assert rc == 0
@@ -438,7 +485,9 @@ _CHAIN = ["--N", "16", "--delta", "0.05", "--eta-c", "0.1"]
     (["longtime", *_CHAIN, "--samples", "7"], "samples must be >= 8"),
     (["fourier", *_CHAIN, "--n-s", "100"], "n_s must be >= 1024"),
     (["asymptotics", "--N", "16", "--eta-c", "0.05", "--delta-min", "1e-3",
-      "--delta-max", "1e-3", "--points", "3"], "3 distinct Delta, got 1")])
+      "--delta-max", "1e-3", "--points", "3"], "3 distinct Delta, got 1"),
+    (["gamma-scan", "--N", "16", "--eta-c", "0.05", "--delta-min", "1e-3",
+      "--delta-max", "1e-3"], "delta_min and delta_max must differ")])
 def test_scan_grids_are_validated(argv, word, tmp_path, capsys):
     assert run([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

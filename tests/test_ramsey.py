@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from coulombchain import (ChainParams, DisplacementAmplitudes,
-                          critical_frequency_finite, evaluate_trace,
-                          exponent_A, exponent_A_thermal,
+                          VisibilityTrace, critical_frequency_finite,
+                          evaluate_trace, exponent_A, exponent_A_thermal,
                           linear_chain_amplitudes, overlap, thermal_weights,
                           visibility, weighted_trig_sum)
 from coulombchain.errors import (InvalidParameter, ResourceLimit,
@@ -192,6 +192,8 @@ MALFORMED_AMPLITUDES = {
     "nan weight": ([1.0, 2.0], [math.nan, 0.01]),
     "inf weight": ([1.0, 2.0], [0.01, math.inf]),
     "negative weight": ([1.0, 2.0], [0.01, -0.01]),
+    "text omega": (["1.0", "x"], [0.01, 0.01]),
+    "complex omega": ([1.0 + 2.0j, 2.0], [0.01, 0.01]),
 }
 
 
@@ -200,6 +202,39 @@ def test_malformed_amplitudes_rejected(case):
     omega, weight = (np.array(a) for a in MALFORMED_AMPLITUDES[case])
     with pytest.raises(InvalidParameter):
         DisplacementAmplitudes(omega=omega, weight=weight, eta0=0.1, nu_t=2.5)
+
+
+@pytest.mark.parametrize("kind", ["Linear", "zig-zag", "", None])
+def test_amplitude_kind_is_linear_or_zigzag(kind):
+    # Any other kind would make a_infinity's mean_inverse silently None.
+    with pytest.raises(InvalidParameter, match="kind must be"):
+        DisplacementAmplitudes(omega=np.array([1.0]), weight=np.array([0.01]),
+                               eta0=0.1, nu_t=2.5, kind=kind)
+
+
+def test_amplitudes_take_lists_and_keep_float64_arrays():
+    amps = DisplacementAmplitudes(omega=[1.0, 2.0], weight=[0.01, 0.0],
+                                  eta0=0.1, nu_t=2.5)
+    assert amps.kind == "linear"
+    for a in (amps.omega, amps.weight):
+        assert isinstance(a, np.ndarray) and a.dtype == np.float64
+    assert weighted_trig_sum(1.0, amps.omega, amps.weight, "cos") == \
+        pytest.approx(0.01 * math.cos(1.0), rel=1e-15)
+    # A float64 array is kept, not copied.
+    omega, weight = np.array([1.0, 2.0]), np.array([0.01, 0.02])
+    same = DisplacementAmplitudes(omega=omega, weight=weight, eta0=0.1,
+                                  nu_t=2.5, kind="zigzag")
+    assert same.omega is omega and same.weight is weight
+    with pytest.raises(InvalidParameter):
+        DisplacementAmplitudes(omega=[[1.0, 2.0], [3.0]], weight=[0.01, 0.01],
+                               eta0=0.1, nu_t=2.5)
+
+
+def test_trace_overlap_must_match_the_grid():
+    t = np.linspace(0.0, 1.0, 3)
+    with pytest.raises(InvalidParameter, match="equal length"):
+        VisibilityTrace(t=t, A=t, V=t, S=np.zeros(2), theta=0.0, nu_t=2.5)
+    VisibilityTrace(t=t, A=t, V=t, S=np.zeros(3), theta=0.0, nu_t=2.5)
 
 
 @pytest.mark.parametrize("t", [np.linspace(0.0, 10.0, 100), 2.0])
