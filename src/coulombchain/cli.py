@@ -51,7 +51,7 @@ from .linear_modes import (axial_mode_set, critical_frequency_finite,
                            transverse_mode_set)
 from .model import (ChainParams, PhysicalInput, critical_frequency_infinite,
                     derive_parameters)
-from .output import RunManifest, emit_csv
+from .output import Columns, RunManifest, emit_csv
 from .ramsey import evaluate_trace, linear_chain_amplitudes
 from .spectral import (DEFAULT_N_S, DEFAULT_T_F, check_trace_samples,
                        find_peaks, fourier_spectrum, overlay_band,
@@ -167,8 +167,8 @@ def _spectrum(path, name: str, p: ChainParams, prominence: float,
     spec = fourier_spectrum(tr)
     peaks = find_peaks(spec, prominence=prominence)
     if trace_name:
-        emit_csv(("t", "A", "V"), zip(tr.t, tr.A, tr.V), path(trace_name))
-    emit_csv(("omega", "F"), zip(spec.omega, spec.F), path(name))
+        emit_csv(("t", "A", "V"), Columns(tr.t, tr.A, tr.V), path(trace_name))
+    emit_csv(("omega", "F"), Columns(spec.omega, spec.F), path(name))
     return tr, spec, peaks
 
 
@@ -189,7 +189,7 @@ def _gamma_scan(path, name: str, deltas, N: int, eta_c: float):
     does not straddle zero (the table is still valid)."""
     scan = gamma_transition_scan(deltas, N=N, eta_c=eta_c)
     emit_csv(("delta", "gamma", "phase"),
-             zip(scan.deltas, scan.gamma, scan.kinds), path(name))
+             Columns(scan.deltas, scan.gamma, scan.kinds), path(name))
     try:
         return scan, cusp_secant_slopes(scan)
     except InvalidParameter:
@@ -197,7 +197,7 @@ def _gamma_scan(path, name: str, deltas, N: int, eta_c: float):
 
 
 def _dgamma(path, name: str, der) -> None:
-    emit_csv(("delta", "dgamma_ddelta"), zip(der.deltas, der.dgamma),
+    emit_csv(("delta", "dgamma_ddelta"), Columns(der.deltas, der.dgamma),
              path(name))
 
 
@@ -239,7 +239,7 @@ def _longtime(path, name: str, p: ChainParams, t_max: float | None,
                                baseline_gap=0.04 * rev.t_star,
                                baseline_span=0.16 * rev.t_star)
     V_ana = np.exp(-a_infinity(amps).direct + b_analytic(t, p))
-    emit_csv(("t", "V_exact", "V_analytic"), zip(t, tr.V, V_ana),
+    emit_csv(("t", "V_exact", "V_analytic"), Columns(t, tr.V, V_ana),
              path(name))
     return t, tr.V, V_ana, {
         "t_max": float(t_max), "t_star": rev.t_star, "v_max": rev.v_max,
@@ -254,7 +254,7 @@ def _cmd_spectrum(ns, path):
     ms_y = transverse_mode_set(p)
     ms_x = axial_mode_set(p.N)
     emit_csv(("n", "k_a", "parity", "omega_x", "omega_y"),
-             zip(ms_y.n, ms_y.k, ms_y.sigma, ms_x.omega, ms_y.omega),
+             Columns(ms_y.n, ms_y.k, ms_y.sigma, ms_x.omega, ms_y.omega),
              path("spectrum.csv"))
     return _params_dict(p), {"modes": len(ms_y)}
 
@@ -276,7 +276,7 @@ def _cmd_zigzag(ns, path):
     spec = zigzag_spectrum(p)
     columns = (spec.k, spec.beta, spec.sigma, spec.omega, spec.n, spec.special)
     emit_csv(("k_a", "beta", "parity", "omega", "n", "special"),
-             zip(*(c[spec.label_order].tolist() for c in columns)),
+             Columns(*(c[spec.label_order] for c in columns)),
              path("zigzag_spectrum.csv"))
     return _params_dict(p), {"nu_min": float(nu_min), "nu_max": float(nu_max),
                              "b": spec.b}
@@ -293,7 +293,7 @@ def _cmd_visibility(ns, path):
     t = np.linspace(ns.t_min, ns.t_max, ns.samples)
     tr = evaluate_trace(amps, t, theta=p.theta)
     emit_csv(("t", "A", "V", "Re_S", "Im_S"),
-             zip(tr.t, tr.A, tr.V, tr.S.real, tr.S.imag),
+             Columns(tr.t, tr.A, tr.V, tr.S.real, tr.S.imag),
              path("visibility.csv"))
     return _params_dict(p), {}
 
@@ -342,7 +342,7 @@ def _cmd_asymptotics(ns, path):
     der = gamma_derivative_scan(deltas, N=N, eta_c=eta_c)
     chains = [ChainParams.from_delta(N, float(d), eta_c) for d in deltas]
 
-    emit_csv(("delta", "gamma"), zip(deltas, der.gamma),
+    emit_csv(("delta", "gamma"), Columns(deltas, der.gamma),
              path("gamma_table.csv"))
     _dgamma(path, "dgamma_table.csv", der)
     ana = a_infinity_analytic(chains[-1], delta_ref=float(deltas[-1]))
@@ -368,7 +368,17 @@ def _cmd_longtime(ns, path):
 
 # ------------------------------------------------------------------- figures
 # Each scenario writes its tables and returns (params, proxies); a proxy is
-# a (name, passed, detail) check of one of the paper's claims.
+# a (name, passed, detail) check of one of the paper's claims. Scenarios
+# share a per-run `memo`, so work two of them need is done once.
+
+
+def _derivative_scan(memo: dict):
+    """The N = 1000 dGamma/dDelta scan of scenarios 5 and 7, made by the
+    first of them that runs."""
+    if "derivative scan" not in memo:
+        memo["derivative scan"] = gamma_derivative_scan(
+            np.logspace(-4, -2, 12), N=1000, eta_c=0.05)
+    return memo["derivative scan"]
 
 
 def _spectrum_scenario(path, fig: str, delta: float):
@@ -381,7 +391,7 @@ def _spectrum_scenario(path, fig: str, delta: float):
     return p, spec, peaks, transverse_mode_set(p).omega, params
 
 
-def _fig2(path):
+def _fig2(path, memo):
     p, spec, peaks, omega_y, params = _spectrum_scenario(path, "2", 1e-1)
     (_, lo, hi, frac), (_, _, _, frac_c) = _band_fractions(_bands(p), spec)
     # Away from the transition the signal is perturbative, so every line
@@ -397,7 +407,7 @@ def _fig2(path):
          f"(bin {spec.bin_width:.2e})")]
 
 
-def _fig3(path):
+def _fig3(path, memo):
     p, spec, peaks, omega_y, params = _spectrum_scenario(path, "3", 1e-4)
     soft = float(np.min(omega_y[omega_y > 0]))
     top = peaks[0][0] if peaks else math.nan
@@ -412,7 +422,7 @@ def _fig3(path):
          f"mean V {mean_v:.4f} vs {mean_ref:.4f} at the larger detuning")]
 
 
-def _fig4(path):
+def _fig4(path, memo):
     N, eta_c = 1000, 0.05
     rows, worst = [], 0.0
     for d in (1e-4, 1e-3, 1e-2):
@@ -433,12 +443,12 @@ def _fig4(path):
          f"worst relative deviation {worst:.2e}")]
 
 
-def _fig5(path):
+def _fig5(path, memo):
     N_scan, N_fit, eta_c = 256, 1000, 0.05
     scan, rep = _gamma_scan(path, "fig5_gamma.csv",
                             np.linspace(-1e-2, 1e-2, 21), N_scan, eta_c)
     d_min = scan.deltas[int(np.argmin(scan.gamma))]
-    der = gamma_derivative_scan(np.logspace(-4, -2, 12), N=N_fit, eta_c=eta_c)
+    der = _derivative_scan(memo)
     _dgamma(path, "fig5_dgamma.csv", der)
     return {"N_scan": N_scan, "N_fit": N_fit, "eta_c": eta_c}, [
         ("fig5 minimum at zero", d_min == 0.0, f"minimum at delta = {d_min:g}"),
@@ -449,7 +459,7 @@ def _fig5(path):
          f"R^2 = {der.r_squared:.6f}, b = {der.b:.4g}")]
 
 
-def _fig6(path):
+def _fig6(path, memo):
     p = ChainParams.from_delta(1000, 1e-3, 0.25)
     t, V, V_ana, g = _longtime(path, "fig6_longtime.csv", p, None, 50_000)
     t_star, burst = g["t_star"], g["burst_time"]
@@ -471,9 +481,9 @@ def _fig6(path):
          f"mean absolute deviation {mad:.2e}")]
 
 
-def _fig7(path):
+def _fig7(path, memo):
     N, eta_c = 1000, 0.05
-    der = gamma_derivative_scan(np.logspace(-4, -2, 12), N=N, eta_c=eta_c)
+    der = _derivative_scan(memo)
     ana = a_infinity_analytic(ChainParams.from_delta(N, 1e-3, eta_c))
     _a_infinity(path, "fig7_a_infinity.csv", der, ana)
     slope = -float(np.polyfit(np.log(der.deltas), der.a_inf, 1)[0])
@@ -491,10 +501,10 @@ _FIGURES = {"2": _fig2, "3": _fig3, "4": _fig4, "5": _fig5,
 
 def _cmd_figures(ns, path):
     names = sorted(_FIGURES) if ns.which == "all" else [ns.which]
-    scenario_params, checks = {}, []
+    scenario_params, checks, memo = {}, [], {}
     for name in names:
         print(f"scenario {name}:")
-        scenario_params[name], proxies = _FIGURES[name](path)
+        scenario_params[name], proxies = _FIGURES[name](path, memo)
         for check, ok, detail in proxies:
             print(f"  proxy {check}: {'ok' if ok else 'FAIL'} ({detail})")
             checks.append((check, bool(ok), detail))

@@ -16,7 +16,7 @@ import pytest
 import coulombchain
 from coulombchain import (PhysicalInput, asymptotics, cli,
                           critical_frequency_finite, derive_parameters,
-                          emit_csv, output)
+                          emit_csv, output, spectral)
 from coulombchain.cli import run
 from coulombchain.errors import InvalidParameter
 
@@ -150,26 +150,83 @@ def test_emit_csv_matches_per_cell_formatting(tmp_path):
     assert path.read_text() == ",".join(header) + "\n"
 
 
-def test_emit_csv_blocks_match_per_cell_formatting(tmp_path):
-    # Two full blocks and a partial third.
-    n = 2 * output._BLOCK_ROWS + output._BLOCK_ROWS // 2
+def _block_table(block: int):
+    """Two full blocks of `block` rows and a partial third, with a column
+    that turns from int to float after the first block and one that mixes
+    every cell type; its rows, header and per-cell text."""
+    n = 2 * block + block // 2
     rows = [(i,
-             i if i < output._BLOCK_ROWS else i / 3.0,       # int, then float
+             i if i < block else i / 3.0,                   # int, then float
              (f"s{i}", i, np.float32(i / 7), np.bool_(i % 2), -0.0)[i % 5],
              np.float64(i) * 1e-3)
             for i in range(n)]
     header = ["i", "switch", "mixed", "x"]
     want = "\n".join([",".join(header)]
                      + [",".join(map(_cell, r)) for r in rows]) + "\n"
+    return rows, header, want.encode()
+
+
+def test_emit_csv_blocks_match_per_cell_formatting(tmp_path):
+    rows, header, want = _block_table(output._VECTOR_ROWS)
     path = tmp_path / "t.csv"
     emit_csv(header, (iter(r) for r in rows), str(path))
-    assert path.read_bytes() == want.encode()
+    assert path.read_bytes() == want
 
-    bad = [*rows[:2 * output._BLOCK_ROWS + 10], rows[0][:3], *rows[2 * n // 3:]]
+    n = len(rows)
+    bad = [*rows[:2 * output._VECTOR_ROWS + 10], rows[0][:3],
+           *rows[2 * n // 3:]]
     with pytest.raises(InvalidParameter, match="width 3 in a 4-column"):
         emit_csv(header, iter(bad), str(path))
-    assert path.read_bytes() == want.encode()   # nothing half-written
+    assert path.read_bytes() == want            # nothing half-written
     assert sorted(os.listdir(tmp_path)) == ["t.csv"]
+
+
+def test_column_blocks_match_per_cell_formatting(tmp_path):
+    rows, header, want = _block_table(output._COLUMN_BLOCK_ROWS)
+    n = len(rows)
+    path = tmp_path / "t.csv"
+    # Array columns, and the same columns as sequences of cells.
+    emit_csv(header, output.Columns(np.arange(n), [r[1] for r in rows],
+                                    [r[2] for r in rows],
+                                    np.arange(n) * 1e-3), str(path))
+    assert path.read_bytes() == want
+    path.unlink()
+    emit_csv(header, output.Columns(*zip(*rows)), str(path))
+    assert path.read_bytes() == want
+
+    cells = [0.5] * (2 * output._COLUMN_BLOCK_ROWS) + [None]
+    with pytest.raises(InvalidParameter, match="column 'b' holds a NoneType"):
+        emit_csv(["a", "b"], output.Columns(np.zeros(len(cells)), cells),
+                 str(path))
+    assert path.read_bytes() == want            # nothing half-written
+    assert sorted(os.listdir(tmp_path)) == ["t.csv"]
+
+
+def test_columns_of_unequal_lengths_or_count_keep_the_old_file(tmp_path):
+    path = tmp_path / "t.csv"
+    emit_csv(["a"], [(1,)], str(path))
+    with pytest.raises(InvalidParameter, match="unequal lengths 2, 3"):
+        emit_csv(["a", "b"], output.Columns(np.zeros(3), [1, 2]), str(path))
+    with pytest.raises(InvalidParameter, match="width 1 in a 2-column"):
+        emit_csv(["a", "b"], output.Columns(np.zeros(3)), str(path))
+    with pytest.raises(InvalidParameter, match="1-D"):
+        emit_csv(["a"], output.Columns(np.zeros((2, 2))), str(path))
+    assert path.read_text() == "a\n1\n"
+    assert sorted(os.listdir(tmp_path)) == ["t.csv"]
+
+
+def test_empty_columns_write_only_the_header(tmp_path):
+    path = tmp_path / "t.csv"
+    emit_csv(["t", "V", "phase"],
+             output.Columns(np.empty(0), np.empty(0, np.float32), []),
+             str(path))
+    assert path.read_text() == "t,V,phase\n"
+
+
+def test_columns_iterate_as_rows():
+    table = output.Columns(np.array([1.0, 2.0]), ("a", "b"))
+    assert len(table) == 2
+    assert list(table) == [(1.0, "a"), (2.0, "b")]
 
 
 @pytest.mark.parametrize("cell", [None, 1 + 2j, b"x"])
@@ -364,6 +421,29 @@ def test_asymptotics_builds_each_amplitude_set_once(tmp_path, monkeypatch):
     assert len(calls) == points + 1
 
 
+def test_figures_share_the_derivative_scan(tmp_path, monkeypatch):
+    # Scenarios 5 and 7 read one dGamma/dDelta scan.
+    calls = {"scan": 0, "amplitudes": 0}
+    scan = cli.gamma_derivative_scan
+    build = asymptotics.linear_chain_amplitudes
+
+    def counted_scan(*args, **kwargs):
+        calls["scan"] += 1
+        return scan(*args, **kwargs)
+
+    def counted_build(*args, **kwargs):
+        calls["amplitudes"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "gamma_derivative_scan", counted_scan)
+    for module in (cli, asymptotics, spectral):
+        monkeypatch.setattr(module, "linear_chain_amplitudes", counted_build)
+    assert run(["figures", "--which", "all", "--out", str(tmp_path)]) == 0
+    assert calls["scan"] == 1
+    # 27 distinct chains; four of them feed two pipelines each.
+    assert calls["amplitudes"] == 31
+
+
 def test_figures_scenario_four(tmp_path, capsys):
     rc = run(["figures", "--which", "4", "--out", str(tmp_path)])
     assert rc == 0
@@ -376,7 +456,7 @@ def test_figures_scenario_four(tmp_path, capsys):
 
 def test_failed_proxy_exits_1_after_the_manifest(tmp_path, capsys,
                                                  monkeypatch):
-    def scenario(path):
+    def scenario(path, memo):
         emit_csv(("x",), [(1.0,)], path("fig4_gamma.csv"))
         return {"N": 4}, [("fig4 quadratic fit", False, "worst 1")]
 

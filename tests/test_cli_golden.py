@@ -123,6 +123,16 @@ def test_figures_csv_bytes(figures_dir):
     assert _digests(figures_dir) == FIGURES_DIGESTS
 
 
+@pytest.mark.parametrize("which", ["3", "7"])
+def test_figures_alone_write_the_bytes_of_all(which, tmp_path):
+    # Scenarios 3 and 7 share work with 2 and 5 in a full run; alone, they
+    # do it themselves and write the same tables.
+    assert run(["figures", "--which", which, "--out", str(tmp_path)]) == 0
+    assert _digests(tmp_path) == {
+        name: digest for name, digest in FIGURES_DIGESTS.items()
+        if name.startswith(f"fig{which}_")}
+
+
 def test_figures_proxy_names(figures_dir):
     manifest = json.loads((figures_dir / "figures_manifest.json").read_text())
     assert [c["name"] for c in manifest["grids"]["proxies"]] == FIGURES_PROXIES

@@ -156,3 +156,24 @@ report(code=code)
 """)
     assert facts["code"] == 0
     assert facts["rss_mb"] < 80
+
+
+def test_zigzag_spectrum_csv_at_n_1e6_under_400_mb():
+    # The spectrum table streams from the label arrays in column blocks;
+    # turning its six 2N columns into Python lists peaked at 577 MB here.
+    facts = _run("""
+import os
+import tempfile
+
+from coulombchain.cli import run
+
+with tempfile.TemporaryDirectory() as out:
+    code = run(["zigzag", "--N", "1000000", "--nu-t", "2.0", "--points",
+                "3", "--out", out])
+    with open(os.path.join(out, "zigzag_spectrum.csv"), "rb") as fh:
+        lines = sum(1 for _ in fh)
+report(code=code, lines=lines)
+""")
+    assert facts["code"] == 0
+    assert facts["lines"] == 2 * 10 ** 6 + 1
+    assert facts["rss_mb"] < 400
