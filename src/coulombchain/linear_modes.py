@@ -27,6 +27,7 @@ O(N) sum per k.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,9 +37,11 @@ from .errors import (InvalidParameter, SoftModeSingularity,
                      UnstableLinearPhase)
 from .model import ChainParams
 
-# Radicand more negative than this is treated as a genuine instability;
-# anything in (-RADICAND_CLAMP, 0) is rounded up to zero.
-RADICAND_CLAMP = 1e-12
+# A radicand nu_t^2 - 4 s within RADICAND_CLAMP nu_t^2 of zero is the
+# rounding of nu_t^2 and 4 s, and snaps to zero; one below -RADICAND_CLAMP
+# nu_t^2 is a genuine instability. Relative, so that a soft mode whose
+# true radicand is ~4/N^2 stays resolved at large N.
+RADICAND_CLAMP = 4 * sys.float_info.epsilon
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # max_group_velocity: argmax grid on (0, pi) and final golden-section bracket
@@ -123,15 +126,17 @@ def _mode_grid_sum(N: int) -> np.ndarray:
 def _transverse_omega(s, nu_t: float) -> np.ndarray:
     """omega_y = sqrt(nu_t^2 - 4 s) with the clamp and snap rules below.
 
-    Radicands in (-1e-12, 0) are clamped to zero; anything lower means the
-    linear phase is not a valid expansion point for this nu_t.
+    Radicands within RADICAND_CLAMP nu_t^2 of zero snap to zero; anything
+    lower means the linear phase is not a valid expansion point for this
+    nu_t.
     """
     if not math.isfinite(nu_t):
         raise InvalidParameter(f"nu_t must be finite, got {nu_t}")
     if nu_t <= 0:
         raise InvalidParameter("nu_t must be positive")
     rad = nu_t ** 2 - 4.0 * np.asarray(s)
-    bad = rad < -RADICAND_CLAMP
+    clamp = RADICAND_CLAMP * nu_t ** 2
+    bad = rad < -clamp
     if np.any(bad):
         raise UnstableLinearPhase(
             f"omega_y^2 = {float(np.min(rad)):.3e} at nu_t = {nu_t}: "
@@ -139,7 +144,7 @@ def _transverse_omega(s, nu_t: float) -> np.ndarray:
     # Symmetric snap: exactly at the critical point the radicand is rounding
     # noise of either sign, and the zero must be exact for both phases' mode
     # lists to agree there.
-    rad = np.where(np.abs(rad) < RADICAND_CLAMP, 0.0, rad)
+    rad = np.where(np.abs(rad) < clamp, 0.0, rad)
     return np.sqrt(rad)
 
 

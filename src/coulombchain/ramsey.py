@@ -115,7 +115,8 @@ def linear_chain_amplitudes(params: ChainParams,
         delta = params.nu_t - critical_frequency_finite(params.N)
         raise SoftModeSingularity(
             f"soft mode at nu_t - critical_frequency_finite(N) = {delta:.3e}: "
-            f"omega_y^2 below RADICAND_CLAMP = {RADICAND_CLAMP:g} snaps to 0")
+            f"omega_y^2 below RADICAND_CLAMP nu_t^2 = "
+            f"{RADICAND_CLAMP * params.nu_t ** 2:.3g} snaps to 0")
     row = mode_matrix(params.N).row(probe_site)
     weight = (params.eta0 * np.sqrt(params.nu_t / omega) * row) ** 2
     return DisplacementAmplitudes(omega=omega, weight=weight,

@@ -17,6 +17,7 @@ from coulombchain import (ChainParams, DisplacementAmplitudes,
                           visibility, weighted_trig_sum)
 from coulombchain.errors import (InvalidParameter, ResourceLimit,
                                  SoftModeSingularity)
+from coulombchain.linear_modes import RADICAND_CLAMP
 from coulombchain.ramsey import (_CHUNK_ELEMENTS, TRACE_BUDGET,
                                  _direct_trig_sum, _uniform_step)
 
@@ -159,22 +160,31 @@ def test_probe_site_equivalence():
         assert other == pytest.approx(base, abs=1e-12)
 
 
-@pytest.mark.parametrize("above", [1e-13, 2e-13])
-def test_snapped_soft_mode_names_the_clamp(above):
-    # omega_y^2 ~ 2 nu_c (nu_t - nu_c) lies inside RADICAND_CLAMP = 1e-12,
-    # so the zone-edge mode snaps to 0 although nu_t is above nu_c(N).
+def test_snapped_soft_mode_names_the_clamp():
+    # One ulp above nu_c(N), omega_y^2 ~ 2 nu_c (nu_t - nu_c) ~ 1.8e-15 lies
+    # inside RADICAND_CLAMP nu_t^2 ~ 3.7e-15, the rounding of nu_t^2, so the
+    # zone-edge mode snaps to 0 although nu_t is above nu_c(N).
     N = 100
-    p = ChainParams(N=N, nu_t=critical_frequency_finite(N) + above,
-                    eta_c=0.1)
+    p = ChainParams(N=N, nu_t=float(np.nextafter(critical_frequency_finite(N),
+                                                 np.inf)), eta_c=0.1)
     delta = p.nu_t - critical_frequency_finite(N)
     assert delta > 0.0
     with pytest.raises(SoftModeSingularity,
                        match=re.escape(f"critical_frequency_finite(N) = "
                                        f"{delta:.3e}")) as err:
         linear_chain_amplitudes(p)
-    assert "RADICAND_CLAMP = 1e-12" in str(err.value)
-    p = ChainParams(N=N, nu_t=critical_frequency_finite(N) + 1e-11, eta_c=0.1)
+    assert "RADICAND_CLAMP nu_t^2 = 3.74e-15" in str(err.value)
+    p = ChainParams(N=N, nu_t=critical_frequency_finite(N) + 1e-13, eta_c=0.1)
     assert np.all(linear_chain_amplitudes(p).omega > 0.0)
+
+
+def test_zero_detuning_keeps_its_soft_mode_at_large_n():
+    # At Delta = 0 the finite chain sits above nu_c(inf) by a radicand of
+    # about 4/N^2, 7e-13 at N = 2.4e6: below the old absolute clamp of
+    # 1e-12, which snapped it to 0, and far above the rounding of nu_t^2.
+    amps = linear_chain_amplitudes(ChainParams.from_delta(2_400_000, 0.0, 0.05))
+    assert np.all(amps.omega > 0.0)
+    assert amps.omega.min() ** 2 > 100 * RADICAND_CLAMP * amps.nu_t ** 2
 
 
 def test_zero_frequency_mode_rejected():
