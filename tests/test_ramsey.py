@@ -160,10 +160,12 @@ def test_probe_site_equivalence():
         assert other == pytest.approx(base, abs=1e-12)
 
 
-def test_snapped_soft_mode_names_the_clamp():
+@pytest.mark.parametrize("above", [1e-13, 2e-13])
+def test_snapped_soft_mode_names_the_clamp(above):
     # One ulp above nu_c(N), omega_y^2 ~ 2 nu_c (nu_t - nu_c) ~ 1.8e-15 lies
     # inside RADICAND_CLAMP nu_t^2 ~ 3.7e-15, the rounding of nu_t^2, so the
-    # zone-edge mode snaps to 0 although nu_t is above nu_c(N).
+    # zone-edge mode snaps to 0 although nu_t is above nu_c(N).  A step of
+    # `above` (radicand ~ 4e-13) is far outside the clamp and resolves.
     N = 100
     p = ChainParams(N=N, nu_t=float(np.nextafter(critical_frequency_finite(N),
                                                  np.inf)), eta_c=0.1)
@@ -174,7 +176,7 @@ def test_snapped_soft_mode_names_the_clamp():
                                        f"{delta:.3e}")) as err:
         linear_chain_amplitudes(p)
     assert "RADICAND_CLAMP nu_t^2 = 3.74e-15" in str(err.value)
-    p = ChainParams(N=N, nu_t=critical_frequency_finite(N) + 1e-13, eta_c=0.1)
+    p = ChainParams(N=N, nu_t=critical_frequency_finite(N) + above, eta_c=0.1)
     assert np.all(linear_chain_amplitudes(p).omega > 0.0)
 
 
