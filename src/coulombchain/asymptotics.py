@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (InvalidParameter, NumericalFailure, UnstableLinearPhase)
 from .linear_modes import max_group_velocity
-from .model import ChainParams, H_STIFFNESS, critical_frequency_infinite
+from .model import ChainParams, H_STIFFNESS
 from .ramsey import (DisplacementAmplitudes, VisibilityTrace,
                      linear_chain_amplitudes)
 from .zigzag import zigzag_displacement_amplitudes
@@ -117,31 +117,32 @@ def gamma_derivative_scan(deltas, N: int, eta_c: float) -> DerivativeScan:
     d = np.asarray(deltas, dtype=np.float64)
     if np.any(d <= 0):
         raise UnstableLinearPhase("derivative scan requires Delta > 0")
-    _check_distinct(d, "the dGamma/dDelta fit")
     sets = (linear_chain_amplitudes(ChainParams.from_delta(N, float(x), eta_c))
             for x in d)     # built and dropped one at a time
     nu_t, gamma, a_inf = np.array([(s.nu_t, gamma_coefficient(s).direct,
                                     a_infinity(s).direct) for s in sets]).T
     out = 0.5 * nu_t * a_inf
-
-    ln = np.log(d)
-    coeffs = np.polyfit(ln, out, 1)
-    b, a = float(coeffs[0]), float(coeffs[1])
-    pred = a + b * ln
-    ss_res = float(np.sum((out - pred) ** 2))
-    ss_tot = float(np.sum((out - np.mean(out)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    b, a, _, r2 = _line_fit(np.log(d), out, "the dGamma/dDelta fit")
     return DerivativeScan(deltas=d, dgamma=out, a=a, b=b, r_squared=r2,
                           gamma=gamma, a_inf=a_inf)
 
 
-def _check_distinct(x: np.ndarray, what: str) -> None:
-    """A line fit needs 3 distinct abscissae; fewer fit exactly or not at all.
-    (A set, not np.unique, which imports numpy.ma: 1 MB of resident memory.)"""
+def _line_fit(x: np.ndarray, y: np.ndarray, what: str) -> tuple:
+    """Least-squares y = intercept + slope x: (slope, intercept, the slope's
+    standard error, R^2, which is 1 for a constant y). Fewer than 3 distinct
+    x fit exactly or not at all, so they raise. (A set counts them, not
+    np.unique, which imports numpy.ma: 1 MB of resident memory.)"""
     distinct = len(set(x.tolist()))
     if distinct < 3:
         raise InvalidParameter(f"{what} needs >= 3 distinct Delta, got "
                                f"{distinct}")
+    slope, intercept = (float(c) for c in np.polyfit(x, y, 1))
+    ss_res = float(np.sum((y - (intercept + slope * x)) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    sxx = float(np.sum((x - np.mean(x)) ** 2))
+    stderr = math.sqrt(max(ss_res, 1e-300) / ((len(x) - 2) * sxx))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return slope, intercept, stderr, r2
 
 
 @dataclass(frozen=True)
@@ -165,8 +166,8 @@ def a_infinity(amps: DisplacementAmplitudes) -> AInfinityForms:
 class AnalyticAInfinity:
     """Continuum form A_inf(Delta) = -slope ln Delta + offset.
 
-    slope is eta0^2 nu_t / (2 pi h); offset is calibrated by matching the
-    exact mode sum once at delta_ref.
+    slope is eta0^2 nu_t / (2 pi h); offset matches the exact mode sum
+    a_ref at delta_ref.
     """
 
     slope: float
@@ -181,15 +182,15 @@ class AnalyticAInfinity:
         return out if np.ndim(delta) else float(out)
 
 
-def a_infinity_analytic(params: ChainParams,
-                        delta_ref: float = 1e-2) -> AnalyticAInfinity:
-    """Calibrated continuum approximation to A_inf(Delta) at fixed eta_c and N."""
-    if delta_ref <= 0:
-        raise InvalidParameter("delta_ref must be positive")
+def a_infinity_analytic(params: ChainParams, delta_ref: float,
+                        a_ref: float) -> AnalyticAInfinity:
+    """Continuum A_inf(Delta) at params' eta_c and N through the exact
+    plateau a_ref at delta_ref (a `DerivativeScan.a_inf` entry, say); the
+    slope eta0^2 nu_t / (2 pi h) is closed form, so no chain is built."""
+    if not (0 < delta_ref < math.inf and math.isfinite(a_ref)):
+        raise InvalidParameter(f"need 0 < delta_ref < inf and a finite a_ref, "
+                               f"got delta_ref = {delta_ref}, a_ref = {a_ref}")
     slope = params.eta0 ** 2 * params.nu_t / (2.0 * math.pi * H_STIFFNESS)
-    ref = ChainParams(N=params.N, nu_t=critical_frequency_infinite() + delta_ref,
-                      eta_c=params.eta_c, theta=params.theta)
-    a_ref = a_infinity(linear_chain_amplitudes(ref)).direct
     offset = a_ref + slope * math.log(delta_ref)
     return AnalyticAInfinity(slope=slope, offset=offset, delta_ref=delta_ref)
 
@@ -312,18 +313,6 @@ class CuspReport:
             else math.inf
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope and its standard error."""
-    _check_distinct(x, "each cusp side")
-    n = len(x)
-    coeffs, residuals, *_ = np.polyfit(x, y, 1, full=True)
-    slope = float(coeffs[0])
-    ss = float(residuals[0]) if len(residuals) else 0.0
-    sxx = float(np.sum((x - np.mean(x)) ** 2))
-    se = math.sqrt(max(ss, 1e-300) / ((n - 2) * sxx))
-    return slope, se
-
-
 def cusp_secant_slopes(scan: GammaScan) -> CuspReport:
     """Fit straight lines to the CUSP_POINTS_PER_SIDE points nearest
     Delta = 0 on each side.
@@ -340,8 +329,8 @@ def cusp_secant_slopes(scan: GammaScan) -> CuspReport:
         raise InvalidParameter("scan must hold >= 3 points on each side of 0")
     li = np.array(left_idx + zero_idx, dtype=int)
     ri = np.array(right_idx + zero_idx, dtype=int)
-    ls, lse = _line_fit(d[li], g[li])
-    rs, rse = _line_fit(d[ri], g[ri])
+    ls, _, lse, _ = _line_fit(d[li], g[li], "each cusp side")
+    rs, _, rse, _ = _line_fit(d[ri], g[ri], "each cusp side")
     return CuspReport(left_slope=ls, right_slope=rs,
                       left_stderr=lse, right_stderr=rse)
 

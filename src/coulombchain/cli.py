@@ -42,9 +42,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .asymptotics import (MIN_BURST_SAMPLES, a_infinity, a_infinity_analytic,
-                          b_analytic, cusp_secant_slopes, find_revival_burst,
-                          gamma_coefficient, gamma_derivative_scan, gamma_fit,
+from .asymptotics import (MIN_BURST_SAMPLES, _line_fit, a_infinity,
+                          a_infinity_analytic, b_analytic, cusp_secant_slopes,
+                          find_revival_burst, gamma_coefficient,
+                          gamma_derivative_scan, gamma_fit,
                           gamma_transition_scan, revival_time)
 from .errors import CoulombChainError, InvalidParameter
 from .linear_modes import (axial_mode_set, critical_frequency_finite,
@@ -150,7 +151,7 @@ def _resolve_chain(ns, default_eta: float | None = None) -> ChainParams:
 
 def _params_dict(p: ChainParams) -> dict:
     return {"N": p.N, "nu_t": p.nu_t, "eta_c": p.eta_c, "theta": p.theta,
-            "delta": p.delta_trans, "eta0": p.eta0, "probe_site": 1}
+            "delta": p.delta_trans, "eta0": p.eta0}
 
 
 # ------------------------------------------------------------------ pipelines
@@ -345,7 +346,7 @@ def _cmd_asymptotics(ns, path):
     emit_csv(("delta", "gamma"), Columns(deltas, der.gamma),
              path("gamma_table.csv"))
     _dgamma(path, "dgamma_table.csv", der)
-    ana = a_infinity_analytic(chains[-1], delta_ref=float(deltas[-1]))
+    ana = a_infinity_analytic(chains[-1], deltas[-1], der.a_inf[-1])
     _a_infinity(path, "a_infinity_table.csv", der, ana)
 
     revs = [revival_time(N, p.nu_t) for p in chains]
@@ -484,9 +485,10 @@ def _fig6(path, memo):
 def _fig7(path, memo):
     N, eta_c = 1000, 0.05
     der = _derivative_scan(memo)
-    ana = a_infinity_analytic(ChainParams.from_delta(N, 1e-3, eta_c))
+    ana = a_infinity_analytic(ChainParams.from_delta(N, 1e-3, eta_c),
+                              der.deltas[-1], der.a_inf[-1])
     _a_infinity(path, "fig7_a_infinity.csv", der, ana)
-    slope = -float(np.polyfit(np.log(der.deltas), der.a_inf, 1)[0])
+    slope = -_line_fit(np.log(der.deltas), der.a_inf, "the A_inf fit")[0]
     rel = abs(slope - ana.slope) / ana.slope
     return {"N": N, "eta_c": eta_c, "slope_fit": slope,
             "slope_analytic": ana.slope}, [

@@ -74,8 +74,9 @@ class FourierSpectrum:
 def fourier_spectrum(trace: VisibilityTrace) -> FourierSpectrum:
     """Normalized |DFT| of V(t), folded to omega >= 0.
 
-    The time grid must be uniform; the magnitude is invariant under the
-    circular shift that maps the symmetric interval onto DFT order.
+    The time grid must be uniform and T_F long enough for a finite top
+    frequency; the magnitude is invariant under the circular shift that
+    maps the symmetric interval onto DFT order.
     """
     t = trace.t
     if len(t) < 2:
@@ -89,6 +90,9 @@ def fourier_spectrum(trace: VisibilityTrace) -> FourierSpectrum:
         raise NumericalFailure("zero DC component; cannot normalize")
     F = F / F[0]
     T_F = dt * len(t)
+    if not math.isfinite(2.0 * math.pi * (len(F) - 1) / T_F):
+        raise InvalidParameter(f"T_F = {T_F:g} is too short: the top "
+                               f"frequency 2 pi {len(F) - 1} / T_F overflows")
     omega = 2.0 * math.pi * np.arange(len(F)) / T_F
     return FourierSpectrum(omega=omega, F=F, bin_width=2.0 * math.pi / T_F)
 

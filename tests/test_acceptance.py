@@ -140,7 +140,7 @@ def test_criterion_6_revival_prediction():
     t = dt * np.arange(1, n + 1)
     tr = evaluate_trace(amps, t, with_overlap=False)
     burst = find_revival_burst(t, tr.V)
-    ana = a_infinity_analytic(p, delta_ref=1e-3)
+    ana = a_infinity_analytic(p, 1e-3, a_infinity(amps).direct)
     v_ana = np.exp(-ana.evaluate(1e-3) + b_analytic(t, p))
     gap = p.soft_gap
     win = (t >= 3.0 / gap) & (t <= 0.8 * rev.t_star)

@@ -111,7 +111,6 @@ PINNED = {
     "ChainParams(theta)",
     "DisplacementAmplitudes(kind)",
     "PhysicalInput(temperature_k)",
-    "a_infinity_analytic(delta_ref)",
     "evaluate_trace(theta)",
     "evaluate_trace(with_overlap)",
     "find_revival_burst(baseline_gap)",

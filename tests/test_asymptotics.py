@@ -95,7 +95,8 @@ def test_gamma_derivative_scan_log_law():
     assert np.all(der.dgamma > 0)
     assert der.dgamma[0] > der.dgamma[-1]
     p = ChainParams.from_delta(1000, 1e-3, 0.05)
-    slope = p.nu_t / 2 * a_infinity_analytic(p).slope
+    ana = a_infinity_analytic(p, der.deltas[-1], der.a_inf[-1])
+    slope = p.nu_t / 2 * ana.slope
     assert abs(der.b) == pytest.approx(slope, rel=0.15)
     # Gamma and A_inf are those of freshly built sets, bit for bit, and
     # dGamma/dDelta is nu_t A_inf / 2 of that same A_inf.
@@ -194,7 +195,9 @@ def test_cusp_side_needs_three_distinct_deltas():
 
 def test_a_infinity_analytic_tracks_exact():
     p_ref = ChainParams.from_delta(1000, 1e-3, 0.05)
-    ana = a_infinity_analytic(p_ref)          # calibrated at delta = 1e-2
+    a_ref = a_infinity(linear_chain_amplitudes(
+        ChainParams.from_delta(1000, 1e-2, 0.05))).direct
+    ana = a_infinity_analytic(p_ref, 1e-2, a_ref)
     assert ana.delta_ref == 1e-2
     for d in np.logspace(-4, -2, 9):
         p = ChainParams.from_delta(1000, float(d), 0.05)
@@ -203,7 +206,77 @@ def test_a_infinity_analytic_tracks_exact():
     with pytest.raises(UnstableLinearPhase):
         ana.evaluate(-1e-3)
     with pytest.raises(InvalidParameter):
-        a_infinity_analytic(p_ref, delta_ref=0.0)
+        a_infinity_analytic(p_ref, 0.0, a_ref)
+
+
+def test_a_infinity_analytic_is_a_closed_form(monkeypatch):
+    # The plateau passes through the caller's (delta_ref, a_ref) with the
+    # slope eta0^2 nu_t / (2 pi h); no amplitude set is built for it.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a_infinity_analytic built an amplitude set")
+
+    for name in ("linear_chain_amplitudes", "zigzag_displacement_amplitudes"):
+        monkeypatch.setattr(asymptotics, name, counted)
+    p = ChainParams.from_delta(1000, 1e-3, 0.05)
+    ana = a_infinity_analytic(p, 2.5e-3, 0.75)
+    assert calls == []
+    assert ana.evaluate(2.5e-3) == pytest.approx(0.75, rel=4e-16)
+    h = math.sqrt(math.log(2.0))
+    assert ana.slope == pytest.approx(
+        p.eta0 ** 2 * p.nu_t / (2 * math.pi * h), rel=1e-15)
+    assert ana.evaluate(2.5e-4) - ana.evaluate(2.5e-3) == pytest.approx(
+        ana.slope * math.log(10.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("delta_ref, a_ref, word", [
+    (0.0, 1.0, "delta_ref"), (-1e-3, 1.0, "delta_ref"),
+    (math.nan, 1.0, "delta_ref"), (math.inf, 1.0, "delta_ref"),
+    (1e-2, math.nan, "a_ref"), (1e-2, math.inf, "a_ref"),
+    (1e-2, -math.inf, "a_ref")])
+def test_a_infinity_analytic_rejects_a_bad_reference(delta_ref, a_ref, word):
+    p = ChainParams.from_delta(64, 1e-3, 0.05)
+    with pytest.raises(InvalidParameter, match=word):
+        a_infinity_analytic(p, delta_ref, a_ref)
+
+
+def _closed_form_line(x, y):
+    """Textbook least squares: slope Sxy / Sxx, intercept mean(y) - slope
+    mean(x), slope error sqrt(SSres / ((n - 2) Sxx)), R^2 = 1 - SSres/SStot."""
+    n = len(x)
+    mx, my = sum(x) / n, sum(y) / n
+    sxx = sum((xi - mx) ** 2 for xi in x)
+    sxy = sum((xi - mx) * (yi - my) for xi, yi in zip(x, y))
+    slope = sxy / sxx
+    intercept = my - slope * mx
+    ss_res = sum((yi - intercept - slope * xi) ** 2 for xi, yi in zip(x, y))
+    ss_tot = sum((yi - my) ** 2 for yi in y)
+    return slope, intercept, math.sqrt(ss_res / ((n - 2) * sxx)), \
+        1.0 - ss_res / ss_tot
+
+
+def test_line_fit_matches_the_closed_form_on_a_noisy_line():
+    rng = np.random.default_rng(7)
+    x = np.sort(rng.uniform(-3.0, 5.0, 40))
+    y = 0.4 - 1.7 * x + rng.normal(0.0, 0.3, x.size)
+    fit = asymptotics._line_fit(x, y, "the test fit")
+    ref = _closed_form_line(x.tolist(), y.tolist())
+    assert fit == pytest.approx(ref, rel=1e-12)
+    assert 0.9 < fit[3] < 1.0
+
+
+def test_line_fit_of_an_exact_line():
+    x = np.log(np.logspace(-4, -2, 12))
+    y = 3.0 - 0.25 * x
+    slope, intercept, stderr, r2 = asymptotics._line_fit(x, y, "the fit")
+    assert slope == pytest.approx(-0.25, rel=1e-13)
+    assert intercept == pytest.approx(3.0, rel=1e-13)
+    assert stderr < 1e-14
+    assert r2 == pytest.approx(1.0, abs=1e-15)
+    # A constant y has no spread to explain: R^2 is 1 by convention.
+    assert asymptotics._line_fit(x, np.full_like(x, 2.0), "the fit")[3] == 1.0
 
 
 # ---------------------------------------------------------------------- Y0

@@ -405,7 +405,7 @@ def test_asymptotics_holds_one_amplitude_set_at_a_time(tmp_path):
 
 
 def test_asymptotics_builds_each_amplitude_set_once(tmp_path, monkeypatch):
-    # One set per Delta in the scan, plus the analytic form's reference.
+    # One set per Delta in the scan; the analytic form reads the scan's last.
     calls = []
     build = asymptotics.linear_chain_amplitudes
 
@@ -418,7 +418,7 @@ def test_asymptotics_builds_each_amplitude_set_once(tmp_path, monkeypatch):
     points = 7
     assert run(["asymptotics", "--N", "64", "--eta-c", "0.05", "--points",
                 str(points), "--out", str(tmp_path)]) == 0
-    assert len(calls) == points + 1
+    assert len(calls) == points
 
 
 def test_figures_share_the_derivative_scan(tmp_path, monkeypatch):
@@ -440,8 +440,8 @@ def test_figures_share_the_derivative_scan(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "linear_chain_amplitudes", counted_build)
     assert run(["figures", "--which", "all", "--out", str(tmp_path)]) == 0
     assert calls["scan"] == 1
-    # 27 distinct chains; four of them feed two pipelines each.
-    assert calls["amplitudes"] == 31
+    # 27 distinct chains; three of them feed two pipelines each.
+    assert calls["amplitudes"] == 30
 
 
 def test_figures_scenario_four(tmp_path, capsys):
@@ -567,7 +567,10 @@ _CHAIN = ["--N", "16", "--delta", "0.05", "--eta-c", "0.1"]
     (["asymptotics", "--N", "16", "--eta-c", "0.05", "--delta-min", "1e-3",
       "--delta-max", "1e-3", "--points", "3"], "3 distinct Delta, got 1"),
     (["gamma-scan", "--N", "16", "--eta-c", "0.05", "--delta-min", "1e-3",
-      "--delta-max", "1e-3"], "delta_min and delta_max must differ")])
+      "--delta-max", "1e-3"], "delta_min and delta_max must differ"),
+    # Finite, but the top frequencies 2 pi k / T_F overflow.
+    *[(["fourier", *_CHAIN, "--T-F", value], f"T_F = {value} is too short")
+      for value in ("1e-305", "1e-310")]])
 def test_scan_grids_are_validated(argv, word, tmp_path, capsys):
     assert run([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

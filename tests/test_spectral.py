@@ -176,6 +176,25 @@ def test_nonuniform_grid_rejected():
         fourier_spectrum(bad)
 
 
+@pytest.mark.parametrize("T_F", [1e-310, 1e-305])
+def test_window_too_short_for_its_top_frequency_rejected(T_F):
+    # 2 pi k / T_F overflows above k = 286 at 1e-305, and at every k >= 1
+    # (the bin width too) at 1e-310.
+    tr = visibility_trace(ChainParams(N=8, nu_t=2.5, eta_c=0.1), T_F=T_F,
+                          n_s=1024)
+    with pytest.raises(InvalidParameter, match=f"T_F = {T_F:g} is too short"):
+        fourier_spectrum(tr)
+
+
+def test_shortest_window_with_a_finite_top_frequency():
+    tr = visibility_trace(ChainParams(N=8, nu_t=2.5, eta_c=0.1), T_F=1e-300,
+                          n_s=1024)
+    spec = fourier_spectrum(tr)
+    assert np.all(np.isfinite(spec.omega)) and math.isfinite(spec.bin_width)
+    assert spec.omega[-1] == pytest.approx(2 * math.pi * 512 / 1e-300,
+                                           rel=1e-12)
+
+
 def test_longer_window_refines_bins():
     w0 = 1.3
     s1 = fourier_spectrum(_tone_trace([w0], [1e-3], T_F=400.0))
