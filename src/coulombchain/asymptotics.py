@@ -117,25 +117,33 @@ def gamma_derivative_scan(deltas, N: int, eta_c: float) -> DerivativeScan:
     d = np.asarray(deltas, dtype=np.float64)
     if np.any(d <= 0):
         raise UnstableLinearPhase("derivative scan requires Delta > 0")
+    log_d = np.log(d)
+    _check_distinct(log_d, "the dGamma/dDelta fit")     # before any build
     sets = (linear_chain_amplitudes(ChainParams.from_delta(N, float(x), eta_c))
             for x in d)     # built and dropped one at a time
     nu_t, gamma, a_inf = np.array([(s.nu_t, gamma_coefficient(s).direct,
                                     a_infinity(s).direct) for s in sets]).T
     out = 0.5 * nu_t * a_inf
-    b, a, _, r2 = _line_fit(np.log(d), out, "the dGamma/dDelta fit")
+    b, a, _, r2 = _line_fit(log_d, out, "the dGamma/dDelta fit")
     return DerivativeScan(deltas=d, dgamma=out, a=a, b=b, r_squared=r2,
                           gamma=gamma, a_inf=a_inf)
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray, what: str) -> tuple:
-    """Least-squares y = intercept + slope x: (slope, intercept, the slope's
-    standard error, R^2, which is 1 for a constant y). Fewer than 3 distinct
-    x fit exactly or not at all, so they raise. (A set counts them, not
-    np.unique, which imports numpy.ma: 1 MB of resident memory.)"""
+def _check_distinct(x: np.ndarray, what: str) -> None:
+    """Fewer than 3 distinct x fit a line exactly or not at all, so they
+    raise. (A set counts them, not np.unique, which imports numpy.ma: 1 MB
+    of resident memory.)"""
     distinct = len(set(x.tolist()))
     if distinct < 3:
         raise InvalidParameter(f"{what} needs >= 3 distinct Delta, got "
                                f"{distinct}")
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray, what: str) -> tuple:
+    """Least-squares y = intercept + slope x: (slope, intercept, the slope's
+    standard error, R^2, which is 1 for a constant y), after
+    `_check_distinct`."""
+    _check_distinct(x, what)
     slope, intercept = (float(c) for c in np.polyfit(x, y, 1))
     ss_res = float(np.sum((y - (intercept + slope * x)) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))

@@ -11,7 +11,7 @@ asymptotics   Gamma(Delta), dGamma/dDelta, A_inf(Delta), revival-time tables
 longtime      exact V(t) against the long-time plateau-plus-tail envelope
 figures       canned parameter sets of the six bundled scenarios (2..7)
 
-Each subcommand but `figures` is declared once, in `_COMMANDS`. Parameters
+Each subcommand is declared once, in `_COMMANDS`, with its options. Parameters
 come from CLI flags, then a flat key=value config file, then defaults.
 Config lines go through the subcommand's own parser, so each key must name
 one of its options and is typed like the flag; dimensionless values win
@@ -104,10 +104,16 @@ def _require(ns, key: str):
 
 
 def _resolve_chain(ns, default_eta: float | None = None) -> ChainParams:
-    """ChainParams from options; dimensionless beats physical with a warning."""
+    """ChainParams from options; dimensionless beats physical with a warning.
+
+    The mode tables take no `eta_c`, `theta` or `temperature_k` option; an
+    absent one reads as None, as if not given, so their chains take the SI
+    inputs' eta_c or `default_eta`, and theta 0."""
     N = _require(ns, "N")
+    eta_c, theta, temperature_k = (getattr(ns, k, None) for k in
+                                   ("eta_c", "theta", "temperature_k"))
     phys_given = [k for k in _PHYSICAL_KEYS if getattr(ns, k) is not None]
-    if ns.temperature_k is not None and not phys_given:
+    if temperature_k is not None and not phys_given:
         raise InvalidParameter(
             f"temperature_k needs the physical inputs "
             f"{', '.join(_PHYSICAL_KEYS)}; none is given (use --theta for "
@@ -120,7 +126,7 @@ def _resolve_chain(ns, default_eta: float | None = None) -> ChainParams:
                 "physical input needs all of "
                 f"{', '.join(_PHYSICAL_KEYS)}; missing {', '.join(missing)}")
         phys = PhysicalInput(**{k: getattr(ns, k) for k in _PHYSICAL_KEYS},
-                             temperature_k=ns.temperature_k or 0.0)
+                             temperature_k=temperature_k or 0.0)
         derived = derive_parameters(phys)
 
     nu_t = ns.nu_t
@@ -129,7 +135,7 @@ def _resolve_chain(ns, default_eta: float | None = None) -> ChainParams:
     if ns.delta is not None:
         nu_t = critical_frequency_infinite() + ns.delta
     if derived is not None and any(
-            v is not None for v in (nu_t, ns.eta_c, ns.theta)):
+            v is not None for v in (nu_t, eta_c, theta)):
         print("warning: both physical and dimensionless parameters given; "
               "dimensionless values take precedence", file=sys.stderr)
     if nu_t is None:
@@ -137,12 +143,10 @@ def _resolve_chain(ns, default_eta: float | None = None) -> ChainParams:
     if nu_t is None:
         raise InvalidParameter("missing required parameter: nu_t or delta")
 
-    eta_c = ns.eta_c
     if eta_c is None:
         eta_c = derived.eta_c if derived else default_eta
     if eta_c is None:
         raise InvalidParameter("missing required parameter: eta_c")
-    theta = ns.theta
     if theta is None:
         theta = derived.theta if derived else 0.0
     return ChainParams(N=N, nu_t=float(nu_t), eta_c=float(eta_c),
@@ -175,7 +179,11 @@ def _spectrum(path, name: str, p: ChainParams, prominence: float,
 
 def _bands(p: ChainParams) -> dict:
     """(omega_min, omega_max) of both band conventions. Both need the linear
-    side of nu_c and raise on the other, so take them before writing."""
+    side of the infinite-chain nu_c, so take them before writing."""
+    if p.delta_trans < 0:
+        raise InvalidParameter(
+            "the band table needs delta = nu_t - nu_c >= 0; got delta = "
+            f"{p.delta_trans:g} (use --no-band to skip it)")
     return {"transverse": transverse_band(p), "overlay": overlay_band(p)}
 
 
@@ -527,34 +535,37 @@ _OUT = ("--out", dict(default=".", help="output directory (default .)"))
 _COMMON = (
     ("--config", dict(help="flat key = value file of option values")),
     _OUT,
-    ("--N", dict(type=int, help="ion count")),
-    ("--eta-c", dict(type=float,
-                     help="Lamb-Dicke parameter at the critical frequency")))
-# Options of the subcommands that pick one chain.
-_CHAIN = (
+    ("--N", dict(type=int, help="ion count")))
+_ETA = (("--eta-c", dict(type=float, help="Lamb-Dicke parameter at the "
+                                          "critical frequency")),)
+# The confinement, or all five SI inputs: PhysicalInput converts them as one.
+_CRYSTAL = (
+    *_COMMON,
     ("--nu-t", dict(type=float, help="transverse confinement, omega_0 units")),
     ("--delta", dict(type=float, help="detuning nu_t - nu_c, omega_0 units")),
-    ("--theta", dict(type=float, help="temperature k_B T / (hbar omega_0)")),
     *(("--" + key.replace("_", "-"), dict(type=float))
-      for key in _PHYSICAL_KEYS),
+      for key in _PHYSICAL_KEYS))
+_PROBE = (   # ...and the spin probe's kick and temperature
+    *_CRYSTAL, *_ETA,
+    ("--theta", dict(type=float, help="temperature k_B T / (hbar omega_0)")),
     ("--temperature-k", dict(type=float,
                              help="initial temperature in K; needs the SI "
                                   "inputs above")))
 
-# Subcommand: (help, pipeline, picks one chain, its own options); options
+# Subcommand: (help, pipeline, shared options, its own options); options
 # are (flag, argparse keyword arguments) pairs.
 _COMMANDS = {
-    "spectrum": ("linear-chain mode table", _cmd_spectrum, True, ()),
-    "zigzag": ("order parameter and zigzag spectrum", _cmd_zigzag, True, (
+    "spectrum": ("linear-chain mode table", _cmd_spectrum, _CRYSTAL, ()),
+    "zigzag": ("order parameter and zigzag spectrum", _cmd_zigzag, _CRYSTAL, (
         ("--nu-min", dict(type=float,
                           help="scan start (default: just below critical)")),
         ("--nu-max", dict(type=float)),
         ("--points", dict(type=int, default=41)))),
-    "visibility": ("V(t) on a time window", _cmd_visibility, True, (
+    "visibility": ("V(t) on a time window", _cmd_visibility, _PROBE, (
         ("--t-min", dict(type=float, default=0.0)),
         ("--t-max", dict(type=float, default=100.0)),
         ("--samples", dict(type=int, default=2001)))),
-    "fourier": ("normalized spectrum of V(t)", _cmd_fourier, True, (
+    "fourier": ("normalized spectrum of V(t)", _cmd_fourier, _PROBE, (
         ("--T-F", dict(type=float, default=DEFAULT_T_F,
                        help="sampling interval length, 1/omega_0")),
         ("--n-s", dict(type=int, default=DEFAULT_N_S, help="sample count")),
@@ -562,19 +573,22 @@ _COMMANDS = {
         ("--no-band", dict(dest="band", action="store_false",
                            help="skip the band-confinement table")))),
     "gamma-scan": ("Gamma(Delta) across the transition", _cmd_gamma_scan,
-                   False, (
+                   _COMMON + _ETA, (
         ("--delta-min", dict(type=float, default=-1e-2)),
         ("--delta-max", dict(type=float, default=1e-2)),
         ("--points", dict(type=int, default=21)))),
     "asymptotics": ("Gamma, dGamma/dDelta, A_inf, t* tables",
-                    _cmd_asymptotics, False, (
+                    _cmd_asymptotics, _COMMON + _ETA, (
         ("--delta-min", dict(type=float, default=1e-4)),
         ("--delta-max", dict(type=float, default=1e-2)),
         ("--points", dict(type=int, default=12)))),
-    "longtime": ("exact vs analytic V(t)", _cmd_longtime, True, (
+    "longtime": ("exact vs analytic V(t)", _cmd_longtime, _PROBE, (
         ("--t-max", dict(type=float, help="trace end (default 1.35 t*)")),
         ("--samples", dict(type=int, default=50_000,
                            help=f"sample count, >= {MIN_BURST_SAMPLES}")))),
+    "figures": ("canned scenario runs", _cmd_figures, (_OUT,), (
+        ("--which", dict(choices=[*sorted(_FIGURES), "all"],
+                         default="all")),)),
 }
 
 
@@ -591,17 +605,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
     # allow_abbrev=False: a flag or config key names its option in full.
-    for name, (help_, func, chain, options) in _COMMANDS.items():
+    for name, (help_, func, shared, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_, allow_abbrev=False)
-        _add_options(sp, _COMMON + _CHAIN if chain else _COMMON)
+        _add_options(sp, shared)
         sp.set_defaults(func=func, recorded=_add_options(sp, options),
                         parser=sp)  # run() checks config lines against it
-
-    sp = sub.add_parser("figures", help="canned scenario runs",
-                        allow_abbrev=False)
-    sp.set_defaults(func=_cmd_figures, recorded=_add_options(sp, [(
-        "--which", dict(choices=[*sorted(_FIGURES), "all"], default="all"))]))
-    _add_options(sp, [_OUT])
     return ap
 
 

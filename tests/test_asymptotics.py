@@ -127,6 +127,16 @@ def test_gamma_derivative_fit_needs_three_distinct_deltas(deltas, distinct):
             gamma_derivative_scan(deltas, N=16, eta_c=0.05)
 
 
+def test_gamma_derivative_scan_checks_its_grid_before_building(monkeypatch):
+    # A grid the fit rejects builds no amplitude set, however many points.
+    calls = []
+    monkeypatch.setattr(asymptotics, "linear_chain_amplitudes",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(InvalidParameter, match="3 distinct Delta, got 1"):
+        gamma_derivative_scan(np.full(20, 1e-3), N=20000, eta_c=0.05)
+    assert calls == []
+
+
 # Delta so close to the transition that nu_c + Delta e^(+-h) round to the
 # same or neighbouring doubles: finite differences of Gamma fail there.
 NEAR_TRANSITION = [1e-15, 1e-14, 1e-13, 1e-12, 1e-10]

@@ -257,8 +257,7 @@ def test_config_file_and_precedence(tmp_path, capsys):
     cfg.write_text(
         "# comment line\n"
         "N = 16\n"
-        "nu_t = 2.6\n"
-        "eta_c = 0.1\n")
+        "nu_t = 2.6\n")
     out = tmp_path / "o"
     rc = run(["spectrum", "--config", str(cfg), "--nu-t", "2.5",
               "--out", str(out)])
@@ -287,6 +286,7 @@ def test_dimensionless_beats_physical_with_warning(tmp_path, capsys):
 _SI_FLAGS = {"--mass-kg": "3.9e-26", "--charge-c": "1.6e-19",
              "--spacing-m": "1e-5", "--transverse-frequency-rad-s": "1e6",
              "--laser-wavenumber-per-m": "2.2e7"}
+_SI_ARGS = [arg for pair in _SI_FLAGS.items() for arg in pair]
 
 
 @pytest.mark.parametrize("flag, key", [
@@ -521,17 +521,20 @@ def test_longtime_rejects_the_zigzag_side_before_any_work(chain, tmp_path,
 
 
 def test_fourier_checks_the_bands_before_writing(tmp_path, capsys):
-    # nu_c(32) < Delta + nu_c: a stable linear chain, but on the zigzag side
-    # of the infinite-chain soft gap that both bands need.
-    args = ["fourier", "--N", "32", "--delta", "-0.0005", "--eta-c", "0.1",
-            "--T-F", "500", "--n-s", "2048"]
-    out = tmp_path / "out"
-    assert run([*args, "--out", str(out)]) == 1
-    assert "error [UnstableLinearPhase]" in capsys.readouterr().err
-    assert not out.exists()
-    assert run([*args, "--no-band", "--out", str(out)]) == 0
-    assert sorted(p.name for p in out.iterdir()) == [
-        "fourier.csv", "fourier_manifest.json", "fourier_peaks.csv"]
+    # nu_c(N) < Delta + nu_c: a stable linear chain, but on the zigzag side
+    # of the infinite-chain soft gap that both bands need. That is a usage
+    # error, which names the way out.
+    for N, delta, T_F in (("32", "-0.0005", "500"), ("16", "-1e-3", "400")):
+        args = ["fourier", "--N", N, f"--delta={delta}", "--eta-c", "0.1",
+                "--T-F", T_F, "--n-s", "2048"]
+        out = tmp_path / f"out{N}"
+        assert run([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error [InvalidParameter]" in err and "--no-band" in err
+        assert not out.exists()
+        assert run([*args, "--no-band", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fourier.csv", "fourier_manifest.json", "fourier_peaks.csv"]
 
 
 _CHAIN = ["--N", "16", "--delta", "0.05", "--eta-c", "0.1"]
@@ -690,14 +693,37 @@ def test_dense_oracles_load_no_scipy():
     assert _scipy_modules_after("oracles") == "[]"
 
 
+# Each subcommand's valid run, to which one option it does not take is added.
+_VALID_RUNS = {"gamma-scan": ["--N", "16", "--eta-c", "0.05"],
+               "asymptotics": ["--N", "16", "--eta-c", "0.05"],
+               "spectrum": ["--N", "16", "--nu-t", "2.5"],
+               "zigzag": ["--N", "16", "--nu-t", "2.0", "--points", "3"]}
+
+
 @pytest.mark.parametrize("command, flag", [
     ("gamma-scan", ["--theta", "1"]), ("gamma-scan", ["--nu-t", "2.5"]),
-    ("asymptotics", ["--theta", "1"]), ("asymptotics", ["--nu-t", "2.5"])])
+    ("asymptotics", ["--theta", "1"]), ("asymptotics", ["--nu-t", "2.5"]),
+    # The mode tables describe the crystal alone: no kick, no temperature.
+    *[(command, flag) for command in ("spectrum", "zigzag")
+      for flag in (["--eta-c", "0.1"], ["--theta", "1"],
+                   ["--temperature-k", "1e-5", *_SI_ARGS])]])
 def test_scans_take_no_single_chain_options(command, flag, tmp_path):
+    argv = [command, *_VALID_RUNS[command], "--out", str(tmp_path)]
+    assert run(argv) == 0
     with pytest.raises(SystemExit) as exc:
-        run([command, "--N", "16", "--eta-c", "0.05", *flag,
-             "--out", str(tmp_path)])
+        run([*argv, *flag])
     assert exc.value.code == 2
+
+
+def test_mode_table_config_takes_no_eta_c(tmp_path, capsys):
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text("N = 16\nnu_t = 2.5\neta_c = 0.1\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"error: {cfg}:3: unrecognized option --eta-c=0.1" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_keys_go_through_the_parser(tmp_path, capsys):
@@ -742,21 +768,21 @@ def test_config_keys_go_through_the_parser(tmp_path, capsys):
 
 # Every option string of each subcommand, in --help order: the command-line
 # counterpart of tests/test_api_surface.py.
-_COMMON_FLAGS = ["--config", "--out", "--N", "--eta-c"]
-_ONE_CHAIN_FLAGS = [*_COMMON_FLAGS, "--nu-t", "--delta", "--theta",
-                    "--mass-kg", "--charge-c", "--spacing-m",
-                    "--transverse-frequency-rad-s", "--laser-wavenumber-per-m",
-                    "--temperature-k"]
+_COMMON_FLAGS = ["--config", "--out", "--N"]
+_SCAN_FLAGS = [*_COMMON_FLAGS, "--eta-c"]
+_CRYSTAL_FLAGS = [*_COMMON_FLAGS, "--nu-t", "--delta", "--mass-kg",
+                  "--charge-c", "--spacing-m", "--transverse-frequency-rad-s",
+                  "--laser-wavenumber-per-m"]
+_PROBE_FLAGS = [*_CRYSTAL_FLAGS, "--eta-c", "--theta", "--temperature-k"]
 PINNED_FLAGS = {
-    "spectrum": _ONE_CHAIN_FLAGS,
-    "zigzag": [*_ONE_CHAIN_FLAGS, "--nu-min", "--nu-max", "--points"],
-    "visibility": [*_ONE_CHAIN_FLAGS, "--t-min", "--t-max", "--samples"],
-    "fourier": [*_ONE_CHAIN_FLAGS, "--T-F", "--n-s", "--prominence",
-                "--no-band"],
-    "gamma-scan": [*_COMMON_FLAGS, "--delta-min", "--delta-max", "--points"],
-    "asymptotics": [*_COMMON_FLAGS, "--delta-min", "--delta-max", "--points"],
-    "longtime": [*_ONE_CHAIN_FLAGS, "--t-max", "--samples"],
-    "figures": ["--which", "--out"],
+    "spectrum": _CRYSTAL_FLAGS,
+    "zigzag": [*_CRYSTAL_FLAGS, "--nu-min", "--nu-max", "--points"],
+    "visibility": [*_PROBE_FLAGS, "--t-min", "--t-max", "--samples"],
+    "fourier": [*_PROBE_FLAGS, "--T-F", "--n-s", "--prominence", "--no-band"],
+    "gamma-scan": [*_SCAN_FLAGS, "--delta-min", "--delta-max", "--points"],
+    "asymptotics": [*_SCAN_FLAGS, "--delta-min", "--delta-max", "--points"],
+    "longtime": [*_PROBE_FLAGS, "--t-max", "--samples"],
+    "figures": ["--out", "--which"],
 }
 
 
@@ -768,6 +794,65 @@ def test_subcommand_flags_are_pinned():
                     if s not in ("-h", "--help")]
              for name, sp in sub.choices.items()}
     assert found == PINNED_FLAGS
+
+
+# Two values of every valued option: a small base run holds the first, and
+# the option alone takes the second. --nu-t and --delta exclude each other,
+# and the dimensionless chain values beat the SI inputs, so each option is
+# varied on a base run that reads it. --no-band, which takes no value, is
+# added alone.
+_VALUES = {
+    "--N": ("8", "12"), "--nu-t": ("2.5", "2.6"), "--delta": ("0.05", "0.1"),
+    "--mass-kg": ("3.9e-26", "4.3e-26"), "--charge-c": ("1.6e-19", "1.7e-19"),
+    "--spacing-m": ("1e-5", "1.1e-5"),
+    "--transverse-frequency-rad-s": ("6e6", "6.5e6"),
+    "--laser-wavenumber-per-m": ("2.2e7", "2.4e7"),
+    "--eta-c": ("0.1", "0.2"), "--theta": ("0.5", "1"),
+    "--temperature-k": ("1e-5", "2e-5"),
+    "--nu-min": ("1.9", "1.95"), "--nu-max": ("2.1", "2.2"),
+    "--points": ("7", "9"), "--t-min": ("0", "1"), "--t-max": ("30", "40"),
+    "--samples": ("200", "300"), "--T-F": ("200", "300"),
+    "--n-s": ("1024", "2048"), "--prominence": ("1e-4", "0.5"),
+    "--delta-min": ("1e-3", "2e-3"), "--delta-max": ("1e-2", "2e-2"),
+    "--which": ("4", "7")}
+_SI_OPTIONS = [*_SI_FLAGS, "--temperature-k"]
+_DIMENSIONLESS_OPTIONS = ["--nu-t", "--delta", "--eta-c", "--theta"]
+# --config and --out write nothing of their own. PhysicalInput converts the
+# five SI inputs as one set, so the mode tables take the laser wavenumber,
+# which sets only eta_c, a value that no mode-table column reads.
+_READ_BY_NO_TABLE = {
+    "spectrum": {"--laser-wavenumber-per-m"},
+    "zigzag": {"--laser-wavenumber-per-m"}}
+
+
+def _csv_bytes(argv, out):
+    assert run([*argv, "--out", str(out)]) == 0, argv
+    return {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_FLAGS))
+def test_no_option_does_nothing(command, tmp_path):
+    flags = PINNED_FLAGS[command]
+    written = {}
+    for option in flags:
+        if option in ("--config", "--out", *_READ_BY_NO_TABLE.get(command, ())):
+            continue
+        if option in _SI_OPTIONS:
+            drop = _DIMENSIONLESS_OPTIONS
+        elif option == "--delta":
+            drop = ["--nu-t", *_SI_OPTIONS]
+        else:
+            drop = ["--delta", *_SI_OPTIONS]
+        base = {f: _VALUES[f][0] for f in flags
+                if f in _VALUES and f not in drop}
+        base_argv = [command, *(a for pair in base.items() for a in pair)]
+        if tuple(base_argv) not in written:
+            written[tuple(base_argv)] = _csv_bytes(
+                base_argv, tmp_path / str(len(written)))
+        changed = ([*base_argv, option] if option not in _VALUES else
+                   [*base_argv, option, _VALUES[option][1]])
+        assert _csv_bytes(changed, tmp_path / option) != \
+            written[tuple(base_argv)], f"{command} {option} changes nothing"
 
 
 # Each subcommand with its own valued options, some given and some left at

@@ -33,8 +33,7 @@ from coulombchain.cli import run
 
 SUBCOMMANDS = {
     "spectrum": ["--N", "16", "--nu-t", "2.5"],
-    "zigzag": ["--N", "16", "--nu-t", "2.0", "--eta-c", "0.1",
-               "--points", "5"],
+    "zigzag": ["--N", "16", "--nu-t", "2.0", "--points", "5"],
     "visibility": ["--N", "16", "--delta", "0.05", "--eta-c", "0.1",
                    "--t-max", "30", "--samples", "400"],
     "fourier": ["--N", "32", "--delta", "0.05", "--eta-c", "0.1",

@@ -246,8 +246,8 @@ def test_block_route_scales_past_the_dense_budget(tmp_path):
     total = float(np.sum(amps.weight * amps.omega))
     assert total == pytest.approx(p.eta0 ** 2 * p.nu_t, rel=1e-10)
     # The zigzag subcommand labels a buckled N = 10^4 ring from its arrays.
-    rc = run(["zigzag", "--N", str(N), "--delta", "-0.01", "--eta-c", "0.1",
-              "--points", "3", "--out", str(tmp_path)])
+    rc = run(["zigzag", "--N", str(N), "--delta", "-0.01", "--points", "3",
+              "--out", str(tmp_path)])
     assert rc == 0
     with open(tmp_path / "zigzag_spectrum.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
