@@ -179,12 +179,18 @@ def _spectrum(path, name: str, p: ChainParams, prominence: float,
 
 def _bands(p: ChainParams) -> dict:
     """(omega_min, omega_max) of both band conventions. Both need the linear
-    side of the infinite-chain nu_c, so take them before writing."""
+    side of the infinite-chain nu_c and a nonempty band, so take them before
+    writing."""
     if p.delta_trans < 0:
         raise InvalidParameter(
             "the band table needs delta = nu_t - nu_c >= 0; got delta = "
             f"{p.delta_trans:g} (use --no-band to skip it)")
-    return {"transverse": transverse_band(p), "overlay": overlay_band(p)}
+    bands = {"transverse": transverse_band(p), "overlay": overlay_band(p)}
+    for name, (lo, hi) in bands.items():
+        if not lo < hi:
+            raise InvalidParameter(f"the {name} band [{lo:g}, {hi:g}] is "
+                                   "empty (use --no-band to skip it)")
+    return bands
 
 
 def _band_fractions(bands: dict, spec) -> list:
@@ -276,16 +282,16 @@ def _cmd_zigzag(ns, path):
     if ns.points < 1:
         raise InvalidParameter("points must be >= 1")
 
+    # The spectrum can fail (an unstable ansatz); take it before writing.
+    spec = zigzag_spectrum(p)
     eqs = [zigzag_equilibrium(dataclasses.replace(p, nu_t=float(nu)))
            for nu in np.linspace(nu_min, nu_max, ns.points)]
     emit_csv(("nu_t", "b", "energy_per_ion"),
              [(eq.nu_t, eq.b, eq.energy_per_ion) for eq in eqs],
              path("zigzag_amplitude.csv"))
-
-    spec = zigzag_spectrum(p)
-    columns = (spec.k, spec.beta, spec.sigma, spec.omega, spec.n, spec.special)
     emit_csv(("k_a", "beta", "parity", "omega", "n", "special"),
-             Columns(*(c[spec.label_order] for c in columns)),
+             Columns(spec.k, spec.beta, spec.sigma, spec.omega, spec.n,
+                     spec.special),
              path("zigzag_spectrum.csv"))
     return _params_dict(p), {"nu_min": float(nu_min), "nu_max": float(nu_max),
                              "b": spec.b}

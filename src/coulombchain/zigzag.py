@@ -21,7 +21,8 @@ whose entries are sums of the analytic second derivatives of 1/r over d,
 all three from one real FFT. The blocks are diagonalised in closed form; the
 real and imaginary parts of each eigenvector are the sigma = '+' and '-'
 real modes with folded label n = min(m, N/2 - m) = 0..N/4. Mode labels
-therefore come from the block index, as arrays on `ZigzagSpectrum`. The
+therefore come from the block index, as arrays on `ZigzagSpectrum`, stored
+in the row order of the label table. The
 structural modes (rotation, bulk transverse, the two staggered zigzag modes)
 are tagged by name. The real modes of one block eigenpair share its
 frequency and, summed, a kick weight that is the same on every site, so the
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -171,16 +171,17 @@ def _eig2(a: np.ndarray, c: np.ndarray, d: np.ndarray):
 class ZigzagSpectrum:
     """Phonon spectrum of the zigzag in real Bloch modes.
 
-    omega is ascending. Mode i comes from 2 x 2 block `block[i]` = m
-    (k = 2 pi m / N) as the real part (plus[i], sigma = '+') or the
-    imaginary part (sigma = '-') of q_j = u e^{ikj}, w_j = i v (-1)^j e^{ikj};
-    qcoef and wcoef hold the normalised u and the signed, normalised v:
+    Mode i comes from 2 x 2 block `block[i]` = m (k = 2 pi m / N) as the
+    real part (plus[i], sigma = '+') or the imaginary part (sigma = '-') of
+    q_j = u e^{ikj}, w_j = i v (-1)^j e^{ikj}; qcoef and wcoef hold the
+    normalised u and the signed, normalised v:
 
         sigma = '+':  q_j = qcoef cos(kj),  w_j = wcoef (-1)^j sin(kj)
         sigma = '-':  q_j = qcoef sin(kj),  w_j = wcoef (-1)^j cos(kj)
 
-    The labels n, sigma, k, beta and special are arrays indexed like omega,
-    and `label_order` sorts them into table rows.
+    The labels n, sigma, k, beta and special are arrays indexed like omega.
+    Modes are stored in table row order: n ascending, '+' before '-', then
+    omega descending.
     """
 
     N: int
@@ -205,19 +206,11 @@ class ZigzagSpectrum:
     def k(self) -> np.ndarray:
         return 2.0 * math.pi * self.n / self.N
 
-    @cached_property
-    def label_order(self) -> np.ndarray:
-        """Modes by n ascending, '+' before '-', then omega descending."""
-        return np.lexsort((-self.omega, ~self.plus, self.n))
-
     @property
     def beta(self) -> np.ndarray:
         """1-based rank by descending omega within each (n, sigma)."""
-        order = self.label_order
-        key = 2 * self.n[order] + ~self.plus[order]     # ascending in order
-        beta = np.empty_like(order)
-        beta[order] = np.arange(len(order)) - np.searchsorted(key, key) + 1
-        return beta
+        key = 2 * self.n + ~self.plus           # ascending in row order
+        return np.arange(len(key)) - np.searchsorted(key, key) + 1
 
     @property
     def special(self) -> np.ndarray:
@@ -261,7 +254,8 @@ def zigzag_spectrum(params: ChainParams) -> ZigzagSpectrum:
     src = np.concatenate([pair[~edge], pair[~edge], pair[edge]])
     plus = np.concatenate([np.ones(N - 2, dtype=bool),
                            np.zeros(N - 2, dtype=bool), u[edge] != 0.0])
-    order = np.argsort(lam[src], kind="stable")
+    m = src // 2
+    order = np.lexsort((-lam[src], ~plus, np.minimum(m, N // 2 - m)))
     src, plus = src[order], plus[order]
     norm = np.where(edge[src], math.sqrt(1.0 / N), math.sqrt(2.0 / N))
     # w_j = Re/Im of i v (-1)^j e^{ikj}: -v (-1)^j sin(kj) and v (-1)^j cos(kj)
@@ -289,11 +283,10 @@ class ZigzagMode:
 
 
 def classify_zigzag_modes(spectrum: ZigzagSpectrum) -> list[ZigzagMode]:
-    """The spectrum's label arrays as `ZigzagMode` rows, in label order."""
+    """The spectrum's label arrays as `ZigzagMode` rows, in row order."""
     sp = spectrum
     columns = (sp.n, sp.sigma, sp.beta, sp.omega, sp.special)
-    return [ZigzagMode(*row)
-            for row in zip(*(c[sp.label_order].tolist() for c in columns))]
+    return [ZigzagMode(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def zigzag_displacement_amplitudes(params: ChainParams

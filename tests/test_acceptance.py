@@ -239,7 +239,7 @@ def test_criterion_9_buckled_phase_structure():
     k = axial_mode_set(N).k
     folded_linear = np.sort(np.concatenate(
         [dispersion_axial(k, N), dispersion_transverse(k, nu_c, N)]))
-    fold = float(np.max(np.abs(zigzag_spectrum(p_crit).omega
+    fold = float(np.max(np.abs(np.sort(zigzag_spectrum(p_crit).omega)
                                - folded_linear)))
 
     eps = np.logspace(-6, -2, 9)

@@ -101,7 +101,6 @@ MEMBERS = {
     "RunManifest.write",
     "ZigzagSpectrum.beta",
     "ZigzagSpectrum.k",
-    "ZigzagSpectrum.label_order",
     "ZigzagSpectrum.n",
     "ZigzagSpectrum.sigma",
     "ZigzagSpectrum.special",

@@ -522,19 +522,35 @@ def test_longtime_rejects_the_zigzag_side_before_any_work(chain, tmp_path,
 
 def test_fourier_checks_the_bands_before_writing(tmp_path, capsys):
     # nu_c(N) < Delta + nu_c: a stable linear chain, but on the zigzag side
-    # of the infinite-chain soft gap that both bands need. That is a usage
-    # error, which names the way out.
-    for N, delta, T_F in (("32", "-0.0005", "500"), ("16", "-1e-3", "400")):
-        args = ["fourier", "--N", N, f"--delta={delta}", "--eta-c", "0.1",
-                "--T-F", T_F, "--n-s", "2048"]
-        out = tmp_path / f"out{N}"
+    # of the infinite-chain soft gap that both bands need. Above Delta =
+    # nu_c / sqrt(2) the overlay band's lower edge sqrt(2 Delta nu_t +
+    # Delta^2) passes nu_t, so that band is empty. Each is a usage error,
+    # which names the way out.
+    for i, (chain, word) in enumerate((
+            (["--N", "32", "--delta=-0.0005", "--T-F", "500"], "delta"),
+            (["--N", "16", "--delta=-1e-3", "--T-F", "400"], "delta"),
+            (["--N", "8", "--nu-t", "3.6", "--T-F", "200"], "overlay"))):
+        args = ["fourier", *chain, "--eta-c", "0.1", "--n-s", "2048"]
+        out = tmp_path / f"out{i}"
         assert run([*args, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error [InvalidParameter]" in err and "--no-band" in err
+        assert word in err
         assert not out.exists()
         assert run([*args, "--no-band", "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "fourier.csv", "fourier_manifest.json", "fourier_peaks.csv"]
+
+
+def test_zigzag_takes_the_spectrum_before_writing(tmp_path, capsys):
+    # Far below nu_c(N) the staggered ansatz is unstable; the run must fail
+    # before its first table, not after it.
+    out = tmp_path / "out"
+    rc = run(["zigzag", "--N", "16", "--nu-t", "0.5", "--points", "3",
+              "--out", str(out)])
+    assert rc == 1
+    assert "error [UnstableConfiguration]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _CHAIN = ["--N", "16", "--delta", "0.05", "--eta-c", "0.1"]
