@@ -20,10 +20,11 @@ from .linear_modes import (ModeMatrix, ModeSet, axial_mode_set,
                            transverse_mode_set)
 from .ramsey import (DisplacementAmplitudes, VisibilityTrace, evaluate_trace,
                      exponent_A, exponent_A_thermal, linear_chain_amplitudes,
-                     overlap, thermal_weights, visibility, weighted_trig_sum)
+                     overlap, thermal_weights, visibility, weighted_trig_sum,
+                     zigzag_displacement_amplitudes)
 from .zigzag import (ZigzagEquilibrium, ZigzagMode, ZigzagSpectrum,
-                     classify_zigzag_modes, zigzag_displacement_amplitudes,
-                     zigzag_equilibrium, zigzag_spectrum)
+                     classify_zigzag_modes, zigzag_equilibrium,
+                     zigzag_spectrum)
 from .asymptotics import (AInfinityForms, AnalyticAInfinity, CuspReport,
                           DerivativeScan, GammaForms, GammaScan,
                           RevivalEstimate, a_infinity, a_infinity_analytic,

@@ -32,8 +32,7 @@ from .errors import (InvalidParameter, NumericalFailure, UnstableLinearPhase)
 from .linear_modes import max_group_velocity
 from .model import ChainParams, H_STIFFNESS
 from .ramsey import (DisplacementAmplitudes, VisibilityTrace,
-                     linear_chain_amplitudes)
-from .zigzag import zigzag_displacement_amplitudes
+                     linear_chain_amplitudes, zigzag_displacement_amplitudes)
 
 EULER_GAMMA = 0.5772156649015329
 

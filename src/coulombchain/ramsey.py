@@ -12,8 +12,13 @@ With A(t) = 2 sum_m |alpha_m|^2 sin^2(omega_m t / 2):
     visibility   V(t) = exp(-A_T(t)),  A_T = thermal A with coth(w/(2 theta))
 
 These formulas are phase agnostic: they need positive frequencies and the
-weight summed over the modes at each, which is how the zigzag phase, its
-real modes folded per Bloch eigenpair, reuses this module.
+weight summed over the modes at each. Both producers keep the entries with
+probe coefficient c != 0, weighted (eta0 sqrt(nu_t / omega) c)^2, and a
+felt entry at omega = 0 raises SoftModeSingularity. The linear producer has
+one entry per mode, c = R[probe, m]. `zigzag_displacement_amplitudes` has
+one per Bloch eigenpair of the zigzag blocks: its real modes share its
+frequency and their w^2 sum to s v^2 on every site (s = 2/N, or 1/N at
+m = 0 and N/2), so c = sqrt(s) v, and axial eigenpairs (v = 0) go.
 
 Every A(t), B(t) and overlap phase is a mode sum sum_m w_m f(omega_m t).
 On a uniform grid t_j = t_0 + j dt, sum_m w_m exp(i omega_m t_j) is a
@@ -34,6 +39,7 @@ from .errors import InvalidParameter, ResourceLimit, SoftModeSingularity
 from .linear_modes import (RADICAND_CLAMP, critical_frequency_finite,
                            mode_matrix, transverse_mode_set)
 from .model import ChainParams
+from .zigzag import _block_eigenpairs
 
 # Target size of one t-by-mode block of the direct kernel (~64 MB).
 _CHUNK_ELEMENTS = 8_000_000
@@ -106,22 +112,39 @@ class DisplacementAmplitudes:
         return len(self.omega)
 
 
-def linear_chain_amplitudes(params: ChainParams,
-                            probe_site: int = 1) -> DisplacementAmplitudes:
-    """Amplitudes alpha_m = i eta0 sqrt(nu_t/omega_m) R[probe, m] of the
-    y-branch modes for a kick on ion `probe_site` (1-based)."""
-    omega = transverse_mode_set(params).omega
+def _kick_weights(params: ChainParams, omega: np.ndarray, c: np.ndarray,
+                  kind: str) -> DisplacementAmplitudes:
+    """The entries with c != 0, weighted (eta0 sqrt(nu_t / omega) c)^2."""
+    felt = c != 0.0
+    if not felt.all():                  # copy only when an entry goes
+        omega, c = omega[felt], c[felt]
     if np.any(omega == 0.0):
         delta = params.nu_t - critical_frequency_finite(params.N)
         raise SoftModeSingularity(
             f"soft mode at nu_t - critical_frequency_finite(N) = {delta:.3e}: "
-            f"omega_y^2 below RADICAND_CLAMP nu_t^2 = "
+            f"omega^2 below RADICAND_CLAMP nu_t^2 = "
             f"{RADICAND_CLAMP * params.nu_t ** 2:.3g} snaps to 0")
-    row = mode_matrix(params.N).row(probe_site)
-    weight = (params.eta0 * np.sqrt(params.nu_t / omega) * row) ** 2
+    weight = (params.eta0 * np.sqrt(params.nu_t / omega) * c) ** 2
     return DisplacementAmplitudes(omega=omega, weight=weight,
                                   eta0=params.eta0, nu_t=params.nu_t,
-                                  kind="linear")
+                                  kind=kind)
+
+
+def linear_chain_amplitudes(params: ChainParams,
+                            probe_site: int = 1) -> DisplacementAmplitudes:
+    """Amplitudes alpha_m = i eta0 sqrt(nu_t/omega_m) R[probe, m] of the
+    y-branch modes for a kick on ion `probe_site` (1-based)."""
+    return _kick_weights(params, transverse_mode_set(params).omega,
+                         mode_matrix(params.N).row(probe_site), "linear")
+
+
+def zigzag_displacement_amplitudes(params: ChainParams
+                                   ) -> DisplacementAmplitudes:
+    """Kick weights of the zigzag ring (flat above the transition), one per
+    block eigenpair the probe feels, the same on every site."""
+    _, lam, _, v, edge = _block_eigenpairs(params)
+    s = np.where(edge, 1.0, 2.0) / params.N
+    return _kick_weights(params, np.sqrt(lam), np.sqrt(s) * v, "zigzag")
 
 
 def _uniform_step(t: np.ndarray) -> float | None:

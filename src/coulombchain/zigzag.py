@@ -24,9 +24,8 @@ real modes with folded label n = min(m, N/2 - m) = 0..N/4. Mode labels
 therefore come from the block index, as arrays on `ZigzagSpectrum`, stored
 in the row order of the label table. The
 structural modes (rotation, bulk transverse, the two staggered zigzag modes)
-are tagged by name. The real modes of one block eigenpair share its
-frequency and, summed, a kick weight that is the same on every site, so the
-Ramsey amplitudes fold to one entry per eigenpair, with no mode vector.
+are tagged by name. At b = 0, Dyy(k + pi) is the linear radicand, and
+eigenvalues snap to zero by the linear route's rule.
 
 `classify_zigzag_modes` turns the label arrays into table rows, in O(N).
 The dense eigenvectors and the check of each mode against its label live
@@ -40,14 +39,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidParameter, NumericalFailure, SoftModeSingularity,
-                     UnstableConfiguration)
-from .linear_modes import critical_frequency_finite
+from .errors import InvalidParameter, NumericalFailure, UnstableConfiguration
+from .linear_modes import RADICAND_CLAMP, critical_frequency_finite
 from .model import ChainParams
-from .ramsey import DisplacementAmplitudes
 
 GRAD_TOL = 1e-10          # |dE/db| at the returned equilibrium
-EIG_CLAMP = 1e-10         # |eigenvalue| below this snaps to zero
 NEWTON_CAP = 100          # Newton steps for b^2; far out each gains x 5/3
 
 
@@ -224,19 +220,21 @@ class ZigzagSpectrum:
 
 def _block_eigenpairs(params: ChainParams):
     """b, the block eigenpairs lam, u, v (flat: pair p is block p // 2) and
-    the mask `edge` of the diagonal blocks m = 0 and m = N/2. A negative lam
-    raises UnstableConfiguration; zero modes (rotation; the soft mode exactly
-    at the transition) come out as +/- rounding noise and snap to 0.
+    the mask `edge` of the diagonal blocks m = 0 and m = N/2. The linear
+    route's snap rule holds: lam within RADICAND_CLAMP nu_t^2 of zero
+    (rotation; the soft mode exactly at the transition) is rounding noise and
+    snaps to 0, and one below it raises UnstableConfiguration.
     """
     N, b = params.N, zigzag_equilibrium(params).b
     dxx, dyy, s = _block_entries(N, params.nu_t, b)
     lam, u, v = (x.ravel() for x in _eig2(dxx, 2.0 * s, dyy))
-    if lam.min() < -EIG_CLAMP:
+    clamp = RADICAND_CLAMP * params.nu_t ** 2
+    if lam.min() < -clamp:
         raise UnstableConfiguration(
             f"negative Hessian eigenvalue {lam.min():.3e}: the staggered "
             "ansatz is not a stable configuration here")
     block = np.arange(N + 2) // 2
-    return (b, np.where(np.abs(lam) < EIG_CLAMP, 0.0, lam), u, v,
+    return (b, np.where(np.abs(lam) < clamp, 0.0, lam), u, v,
             (block == 0) | (block == N // 2))
 
 
@@ -287,27 +285,3 @@ def classify_zigzag_modes(spectrum: ZigzagSpectrum) -> list[ZigzagMode]:
     sp = spectrum
     columns = (sp.n, sp.sigma, sp.beta, sp.omega, sp.special)
     return [ZigzagMode(*row) for row in zip(*(c.tolist() for c in columns))]
-
-
-def zigzag_displacement_amplitudes(params: ChainParams
-                                   ) -> DisplacementAmplitudes:
-    """Kick weights eta0^2 nu_t s v^2 / omega, one per block eigenpair.
-
-    The kick couples to the fluctuation w of the probed ion (the static
-    offset (-1)^j b/2 is a global phase). At any site the w^2 of the real
-    modes of an eigenpair sum to s v^2, s = 2/N (sigma = +/-) or 1/N (m = 0,
-    N/2), so no probe site enters. Zero modes are dropped; one with
-    transverse weight (at the transition) is an error.
-    """
-    _, lam, _, v, edge = _block_eigenpairs(params)
-    share = np.where(edge, 1.0, 2.0) / params.N * v * v
-    zero = lam == 0.0
-    if np.any(zero & (share > 1e-12)):
-        raise SoftModeSingularity(
-            "zero-frequency mode couples to the probe: at the transition "
-            "the displacement picture breaks down")
-    omega = np.sqrt(lam[~zero])
-    weight = params.eta0 ** 2 * params.nu_t * share[~zero] / omega
-    return DisplacementAmplitudes(omega=omega, weight=weight,
-                                  eta0=params.eta0, nu_t=params.nu_t,
-                                  kind="zigzag")

@@ -338,6 +338,17 @@ def test_bad_config_line_cites_location(tmp_path, capsys):
     assert "broken.cfg:2" in capsys.readouterr().err
 
 
+def test_config_value_out_of_range_is_a_usage_error(tmp_path, capsys):
+    # The parser types the value; the range check comes later, from the
+    # pipeline, and names the option but not the config line.
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("N = 16\neta_c = 0.05\npoints = 2\n")
+    out = tmp_path / "o"
+    assert run(["asymptotics", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "points must be >= 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gamma_scan_needs_odd_points(tmp_path, capsys):
     rc = run(["gamma-scan", "--N", "16", "--eta-c", "0.05",
               "--delta-min=-4e-3", "--delta-max", "4e-3",

@@ -20,7 +20,10 @@ when the zigzag equilibrium became a Newton root in b^2; b moved by at most
 dgamma_table.csv and fig5_dgamma.csv were re-recorded when dGamma/dDelta
 became nu_t A_inf / 2 (the probe-row sum rule) instead of Richardson
 differences of Gamma; it moved by at most 1.0e-11 and 1.2e-10 of the column
-scale, the truncation error of those differences. The names of the proxies
+scale, the truncation error of those differences. gamma_scan.csv and
+fig5_gamma.csv were re-recorded when both producers began to weigh their
+entries by one formula, (eta0 sqrt(nu_t / omega) c)^2; their zigzag rows
+moved by at most 2.8e-16 of the column scale. The names of the proxies
 that `figures` reports are pinned too, in order.
 """
 
@@ -59,7 +62,7 @@ SUBCOMMAND_DIGESTS = {
         "fourier_peaks.csv": "106b15573a1ddf8838362b6a32f2e5fa17ed1d7fbaa2864c5b8cc8b5677de3de",
     },
     "gamma-scan": {
-        "gamma_scan.csv": "131af10228da1df073ffced9e519d5facfdfd0114e78e3419e8d7583a3588c36",
+        "gamma_scan.csv": "ac665d955a74ed7d760a0cde5fd71ccb3ac14afa351a4456b67140b5a22d6ca6",
     },
     "longtime": {
         "longtime.csv": "9b949f09178515d0ca3b2d426450d8eb09c40e78e3c110ebd4478371a4741fb6",
@@ -83,7 +86,7 @@ FIGURES_DIGESTS = {
     "fig3_visibility.csv": "964844b8a8b0bfdc4443a2d6c2e785c8fb43222d0c09097354b7274b767084ff",
     "fig4_gamma.csv": "75d41b0165b3c3532c3fe1bce2caef7014e5601f9470e193d372b9d74d3fb401",
     "fig5_dgamma.csv": "9002c35cb9a4c44423bbe5f127d8aec228f1fac6163169e36bafc970b972795e",
-    "fig5_gamma.csv": "bfcc754b51721242a7ee1fda677a6ed277136bdd7e63cf0f433fb87eb80e9c45",
+    "fig5_gamma.csv": "8709b8c9878f626a89f1bed141918443cdb2f784b83a486bd5c67a363a99914b",
     "fig6_longtime.csv": "86922b76acd81d62b18c968f1b4840223e86b7a3dc808b999d28c38a4b0b5683",
     "fig7_a_infinity.csv": "9a47ed578ca34b9875d01a0ceb1aa70b4056655473728c65024d37c0137a7968",
 }

@@ -178,3 +178,25 @@ report(code=code, lines=lines)
     assert facts["code"] == 0
     assert facts["lines"] == 2 * 10 ** 6 + 1
     assert facts["rss_mb"] < 300
+
+
+def test_zigzag_spectrum_at_the_critical_point_of_n_2_20_under_300_mb():
+    # Exactly at nu_c(N), only the rotation and the soft mode are zeros.
+    # An absolute snap of 1e-10 also zeroed four soft-branch modes at
+    # omega ~ 5e-6 and 1e-5, below sqrt(1e-10).
+    facts = _run("""
+from coulombchain import (ChainParams, critical_frequency_finite,
+                          zigzag_spectrum)
+
+N = 2 ** 20
+sp = zigzag_spectrum(ChainParams(N=N, nu_t=critical_frequency_finite(N),
+                                 eta_c=0.0))
+zero = sp.omega == 0.0
+report(b=sp.b, zeros=sorted(zip(sp.block[zero].tolist(),
+                                sp.plus[zero].tolist())),
+       smallest=float(sp.omega[~zero].min()))
+""")
+    assert facts["b"] == 0.0
+    assert facts["zeros"] == [[0, False], [0, True]]
+    assert facts["smallest"] > 0.0
+    assert facts["rss_mb"] < 300

@@ -1,15 +1,18 @@
 """Zigzag equilibrium, dynamical matrix, and mode classification."""
 
+import ast
 import csv
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coulombchain import (ChainParams, axial_mode_set, classify_zigzag_modes,
                           critical_frequency_finite, dispersion_axial,
-                          dispersion_transverse,
+                          dispersion_transverse, gamma_coefficient,
+                          linear_chain_amplitudes,
                           zigzag_displacement_amplitudes, zigzag_equilibrium,
                           zigzag_spectrum)
 from coulombchain import zigzag
@@ -239,13 +242,78 @@ def test_amplitudes_singular_exactly_at_transition():
         zigzag_displacement_amplitudes(p)
 
 
+@pytest.mark.parametrize("gap", [1e-12, 1e-13])
+@pytest.mark.parametrize("N", [64, 256])
+def test_gamma_joins_across_the_finite_n_transition(N, gap):
+    # Both routes snap omega^2 within RADICAND_CLAMP nu_t^2 of zero, so a
+    # buckled ring just below nu_c(N) resolves its soft mode as the flat
+    # ring just above does, and Gamma joins across the transition.
+    nuc = critical_frequency_finite(N)
+    p = ChainParams(N=N, nu_t=nuc - gap, eta_c=0.05)
+    assert zigzag_equilibrium(p).b > 0.0
+    zz = zigzag_displacement_amplitudes(p)
+    assert np.all(np.isfinite(zz.weight)) and np.all(zz.omega > 0.0)
+    assert np.sum(zz.weight * zz.omega) == pytest.approx(
+        p.eta0 ** 2 * p.nu_t, rel=1e-10)
+    lin = linear_chain_amplitudes(ChainParams(N=N, nu_t=nuc + gap,
+                                              eta_c=0.05))
+    assert gamma_coefficient(zz).direct == pytest.approx(
+        gamma_coefficient(lin).direct, rel=1e-7)
+
+
+@pytest.mark.parametrize("N", [1024, 2 ** 16])
+def test_only_structural_zero_rows_at_the_critical_point(N):
+    # Exactly at nu_c(N) the rotation and the soft mode, both in block 0,
+    # are the only zeros; genuine soft-branch modes keep their frequency.
+    sp = zigzag_spectrum(ChainParams(N=N, nu_t=critical_frequency_finite(N),
+                                     eta_c=0.0))
+    zero = sp.omega == 0.0
+    assert sorted(zip(sp.block[zero].tolist(), sp.plus[zero].tolist())) == \
+        [(0, False), (0, True)]
+
+
+@pytest.mark.parametrize("N", [64, 1024])
+def test_no_spurious_instability_near_the_transition(N):
+    # The equilibrium grid of the benchmark's transition workload. Below
+    # nu_c(N) every eigenpair but the rotation and the m = N/2 axial one is
+    # felt; on the flat ring only the N/2 + 1 transverse ones are.
+    nuc = critical_frequency_finite(N)
+    grid = np.linspace(nuc - 0.15, nuc + 0.05, 41)
+    assert grid[30] == nuc
+    for nu in grid:
+        p = ChainParams(N=N, nu_t=float(nu), eta_c=0.05)
+        zigzag_spectrum(p)
+        if nu == nuc:
+            for producer in (zigzag_displacement_amplitudes,
+                             linear_chain_amplitudes):
+                with pytest.raises(SoftModeSingularity):
+                    producer(p)
+        else:
+            expect = N if nu < nuc else N // 2 + 1
+            assert len(zigzag_displacement_amplitudes(p)) == expect
+
+
+def test_the_crystal_module_does_not_import_the_ramsey_layer():
+    tree = ast.parse(Path(zigzag.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any(n.split(".")[-1] == "ramsey" for n in names), \
+            ast.unparse(node)
+
+
 def test_block_route_scales_past_the_dense_budget(tmp_path):
     N = 10_000
     p = ChainParams(N=N, nu_t=critical_frequency_finite(N) - 0.01, eta_c=0.1)
     sp = zigzag_spectrum(p)
     assert sp.b > 0.0 and sp.omega.shape == (2 * N,)
     amps = zigzag_displacement_amplitudes(p)
-    assert len(amps) == N + 1           # all eigenpairs but the rotation
+    # All eigenpairs but the rotation and the unfelt m = N/2 axial one.
+    assert len(amps) == N
     total = float(np.sum(amps.weight * amps.omega))
     assert total == pytest.approx(p.eta0 ** 2 * p.nu_t, rel=1e-10)
     # The zigzag subcommand labels a buckled N = 10^4 ring from its arrays.
