@@ -30,9 +30,11 @@ import numpy as np
 
 from .errors import (InvalidParameter, NumericalFailure, UnstableLinearPhase)
 from .linear_modes import max_group_velocity
-from .model import ChainParams, H_STIFFNESS
+from .model import (ChainParams, H_STIFFNESS, _check_finite,
+                    _check_positive)
 from .ramsey import (DisplacementAmplitudes, VisibilityTrace,
-                     linear_chain_amplitudes, zigzag_displacement_amplitudes)
+                     _rounding_allowance, linear_chain_amplitudes,
+                     zigzag_displacement_amplitudes)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -373,7 +375,9 @@ def find_revival_burst(t: np.ndarray, V: np.ndarray, window: float = 50.0,
     median is never below its window's minimum, so medians are taken only
     where the amplitude exceeds BURST_FACTOR times that minimum. V must be
     finite; window and a baseline span of at least one sample positive, the
-    gap non-negative, and all three a finite number of samples.
+    gap non-negative, and all three a finite number of samples. Every step
+    of t lies within 1e-6 dt of dt = t[1] - t[0] plus
+    `ramsey._rounding_allowance`, so grids built by accumulation pass.
     """
     t = np.asarray(t, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
@@ -382,20 +386,13 @@ def find_revival_burst(t: np.ndarray, V: np.ndarray, window: float = 50.0,
     if len(t) < MIN_BURST_SAMPLES:
         raise InvalidParameter(f"trace has {len(t)} samples; revival "
                                f"detection needs >= {MIN_BURST_SAMPLES}")
-    if not np.all(np.isfinite(V)):
-        bad = int(np.argmin(np.isfinite(V)))
-        raise InvalidParameter(f"V must be finite; V[{bad}] = {V[bad]}")
-    if not 0 < window < math.inf:
-        raise InvalidParameter(f"window must be positive and finite, "
-                               f"got {window}")
-    if not 0 <= baseline_gap < math.inf:
-        raise InvalidParameter(f"baseline_gap must be >= 0 and finite, "
-                               f"got {baseline_gap}")
-    if not 0 < baseline_span < math.inf:
-        raise InvalidParameter(f"baseline_span must be positive and finite, "
-                               f"got {baseline_span}")
+    _check_finite("V", V)
+    _check_positive("window", window)
+    _check_positive("baseline_gap", baseline_gap, zero_ok=True)
+    _check_positive("baseline_span", baseline_span)
     dt = float(t[1] - t[0])
-    if dt <= 0 or not np.allclose(np.diff(t), dt, rtol=1e-6, atol=1e-12):
+    if dt <= 0 or not np.allclose(np.diff(t), dt, rtol=1e-6,
+                                  atol=_rounding_allowance(t)):
         raise InvalidParameter("revival detection expects a uniform time grid")
     for name, value in (("window", window), ("baseline_gap", baseline_gap),
                         ("baseline_span", baseline_span)):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (InvalidParameter, SoftModeSingularity,
                      UnstableLinearPhase)
-from .model import ChainParams
+from .model import ChainParams, _check_even_n, _check_finite, _check_nu_t
 
 # A radicand nu_t^2 - 4 s within RADICAND_CLAMP nu_t^2 of zero is the
 # rounding of nu_t^2 and 4 s, and snaps to zero; one below -RADICAND_CLAMP
@@ -48,13 +48,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # width in 1/a units; the revival-time estimate needs the width <= 1e-4.
 _VGRID_POINTS = 4096
 _VMAX_TOL = 1e-6
-
-
-def _check_even_n(N: int) -> None:
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
-        raise InvalidParameter("N must be an integer")
-    if N < 4 or N % 2 != 0:
-        raise InvalidParameter("N must be an even integer >= 4")
 
 
 def _columns(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -95,7 +88,8 @@ def _lattice_sum(k, N: int, power: int, f):
 
 
 def _dispersion_sum(k, N: int):
-    """sum_{j=1}^{N/2} j^-3 sin^2(j k / 2)."""
+    """sum_{j=1}^{N/2} j^-3 sin^2(j k / 2); non-finite k raises."""
+    _check_finite("k", k)
     return _lattice_sum(k, N, 3, lambda x: np.square(
         np.sin(np.multiply(x, 0.5, out=x), out=x), out=x))
 
@@ -130,10 +124,7 @@ def _transverse_omega(s, nu_t: float) -> np.ndarray:
     lower means the linear phase is not a valid expansion point for this
     nu_t.
     """
-    if not math.isfinite(nu_t):
-        raise InvalidParameter(f"nu_t must be finite, got {nu_t}")
-    if nu_t <= 0:
-        raise InvalidParameter("nu_t must be positive")
+    _check_nu_t(nu_t)
     rad = nu_t ** 2 - 4.0 * np.asarray(s)
     clamp = RADICAND_CLAMP * nu_t ** 2
     bad = rad < -clamp
@@ -149,7 +140,7 @@ def _transverse_omega(s, nu_t: float) -> np.ndarray:
 
 
 def dispersion_axial(k, N: int):
-    """Axial phonon frequency omega_x(k) in omega_0 units; k in 1/a units."""
+    """Axial phonon frequency omega_x(k) in omega_0 units; finite k in 1/a."""
     _check_even_n(N)
     s = _dispersion_sum(k, N)
     return np.sqrt(8.0 * s) if np.ndim(k) else math.sqrt(8.0 * s)

@@ -16,6 +16,9 @@ SI inputs are converted once at the boundary (`derive_parameters`) with the
 explicit Coulomb factor 1/(4 pi eps_0); no other function in the package
 sees dimensional quantities.
 
+The input rules for N, nu_t, theta, finite scalars and finite arrays are
+stated here once, and every module applies them.
+
 The linear chain is stable for nu_t above the critical frequency
 
     nu_c = omega_0 * sqrt(7 zeta(3) / 2) = 2.05114582... omega_0,
@@ -62,6 +65,43 @@ def critical_frequency_infinite() -> float:
     return math.sqrt(3.5 * zeta3())
 
 
+def _check_positive(name: str, value, zero_ok: bool = False) -> None:
+    """value finite and > 0, or >= 0 when zero_ok."""
+    if not (math.isfinite(value) and (value > 0 or zero_ok and value == 0)):
+        rule = ">= 0" if zero_ok else "positive"
+        raise InvalidParameter(f"{name} must be {rule} and finite, "
+                               f"got {value}")
+
+
+def _check_even_n(N) -> None:
+    """N is an even integer >= 4 (a bool is not a count)."""
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) \
+            or N < 4 or N % 2 != 0:
+        raise InvalidParameter(f"N must be an even integer >= 4, got {N!r}")
+
+
+def _check_nu_t(nu_t) -> None:
+    """nu_t > 0, and nu_t^2 finite, since the spectra square it."""
+    value = float(nu_t)
+    if not (math.isfinite(value * value) and value > 0):
+        raise InvalidParameter(f"nu_t must be positive and finite, and so "
+                               f"must nu_t^2; got {nu_t}")
+
+
+def _check_theta(theta) -> None:
+    """theta >= 0 and finite."""
+    _check_positive("theta", theta, zero_ok=True)
+
+
+def _check_finite(name: str, x) -> None:
+    """Raise InvalidParameter naming the first non-finite entry of x."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        i = int(np.argmin(finite.ravel()))
+        raise InvalidParameter(
+            f"{name} must be finite; {name}[{i}] = {np.ravel(x)[i]}")
+
+
 @dataclass(frozen=True)
 class PhysicalInput:
     """Dimensional description of an experiment, SI throughout.
@@ -87,14 +127,8 @@ class PhysicalInput:
     def __post_init__(self):
         for name in ("mass_kg", "charge_c", "spacing_m",
                      "transverse_frequency_rad_s", "laser_wavenumber_per_m"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InvalidParameter(
-                    f"{name} must be positive and finite, got {value}")
-        temperature = self.temperature_k
-        if not (math.isfinite(temperature) and temperature >= 0):
-            raise InvalidParameter(
-                f"temperature_k must be >= 0 and finite, got {temperature}")
+            _check_positive(name, getattr(self, name))
+        _check_positive("temperature_k", self.temperature_k, zero_ok=True)
 
     def omega0(self) -> float:
         """Natural frequency sqrt(Q^2/(m a^3)) in rad/s."""
@@ -119,20 +153,10 @@ class ChainParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or isinstance(self.N, bool):
-            raise InvalidParameter("N must be an integer")
-        if self.N < 4 or self.N % 2 != 0:
-            raise InvalidParameter("N must be an even integer >= 4")
-        nu_t = float(self.nu_t)     # the spectra square it: nu_t^2 < inf too
-        if not (math.isfinite(nu_t * nu_t) and nu_t > 0):
-            raise InvalidParameter(f"nu_t must be positive and finite, and "
-                                   f"so must nu_t^2; got {self.nu_t}")
-        if not (math.isfinite(self.eta_c) and self.eta_c >= 0):
-            raise InvalidParameter(
-                f"eta_c must be >= 0 and finite, got {self.eta_c}")
-        if not (math.isfinite(self.theta) and self.theta >= 0):
-            raise InvalidParameter(
-                f"theta must be >= 0 and finite, got {self.theta}")
+        _check_even_n(self.N)
+        _check_nu_t(self.nu_t)
+        _check_positive("eta_c", self.eta_c, zero_ok=True)
+        _check_theta(self.theta)
 
     @property
     def delta_trans(self) -> float:

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import InvalidParameter, ResourceLimit, SoftModeSingularity
 from .linear_modes import (RADICAND_CLAMP, critical_frequency_finite,
                            mode_matrix, transverse_mode_set)
-from .model import ChainParams
+from .model import ChainParams, _check_finite, _check_theta
 from .zigzag import _block_eigenpairs
 
 # Target size of one t-by-mode block of the direct kernel (~64 MB).
@@ -47,7 +47,8 @@ _CHUNK_ELEMENTS = 8_000_000
 TRACE_BUDGET = 2_000_000_000
 
 # A grid is uniform for the NUFFT when it has at least this many samples
-# and every t_i lies within _UNIFORM_ULPS ulp of max|t| of t_0 + i dt.
+# and every t_i lies within _UNIFORM_ULPS ulp of max|t| of t_0 + i dt; the
+# DFT and the burst detector allow the same rounding on top of a step rtol.
 _MIN_UNIFORM_SAMPLES = 64
 _UNIFORM_ULPS = 8
 
@@ -93,20 +94,19 @@ class DisplacementAmplitudes:
             if value.dtype.kind not in "biuf":
                 raise InvalidParameter(
                     f"{name} must be real numbers, got dtype {value.dtype}")
-            object.__setattr__(self, name,
-                               value.astype(np.float64, copy=False))
+            value = value.astype(np.float64, copy=False)
+            _check_finite(name, value)
+            object.__setattr__(self, name, value)
         if np.ndim(self.omega) != 1 or \
                 np.shape(self.weight) != np.shape(self.omega):
             raise InvalidParameter(
                 f"omega and weight must be 1-d arrays of equal length, got "
                 f"shapes {np.shape(self.omega)} and {np.shape(self.weight)}")
-        if not np.all(np.isfinite(self.omega)):
-            raise InvalidParameter("frequencies must be finite")
         if np.any(self.omega <= 0.0):
             raise SoftModeSingularity(
                 "displacement amplitudes need strictly positive frequencies")
-        if not np.all(np.isfinite(self.weight) & (self.weight >= 0.0)):
-            raise InvalidParameter("weights must be finite and >= 0")
+        if np.any(self.weight < 0.0):
+            raise InvalidParameter("weights must be >= 0")
 
     def __len__(self):
         return len(self.omega)
@@ -147,6 +147,12 @@ def zigzag_displacement_amplitudes(params: ChainParams
     return _kick_weights(params, np.sqrt(lam), np.sqrt(s) * v, "zigzag")
 
 
+def _rounding_allowance(t: np.ndarray) -> float:
+    """_UNIFORM_ULPS ulp of max|t|, NaN if t is not finite; two reductions,
+    so the grid is not copied."""
+    return _UNIFORM_ULPS * np.spacing(np.maximum(np.max(t), -np.min(t)))
+
+
 def _uniform_step(t: np.ndarray) -> float | None:
     """dt if t_i = t_0 + i dt to within a few ulp of max|t|, else None.
 
@@ -156,7 +162,7 @@ def _uniform_step(t: np.ndarray) -> float | None:
     if n < _MIN_UNIFORM_SAMPLES:
         return None
     dt = (t[-1] - t[0]) / (n - 1)
-    tol = _UNIFORM_ULPS * np.spacing(np.max(np.abs(t)))
+    tol = _rounding_allowance(t)
     if not np.max(np.abs(t - (t[0] + dt * np.arange(n)))) <= tol:
         return None                     # also for NaN and inf samples
     return float(dt)
@@ -291,8 +297,7 @@ def _trig_sums(t, omega: np.ndarray, requests):
     several requests is merged and spread once.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if not np.all(np.isfinite(t_arr)):
-        raise InvalidParameter("times t must be finite")
+    _check_finite("t", t_arr)
     vectors = {id(w): w for _, w in requests}
     distinct, inv = np.unique(omega, return_inverse=True)
     if len(distinct) < len(omega):
@@ -338,8 +343,8 @@ def weighted_trig_sum(t, omega: np.ndarray, weight: np.ndarray,
     Near t = 0 the exponential sum would lose sin^2 to the cancellation in
     1 - cos, and the Gamma-fit window lies there. Bit-equal frequencies
     merge, weights summed, before either route; inputs whose frequencies
-    are all distinct reach it untouched. Non-finite times raise
-    InvalidParameter.
+    are all distinct reach it untouched. Non-finite times, frequencies or
+    weights raise InvalidParameter.
     """
     if kind not in ("sin2half", "sin", "cos"):
         raise InvalidParameter(f"unknown kernel kind {kind!r}")
@@ -347,6 +352,8 @@ def weighted_trig_sum(t, omega: np.ndarray, weight: np.ndarray,
         raise InvalidParameter(
             f"omega and weight must have the same shape, got "
             f"{np.shape(omega)} and {np.shape(weight)}")
+    _check_finite("omega", omega)
+    _check_finite("weight", weight)
     return _trig_sums(t, omega, [(kind, weight)])[0]
 
 
@@ -357,8 +364,7 @@ def exponent_A(t, amps: DisplacementAmplitudes):
 
 def thermal_weights(amps: DisplacementAmplitudes, theta: float) -> np.ndarray:
     """|alpha|^2 coth(omega / (2 theta)); theta = 0 returns |alpha|^2."""
-    if not 0.0 <= theta < np.inf:
-        raise InvalidParameter(f"theta must be >= 0 and finite, got {theta}")
+    _check_theta(theta)
     if theta == 0.0:
         return amps.weight
     with np.errstate(divide="ignore", over="ignore"):

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NumericalFailure, ResourceLimit
-from .model import ChainParams
-from .ramsey import VisibilityTrace, evaluate_trace, linear_chain_amplitudes
+from .model import ChainParams, _check_finite, _check_positive
+from .ramsey import (VisibilityTrace, _rounding_allowance, evaluate_trace,
+                     linear_chain_amplitudes)
 
 DEFAULT_T_F = 1e4      # 1/omega_0
 DEFAULT_N_S = 100_000
@@ -47,8 +48,7 @@ def visibility_trace(params: ChainParams, T_F: float = DEFAULT_T_F,
                      n_s: int = DEFAULT_N_S) -> VisibilityTrace:
     """Sample V(t) at params.theta on t_n = -T_F/2 + n dt, n = 0..n_s-1,
     dt = T_F/n_s."""
-    if not 0 < T_F < math.inf:
-        raise InvalidParameter(f"T_F must be positive and finite, got {T_F}")
+    _check_positive("T_F", T_F)
     if n_s < _MIN_SAMPLES:
         raise InvalidParameter(f"n_s must be >= {_MIN_SAMPLES}")
     check_trace_samples(n_s)
@@ -74,16 +74,18 @@ class FourierSpectrum:
 def fourier_spectrum(trace: VisibilityTrace) -> FourierSpectrum:
     """Normalized |DFT| of V(t), folded to omega >= 0.
 
-    The time grid must be uniform and T_F long enough for a finite top
-    frequency; the magnitude is invariant under the circular shift that
-    maps the symmetric interval onto DFT order.
+    Every step of the time grid must lie within 1e-9 dt of dt = t[1] - t[0]
+    plus `ramsey._rounding_allowance`, so grids built by accumulation pass,
+    and T_F long enough for a finite top frequency; the magnitude is
+    invariant under the circular shift that maps the symmetric interval
+    onto DFT order.
     """
     t = trace.t
     if len(t) < 2:
         raise InvalidParameter("trace too short")
     dt = float(t[1] - t[0])
-    steps = np.diff(t)
-    if dt <= 0 or not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
+    if dt <= 0 or not np.allclose(np.diff(t), dt, rtol=1e-9,
+                                  atol=_rounding_allowance(t)):
         raise InvalidParameter("fourier_spectrum requires a uniform grid")
     F = np.abs(np.fft.rfft(trace.V))
     if F[0] == 0.0:
@@ -176,13 +178,9 @@ def find_peaks(spectrum: FourierSpectrum,
     Peaks, plateau midpoints and prominences follow scipy.signal.find_peaks.
     Returns (omega, F) pairs sorted by descending amplitude.
     """
-    if not 0 < prominence < math.inf:
-        raise InvalidParameter(f"prominence must be positive and finite, "
-                               f"got {prominence}")
+    _check_positive("prominence", prominence)
     F = np.asarray(spectrum.F, dtype=np.float64)
-    if not np.all(np.isfinite(F)):
-        bad = int(np.argmin(np.isfinite(F)))
-        raise InvalidParameter(f"F must be finite; F[{bad}] = {F[bad]}")
+    _check_finite("F", F)
     idx, prom = _peak_prominences(F)
     idx = idx[(prom >= prominence) & (idx > DC_FLOOR_BINS)]
     pairs = [(float(spectrum.omega[i]), float(F[i])) for i in idx]

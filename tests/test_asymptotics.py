@@ -433,6 +433,13 @@ def test_burst_detector_validation():
         find_revival_burst(t, np.ones_like(t))
     with pytest.raises(InvalidParameter):
         find_revival_burst(np.arange(4.0), np.arange(3.0))
+    # Steps drawn from [1e-14, 5e-14] vary fivefold, yet every one lies
+    # within a fixed atol of 1e-12 of the first.
+    t = np.cumsum(np.random.default_rng(0).uniform(1e-14, 5e-14, 2000))
+    V = np.where(np.arange(2000) > 1000, 0.8, 0.9) + 0.01 * np.cos(1e13 * t)
+    with pytest.raises(InvalidParameter, match="uniform time grid"):
+        find_revival_burst(t, V, window=1e-13, baseline_gap=1e-13,
+                           baseline_span=4e-13)
 
 
 def test_burst_detector_names_a_short_trace():
@@ -456,6 +463,19 @@ def test_burst_detector_rejects_bad_inputs(V_value, kwargs, match):
     V[7] = V_value
     with pytest.raises(InvalidParameter, match=match):
         find_revival_burst(t, V, **kwargs)
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.013])
+def test_burst_detector_accepts_a_grid_built_by_accumulation(dt):
+    # Every step is dt to rounding, though the samples drift from
+    # t_0 + i dt: the window sizes in samples are those of the exact grid.
+    t = np.cumsum(np.full(10**5, dt))
+    V = 0.8 + 0.002 * np.sin(2.0 * t)
+    burst = np.arange(t.size) >= 60_000
+    V[burst] = 0.8 + 0.02 * np.sin(2.0 * t[burst])
+    exact = t[0] + dt * np.arange(t.size)
+    assert find_revival_burst(t, V) == pytest.approx(
+        find_revival_burst(exact, V), abs=dt)
 
 
 @pytest.mark.parametrize("name", ["window", "baseline_gap",

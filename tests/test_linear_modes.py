@@ -82,7 +82,7 @@ def test_transverse_softening_and_instability():
         dispersion_transverse(math.pi, -1.0, 100)
 
 
-@pytest.mark.parametrize("nu_t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("nu_t", [math.nan, math.inf, -math.inf, 1e200])
 @pytest.mark.parametrize("call", [
     lambda nu_t: dispersion_transverse(1.0, nu_t, 100),
     lambda nu_t: dispersion_transverse(np.linspace(0.1, 3.0, 5), nu_t, 100),
@@ -92,8 +92,25 @@ def test_transverse_softening_and_instability():
 ], ids=["dispersion_transverse", "dispersion_transverse[array]",
         "group_velocity", "max_group_velocity", "revival_time"])
 def test_non_finite_nu_t_is_rejected(call, nu_t):
-    with pytest.raises(InvalidParameter, match="nu_t must be finite"):
+    # 1e200 is finite, but the spectra square it: nu_t^2 overflows.
+    with pytest.raises(InvalidParameter, match="nu_t must be positive and "
+                       "finite, and so must nu_t\\^2"):
         call(nu_t)
+
+
+@pytest.mark.parametrize("k, shown", [
+    (math.nan, r"k\[0\] = nan"), (math.inf, r"k\[0\] = inf"),
+    (np.array([1.0, -math.inf, math.nan]), r"k\[1\] = -inf"),
+], ids=["nan", "inf", "array"])
+@pytest.mark.parametrize("call", [
+    lambda k: dispersion_axial(k, 16),
+    lambda k: dispersion_transverse(k, 2.5, 16),
+    lambda k: group_velocity(k, 2.5, 16),
+], ids=["dispersion_axial", "dispersion_transverse", "group_velocity"])
+def test_non_finite_k_is_rejected(call, k, shown):
+    # Not a NaN result, nor a RuntimeWarning from sin.
+    with pytest.raises(InvalidParameter, match="k must be finite; " + shown):
+        call(k)
 
 
 def test_mode_sets():

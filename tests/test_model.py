@@ -114,6 +114,29 @@ def test_chain_params_validation():
             ChainParams(N=8, nu_t=2.5, eta_c=0.1, theta=theta)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("N", 7), ("N", 2.0), ("N", True),
+    ("nu_t", math.nan), ("nu_t", 1e200),
+    ("theta", -1), ("theta", math.nan),
+])
+def test_raw_arguments_follow_the_chain_params_rules(field, bad):
+    # One rule per parameter: ChainParams and a function that takes the
+    # parameter as a plain argument raise the same message.
+    good = dict(N=16, nu_t=2.5, eta_c=0.1, theta=0.0)
+    with pytest.raises(InvalidParameter) as from_params:
+        ChainParams(**{**good, field: bad})
+    amps = cc.linear_chain_amplitudes(ChainParams(**good))
+    raw = {"N": lambda: cc.critical_frequency_finite(bad),
+           "nu_t": lambda: cc.dispersion_transverse(1.0, bad, 16),
+           "theta": lambda: cc.thermal_weights(amps, bad)}[field]
+    with pytest.raises(InvalidParameter) as from_raw:
+        raw()
+    message = str(from_raw.value)
+    assert message == str(from_params.value)
+    assert message.startswith(f"{field} must be ")
+    assert message.endswith(f"got {bad!r}")
+
+
 def test_from_delta_and_eta0_identity():
     p = ChainParams.from_delta(100, 0.1, 0.25)
     assert p.nu_t == pytest.approx(critical_frequency_infinite() + 0.1)

@@ -255,6 +255,22 @@ def test_trig_sum_rejects_weights_of_another_shape(t):
         weighted_trig_sum(t, np.array([1.0, 2.0]), np.array([0.01]), "cos")
 
 
+@pytest.mark.parametrize("omega, weight, match", [
+    ([1.0, math.nan], [0.01, 0.01], r"omega must be finite; omega\[1\] = nan"),
+    ([math.inf, 2.0], [0.01, 0.01], r"omega must be finite; omega\[0\] = inf"),
+    ([1.0, 2.0], [0.01, math.inf], r"weight must be finite; weight\[1\] = inf"),
+    ([1.0, 2.0], [math.nan, 0.01], r"weight must be finite; weight\[0\] = nan"),
+], ids=["nan omega", "inf omega", "inf weight", "nan weight"])
+@pytest.mark.parametrize("t", [np.linspace(0.0, 10.0, 200), 2.0],
+                         ids=["grid", "scalar"])
+def test_trig_sum_rejects_non_finite_frequencies_and_weights(
+        t, omega, weight, match):
+    # Not NaN samples, nor a RuntimeWarning from the cast or the product.
+    for kind in ("sin2half", "sin", "cos"):
+        with pytest.raises(InvalidParameter, match=match):
+            weighted_trig_sum(t, np.array(omega), np.array(weight), kind)
+
+
 BAD_GRIDS = {
     "scalar": (2.0, "1-d grid"),
     "2-d": (np.linspace(0.0, 10.0, 100)[None, :], "1-d grid"),

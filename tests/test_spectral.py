@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from coulombchain import (ChainParams, FourierSpectrum, VisibilityTrace,
-                          overlay_band, find_peaks, fourier_spectrum,
+                          evaluate_trace, overlay_band, find_peaks,
+                          fourier_spectrum, linear_chain_amplitudes,
                           spectral_band_check, transverse_band,
                           visibility_trace)
 from coulombchain.errors import InvalidParameter, ResourceLimit
+from coulombchain.ramsey import _uniform_step
 from coulombchain.spectral import DC_FLOOR_BINS, _peak_prominences
 
 
@@ -167,6 +169,12 @@ def test_band_conventions():
     assert clo > lo        # the overlay edge sits above the soft gap
 
 
+def _grid_trace(t):
+    V = 0.8 + 0.01 * np.cos(t / (t[-1] - t[0]) * 200.0)
+    return VisibilityTrace(t=t, A=-np.log(V), V=V, S=None, theta=0.0,
+                           nu_t=2.5)
+
+
 def test_nonuniform_grid_rejected():
     tr = _tone_trace([1.0], [1e-3])
     t = tr.t.copy()
@@ -174,6 +182,32 @@ def test_nonuniform_grid_rejected():
     bad = VisibilityTrace(t=t, A=tr.A, V=tr.V, S=None, theta=0.0, nu_t=2.5)
     with pytest.raises(InvalidParameter):
         fourier_spectrum(bad)
+    # Steps drawn from [1e-14, 5e-14]: they vary fivefold, yet every one
+    # lies within a fixed atol of 1e-12 of the first.
+    t = np.cumsum(np.random.default_rng(0).uniform(1e-14, 5e-14, 2000))
+    with pytest.raises(InvalidParameter, match="requires a uniform grid"):
+        fourier_spectrum(_grid_trace(t))
+
+
+def test_uniform_grid_far_from_t0_is_accepted():
+    # At t ~ 1e6 the 0.1 steps round by 2 ulp of 1e6 (2.3e-10), more than
+    # 1e-9 dt plus a fixed 1e-12; the allowance is 8 ulp of max|t|, as for
+    # the NUFFT route that evaluate_trace takes on this grid.
+    t = 1e6 + 0.1 * np.arange(4096)
+    assert _uniform_step(t) is not None
+    amps = linear_chain_amplitudes(ChainParams(N=16, nu_t=2.5, eta_c=0.2))
+    spec = fourier_spectrum(evaluate_trace(amps, t, with_overlap=False))
+    assert spec.bin_width == pytest.approx(2 * math.pi / 409.6, rel=1e-8)
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.013])
+def test_grid_built_by_accumulation_is_accepted(dt):
+    # The samples drift from t_0 + i dt by far more than the NUFFT allows,
+    # but every step is dt to rounding: uniform for a DFT.
+    t = np.cumsum(np.full(10**5, dt))
+    assert _uniform_step(t) is None
+    spec = fourier_spectrum(_grid_trace(t))
+    assert spec.bin_width == 2 * math.pi / (float(t[1] - t[0]) * len(t))
 
 
 @pytest.mark.parametrize("T_F", [1e-310, 1e-305])
