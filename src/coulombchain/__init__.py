@@ -18,10 +18,10 @@ from .linear_modes import (ModeMatrix, ModeSet, axial_mode_set,
                            dispersion_transverse, group_velocity,
                            max_group_velocity, mode_matrix,
                            transverse_mode_set)
-from .ramsey import (DisplacementAmplitudes, VisibilityTrace, evaluate_trace,
-                     exponent_A, exponent_A_thermal, linear_chain_amplitudes,
-                     overlap, thermal_weights, visibility, weighted_trig_sum,
-                     zigzag_displacement_amplitudes)
+from .ramsey import (DisplacementAmplitudes, VisibilityTrace,
+                     chain_amplitudes, evaluate_trace, exponent_A,
+                     exponent_A_thermal, linear_chain_amplitudes, overlap,
+                     thermal_weights, visibility, weighted_trig_sum)
 from .zigzag import (ZigzagEquilibrium, ZigzagMode, ZigzagSpectrum,
                      classify_zigzag_modes, zigzag_equilibrium,
                      zigzag_spectrum)

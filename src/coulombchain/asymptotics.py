@@ -33,8 +33,8 @@ from .linear_modes import max_group_velocity
 from .model import (ChainParams, H_STIFFNESS, _check_finite,
                     _check_positive)
 from .ramsey import (DisplacementAmplitudes, VisibilityTrace,
-                     _rounding_allowance, linear_chain_amplitudes,
-                     zigzag_displacement_amplitudes)
+                     _rounding_allowance, chain_amplitudes,
+                     linear_chain_amplitudes)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -71,8 +71,8 @@ def gamma_coefficient(amps: DisplacementAmplitudes) -> GammaForms:
 def gamma_fit(trace: VisibilityTrace) -> tuple[float, float]:
     """Least-squares Gamma from A(t) ~ Gamma t^2 on the early-time window.
 
-    Uses samples with |t| nu_t <= 0.1 (at least 50 of them) and returns
-    (gamma, rms residual of the fit on that window).
+    Uses samples with |t| nu_t <= 0.1 (at least 50 of them), whose A must
+    be finite, and returns (gamma, rms residual of the fit on that window).
     """
     if trace.nu_t <= 0:
         raise InvalidParameter("trace must carry a positive nu_t")
@@ -83,6 +83,7 @@ def gamma_fit(trace: VisibilityTrace) -> tuple[float, float]:
             "with |t| nu_t <= 0.1")
     t2 = trace.t[mask] ** 2
     A = trace.A[mask]
+    _check_finite("A[window]", A)
     denom = float(np.sum(t2 ** 2))
     if denom == 0.0:
         raise InvalidParameter("fit window has no nonzero times")
@@ -185,6 +186,7 @@ class AnalyticAInfinity:
 
     def evaluate(self, delta):
         d = np.asarray(delta, dtype=np.float64)
+        _check_finite("delta", d)
         if np.any(d <= 0):
             raise UnstableLinearPhase("analytic A_inf is defined for Delta > 0")
         out = -self.slope * np.log(d) + self.offset
@@ -282,11 +284,13 @@ def gamma_transition_scan(deltas, N: int, eta_c: float,
                           zigzag_N: int | None = None) -> GammaScan:
     """Gamma over a Delta grid spanning both phases.
 
-    Points with Delta >= 0 use the linear chain of size N; negative Delta
-    uses the folded zigzag kick weights (size zigzag_N, default N), which
-    are the same for every probed ion. The combination
-    eta0^2 nu_t is Delta-independent at fixed eta_c, so the two sides join
-    continuously at Delta = 0.
+    Points with Delta >= 0 take a ring of N ions, negative Delta one of
+    zigzag_N (default N), and `chain_amplitudes` serves each in its phase:
+    the zigzag's kick weights, the same for every probed ion, below
+    nu_c(zigzag_N), the linear chain's on the flat ring at and above it,
+    so points with nu_c(zigzag_N) <= nu_t < nu_c are linear. The
+    combination eta0^2 nu_t is Delta-independent at fixed eta_c, so the two
+    sides join continuously at the transition.
     """
     if zigzag_N is None:
         zigzag_N = N
@@ -294,12 +298,8 @@ def gamma_transition_scan(deltas, N: int, eta_c: float,
     gam = np.empty_like(d)
     kinds = []
     for i, x in enumerate(d):
-        if x >= 0.0:
-            amps = linear_chain_amplitudes(
-                ChainParams.from_delta(N, float(x), eta_c))
-        else:
-            amps = zigzag_displacement_amplitudes(
-                ChainParams.from_delta(zigzag_N, float(x), eta_c))
+        amps = chain_amplitudes(ChainParams.from_delta(
+            N if x >= 0.0 else zigzag_N, float(x), eta_c))
         gam[i] = gamma_coefficient(amps).direct
         kinds.append(amps.kind)
     return GammaScan(deltas=d, gamma=gam, kinds=tuple(kinds))

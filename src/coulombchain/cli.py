@@ -20,14 +20,15 @@ the SI inputs is a usage error. Each table is computed by one
 pipeline function, shared by the subcommands and the figures. A pipeline
 writes CSVs through the path callable `run()` hands it and returns the
 manifest's params and derived values. `run()` owns the rest: it checks
-grid bounds are finite before any pipeline starts, makes `--out` when the
-first file is written, times the run and writes `<subcommand>_manifest.json`
-with every CSV and the subcommand's own valued options as parsed, overlaid
-by the derived values. CSV payloads carry no timestamps, so identical
-inputs give bit-identical files; wall time lives in the manifest only.
+grid bounds and their spans are finite before any pipeline starts, makes
+`--out` when the first file is written, times the run and writes
+`<subcommand>_manifest.json` with every CSV and the subcommand's own valued
+options as parsed, overlaid by the derived values. CSV payloads carry no
+timestamps, so identical inputs give bit-identical files; wall time lives in
+the manifest only.
 
-Exit codes: 0 success; 1 numerical or I/O failure (message names the error
-class); 2 usage errors, including invalid parameter values.
+Exit codes: 0 success; 1 numerical, memory or I/O failure (message names
+the error class); 2 usage errors, including invalid parameter values.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .linear_modes import (axial_mode_set, critical_frequency_finite,
 from .model import (ChainParams, PhysicalInput, critical_frequency_infinite,
                     derive_parameters)
 from .output import Columns, RunManifest, emit_csv
-from .ramsey import evaluate_trace, linear_chain_amplitudes
+from .ramsey import chain_amplitudes, evaluate_trace, linear_chain_amplitudes
 from .spectral import (DEFAULT_N_S, DEFAULT_T_F, check_trace_samples,
                        find_peaks, fourier_spectrum, overlay_band,
                        spectral_band_check, transverse_band, visibility_trace)
@@ -61,8 +62,10 @@ from .zigzag import zigzag_equilibrium, zigzag_spectrum
 
 _PHYSICAL_KEYS = ("mass_kg", "charge_c", "spacing_m",
                   "transverse_frequency_rad_s", "laser_wavenumber_per_m")
-# Options that bound a scan or time grid; run() rejects non-finite values.
-_GRID_BOUNDS = ("nu_min", "nu_max", "t_min", "t_max", "delta_min", "delta_max")
+# (low, high) options that bound a scan or time grid; run() rejects
+# non-finite values, and spans high - low that overflow.
+_GRID_BOUNDS = (("nu_min", "nu_max"), ("t_min", "t_max"),
+                ("delta_min", "delta_max"))
 
 
 def _read_config(path: str, parser: argparse.ArgumentParser) -> list:
@@ -304,13 +307,13 @@ def _cmd_visibility(ns, path):
     if ns.samples < 2:
         raise InvalidParameter("samples must be >= 2")
     check_trace_samples(ns.samples)
-    amps = linear_chain_amplitudes(p)
+    amps = chain_amplitudes(p)
     t = np.linspace(ns.t_min, ns.t_max, ns.samples)
     tr = evaluate_trace(amps, t, theta=p.theta)
     emit_csv(("t", "A", "V", "Re_S", "Im_S"),
              Columns(tr.t, tr.A, tr.V, tr.S.real, tr.S.imag),
              path("visibility.csv"))
-    return _params_dict(p), {}
+    return _params_dict(p), {"kind": amps.kind}
 
 
 def _cmd_fourier(ns, path):
@@ -631,10 +634,14 @@ def run(argv=None) -> int:
             # the parser types them, rejects unknown keys and lets flags win.
             ns = ap.parse_args([*argv[:1], *_read_config(ns.config, ns.parser),
                                 *argv[1:]])
-        for key in _GRID_BOUNDS:
-            value = getattr(ns, key, None)
-            if value is not None and not math.isfinite(value):
-                raise InvalidParameter(f"{key} must be finite, got {value}")
+        for pair in _GRID_BOUNDS:
+            lo, hi = (getattr(ns, key, None) for key in pair)
+            for key, v in zip(pair, (lo, hi)):
+                if v is not None and not math.isfinite(v):
+                    raise InvalidParameter(f"{key} must be finite, got {v}")
+            if None not in (lo, hi) and not math.isfinite(hi - lo):
+                raise InvalidParameter(
+                    f"{pair[1]} - {pair[0]} must be finite, got {hi} - {lo}")
         outputs: list[str] = []
 
         def path(name: str) -> str:
@@ -657,6 +664,9 @@ def run(argv=None) -> int:
         return 2
     except CoulombChainError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:          # numpy raises a private subclass
+        print(f"error [MemoryError]: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)

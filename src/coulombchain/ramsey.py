@@ -12,13 +12,15 @@ With A(t) = 2 sum_m |alpha_m|^2 sin^2(omega_m t / 2):
     visibility   V(t) = exp(-A_T(t)),  A_T = thermal A with coth(w/(2 theta))
 
 These formulas are phase agnostic: they need positive frequencies and the
-weight summed over the modes at each. Both producers keep the entries with
-probe coefficient c != 0, weighted (eta0 sqrt(nu_t / omega) c)^2, and a
-felt entry at omega = 0 raises SoftModeSingularity. The linear producer has
-one entry per mode, c = R[probe, m]. `zigzag_displacement_amplitudes` has
-one per Bloch eigenpair of the zigzag blocks: its real modes share its
-frequency and their w^2 sum to s v^2 on every site (s = 2/N, or 1/N at
-m = 0 and N/2), so c = sqrt(s) v, and axial eigenpairs (v = 0) go.
+weight summed over the modes at each. `chain_amplitudes` is the one place
+that picks a phase: below critical_frequency_finite(N) the zigzag's
+weights, at and above it `linear_chain_amplitudes`. Both producers keep the
+entries with probe coefficient c != 0, weighted (eta0 sqrt(nu_t / omega)
+c)^2, and a felt entry at omega = 0 raises SoftModeSingularity. The linear
+producer has one entry per mode, c = R[probe, m]. The zigzag has one per
+Bloch eigenpair of its blocks: its real modes share its frequency and their
+w^2 sum to s v^2 on every site (s = 2/N, or 1/N at m = 0 and N/2), so
+c = sqrt(s) v, and axial eigenpairs (v = 0) go.
 
 Every A(t), B(t) and overlap phase is a mode sum sum_m w_m f(omega_m t).
 On a uniform grid t_j = t_0 + j dt, sum_m w_m exp(i omega_m t_j) is a
@@ -138,13 +140,22 @@ def linear_chain_amplitudes(params: ChainParams,
                          mode_matrix(params.N).row(probe_site), "linear")
 
 
-def zigzag_displacement_amplitudes(params: ChainParams
-                                   ) -> DisplacementAmplitudes:
+def _zigzag_amplitudes(params: ChainParams) -> DisplacementAmplitudes:
     """Kick weights of the zigzag ring (flat above the transition), one per
     block eigenpair the probe feels, the same on every site."""
     _, lam, _, v, edge = _block_eigenpairs(params)
     s = np.where(edge, 1.0, 2.0) / params.N
     return _kick_weights(params, np.sqrt(lam), np.sqrt(s) * v, "zigzag")
+
+
+def chain_amplitudes(params: ChainParams) -> DisplacementAmplitudes:
+    """Kick weights of ion 1 in the phase the chain is in: the zigzag's
+    below critical_frequency_finite(N), where the flat ring is unstable,
+    and `linear_chain_amplitudes` at and above it. At nu_c(N) itself the
+    soft mode is at omega = 0 and SoftModeSingularity is raised."""
+    if params.nu_t < critical_frequency_finite(params.N):
+        return _zigzag_amplitudes(params)
+    return linear_chain_amplitudes(params)
 
 
 def _rounding_allowance(t: np.ndarray) -> float:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import InvalidParameter, NumericalFailure, ResourceLimit
 from .model import ChainParams, _check_finite, _check_positive
-from .ramsey import (VisibilityTrace, _rounding_allowance, evaluate_trace,
-                     linear_chain_amplitudes)
+from .ramsey import (VisibilityTrace, _rounding_allowance, chain_amplitudes,
+                     evaluate_trace)
 
 DEFAULT_T_F = 1e4      # 1/omega_0
 DEFAULT_N_S = 100_000
@@ -46,13 +46,13 @@ def check_trace_samples(n_samples: int) -> None:
 
 def visibility_trace(params: ChainParams, T_F: float = DEFAULT_T_F,
                      n_s: int = DEFAULT_N_S) -> VisibilityTrace:
-    """Sample V(t) at params.theta on t_n = -T_F/2 + n dt, n = 0..n_s-1,
-    dt = T_F/n_s."""
+    """Sample V(t) of `chain_amplitudes(params)`, in either phase, at
+    params.theta on t_n = -T_F/2 + n dt, n = 0..n_s-1, dt = T_F/n_s."""
     _check_positive("T_F", T_F)
     if n_s < _MIN_SAMPLES:
         raise InvalidParameter(f"n_s must be >= {_MIN_SAMPLES}")
     check_trace_samples(n_s)
-    amps = linear_chain_amplitudes(params)
+    amps = chain_amplitudes(params)
     dt = T_F / n_s
     t = -0.5 * T_F + dt * np.arange(n_s)
     return evaluate_trace(amps, t, theta=params.theta, with_overlap=False)
@@ -72,7 +72,7 @@ class FourierSpectrum:
 
 
 def fourier_spectrum(trace: VisibilityTrace) -> FourierSpectrum:
-    """Normalized |DFT| of V(t), folded to omega >= 0.
+    """Normalized |DFT| of finite V(t), folded to omega >= 0.
 
     Every step of the time grid must lie within 1e-9 dt of dt = t[1] - t[0]
     plus `ramsey._rounding_allowance`, so grids built by accumulation pass,
@@ -87,6 +87,7 @@ def fourier_spectrum(trace: VisibilityTrace) -> FourierSpectrum:
     if dt <= 0 or not np.allclose(np.diff(t), dt, rtol=1e-9,
                                   atol=_rounding_allowance(t)):
         raise InvalidParameter("fourier_spectrum requires a uniform grid")
+    _check_finite("V", trace.V)
     F = np.abs(np.fft.rfft(trace.V))
     if F[0] == 0.0:
         raise NumericalFailure("zero DC component; cannot normalize")
@@ -101,9 +102,11 @@ def fourier_spectrum(trace: VisibilityTrace) -> FourierSpectrum:
 
 def spectral_band_check(spectrum: FourierSpectrum, omega_min: float,
                         omega_max: float) -> float:
-    """Fraction of DC-excluded spectral power lying inside [omega_min, omega_max]."""
+    """Fraction of DC-excluded spectral power lying inside
+    [omega_min, omega_max]; F must be finite."""
     if not omega_min < omega_max:
         raise InvalidParameter("need omega_min < omega_max")
+    _check_finite("F", spectrum.F)
     floor = spectrum.omega > DC_FLOOR_BINS * spectrum.bin_width
     total = float(np.sum(spectrum.F[floor] ** 2))
     if total == 0.0:

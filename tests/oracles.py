@@ -170,7 +170,8 @@ def dense_vectors(sp) -> np.ndarray:
 
     Column i is the eigenvector of sp.omega[i] in (q_1, w_1, ..., q_N, w_N)
     order, so row 2 j - 1 holds every mode's w at site j: the unfolded
-    weights that `zigzag_displacement_amplitudes` sums per eigenpair. Raises
+    weights that `chain_amplitudes` sums per eigenpair below nu_c(N), and
+    `ramsey._zigzag_amplitudes` on either side of it. Raises
     ResourceLimit before allocating above the zigzag's dense work budget.
     """
     N = sp.N

@@ -48,6 +48,7 @@ EXPORTS = {
     "axial_mode_set",
     "b_analytic",
     "bessel_Y0",
+    "chain_amplitudes",
     "classify_zigzag_modes",
     "critical_frequency_finite",
     "critical_frequency_infinite",
@@ -81,7 +82,6 @@ EXPORTS = {
     "visibility_trace",
     "weighted_trig_sum",
     "zeta3",
-    "zigzag_displacement_amplitudes",
     "zigzag_equilibrium",
     "zigzag_spectrum",
 }

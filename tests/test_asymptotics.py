@@ -8,9 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from coulombchain import (ChainParams, GammaScan, VisibilityTrace,
-                          a_infinity, a_infinity_analytic, b_analytic,
-                          bessel_Y0, cusp_secant_slopes, evaluate_trace,
+from coulombchain import (H_STIFFNESS, AnalyticAInfinity, ChainParams,
+                          GammaScan, VisibilityTrace, a_infinity,
+                          a_infinity_analytic, b_analytic, bessel_Y0,
+                          chain_amplitudes, cusp_secant_slopes, evaluate_trace,
                           exponent_A, find_revival_burst, gamma_coefficient,
                           gamma_derivative_scan, gamma_fit,
                           gamma_transition_scan, linear_chain_amplitudes,
@@ -71,6 +72,17 @@ def test_gamma_fit_window_validation():
     tr = _synthetic_trace(0.01)
     bad = VisibilityTrace(t=tr.t, A=tr.A, V=tr.V, S=None, theta=0.0, nu_t=-1.0)
     with pytest.raises(InvalidParameter):
+        gamma_fit(bad)
+
+
+def test_gamma_fit_rejects_a_non_finite_window():
+    tr = _synthetic_trace(0.01)
+    A = tr.A.copy()
+    i = int(np.argmin(np.abs(tr.t)))        # inside the |t| nu_t <= 0.1 window
+    A[i] = math.nan
+    bad = VisibilityTrace(t=tr.t, A=A, V=tr.V, S=None, theta=0.0,
+                          nu_t=tr.nu_t)
+    with pytest.raises(InvalidParameter, match="A\\[window\\] must be finite"):
         gamma_fit(bad)
 
 
@@ -228,7 +240,7 @@ def test_a_infinity_analytic_is_a_closed_form(monkeypatch):
         calls.append(args)
         raise AssertionError("a_infinity_analytic built an amplitude set")
 
-    for name in ("linear_chain_amplitudes", "zigzag_displacement_amplitudes"):
+    for name in ("linear_chain_amplitudes", "chain_amplitudes"):
         monkeypatch.setattr(asymptotics, name, counted)
     p = ChainParams.from_delta(1000, 1e-3, 0.05)
     ana = a_infinity_analytic(p, 2.5e-3, 0.75)
@@ -239,6 +251,31 @@ def test_a_infinity_analytic_is_a_closed_form(monkeypatch):
         p.eta0 ** 2 * p.nu_t / (2 * math.pi * h), rel=1e-15)
     assert ana.evaluate(2.5e-4) - ana.evaluate(2.5e-3) == pytest.approx(
         ana.slope * math.log(10.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, [1e-3, math.nan]])
+def test_analytic_a_infinity_rejects_a_non_finite_delta(delta):
+    ana = AnalyticAInfinity(slope=1e-3, offset=0.5, delta_ref=1e-3)
+    with pytest.raises(InvalidParameter, match="delta must be finite"):
+        ana.evaluate(delta)
+
+
+def test_zigzag_side_log_step_rises_towards_the_linear_slope():
+    # On the linear side each decade of Delta adds s ln 10 to A_inf, with
+    # s = eta0^2 nu_t / (2 pi h) the slope of criterion 7. On the zigzag
+    # side, Delta = -1e-2 ... -1e-6 at N = 2^16, the steps measure 0.9065,
+    # 0.9552, 0.9741 and 0.9830 s ln 10: they rise strictly and stay below
+    # the linear slope over these five decades, which is the limit pinned.
+    N, eta_c = 2 ** 16, 0.05
+    sets = [chain_amplitudes(ChainParams.from_delta(N, -10.0 ** -e, eta_c))
+            for e in range(2, 7)]
+    assert {amps.kind for amps in sets} == {"zigzag"}
+    p = ChainParams.from_delta(N, 0.0, eta_c)   # eta0^2 nu_t: any Delta
+    s = p.eta0 ** 2 * p.nu_t / (2.0 * math.pi * H_STIFFNESS)
+    ratios = np.diff([a_infinity(amps).direct for amps in sets]) \
+        / (s * math.log(10.0))
+    assert np.all(np.diff(ratios) > 0.0)
+    assert np.all((ratios > 0.9) & (ratios < 1.0))
 
 
 @pytest.mark.parametrize("delta_ref, a_ref, word", [

@@ -16,7 +16,7 @@ import pytest
 import coulombchain
 from coulombchain import (PhysicalInput, asymptotics, cli,
                           critical_frequency_finite, derive_parameters,
-                          emit_csv, output, spectral)
+                          emit_csv, output, ramsey)
 from coulombchain.cli import run
 from coulombchain.errors import InvalidParameter
 
@@ -447,7 +447,7 @@ def test_figures_share_the_derivative_scan(tmp_path, monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(cli, "gamma_derivative_scan", counted_scan)
-    for module in (cli, asymptotics, spectral):
+    for module in (cli, asymptotics, ramsey):
         monkeypatch.setattr(module, "linear_chain_amplitudes", counted_build)
     assert run(["figures", "--which", "all", "--out", str(tmp_path)]) == 0
     assert calls["scan"] == 1
@@ -553,6 +553,31 @@ def test_fourier_checks_the_bands_before_writing(tmp_path, capsys):
             "fourier.csv", "fourier_manifest.json", "fourier_peaks.csv"]
 
 
+def test_visibility_and_fourier_run_on_the_zigzag_side(tmp_path, capsys):
+    # Below nu_c(N) both take the zigzag's kick weights; the visibility
+    # manifest names the phase that served the run.
+    chain = ["--N", "64", "--eta-c", "0.1"]
+    for delta, kind in (("-1e-3", "zigzag"), ("1e-3", "linear")):
+        out = tmp_path / f"v{delta}"
+        assert run(["visibility", *chain, f"--delta={delta}",
+                    "--out", str(out)]) == 0
+        man = json.loads((out / "visibility_manifest.json").read_text())
+        assert man["grids"]["kind"] == kind
+        _, rows = _read_csv(out / "visibility.csv")
+        V = np.array([float(r[2]) for r in rows])
+        assert np.all((V > 0.0) & (V <= 1.0))
+    out = tmp_path / "f"
+    assert run(["fourier", *chain, "--delta=-1e-3", "--T-F", "400", "--n-s",
+                "2048", "--no-band", "--out", str(out)]) == 0
+    assert (out / "fourier_peaks.csv").exists()
+    # The zigzag needs N divisible by 4: a usage error, before any file.
+    out = tmp_path / "n66"
+    assert run(["visibility", "--N", "66", "--delta=-1e-2", "--eta-c", "0.1",
+                "--out", str(out)]) == 2
+    assert "divisible by 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zigzag_takes_the_spectrum_before_writing(tmp_path, capsys):
     # Far below nu_c(N) the staggered ansatz is unstable; the run must fail
     # before its first table, not after it.
@@ -606,6 +631,44 @@ def test_scan_grids_are_validated(argv, word, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error [InvalidParameter]" in err and word in err
     assert not list(tmp_path.iterdir())     # not even the --out directory
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, low, high", [
+    (["zigzag", "--N", "16", "--nu-t", "2.0", "--nu-min=-1e308",
+      "--nu-max", "1e308"], "nu_min", "nu_max"),
+    (["gamma-scan", "--N", "16", "--eta-c", "0.05", "--delta-min=-1e308",
+      "--delta-max", "1e308"], "delta_min", "delta_max"),
+    (["visibility", *_CHAIN, "--t-min=-1e308", "--t-max", "1e308"],
+     "t_min", "t_max")])
+def test_grid_spans_that_overflow_are_usage_errors(argv, low, high, tmp_path,
+                                                   capsys):
+    # Each bound is finite, but high - low is not: the grid's step would
+    # overflow to a NaN the user never gave.
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"error [InvalidParameter]: {high} - {low} must be finite" in err
+    assert "nan" not in err
+    assert not list(tmp_path.iterdir())
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands for numpy's private subclass of MemoryError."""
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["spectrum", "--N", "16", "--nu-t", "2.5"], "transverse_mode_set"),
+    (["gamma-scan", "--N", "16", "--eta-c", "0.05"], "gamma_transition_scan")])
+def test_memory_errors_are_reported_not_raised(argv, target, tmp_path, capsys,
+                                               monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise _ArrayMemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr(cli, target, out_of_memory)
+    assert run([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error [MemoryError]: Unable to allocate 7.45 GiB for an array\n")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["visibility", "longtime"])

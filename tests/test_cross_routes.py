@@ -33,8 +33,9 @@ from coulombchain import (ChainParams, DisplacementAmplitudes, axial_mode_set,
                           group_velocity, linear_chain_amplitudes,
                           max_group_velocity, mode_matrix, thermal_weights,
                           transverse_mode_set, weighted_trig_sum,
-                          zigzag_displacement_amplitudes, zigzag_spectrum)
+                          zigzag_spectrum)
 from coulombchain import linear_modes, ramsey
+from coulombchain.ramsey import _zigzag_amplitudes
 from coulombchain.errors import SoftModeSingularity
 from coulombchain.linear_modes import (_GOLDEN, _VGRID_POINTS, _VMAX_TOL,
                                        _dispersion_sum, _grid_group_velocity,
@@ -272,7 +273,7 @@ def test_kernels_receive_distinct_frequencies_only(grid, monkeypatch):
     calls.clear()
     omega = rng.uniform(0.5, 2.5, 50)
     weight = rng.uniform(0.0, 0.1, 50)
-    zz = zigzag_displacement_amplitudes(ChainParams(
+    zz = _zigzag_amplitudes(ChainParams(
         N=64, nu_t=critical_frequency_finite(64) - 0.04, eta_c=0.1))
     assert len(np.unique(zz.omega)) == len(zz.omega)
     for om, w in ((omega, weight), (zz.omega, zz.weight)):
@@ -501,7 +502,7 @@ def test_zigzag_amplitudes_fold_onto_linear_at_b_zero():
         p = ChainParams(N=N, nu_t=nu, eta_c=0.1)
         sp = zigzag_spectrum(p)
         assert sp.b == 0.0
-        zz = zigzag_displacement_amplitudes(p)
+        zz = _zigzag_amplitudes(p)
         for site in rng.integers(1, N + 1, 3):
             lin = linear_chain_amplitudes(p, probe_site=int(site))
             w_lin, w_zz = _sums_per_frequency(lin, zz)
@@ -521,7 +522,7 @@ def test_folded_zigzag_weights_match_dense_mode_sums(N):
                         eta_c=float(rng.uniform(0.05, 0.3)))
         sp = zigzag_spectrum(p)
         assert (sp.b > 0.0) == (nu < nuc)
-        zz = zigzag_displacement_amplitudes(p)
+        zz = _zigzag_amplitudes(p)
         assert len(zz) <= N + 2
         assert np.sum(zz.weight * zz.omega) == pytest.approx(
             p.eta0 ** 2 * p.nu_t, rel=1e-10)
@@ -536,15 +537,15 @@ def test_folded_zigzag_weights_match_dense_mode_sums(N):
 
 
 def test_gamma_is_continuous_across_delta_zero():
-    # On (nu_c(N) - nu_c, 0) the scan takes the zigzag route, yet b = 0 there,
-    # so its Gamma must be the linear chain's at the same nu_t.
+    # On (nu_c(N) - nu_c, 0) the ring is flat, so the scan serves it with the
+    # linear chain at the same nu_t.
     rng = np.random.default_rng(20261018)
     for N in (16, 64, 256):
         shift = critical_frequency_finite(N) - critical_frequency_infinite()
         delta = float(rng.uniform(0.05, 0.95)) * shift
         eta_c = float(rng.uniform(0.01, 0.3))
         scan = gamma_transition_scan([delta, 0.0, -delta], N=N, eta_c=eta_c)
-        assert scan.kinds == ("zigzag", "linear", "linear")
+        assert scan.kinds == ("linear", "linear", "linear")
         lin = linear_chain_amplitudes(ChainParams.from_delta(N, delta, eta_c))
         assert scan.gamma[0] == pytest.approx(gamma_coefficient(lin).direct,
                                               rel=1e-12)

@@ -11,15 +11,17 @@ import numpy as np
 import pytest
 
 from coulombchain import (ChainParams, DisplacementAmplitudes,
-                          VisibilityTrace, critical_frequency_finite,
-                          evaluate_trace, exponent_A, exponent_A_thermal,
-                          linear_chain_amplitudes, overlap, thermal_weights,
-                          visibility, weighted_trig_sum)
+                          VisibilityTrace, chain_amplitudes,
+                          critical_frequency_finite, evaluate_trace,
+                          exponent_A, exponent_A_thermal,
+                          linear_chain_amplitudes, overlap, ramsey,
+                          thermal_weights, visibility, weighted_trig_sum)
 from coulombchain.errors import (InvalidParameter, ResourceLimit,
                                  SoftModeSingularity)
 from coulombchain.linear_modes import RADICAND_CLAMP
 from coulombchain.ramsey import (_CHUNK_ELEMENTS, TRACE_BUDGET,
-                                 _direct_trig_sum, _uniform_step)
+                                 _direct_trig_sum, _uniform_step,
+                                 _zigzag_amplitudes)
 
 T_GRID = [0.0, 0.37, 1.0, 2.5, 7.3, 31.4]
 
@@ -178,6 +180,27 @@ def test_snapped_soft_mode_names_the_clamp(above):
     assert "RADICAND_CLAMP nu_t^2 = 3.74e-15" in str(err.value)
     p = ChainParams(N=N, nu_t=critical_frequency_finite(N) + above, eta_c=0.1)
     assert np.all(linear_chain_amplitudes(p).omega > 0.0)
+
+
+@pytest.mark.parametrize("N", [16, 64, 256])
+def test_chain_amplitudes_pick_the_phase_at_nu_c_of_n(N, monkeypatch):
+    # The zigzag's weights below nu_c(N), the linear chain's at and above
+    # it; a gap of 1e-12 resolves the soft mode on either side.
+    nuc = critical_frequency_finite(N)
+    below = ChainParams(N=N, nu_t=nuc - 1e-12, eta_c=0.1)
+    above = ChainParams(N=N, nu_t=nuc + 1e-12, eta_c=0.1)
+    for p, kind, producer in ((below, "zigzag", _zigzag_amplitudes),
+                              (above, "linear", linear_chain_amplitudes)):
+        amps, ref = chain_amplitudes(p), producer(p)
+        assert amps.kind == kind
+        assert np.array_equal(amps.omega, ref.omega)
+        assert np.array_equal(amps.weight, ref.weight)
+    # At nu_c(N) itself the soft mode sits at omega = 0.
+    at = ChainParams(N=N, nu_t=nuc, eta_c=0.1)
+    with pytest.raises(SoftModeSingularity):
+        chain_amplitudes(at)
+    monkeypatch.setattr(ramsey, "linear_chain_amplitudes", lambda p: "linear")
+    assert chain_amplitudes(at) == "linear"
 
 
 def test_zero_detuning_keeps_its_soft_mode_at_large_n():

@@ -157,6 +157,24 @@ def test_band_fractions():
         spectral_band_check(spec, 2.0, 1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_samples_are_rejected(bad):
+    tr = _tone_trace([1.0], [1e-3])
+    V = tr.V.copy()
+    V[7] = bad
+    with pytest.raises(InvalidParameter, match=f"V\\[7\\] = {bad}"):
+        fourier_spectrum(VisibilityTrace(t=tr.t, A=tr.A, V=V, S=None,
+                                         theta=0.0, nu_t=tr.nu_t))
+    spec = fourier_spectrum(tr)
+    F = spec.F.copy()
+    F[7] = bad
+    with pytest.raises(InvalidParameter, match=f"F\\[7\\] = {bad}"):
+        spectral_band_check(FourierSpectrum(omega=spec.omega, F=F,
+                                            bin_width=spec.bin_width),
+                            1.0, 2.0)
+
+
 def test_band_conventions():
     p = ChainParams.from_delta(100, 0.1, 0.25)
     lo, hi = transverse_band(p)

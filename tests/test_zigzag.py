@@ -12,10 +12,10 @@ import pytest
 from coulombchain import (ChainParams, axial_mode_set, classify_zigzag_modes,
                           critical_frequency_finite, dispersion_axial,
                           dispersion_transverse, gamma_coefficient,
-                          linear_chain_amplitudes,
-                          zigzag_displacement_amplitudes, zigzag_equilibrium,
+                          linear_chain_amplitudes, zigzag_equilibrium,
                           zigzag_spectrum)
 from coulombchain import zigzag
+from coulombchain.ramsey import _zigzag_amplitudes
 from coulombchain.cli import run
 from coulombchain.errors import (InvalidParameter, NumericalFailure,
                                  ResourceLimit, SoftModeSingularity)
@@ -228,7 +228,7 @@ def test_amplitude_sum_rule_both_phases():
         N = 16
         nu = critical_frequency_finite(N) + nu_off
         p = ChainParams(N=N, nu_t=nu, eta_c=0.1)
-        amps = zigzag_displacement_amplitudes(p)
+        amps = _zigzag_amplitudes(p)
         assert amps.kind == "zigzag"
         total = float(np.sum(amps.weight * amps.omega))
         assert total == pytest.approx(p.eta0 ** 2 * p.nu_t, rel=1e-10)
@@ -239,7 +239,7 @@ def test_amplitudes_singular_exactly_at_transition():
     N = 16
     p = ChainParams(N=N, nu_t=critical_frequency_finite(N), eta_c=0.1)
     with pytest.raises(SoftModeSingularity):
-        zigzag_displacement_amplitudes(p)
+        _zigzag_amplitudes(p)
 
 
 @pytest.mark.parametrize("gap", [1e-12, 1e-13])
@@ -251,7 +251,7 @@ def test_gamma_joins_across_the_finite_n_transition(N, gap):
     nuc = critical_frequency_finite(N)
     p = ChainParams(N=N, nu_t=nuc - gap, eta_c=0.05)
     assert zigzag_equilibrium(p).b > 0.0
-    zz = zigzag_displacement_amplitudes(p)
+    zz = _zigzag_amplitudes(p)
     assert np.all(np.isfinite(zz.weight)) and np.all(zz.omega > 0.0)
     assert np.sum(zz.weight * zz.omega) == pytest.approx(
         p.eta0 ** 2 * p.nu_t, rel=1e-10)
@@ -284,13 +284,13 @@ def test_no_spurious_instability_near_the_transition(N):
         p = ChainParams(N=N, nu_t=float(nu), eta_c=0.05)
         zigzag_spectrum(p)
         if nu == nuc:
-            for producer in (zigzag_displacement_amplitudes,
+            for producer in (_zigzag_amplitudes,
                              linear_chain_amplitudes):
                 with pytest.raises(SoftModeSingularity):
                     producer(p)
         else:
             expect = N if nu < nuc else N // 2 + 1
-            assert len(zigzag_displacement_amplitudes(p)) == expect
+            assert len(_zigzag_amplitudes(p)) == expect
 
 
 def test_the_crystal_module_does_not_import_the_ramsey_layer():
@@ -311,7 +311,7 @@ def test_block_route_scales_past_the_dense_budget(tmp_path):
     p = ChainParams(N=N, nu_t=critical_frequency_finite(N) - 0.01, eta_c=0.1)
     sp = zigzag_spectrum(p)
     assert sp.b > 0.0 and sp.omega.shape == (2 * N,)
-    amps = zigzag_displacement_amplitudes(p)
+    amps = _zigzag_amplitudes(p)
     # All eigenpairs but the rotation and the unfelt m = N/2 axial one.
     assert len(amps) == N
     total = float(np.sum(amps.weight * amps.omega))
