@@ -71,7 +71,8 @@ class DisplacementAmplitudes:
 
     omega  -- entry frequencies, omega_0 units, all > 0
     weight -- |alpha_m|^2 summed over the modes m an entry stands for, all
-              at its frequency (degenerate modes: one entry or several)
+              at its frequency (degenerate modes: one entry or several);
+              2 sum(weight), the bound on A(t), must be finite
     eta0   -- Lamb-Dicke parameter at nu_t
     nu_t   -- confinement, omega_0 units
     kind   -- 'linear' or 'zigzag'; the mean-frequency identities of the
@@ -109,9 +110,19 @@ class DisplacementAmplitudes:
                 "displacement amplitudes need strictly positive frequencies")
         if np.any(self.weight < 0.0):
             raise InvalidParameter("weights must be >= 0")
+        if not np.isfinite(_a_bound(self.weight)):
+            raise InvalidParameter(
+                "2 sum(weight), the bound on A(t), must be finite, got inf")
 
     def __len__(self):
         return len(self.omega)
+
+
+def _a_bound(weight: np.ndarray) -> np.float64:
+    """2 sum(weight), the largest A(t) can be, without an overflow warning:
+    each weight can be finite while the sum is not."""
+    with np.errstate(over="ignore"):
+        return 2.0 * weight.sum()
 
 
 def _kick_weights(params: ChainParams, omega: np.ndarray, c: np.ndarray,
@@ -126,7 +137,8 @@ def _kick_weights(params: ChainParams, omega: np.ndarray, c: np.ndarray,
             f"soft mode at nu_t - critical_frequency_finite(N) = {delta:.3e}: "
             f"omega^2 below RADICAND_CLAMP nu_t^2 = "
             f"{RADICAND_CLAMP * params.nu_t ** 2:.3g} snaps to 0")
-    weight = (params.eta0 * np.sqrt(params.nu_t / omega) * c) ** 2
+    with np.errstate(over="ignore"):    # an inf weight raises below
+        weight = (params.eta0 * np.sqrt(params.nu_t / omega) * c) ** 2
     return DisplacementAmplitudes(omega=omega, weight=weight,
                                   eta0=params.eta0, nu_t=params.nu_t,
                                   kind=kind)
@@ -374,15 +386,18 @@ def exponent_A(t, amps: DisplacementAmplitudes):
 
 
 def thermal_weights(amps: DisplacementAmplitudes, theta: float) -> np.ndarray:
-    """|alpha|^2 coth(omega / (2 theta)); theta = 0 returns |alpha|^2."""
+    """|alpha|^2 coth(omega / (2 theta)); theta = 0 returns |alpha|^2.
+    Like the weights themselves, 2 sum(w), the bound on A_T(t), must be
+    finite."""
     _check_theta(theta)
     if theta == 0.0:
         return amps.weight
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w = amps.weight / np.tanh(amps.omega / (2.0 * theta))
-    if np.isfinite(w).all():
+    if np.isfinite(_a_bound(w)):        # also false for any inf or NaN in w
         return w
-    raise InvalidParameter(f"theta = {theta} gives non-finite thermal weights")
+    raise InvalidParameter(f"theta = {theta} gives non-finite thermal weights "
+                           "or a non-finite 2 sum(w)")
 
 
 def exponent_A_thermal(t, amps: DisplacementAmplitudes, theta: float):

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -291,7 +292,8 @@ def test_a_infinity_analytic_rejects_a_bad_reference(delta_ref, a_ref, word):
 
 def _closed_form_line(x, y):
     """Textbook least squares: slope Sxy / Sxx, intercept mean(y) - slope
-    mean(x), slope error sqrt(SSres / ((n - 2) Sxx)), R^2 = 1 - SSres/SStot."""
+    mean(x), slope error sqrt(SSres / ((n - 2) Sxx)), R^2 = 1 - SSres/SStot;
+    slope and intercept are exact when x and y are Fractions."""
     n = len(x)
     mx, my = sum(x) / n, sum(y) / n
     sxx = sum((xi - mx) ** 2 for xi in x)
@@ -305,13 +307,22 @@ def _closed_form_line(x, y):
 
 
 def test_line_fit_matches_the_closed_form_on_a_noisy_line():
-    rng = np.random.default_rng(7)
-    x = np.sort(rng.uniform(-3.0, 5.0, 40))
-    y = 0.4 - 1.7 * x + rng.normal(0.0, 0.3, x.size)
-    fit = asymptotics._line_fit(x, y, "the test fit")
-    ref = _closed_form_line(x.tolist(), y.tolist())
-    assert fit == pytest.approx(ref, rel=1e-12)
-    assert 0.9 < fit[3] < 1.0
+    # The reference is exact: _closed_form_line in rationals of the float
+    # inputs. Offsets of 1e3 and 1e6 in x cancel digits in an uncentred
+    # solve; an SVD least-squares line (np.polyfit) is off by 5e-11 in the
+    # slope and 9e-9 in the intercept at 1e6.
+    for offset in (0.0, 1e3, 1e6):
+        rng = np.random.default_rng(7)
+        x = offset + np.sort(rng.uniform(-3.0, 5.0, 40))
+        y = 0.4 - 1.7 * x + rng.normal(0.0, 0.3, x.size)
+        fit = asymptotics._line_fit(x, y, "the test fit")
+        ref = [float(v) for v in _closed_form_line(
+            [Fraction(v) for v in x.tolist()],
+            [Fraction(v) for v in y.tolist()])]
+        assert fit[0] == pytest.approx(ref[0], rel=1e-13), offset
+        assert fit[1] == pytest.approx(ref[1], rel=1e-10), offset
+        assert fit[2:] == pytest.approx(ref[2:], rel=1e-12), offset
+        assert 0.9 < fit[3] < 1.0
 
 
 def test_line_fit_of_an_exact_line():

@@ -652,6 +652,42 @@ def test_grid_spans_that_overflow_are_usage_errors(argv, low, high, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eta_c, word", [
+    ("1e154", "2 sum(weight), the bound on A(t), must be finite, got inf"),
+    ("1e160", "weight must be finite; weight[0] = inf")],
+    ids=["sum overflows", "square overflows"])
+def test_kick_weights_that_overflow_are_usage_errors(eta_c, word, tmp_path,
+                                                     capsys):
+    # At 1e154 each weight is finite but their sum is not, so A(t) could
+    # reach inf; at 1e160 the square of the largest kick overflows. Both
+    # stop before any trace, with no RuntimeWarning and no --out.
+    assert run(["visibility", "--N", "64", "--delta", "0.01", "--eta-c", eta_c,
+                "--samples", "100", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error [InvalidParameter]: {word}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma-scan", "--N", "16", "--eta-c", "0.05"],
+    ["asymptotics", "--N", "16", "--eta-c", "0.05", "--points", "3"],
+    ["figures", "--which", "5"],
+    ["figures", "--which", "7"],
+    ["zigzag", "--N", "16", "--nu-t", "2.0", "--points", "5"]],
+    ids=lambda argv: " ".join(argv[:3]))
+def test_runs_call_no_numpy_linalg(argv, tmp_path, monkeypatch):
+    # Line fits are closed-form sums: a LAPACK routine's first call adds
+    # about 1.1 MB of resident memory to the run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run called numpy.linalg or np.polyfit")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+
+
 class _ArrayMemoryError(MemoryError):
     """Stands for numpy's private subclass of MemoryError."""
 

@@ -143,6 +143,38 @@ def test_temperature_with_non_finite_weights_rejected(theta):
         thermal_weights(amps, theta)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [0.01, -0.01], ids=["linear", "zigzag"])
+@pytest.mark.parametrize("eta_c, match", [
+    (1e154, r"2 sum\(weight\), the bound on A\(t\), must be finite"),
+    (1e160, r"weight must be finite; weight\[\d+\] = inf")],
+    ids=["sum overflows", "square overflows"])
+def test_kick_weights_must_bound_a(delta, eta_c, match):
+    # A(t) <= 2 sum(weight): weights that are each finite but sum to inf
+    # could make A(t) inf. A square that overflows must not warn either.
+    with pytest.raises(InvalidParameter, match=match):
+        chain_amplitudes(ChainParams.from_delta(64, delta, eta_c))
+
+
+@pytest.mark.filterwarnings("error")
+def test_hand_built_and_thermal_weights_must_bound_a():
+    omega = np.array([1.0, 2.0])
+    amps = DisplacementAmplitudes(omega=omega, weight=np.full(2, 4e307),
+                                  eta0=1.0, nu_t=2.0)   # 2 sum = 1.6e308
+    with pytest.raises(InvalidParameter, match=r"bound on A\(t\)"):
+        DisplacementAmplitudes(omega=omega, weight=np.full(2, 5e307),
+                               eta0=1.0, nu_t=2.0)
+    # coth(omega / 2) = 2.16 and 1.31: each thermal weight and their sum
+    # stay finite, twice the sum does not.
+    with pytest.raises(InvalidParameter, match="non-finite 2 sum"):
+        thermal_weights(amps, 1.0)
+    # Weights that underflow to 0 over a coth that divides by 0 are 0/0.
+    tiny = linear_chain_amplitudes(ChainParams.from_delta(16, 0.1, 1e-170))
+    assert tiny.weight.min() == 0.0
+    with pytest.raises(InvalidParameter, match="non-finite thermal weights"):
+        thermal_weights(tiny, 1e308)
+
+
 def test_phase_is_temperature_independent():
     p = ChainParams.from_delta(16, 0.1, 0.2)
     amps = linear_chain_amplitudes(p)
