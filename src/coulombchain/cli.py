@@ -5,7 +5,7 @@ Subcommands
 spectrum      linear-chain mode table (n, k a, parity, omega_x, omega_y)
 zigzag        order-parameter scan b(nu_t) and labeled zigzag spectrum
 visibility    V(t) trace on an explicit time window
-fourier       sampled V(t) -> normalized spectrum, peaks, optional band table
+fourier       sampled V(t) -> normalized spectrum, peaks, the chain's bands
 gamma-scan    Gamma(Delta) across the transition with cusp statistics
 asymptotics   Gamma(Delta), dGamma/dDelta, A_inf(Delta), revival-time tables
 longtime      exact V(t) against the long-time plateau-plus-tail envelope
@@ -180,26 +180,16 @@ def _spectrum(path, name: str, p: ChainParams, prominence: float,
     return tr, spec, peaks
 
 
-def _bands(p: ChainParams) -> dict:
-    """(omega_min, omega_max) of both band conventions. Both need the linear
-    side of the infinite-chain nu_c and a nonempty band, so take them before
-    writing."""
+def _band_rows(p: ChainParams, spec) -> list:
+    """(convention, omega_min, omega_max, power fraction) of each band the
+    chain has: none below the infinite-chain nu_c (delta < 0), else each
+    whose edges satisfy lo < hi. The transverse band [delta, nu_t] is never
+    empty there; the overlay band is empty above delta = nu_c / sqrt(2)."""
     if p.delta_trans < 0:
-        raise InvalidParameter(
-            "the band table needs delta = nu_t - nu_c >= 0; got delta = "
-            f"{p.delta_trans:g} (use --no-band to skip it)")
+        return []
     bands = {"transverse": transverse_band(p), "overlay": overlay_band(p)}
-    for name, (lo, hi) in bands.items():
-        if not lo < hi:
-            raise InvalidParameter(f"the {name} band [{lo:g}, {hi:g}] is "
-                                   "empty (use --no-band to skip it)")
-    return bands
-
-
-def _band_fractions(bands: dict, spec) -> list:
-    """(convention, omega_min, omega_max, power fraction) of each band."""
     return [(name, lo, hi, spectral_band_check(spec, lo, hi))
-            for name, (lo, hi) in bands.items()]
+            for name, (lo, hi) in bands.items() if lo < hi]
 
 
 def _gamma_scan(path, name: str, deltas, N: int, eta_c: float):
@@ -318,18 +308,16 @@ def _cmd_visibility(ns, path):
 
 def _cmd_fourier(ns, path):
     p = _resolve_chain(ns)
-    bands = _bands(p) if ns.band else {}
     _, spec, peaks = _spectrum(path, "fourier.csv", p, ns.prominence,
                                T_F=ns.T_F, n_s=ns.n_s)
     emit_csv(("omega", "F"), peaks, path("fourier_peaks.csv"))
-    grids = {"bin_width": spec.bin_width}
-    if bands:
-        rows = _band_fractions(bands, spec)
+    rows = _band_rows(p, spec)
+    if rows:
         emit_csv(("convention", "omega_min", "omega_max", "power_fraction"),
                  rows, path("fourier_band.csv"))
-        grids["band"] = {r[0]: {"omega_min": r[1], "omega_max": r[2],
-                                "power_fraction": r[3]} for r in rows}
-    return _params_dict(p), grids
+    return _params_dict(p), {"bin_width": spec.bin_width, "band": {
+        r[0]: {"omega_min": r[1], "omega_max": r[2], "power_fraction": r[3]}
+        for r in rows}}
 
 
 def _cmd_gamma_scan(ns, path):
@@ -411,7 +399,7 @@ def _spectrum_scenario(path, fig: str, delta: float):
 
 def _fig2(path, memo):
     p, spec, peaks, omega_y, params = _spectrum_scenario(path, "2", 1e-1)
-    (_, lo, hi, frac), (_, _, _, frac_c) = _band_fractions(_bands(p), spec)
+    (_, lo, hi, frac), (_, _, _, frac_c) = _band_rows(p, spec)
     # Away from the transition the signal is perturbative, so every line
     # sits on a mode frequency; combination lines are below prominence.
     worst = max((float(np.min(np.abs(omega_y - w))) for w, _ in peaks),
@@ -578,9 +566,7 @@ _COMMANDS = {
         ("--T-F", dict(type=float, default=DEFAULT_T_F,
                        help="sampling interval length, 1/omega_0")),
         ("--n-s", dict(type=int, default=DEFAULT_N_S, help="sample count")),
-        ("--prominence", dict(type=float, default=1e-4)),
-        ("--no-band", dict(dest="band", action="store_false",
-                           help="skip the band-confinement table")))),
+        ("--prominence", dict(type=float, default=1e-4)))),
     "gamma-scan": ("Gamma(Delta) across the transition", _cmd_gamma_scan,
                    _COMMON + _ETA, (
         ("--delta-min", dict(type=float, default=-1e-2)),
@@ -602,9 +588,8 @@ _COMMANDS = {
 
 
 def _add_options(sp, options) -> list:
-    """Add `options` to `sp`; returns the dests that take a value."""
-    actions = [sp.add_argument(flag, **kw) for flag, kw in options]
-    return [a.dest for a in actions if a.nargs != 0]
+    """Add `options` to `sp`; returns their dests."""
+    return [sp.add_argument(flag, **kw).dest for flag, kw in options]
 
 
 def build_parser() -> argparse.ArgumentParser:

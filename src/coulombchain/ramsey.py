@@ -69,7 +69,7 @@ _SPREAD_ENTRIES = 1_000_000
 class DisplacementAmplitudes:
     """Kick weights of one probe configuration.
 
-    omega  -- entry frequencies, omega_0 units, all > 0
+    omega  -- entry frequencies, omega_0 units, all > 0; at least one entry
     weight -- |alpha_m|^2 summed over the modes m an entry stands for, all
               at its frequency (degenerate modes: one entry or several);
               2 sum(weight), the bound on A(t), must be finite
@@ -100,11 +100,12 @@ class DisplacementAmplitudes:
             value = value.astype(np.float64, copy=False)
             _check_finite(name, value)
             object.__setattr__(self, name, value)
-        if np.ndim(self.omega) != 1 or \
+        if np.ndim(self.omega) != 1 or not len(self.omega) or \
                 np.shape(self.weight) != np.shape(self.omega):
             raise InvalidParameter(
-                f"omega and weight must be 1-d arrays of equal length, got "
-                f"shapes {np.shape(self.omega)} and {np.shape(self.weight)}")
+                f"omega and weight must be nonempty 1-d arrays of equal "
+                f"length, got shapes {np.shape(self.omega)} and "
+                f"{np.shape(self.weight)}")
         if np.any(self.omega <= 0.0):
             raise SoftModeSingularity(
                 "displacement amplitudes need strictly positive frequencies")
@@ -366,14 +367,14 @@ def weighted_trig_sum(t, omega: np.ndarray, weight: np.ndarray,
     Near t = 0 the exponential sum would lose sin^2 to the cancellation in
     1 - cos, and the Gamma-fit window lies there. Bit-equal frequencies
     merge, weights summed, before either route; inputs whose frequencies
-    are all distinct reach it untouched. Non-finite times, frequencies or
-    weights raise InvalidParameter.
+    are all distinct reach it untouched. omega and weight must be 1-d of
+    one shape; they and the times must be finite, else InvalidParameter.
     """
     if kind not in ("sin2half", "sin", "cos"):
         raise InvalidParameter(f"unknown kernel kind {kind!r}")
-    if np.shape(omega) != np.shape(weight):
+    if np.ndim(omega) != 1 or np.shape(omega) != np.shape(weight):
         raise InvalidParameter(
-            f"omega and weight must have the same shape, got "
+            f"omega and weight must be 1-d arrays of the same shape, got "
             f"{np.shape(omega)} and {np.shape(weight)}")
     _check_finite("omega", omega)
     _check_finite("weight", weight)

@@ -197,8 +197,10 @@ def transverse_band(params: ChainParams) -> tuple[float, float]:
 
 
 def overlay_band(params: ChainParams) -> tuple[float, float]:
-    """Band overlay variant sqrt(2 Delta nu_t + Delta^2): differs from the
-    soft gap delta at order Delta^2; kept for figure annotation only."""
+    """Band overlay variant [sqrt(2 Delta nu_t + Delta^2), nu_t]: its lower
+    edge differs from the soft gap delta at order Delta^2 and passes nu_t
+    above Delta = nu_c / sqrt(2), leaving the band empty. It is the second
+    row of the fourier band table and of scenario 2's confinement detail."""
     d = params.delta_trans
     if d < 0:
         raise InvalidParameter("band overlay is defined on the linear side")

@@ -531,26 +531,29 @@ def test_longtime_rejects_the_zigzag_side_before_any_work(chain, tmp_path,
     assert not out.exists()
 
 
-def test_fourier_checks_the_bands_before_writing(tmp_path, capsys):
-    # nu_c(N) < Delta + nu_c: a stable linear chain, but on the zigzag side
-    # of the infinite-chain soft gap that both bands need. Above Delta =
-    # nu_c / sqrt(2) the overlay band's lower edge sqrt(2 Delta nu_t +
-    # Delta^2) passes nu_t, so that band is empty. Each is a usage error,
-    # which names the way out.
-    for i, (chain, word) in enumerate((
-            (["--N", "32", "--delta=-0.0005", "--T-F", "500"], "delta"),
-            (["--N", "16", "--delta=-1e-3", "--T-F", "400"], "delta"),
-            (["--N", "8", "--nu-t", "3.6", "--T-F", "200"], "overlay"))):
-        args = ["fourier", *chain, "--eta-c", "0.1", "--n-s", "2048"]
-        out = tmp_path / f"out{i}"
-        assert run([*args, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "error [InvalidParameter]" in err and "--no-band" in err
-        assert word in err
-        assert not out.exists()
-        assert run([*args, "--no-band", "--out", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == [
-            "fourier.csv", "fourier_manifest.json", "fourier_peaks.csv"]
+@pytest.mark.parametrize("chain, bands", [
+    (["--N", "32", "--delta=-0.0005", "--T-F", "500"], []),
+    (["--N", "16", "--delta=-1e-3", "--T-F", "400"], []),
+    (["--N", "8", "--nu-t", "3.6", "--T-F", "200"], ["transverse"]),
+], ids=["flat ring below nu_c", "zigzag", "empty overlay band"])
+def test_fourier_writes_the_bands_the_chain_has(chain, bands, tmp_path):
+    # Below the infinite-chain nu_c (delta < 0: a zigzag, or a flat ring
+    # just above nu_c(N)) neither band exists. Above Delta = nu_c / sqrt(2)
+    # the overlay band's lower edge sqrt(2 Delta nu_t + Delta^2) passes
+    # nu_t, so only the transverse band is tabulated.
+    args = ["fourier", *chain, "--eta-c", "0.1", "--n-s", "2048"]
+    with pytest.raises(SystemExit) as exc:
+        run([*args, "--no-band", "--out", str(tmp_path / "flag")])
+    assert exc.value.code == 2
+    assert run([*args, "--out", str(tmp_path)]) == 0
+    names = ["fourier.csv", "fourier_manifest.json", "fourier_peaks.csv"]
+    if bands:
+        names.insert(1, "fourier_band.csv")
+        _, rows = _read_csv(tmp_path / "fourier_band.csv")
+        assert [r[0] for r in rows] == bands
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    man = json.loads((tmp_path / "fourier_manifest.json").read_text())
+    assert list(man["grids"]["band"]) == bands
 
 
 def test_visibility_and_fourier_run_on_the_zigzag_side(tmp_path, capsys):
@@ -568,7 +571,7 @@ def test_visibility_and_fourier_run_on_the_zigzag_side(tmp_path, capsys):
         assert np.all((V > 0.0) & (V <= 1.0))
     out = tmp_path / "f"
     assert run(["fourier", *chain, "--delta=-1e-3", "--T-F", "400", "--n-s",
-                "2048", "--no-band", "--out", str(out)]) == 0
+                "2048", "--out", str(out)]) == 0
     assert (out / "fourier_peaks.csv").exists()
     # The zigzag needs N divisible by 4: a usage error, before any file.
     out = tmp_path / "n66"
@@ -719,19 +722,6 @@ def test_trace_budget_guard_before_allocation(command, tmp_path, capsys):
     assert rc == 1
     assert "error [ResourceLimit]" in capsys.readouterr().err
     assert peak < 1 << 20
-
-
-def test_fourier_band_table_is_optional(tmp_path, capsys):
-    args = ["fourier", "--N", "16", "--delta", "0.05", "--eta-c", "0.1",
-            "--T-F", "200", "--n-s", "1024"]
-    with pytest.raises(SystemExit) as exc:
-        run([*args, "--band", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert run([*args, "--no-band", "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "fourier.csv").exists()
-    assert not (tmp_path / "fourier_band.csv").exists()
-    man = json.loads((tmp_path / "fourier_manifest.json").read_text())
-    assert "band" not in man["grids"]
 
 
 def test_fourier_rejects_a_nan_prominence(tmp_path, capsys):
@@ -904,7 +894,7 @@ PINNED_FLAGS = {
     "spectrum": _CRYSTAL_FLAGS,
     "zigzag": [*_CRYSTAL_FLAGS, "--nu-min", "--nu-max", "--points"],
     "visibility": [*_PROBE_FLAGS, "--t-min", "--t-max", "--samples"],
-    "fourier": [*_PROBE_FLAGS, "--T-F", "--n-s", "--prominence", "--no-band"],
+    "fourier": [*_PROBE_FLAGS, "--T-F", "--n-s", "--prominence"],
     "gamma-scan": [*_SCAN_FLAGS, "--delta-min", "--delta-max", "--points"],
     "asymptotics": [*_SCAN_FLAGS, "--delta-min", "--delta-max", "--points"],
     "longtime": [*_PROBE_FLAGS, "--t-max", "--samples"],
@@ -925,8 +915,7 @@ def test_subcommand_flags_are_pinned():
 # Two values of every valued option: a small base run holds the first, and
 # the option alone takes the second. --nu-t and --delta exclude each other,
 # and the dimensionless chain values beat the SI inputs, so each option is
-# varied on a base run that reads it. --no-band, which takes no value, is
-# added alone.
+# varied on a base run that reads it.
 _VALUES = {
     "--N": ("8", "12"), "--nu-t": ("2.5", "2.6"), "--delta": ("0.05", "0.1"),
     "--mass-kg": ("3.9e-26", "4.3e-26"), "--charge-c": ("1.6e-19", "1.7e-19"),
@@ -975,8 +964,7 @@ def test_no_option_does_nothing(command, tmp_path):
         if tuple(base_argv) not in written:
             written[tuple(base_argv)] = _csv_bytes(
                 base_argv, tmp_path / str(len(written)))
-        changed = ([*base_argv, option] if option not in _VALUES else
-                   [*base_argv, option, _VALUES[option][1]])
+        changed = [*base_argv, option, _VALUES[option][1]]
         assert _csv_bytes(changed, tmp_path / option) != \
             written[tuple(base_argv)], f"{command} {option} changes nothing"
 

@@ -254,6 +254,7 @@ def test_zero_frequency_mode_rejected():
 MALFORMED_AMPLITUDES = {
     "short weight": ([1.0, 2.0], [0.01]),
     "2-d arrays": ([[1.0, 2.0]], [[0.01, 0.01]]),
+    "empty arrays": ([], []),
     "nan omega": ([math.nan, 2.0], [0.01, 0.01]),
     "inf omega": ([1.0, math.inf], [0.01, 0.01]),
     "nan weight": ([1.0, 2.0], [math.nan, 0.01]),
@@ -306,8 +307,12 @@ def test_trace_overlap_must_match_the_grid():
 
 @pytest.mark.parametrize("t", [np.linspace(0.0, 10.0, 100), 2.0])
 def test_trig_sum_rejects_weights_of_another_shape(t):
-    with pytest.raises(InvalidParameter, match="same shape"):
-        weighted_trig_sum(t, np.array([1.0, 2.0]), np.array([0.01]), "cos")
+    for omega, weight in (([1.0, 2.0], [0.01]),
+                          ([[1.0, 2.0], [3.0, 4.0]], [[0.01, 0.01]] * 2),
+                          (1.0, 0.01)):
+        with pytest.raises(InvalidParameter,
+                           match="1-d arrays of the same shape"):
+            weighted_trig_sum(t, np.array(omega), np.array(weight), "cos")
 
 
 @pytest.mark.parametrize("omega, weight, match", [
