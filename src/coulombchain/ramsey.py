@@ -43,10 +43,19 @@ from .linear_modes import (RADICAND_CLAMP, critical_frequency_finite,
 from .model import ChainParams, _check_finite, _check_theta
 from .zigzag import _block_eigenpairs
 
-# Target size of one t-by-mode block of the direct kernel (~64 MB).
+# Target size of one t-by-mode block of the direct kernel (~64 MB); each
+# block is taken in place and freed before the next, so it is the route's
+# peak.
 _CHUNK_ELEMENTS = 8_000_000
 # Largest samples x modes of one direct sum, the only O(T M) route.
 TRACE_BUDGET = 2_000_000_000
+# Largest traced peak, in bytes, of one kick-weight build, checked against
+# bytes per ion x N before the build allocates. From N = 2^14 to 2^21
+# tracemalloc reads 33.0 B per ion for linear_chain_amplitudes and 76.5 B
+# for the zigzag's blocks, rounded up in _ION_BYTES, so linear chains fit
+# up to N ~ 5.9e7 and zigzags up to N ~ 2.6e7.
+_AMPLITUDE_BUDGET = 2_000_000_000
+_ION_BYTES = {"linear": 34, "zigzag": 77}
 
 # A grid is uniform for the NUFFT when it has at least this many samples
 # and every t_i lies within _UNIFORM_ULPS ulp of max|t| of t_0 + i dt; the
@@ -61,8 +70,11 @@ _UNIFORM_ULPS = 8
 # on a grid oversampled by 2.
 _ES_WIDTH = 16
 _ES_BETA = 2.30 * _ES_WIDTH
-# Mode-by-kernel-point entries spread per np.bincount call.
-_SPREAD_ENTRIES = 1_000_000
+# Mode-by-kernel-point entries spread per chunk. The chunk's kernel, index
+# and product buffers take 8 * _SPREAD_ENTRIES bytes each (64 KiB), so the
+# spread allocates little beside its grids; np.add.at adds in index order,
+# so the grids do not depend on the chunk size.
+_SPREAD_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -145,17 +157,31 @@ def _kick_weights(params: ChainParams, omega: np.ndarray, c: np.ndarray,
                                   kind=kind)
 
 
+def _check_amplitude_budget(N: int, kind: str) -> None:
+    """ResourceLimit when a `kind` build of N ions would pass
+    _AMPLITUDE_BUDGET bytes; allocates nothing."""
+    need = _ION_BYTES[kind] * N
+    if need > _AMPLITUDE_BUDGET:
+        raise ResourceLimit(f"kick weights of N = {N} ions need about "
+                            f"{need:.3g} bytes ({_ION_BYTES[kind]} per ion), "
+                            f"over the budget {_AMPLITUDE_BUDGET}")
+
+
 def linear_chain_amplitudes(params: ChainParams,
                             probe_site: int = 1) -> DisplacementAmplitudes:
     """Amplitudes alpha_m = i eta0 sqrt(nu_t/omega_m) R[probe, m] of the
-    y-branch modes for a kick on ion `probe_site` (1-based)."""
+    y-branch modes for a kick on ion `probe_site` (1-based); ResourceLimit
+    above _AMPLITUDE_BUDGET."""
+    _check_amplitude_budget(params.N, "linear")
     return _kick_weights(params, transverse_mode_set(params).omega,
                          mode_matrix(params.N).row(probe_site), "linear")
 
 
 def _zigzag_amplitudes(params: ChainParams) -> DisplacementAmplitudes:
     """Kick weights of the zigzag ring (flat above the transition), one per
-    block eigenpair the probe feels, the same on every site."""
+    block eigenpair the probe feels, the same on every site; ResourceLimit
+    above _AMPLITUDE_BUDGET."""
+    _check_amplitude_budget(params.N, "zigzag")
     _, lam, _, v, edge = _block_eigenpairs(params)
     s = np.where(edge, 1.0, 2.0) / params.N
     return _kick_weights(params, np.sqrt(lam), np.sqrt(s) * v, "zigzag")
@@ -165,7 +191,10 @@ def chain_amplitudes(params: ChainParams) -> DisplacementAmplitudes:
     """Kick weights of ion 1 in the phase the chain is in: the zigzag's
     below critical_frequency_finite(N), where the flat ring is unstable,
     and `linear_chain_amplitudes` at and above it. At nu_c(N) itself the
-    soft mode is at omega = 0 and SoftModeSingularity is raised."""
+    soft mode is at omega = 0 and SoftModeSingularity is raised. A chain
+    too long for the cheaper linear build raises ResourceLimit before the
+    O(N) nu_c(N) sum."""
+    _check_amplitude_budget(params.N, "linear")
     if params.nu_t < critical_frequency_finite(params.N):
         return _zigzag_amplitudes(params)
     return linear_chain_amplitudes(params)
@@ -194,7 +223,8 @@ def _uniform_step(t: np.ndarray) -> float | None:
 
 def _direct_trig_sum(t: np.ndarray, omega: np.ndarray, weight: np.ndarray,
                      kind: str) -> np.ndarray:
-    """One trig call per mode-sample, chunked over t; ResourceLimit above
+    """One trig call per mode-sample, chunked over t and taken in place, so
+    one t-by-mode block is alive at a time; ResourceLimit above
     TRACE_BUDGET mode-samples."""
     if len(t) * len(omega) > TRACE_BUDGET:
         raise ResourceLimit(f"direct mode sum of {len(t)} x {len(omega)} "
@@ -202,15 +232,17 @@ def _direct_trig_sum(t: np.ndarray, omega: np.ndarray, weight: np.ndarray,
     out = np.empty_like(t)
     chunk = max(1, _CHUNK_ELEMENTS // max(len(omega), 1))
     for i in range(0, len(t), chunk):
-        phase = np.multiply.outer(t[i:i + chunk], omega)
+        block = np.multiply.outer(t[i:i + chunk], omega)
         if kind == "sin2half":
-            block = np.sin(0.5 * phase)
+            block *= 0.5
+            np.sin(block, out=block)
             np.square(block, out=block)
         elif kind == "sin":
-            block = np.sin(phase)
+            np.sin(block, out=block)
         else:
-            block = np.cos(phase)
+            np.cos(block, out=block)
         out[i:i + chunk] = block @ weight
+        del block                       # before the next block is made
     return out
 
 
@@ -228,8 +260,15 @@ def _fft_length(n: int) -> int:
 
 
 def _es_kernel(z: np.ndarray) -> np.ndarray:
-    """ES kernel at z in [-1, 1]; rounding past the edge reads as the edge."""
-    return np.exp(_ES_BETA * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) - 1.0))
+    """ES kernel at z in [-1, 1], computed in place in the float64 array z,
+    which is returned; rounding past the edge reads as the edge."""
+    np.square(z, out=z)
+    np.subtract(1.0, z, out=z)
+    np.maximum(z, 0.0, out=z)
+    np.sqrt(z, out=z)
+    z -= 1.0
+    z *= _ES_BETA
+    return np.exp(z, out=z)
 
 
 def _kernel_dft(n: int, k_max: int) -> np.ndarray:
@@ -286,6 +325,14 @@ def _nufft_spread(t0: float, dt: float, n_out: int, omega: np.ndarray,
     from x = 0. Returns ([(re, im) grid per vector], p): Re F is
     _deconvolved_real_part(re, im, p, n_out), Im F = Re(-i F) that of
     (im, -re).
+
+    The entries go in chunks of _SPREAD_ENTRIES, the kernel built in place
+    in one (rows, _ES_WIDTH) buffer, and are added by np.add.at on 1-d
+    index and value arrays (a 2-d index is several times slower). ufunc.at
+    adds in index order, the sequence of additions of one np.bincount of all
+    entries from zero, so every grid is bit-identical to that at any chunk
+    size and no n-length array is made per chunk. (np.add.at is slow before
+    numpy 1.25, but not wrong.)
     """
     n = _fft_length(2 * n_out)
     half = _ES_WIDTH // 2
@@ -300,12 +347,15 @@ def _nufft_spread(t0: float, dt: float, n_out: int, omega: np.ndarray,
     rows = _SPREAD_ENTRIES // _ES_WIDTH
     for i in range(0, len(u), rows):
         left = np.ceil(u[i:i + rows] - half)
-        ker = _es_kernel(((left - u[i:i + rows])[:, None] + offsets) / half)
-        idx = ((left.astype(np.int64)[:, None] + offsets) % n).ravel()
-        prod = np.empty_like(ker)
+        ker = np.add.outer(left - u[i:i + rows], offsets)
+        ker /= half
+        _es_kernel(ker)
+        idx = np.add.outer(left.astype(np.int64), offsets)
+        np.remainder(idx, n, out=idx)
+        idx, prod = idx.ravel(), np.empty_like(ker)
         for grid, c in zip(grids, coefs):
             np.multiply(ker, c[i:i + rows, None], out=prod)
-            grid += np.bincount(idx, prod.ravel(), minlength=n)
+            np.add.at(grid, idx, prod.ravel())
     return list(zip(grids[0::2], grids[1::2])), _kernel_dft(n, n_out // 2)
 
 

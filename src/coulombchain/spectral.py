@@ -144,33 +144,42 @@ def _peak_prominences(x: np.ndarray) -> tuple:
 
     From each peak, the base on either side is the lowest sample before the
     first strictly higher one (or the array edge); the prominence is the
-    peak height minus the higher of the two bases. The runs of samples no
-    higher than the peak are found by binary lifting on a max sparse table,
-    their minima on a min sparse table: O(n log n) time and memory, with no
-    loop over the peaks.
+    peak height minus the higher of the two bases. Between two neighbouring
+    maxima, and between an edge and its nearest maximum, nothing rises
+    above both ends without making a maximum of its own, so the bases are
+    read off the P maxima alone: u[k], the lowest sample between maxima
+    k - 1 and k (the edge segments at the ends), and each peak's run of
+    maxima no higher than it, found by binary lifting on a max sparse table
+    of their heights. A base is then the minimum of u over the run's
+    segments on that side, from a min sparse table of u. Cost O(n) plus
+    O(P log P), with no loop over the peaks; every value is one of x's.
     """
-    n = len(x)
     peaks = _local_maxima(x)
+    P = len(peaks)
+    if not P:
+        return peaks, np.empty(0)
     h = x[peaks]
-    hi = _sparse_table(x, np.maximum)
+    u = np.minimum.reduceat(x, np.concatenate(([0], peaks)))
+    hi = _sparse_table(h, np.maximum)
     # Extend [left, right] by halving strides while the next stride fits in
-    # x and holds no sample above the peak.
-    left, right = peaks.copy(), peaks.copy()
+    # the peaks and holds none above the peak.
+    left, right = np.arange(P), np.arange(P)
     for k in range(len(hi) - 1, -1, -1):
         w = 1 << k
-        ahead = hi[k, np.minimum(right + 1, n - 1)]
-        right += np.where((right + w < n) & (ahead <= h), w, 0)
+        ahead = hi[k, np.minimum(right + 1, P - 1)]
+        right += np.where((right + w < P) & (ahead <= h), w, 0)
         behind = hi[k, np.maximum(left - w, 0)]
         left -= np.where((left >= w) & (behind <= h), w, 0)
     del hi
-    lo = _sparse_table(x, np.minimum)
+    lo = _sparse_table(u, np.minimum)
 
-    def range_min(a, b):                    # min of x[a:b + 1], a <= b
+    def range_min(a, b):                    # min of u[a:b + 1], a <= b
         k = np.frexp(b - a + 1)[1] - 1      # floor(log2(b - a + 1))
         return np.minimum(lo[k, a], lo[k, b - (1 << k) + 1])
 
-    return peaks, h - np.maximum(range_min(left, peaks),
-                                 range_min(peaks, right))
+    peak = np.arange(P)
+    return peaks, h - np.maximum(range_min(left, peak),
+                                 range_min(peak + 1, right + 1))
 
 
 def find_peaks(spectrum: FourierSpectrum,

@@ -12,7 +12,10 @@ tests can check the fast routes against them:
   measured against the (n, sigma) patterns of a given label;
 - `zeta3_sum`: zeta(3) by direct summation with an Euler-Maclaurin tail;
 - `dgamma_richardson`: d Gamma / d Delta by centred differences of Gamma,
-  which the package gets exactly from the probe-row sum rule.
+  which the package gets exactly from the probe-row sum rule;
+- `nufft_spread_bincount`: the NUFFT's spread grids from one np.bincount
+  over every mode-by-kernel-point entry, with the ES kernel written out
+  of place, which the package spreads in small chunks by np.add.at.
 
 The dense and O(N^2) ones keep their work budgets and raise ResourceLimit
 before allocating above them. numpy and the package are all they import.
@@ -27,6 +30,7 @@ from coulombchain import (ChainParams, gamma_coefficient,
                           linear_chain_amplitudes)
 from coulombchain.errors import ResourceLimit
 from coulombchain.linear_modes import _check_even_n, _columns
+from coulombchain.ramsey import _ES_BETA, _ES_WIDTH, _fft_length, _kernel_dft
 
 # Largest dense mode matrix dense_mode_matrix will allocate (N^2 entries;
 # 512 MB).
@@ -263,3 +267,27 @@ def dgamma_richardson(delta: float, N: int, eta_c: float,
                 - gamma(delta * math.exp(-h))) / (2.0 * h)
 
     return (4.0 * centred(0.5 * step) - centred(step)) / (3.0 * delta)
+
+
+def nufft_spread_bincount(t0: float, dt: float, n_out: int,
+                          omega: np.ndarray, weights: list):
+    """`ramsey._nufft_spread` with all M x _ES_WIDTH entries in one chunk
+    and each grid one np.bincount of them, in entry order: the reference
+    for the order of the additions, so the chunked spread must equal it
+    bit for bit. Costs about 5 (M x 16) float arrays at once."""
+    n = _fft_length(2 * n_out)
+    half = _ES_WIDTH // 2
+    offsets = np.arange(_ES_WIDTH)
+    x = omega * dt
+    x -= 2.0 * np.pi * np.round(x / (2.0 * np.pi))
+    phase = omega * t0 + (n_out // 2) * x
+    cos, sin = np.cos(phase), np.sin(phase)
+    coefs = [c for w in weights for c in (w * cos, w * sin)]
+    u = x * (n / (2.0 * np.pi))
+    left = np.ceil(u - half)
+    z = ((left - u)[:, None] + offsets) / half
+    ker = np.exp(_ES_BETA * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) - 1.0))
+    idx = ((left.astype(np.int64)[:, None] + offsets) % n).ravel()
+    grids = [np.bincount(idx, (ker * c[:, None]).ravel(), minlength=n)
+             for c in coefs]
+    return list(zip(grids[0::2], grids[1::2])), _kernel_dft(n, n_out // 2)

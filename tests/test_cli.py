@@ -451,8 +451,9 @@ def test_figures_share_the_derivative_scan(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "linear_chain_amplitudes", counted_build)
     assert run(["figures", "--which", "all", "--out", str(tmp_path)]) == 0
     assert calls["scan"] == 1
-    # 27 distinct chains; three of them feed two pipelines each.
-    assert calls["amplitudes"] == 30
+    # 27 distinct chains; two of them feed two pipelines each. Scenario 3
+    # reads scenario 2's mean V instead of rebuilding that chain.
+    assert calls["amplitudes"] == 29
 
 
 def test_figures_scenario_four(tmp_path, capsys):
@@ -721,6 +722,22 @@ def test_trace_budget_guard_before_allocation(command, tmp_path, capsys):
         tracemalloc.stop()
     assert rc == 1
     assert "error [ResourceLimit]" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def test_amplitude_budget_guard_before_allocation(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        rc = run(["visibility", "--N", str(10 ** 9), "--delta", "0.01",
+                  "--eta-c", "0.1", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ResourceLimit]: kick weights of N = "
+                          "1000000000 ions") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
     assert peak < 1 << 20
 
 

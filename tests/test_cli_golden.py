@@ -125,14 +125,21 @@ def test_figures_csv_bytes(figures_dir):
     assert _digests(figures_dir) == FIGURES_DIGESTS
 
 
+def _proxies(directory, which):
+    manifest = json.loads((directory / "figures_manifest.json").read_text())
+    return [c for c in manifest["grids"]["proxies"]
+            if c["name"].startswith(f"fig{which} ")]
+
+
 @pytest.mark.parametrize("which", ["3", "7"])
-def test_figures_alone_write_the_bytes_of_all(which, tmp_path):
+def test_figures_alone_write_the_bytes_of_all(which, tmp_path, figures_dir):
     # Scenarios 3 and 7 share work with 2 and 5 in a full run; alone, they
-    # do it themselves and write the same tables.
+    # do it themselves and write the same tables and proxy details.
     assert run(["figures", "--which", which, "--out", str(tmp_path)]) == 0
     assert _digests(tmp_path) == {
         name: digest for name, digest in FIGURES_DIGESTS.items()
         if name.startswith(f"fig{which}_")}
+    assert _proxies(tmp_path, which) == _proxies(figures_dir, which) != []
 
 
 def test_figures_proxy_names(figures_dir):

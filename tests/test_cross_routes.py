@@ -1,6 +1,7 @@
 """Seeded cross-route checks: each fast path against the route it replaced.
 
-- the NUFFT trig sum against the direct kernel on uniform grids;
+- the NUFFT trig sum against the direct kernel on uniform grids, and its
+  chunked spread against one np.bincount of all entries, bit for bit;
 - trig sums over a linear chain's merged degenerate frequencies, and the
   overlap's A_T and phase from one spread at theta = 0 and theta > 0,
   against the direct kernel over every mode;
@@ -43,7 +44,7 @@ from coulombchain.linear_modes import (_GOLDEN, _VGRID_POINTS, _VMAX_TOL,
 from coulombchain.ramsey import (_MIN_UNIFORM_SAMPLES, _direct_trig_sum,
                                  _thermal_A_and_phase, _uniform_step)
 from oracles import (dense_hessian, dense_mode_matrix, dense_vectors,
-                     label_residuals)
+                     label_residuals, nufft_spread_bincount)
 
 KINDS = ("sin2half", "sin", "cos")
 EPS = np.finfo(np.float64).eps
@@ -144,6 +145,24 @@ def test_nufft_trig_sum_matches_direct_kernel_on_a_subset(case):
         fast = weighted_trig_sum(t, omega, weight, kind)[sub]
         slow = _direct_trig_sum(t[sub], omega, weight, kind)
         assert np.max(np.abs(fast - slow)) < _bound(t, omega, weight)
+
+
+@pytest.mark.parametrize("N", [8000, 130_000])
+def test_spread_equals_one_bincount_bit_for_bit(N):
+    # At N = 8000, 4001 frequencies share the grid near the band edges, so
+    # kernel windows overlap there and the order of the additions shows.
+    # At N = 130000, 65001 frequencies make over 10^6 entries, so a chunked
+    # sum of per-chunk bincounts would round differently.
+    amps = linear_chain_amplitudes(ChainParams.from_delta(N, 1e-3, 0.25))
+    omega, inv = np.unique(amps.omega, return_inverse=True)
+    w = np.bincount(inv.reshape(-1), amps.weight, minlength=len(omega))
+    weights = [w, w / np.tanh(omega)]
+    t0, dt, n_out = -1500.0, 0.15, 20_000
+    got, p = ramsey._nufft_spread(t0, dt, n_out, omega, weights)
+    want, q = nufft_spread_bincount(t0, dt, n_out, omega, weights)
+    assert np.array_equal(p, q)
+    for (re, im), (re_ref, im_ref) in zip(got, want, strict=True):
+        assert np.array_equal(re, re_ref) and np.array_equal(im, im_ref)
 
 
 def test_small_t_samples_keep_relative_accuracy():

@@ -19,7 +19,7 @@ from coulombchain import (ChainParams, DisplacementAmplitudes,
 from coulombchain.errors import (InvalidParameter, ResourceLimit,
                                  SoftModeSingularity)
 from coulombchain.linear_modes import RADICAND_CLAMP
-from coulombchain.ramsey import (_CHUNK_ELEMENTS, TRACE_BUDGET,
+from coulombchain.ramsey import (_CHUNK_ELEMENTS, _ION_BYTES, TRACE_BUDGET,
                                  _direct_trig_sum, _uniform_step,
                                  _zigzag_amplitudes)
 
@@ -470,6 +470,61 @@ def test_trace_memory_at_n_1e5_stays_linear_in_modes_and_samples():
     peak = _traced_peak(
         lambda: evaluate_trace(amps, t, with_overlap=False))
     assert peak <= 32 * 2 ** 20
+
+
+def test_nufft_trace_at_n_8000_allocates_under_2_mib():
+    # 20000 samples over 4001 distinct frequencies: the grids, the FFT and
+    # the trace itself set the peak; a spread chunk's buffers are 64 KiB.
+    amps = linear_chain_amplitudes(ChainParams.from_delta(8000, 1e-3, 0.25))
+    t = np.linspace(0.05, 3e3, 20_000)
+    weighted_trig_sum(t, amps.omega, amps.weight, "sin2half")
+    peak = _traced_peak(
+        lambda: weighted_trig_sum(t, amps.omega, amps.weight, "sin2half"))
+    assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("kind", ["sin2half", "sin", "cos"])
+def test_direct_sum_keeps_one_block_alive(kind, monkeypatch):
+    # Ten blocks of 200 x 4000; the trig call is taken in place and each
+    # block freed before the next, so one block sets the peak.
+    monkeypatch.setattr(ramsey, "_CHUNK_ELEMENTS", 800_000)
+    rng = np.random.default_rng(11)
+    t, omega = rng.uniform(0, 50, 2000), rng.uniform(0.1, 2.5, 4000)
+    weight = rng.uniform(0, 1e-3, 4000)
+    block = 8 * 200 * 4000
+    peak = _traced_peak(lambda: _direct_trig_sum(t, omega, weight, kind))
+    assert peak <= 1.2 * block
+
+
+@pytest.mark.parametrize("producer", [linear_chain_amplitudes,
+                                      _zigzag_amplitudes, chain_amplitudes])
+def test_producers_refuse_past_the_amplitude_budget(producer):
+    N = 10 ** 9
+    p = ChainParams(N=N, nu_t=2.0, eta_c=0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="N = 1000000000 ions"):
+            producer(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_amplitude_budget_bounds_the_traced_cost(monkeypatch):
+    N = 2 ** 18
+    linear = ChainParams(N=N, nu_t=2.3, eta_c=0.1)
+    zigzag = ChainParams(N=N, nu_t=critical_frequency_finite(N) - 0.01,
+                         eta_c=0.1)
+    for kind, producer, p in (("linear", linear_chain_amplitudes, linear),
+                              ("zigzag", _zigzag_amplitudes, zigzag)):
+        # The check compares bytes per ion x N with the budget, inclusive.
+        monkeypatch.setattr(ramsey, "_AMPLITUDE_BUDGET", _ION_BYTES[kind] * N)
+        assert _traced_peak(lambda: producer(p)) <= _ION_BYTES[kind] * N
+        monkeypatch.setattr(ramsey, "_AMPLITUDE_BUDGET",
+                            _ION_BYTES[kind] * N - 1)
+        with pytest.raises(ResourceLimit, match=f"{_ION_BYTES[kind]} per ion"):
+            producer(p)
 
 
 def test_direct_sum_over_budget_raises_before_allocating():

@@ -1,6 +1,7 @@
 """Time traces and their Fourier-side diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,7 +114,14 @@ def test_peak_prominences_equal_scipy():
     signal = pytest.importorskip("scipy.signal")
     crafted = [[], [1.0], [1, 2], [2, 1, 2], [0, 1, 1, 0], [0, 1, 1, 1, 1, 0],
                [3, 1, 2, 1, 3], [0, 2, 0, 2, 0], [2, 2, 1, 2, 2], [1, 2, 2],
-               [0, 1, 1, 2, 1, 1, 0], [5, 0, 1, 0, 1, 0, 5]]
+               [0, 1, 1, 2, 1, 1, 0], [5, 0, 1, 0, 1, 0, 5],
+               # edge rises: a base that ends at a higher edge sample
+               [5, 4, 1, 3, 0], [0, 3, 1, 4, 5], [9, 2, 3, 1, 4, 0, 8],
+               [6, 6, 1, 2, 0, 3, 7, 7],
+               # equal-height peaks, which never end each other's run
+               [1, 3, 1, 3, 1, 3, 1], [0, 2, 1, 2, 0, 2, 1],
+               [4, 1, 3, 0, 3, 1, 4], [0, 2, 0, 2, 2, 0, 2, 0],
+               [1, 3, 0, 3, 2, 3, 1, 4, 0]]
     arrays = [np.array(a, dtype=float) for a in crafted]
     arrays += list(_seeded_peak_arrays(np.random.default_rng(1729), 1000))
     for x in arrays:
@@ -134,6 +142,21 @@ def test_find_peaks_equals_scipy_on_a_near_critical_spectrum():
                       key=lambda p: -p[1])
         assert find_peaks(spec, prominence) == want
     assert len(find_peaks(spec, 1e-4)) > 10
+
+
+def test_find_peaks_on_scenario_two_allocates_under_1_5_mib():
+    # 50001 bins with 4259 local maxima: the O(n) scan for the maxima sets
+    # the peak, and the tables over the maxima are small.
+    spec = fourier_spectrum(
+        visibility_trace(ChainParams.from_delta(100, 1e-1, 0.25)))
+    assert len(spec.F) == 50_001
+    tracemalloc.start()
+    try:
+        find_peaks(spec, prominence=1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_spectrum_against_plain_dft():
