@@ -72,31 +72,40 @@ def _read_config(path: str, parser: argparse.ArgumentParser) -> list:
     """Flat key = value lines as '--key=value' options ('#' comments and
     blank lines ignored). The subcommand's `parser` types and checks each
     line on its own, so a rejected key or value is reported as path:line.
-    A `config` key is rejected too: files do not nest."""
+    A `config` key is rejected too: files do not nest. The file is UTF-8,
+    as the CSVs are, whatever the locale; a line that is not is reported
+    as path:line too. Lines end at \n, \r or \r\n."""
     parser.exit_on_error = False        # option errors raise, to be located
     args = []
-    with open(path) as f:
-        for ln, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidParameter(
-                    f"{path}:{ln}: expected 'key = value', got {raw.strip()!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if not key:
-                raise InvalidParameter(f"{path}:{ln}: empty key")
-            option = f"--{key.replace('_', '-')}={val}"
-            if option.startswith("--config="):
-                parser.error(f"{path}:{ln}: a config file cannot name "
-                             f"another ({option})")
-            try:
-                unknown = parser.parse_known_args([option])[1]
-            except argparse.ArgumentError as exc:
-                parser.error(f"{path}:{ln}: {exc}")
-            if unknown:
-                parser.error(f"{path}:{ln}: unrecognized option {option}")
-            args.append(option)
+    with open(path, "rb") as f:
+        data = f.read()
+    for ln, raw in enumerate(data.splitlines(), start=1):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidParameter(
+                f"{path}:{ln}: not UTF-8 text ({exc.reason} at byte "
+                f"{exc.start} of the line)") from None
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidParameter(
+                f"{path}:{ln}: expected 'key = value', got {raw.strip()!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if not key:
+            raise InvalidParameter(f"{path}:{ln}: empty key")
+        option = f"--{key.replace('_', '-')}={val}"
+        if option.startswith("--config="):
+            parser.error(f"{path}:{ln}: a config file cannot name "
+                         f"another ({option})")
+        try:
+            unknown = parser.parse_known_args([option])[1]
+        except argparse.ArgumentError as exc:
+            parser.error(f"{path}:{ln}: {exc}")
+        if unknown:
+            parser.error(f"{path}:{ln}: unrecognized option {option}")
+        args.append(option)
     return args
 
 

@@ -21,7 +21,14 @@ On the mode grid k_n = 2 pi n / N the dispersion sums are one real FFT of
 j^-3. The argmax grid of `max_group_velocity` is an FFT grid too: both of its
 lattice sums come from one real FFT each, with j folded into j mod the FFT
 length. Arbitrary k (the golden-section refinement, scans) keep the direct
-O(N) sum per k.
+O(N) sum per k. That sum is a weighted trig sum with frequencies j and
+weights j^-p, so it runs through `_direct_trig_sum`, the direct kernel that
+`ramsey` uses for A(t), B(t) and the overlap phase, under one budget of
+TRACE_BUDGET samples x terms.
+
+Every O(N) build checks bytes per ion x N against _BUILD_BUDGET before it
+allocates (`_check_build_budget`); the producers of `zigzag` and `ramsey`
+use the same rule.
 """
 
 from __future__ import annotations
@@ -33,9 +40,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (InvalidParameter, SoftModeSingularity,
+from .errors import (InvalidParameter, ResourceLimit, SoftModeSingularity,
                      UnstableLinearPhase)
-from .model import ChainParams, _check_even_n, _check_finite, _check_nu_t
+from .model import (ChainParams, _check_even_n, _check_nu_t,
+                    _check_scalar_or_1d)
 
 # A radicand nu_t^2 - 4 s within RADICAND_CLAMP nu_t^2 of zero is the
 # rounding of nu_t^2 and 4 s, and snaps to zero; one below -RADICAND_CLAMP
@@ -48,6 +56,69 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # width in 1/a units; the revival-time estimate needs the width <= 1e-4.
 _VGRID_POINTS = 4096
 _VMAX_TOL = 1e-6
+
+# Target size of one t-by-mode block of the direct kernel (~64 MB); each
+# block is taken in place and freed before the next, so it is the route's
+# peak.
+_CHUNK_ELEMENTS = 8_000_000
+# Largest samples x modes of one direct sum, the only O(T M) route.
+TRACE_BUDGET = 2_000_000_000
+# Largest traced peak, in bytes, of one O(N) build (a mode table, a kick
+# weight set, the nu_c(N) sum), checked against bytes per ion x N before
+# the build allocates. Each build's bytes per ion are its tracemalloc peak
+# per ion, rounded up.
+_BUILD_BUDGET = 2_000_000_000
+# Traced bytes per ion from N = 2^16 to 2^20, rounded up: 29.0-30.9 for a
+# mode set, 6.0 for nu_c(N), 12.0 for the direct lattice sum at one k (the
+# cached terms and one block row; more k add rows of at most
+# _CHUNK_ELEMENTS) and 28.0-28.6 for max_group_velocity, so revival_time.
+_MODE_SET_ION_BYTES = 31
+_NU_C_ION_BYTES = 7
+_LATTICE_ION_BYTES = 13
+_VMAX_ION_BYTES = 29
+
+
+def _check_build_budget(N: int, what: str, ion_bytes: int) -> None:
+    """ResourceLimit when `what` for N ions, ion_bytes each, would pass
+    _BUILD_BUDGET bytes; allocates nothing."""
+    need = ion_bytes * N
+    if need > _BUILD_BUDGET:
+        raise ResourceLimit(f"{what} of N = {N} ions need about {need:.3g} "
+                            f"bytes ({ion_bytes} per ion), over the budget "
+                            f"{_BUILD_BUDGET}")
+
+
+def _check_trace_budget(samples: int, modes: int) -> None:
+    """ResourceLimit when a direct sum of samples x modes would pass
+    TRACE_BUDGET; allocates nothing."""
+    if samples * modes > TRACE_BUDGET:
+        raise ResourceLimit(f"direct mode sum of {samples} x {modes} "
+                            f"exceeds budget {TRACE_BUDGET}")
+
+
+def _direct_trig_sum(t: np.ndarray, omega: np.ndarray, weight: np.ndarray,
+                     kind: str) -> np.ndarray:
+    """sum_m weight_m f(omega_m t_i) for 1-d t and omega, f per `kind` as in
+    `ramsey.weighted_trig_sum`: one trig call per mode-sample, chunked over
+    t and taken in place, so one t-by-mode block is alive at a time, and
+    reduced by BLAS gemv (np.dot calls it for any number of rows, without
+    the matmul iterator); ResourceLimit above TRACE_BUDGET mode-samples."""
+    _check_trace_budget(len(t), len(omega))
+    out = np.empty_like(t)
+    chunk = max(1, _CHUNK_ELEMENTS // max(len(omega), 1))
+    for i in range(0, len(t), chunk):
+        block = np.multiply.outer(t[i:i + chunk], omega)
+        if kind == "sin2half":
+            block *= 0.5
+            np.sin(block, out=block)
+            np.square(block, out=block)
+        elif kind == "sin":
+            np.sin(block, out=block)
+        else:
+            np.cos(block, out=block)
+        out[i:i + chunk] = np.dot(block, weight)
+        del block                       # before the next block is made
+    return out
 
 
 def _columns(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -65,33 +136,30 @@ def _columns(N: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _lattice_terms(N: int, power: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (j, j^-power) for j = N/2 .. 1, descending so the terms
-    ascend; cached because the golden-section search of
-    `max_group_velocity` sums at one k per call."""
+    """Read-only (j, j^-power) for j = N/2 .. 1, the frequencies and weights
+    of the direct lattice sums; descending, so a reduction that runs front
+    to back meets the small terms first. Cached because the golden-section
+    search of `max_group_velocity` sums at one k per call."""
     j = np.arange(N // 2, 0, -1, dtype=np.float64)
     w = j ** -power
     j.flags.writeable = w.flags.writeable = False
     return j, w
 
 
-def _lattice_sum(k, N: int, power: int, f):
-    """sum_{j=1}^{N/2} j^-power f(j k), chunked over k; f may work in place."""
-    j, w = _lattice_terms(N, power)
-    karr = np.atleast_1d(np.asarray(k, dtype=np.float64))
-    out = np.empty_like(karr)
-    # Chunk so the outer product stays below ~32 MB.
-    chunk = max(1, int(4e6 / max(len(j), 1)))
-    for i in range(0, len(karr), chunk):
-        out[i:i + chunk] = np.einsum(
-            "j,jk->k", w, f(np.multiply.outer(j, karr[i:i + chunk])))
+def _lattice_sum(k, N: int, power: int, kind: str):
+    """sum_{j=1}^{N/2} j^-power f(j k) by `_direct_trig_sum`, f per `kind`;
+    k a finite scalar or 1-d array. Both budgets, len(k) x N/2 terms and
+    the bytes per ion, are checked before the terms are built."""
+    karr = _check_scalar_or_1d("k", k)
+    _check_trace_budget(len(karr), N // 2)
+    _check_build_budget(N, "lattice terms", _LATTICE_ION_BYTES)
+    out = _direct_trig_sum(karr, *_lattice_terms(N, power), kind)
     return out if np.ndim(k) else float(out[0])
 
 
 def _dispersion_sum(k, N: int):
-    """sum_{j=1}^{N/2} j^-3 sin^2(j k / 2); non-finite k raises."""
-    _check_finite("k", k)
-    return _lattice_sum(k, N, 3, lambda x: np.square(
-        np.sin(np.multiply(x, 0.5, out=x), out=x), out=x))
+    """sum_{j=1}^{N/2} j^-3 sin^2(j k / 2)."""
+    return _lattice_sum(k, N, 3, "sin2half")
 
 
 def _folded_rfft(N: int, L: int, power: int) -> np.ndarray:
@@ -156,6 +224,7 @@ def dispersion_transverse(k, nu_t: float, N: int):
 def critical_frequency_finite(N: int) -> float:
     """nu_t at which omega_y(pi/a) vanishes: sqrt(4 sum_{j odd <= N/2} j^-3)."""
     _check_even_n(N)
+    _check_build_budget(N, "nu_c(N) terms", _NU_C_ION_BYTES)
     j = np.arange(1, N // 2 + 1, dtype=np.float64)
     odd = j[::2]                       # 1, 3, 5, ...
     return math.sqrt(4.0 * float(np.sum(odd[::-1] ** -3)))
@@ -163,15 +232,10 @@ def critical_frequency_finite(N: int) -> float:
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Frequencies of one branch ('x' or 'y'); labels n, sigma ('+'/'-') and
+    """Frequencies of one branch; labels n, sigma ('+'/'-') and
     k = 2 pi n / N (1/a units) are arrays in the column order of `_columns`."""
 
-    branch: str
     omega: np.ndarray
-
-    def __post_init__(self):
-        if self.branch not in ("x", "y"):
-            raise InvalidParameter("branch must be 'x' or 'y'")
 
     def __len__(self):
         return len(self.omega)
@@ -190,14 +254,18 @@ class ModeSet:
 
 
 def transverse_mode_set(params: ChainParams) -> ModeSet:
-    """ModeSet of the y branch for the given chain parameters."""
-    omega = _transverse_omega(_mode_grid_sum(params.N), params.nu_t)
-    return ModeSet(branch="y", omega=omega)
+    """ModeSet of the y branch for the given chain parameters;
+    ResourceLimit above _BUILD_BUDGET."""
+    _check_build_budget(params.N, "transverse modes", _MODE_SET_ION_BYTES)
+    return ModeSet(_transverse_omega(_mode_grid_sum(params.N), params.nu_t))
 
 
 def axial_mode_set(N: int) -> ModeSet:
-    """ModeSet of the x branch (confinement-independent)."""
-    return ModeSet(branch="x", omega=np.sqrt(8.0 * _mode_grid_sum(N)))
+    """ModeSet of the x branch (confinement-independent); ResourceLimit
+    above _BUILD_BUDGET."""
+    _check_even_n(N)
+    _check_build_budget(N, "axial modes", _MODE_SET_ION_BYTES)
+    return ModeSet(np.sqrt(8.0 * _mode_grid_sum(N)))
 
 
 @dataclass(frozen=True)
@@ -240,7 +308,7 @@ def mode_matrix(N: int) -> ModeMatrix:
 
 def _dispersion_sq_derivative(k, N: int):
     """d(omega_y^2)/dk = -2 sum_{j=1}^{N/2} j^-2 sin(j k), omega_0^2 a units."""
-    return -2.0 * _lattice_sum(k, N, 2, lambda x: np.sin(x, out=x))
+    return -2.0 * _lattice_sum(k, N, 2, "sin")
 
 
 def _velocity(omega: np.ndarray, dsq) -> np.ndarray:
@@ -282,8 +350,10 @@ def max_group_velocity(nu_t: float, N: int) -> tuple[float, float]:
     between that point and its two neighbours, so grid values within FFT
     rounding of each other bracket as the direct grid does. Golden-section
     refinement on the direct sums narrows the bracket to _VMAX_TOL.
+    ResourceLimit above _BUILD_BUDGET.
     """
     _check_even_n(N)
+    _check_build_budget(N, "group velocities", _VMAX_ION_BYTES)
     ks = np.linspace(0.0, math.pi, _VGRID_POINTS + 2)[1:-1]
     i = int(np.argmax(_grid_group_velocity(nu_t, N)))
     near = np.arange(max(i - 1, 0), min(i + 2, len(ks)))

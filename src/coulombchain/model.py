@@ -16,8 +16,9 @@ SI inputs are converted once at the boundary (`derive_parameters`) with the
 explicit Coulomb factor 1/(4 pi eps_0); no other function in the package
 sees dimensional quantities.
 
-The input rules for N, nu_t, theta, finite scalars and finite arrays are
-stated here once, and every module applies them.
+The input rules for N, nu_t, theta, finite scalars, finite arrays and the
+scalar-or-1-d sample arrays (times t, wave numbers k) are stated here once,
+and every module applies them.
 
 The linear chain is stable for nu_t above the critical frequency
 
@@ -100,6 +101,18 @@ def _check_finite(name: str, x) -> None:
         i = int(np.argmin(finite.ravel()))
         raise InvalidParameter(
             f"{name} must be finite; {name}[{i}] = {np.ravel(x)[i]}")
+
+
+def _check_scalar_or_1d(name: str, x) -> np.ndarray:
+    """x as a 1-d float64 array (a scalar as one entry, a float64 array not
+    copied); InvalidParameter naming the shape when x has more dimensions,
+    and naming the first non-finite entry."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim > 1:
+        raise InvalidParameter(
+            f"{name} must be a scalar or a 1-d array, got shape {arr.shape}")
+    _check_finite(name, arr)
+    return np.atleast_1d(arr)
 
 
 @dataclass(frozen=True)

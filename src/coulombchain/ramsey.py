@@ -27,8 +27,9 @@ On a uniform grid t_j = t_0 + j dt, sum_m w_m exp(i omega_m t_j) is a
 type-1 nonuniform FFT of the points omega_m dt mod 2 pi, so a trace of T
 samples costs O(M + T log T) instead of T M trig calls; the magnitude and
 the phase of S share one spread of their weight vectors. Samples near t = 0
-and non-uniform grids use the direct kernel, one trig call per
-mode-sample, which is also the test oracle.
+and non-uniform grids use the direct kernel of `linear_modes`, one trig
+call per mode-sample, which is also the test oracle and which sums the
+dispersion at arbitrary k. Times are a scalar or a 1-d array.
 """
 
 from __future__ import annotations
@@ -37,24 +38,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, ResourceLimit, SoftModeSingularity
-from .linear_modes import (RADICAND_CLAMP, critical_frequency_finite,
+from .errors import InvalidParameter, SoftModeSingularity
+from .linear_modes import (RADICAND_CLAMP, _check_build_budget,
+                           _direct_trig_sum, critical_frequency_finite,
                            mode_matrix, transverse_mode_set)
-from .model import ChainParams, _check_finite, _check_theta
+from .model import (ChainParams, _check_finite, _check_scalar_or_1d,
+                    _check_theta)
 from .zigzag import _block_eigenpairs
 
-# Target size of one t-by-mode block of the direct kernel (~64 MB); each
-# block is taken in place and freed before the next, so it is the route's
-# peak.
-_CHUNK_ELEMENTS = 8_000_000
-# Largest samples x modes of one direct sum, the only O(T M) route.
-TRACE_BUDGET = 2_000_000_000
-# Largest traced peak, in bytes, of one kick-weight build, checked against
-# bytes per ion x N before the build allocates. From N = 2^14 to 2^21
+# Traced bytes per ion of one kick-weight build, checked against
+# linear_modes._BUILD_BUDGET before it allocates. From N = 2^14 to 2^21
 # tracemalloc reads 33.0 B per ion for linear_chain_amplitudes and 76.5 B
-# for the zigzag's blocks, rounded up in _ION_BYTES, so linear chains fit
-# up to N ~ 5.9e7 and zigzags up to N ~ 2.6e7.
-_AMPLITUDE_BUDGET = 2_000_000_000
+# for the zigzag's blocks, rounded up here, so linear chains fit up to
+# N ~ 5.9e7 and zigzags up to N ~ 2.6e7.
 _ION_BYTES = {"linear": 34, "zigzag": 77}
 
 # A grid is uniform for the NUFFT when it has at least this many samples
@@ -157,22 +153,12 @@ def _kick_weights(params: ChainParams, omega: np.ndarray, c: np.ndarray,
                                   kind=kind)
 
 
-def _check_amplitude_budget(N: int, kind: str) -> None:
-    """ResourceLimit when a `kind` build of N ions would pass
-    _AMPLITUDE_BUDGET bytes; allocates nothing."""
-    need = _ION_BYTES[kind] * N
-    if need > _AMPLITUDE_BUDGET:
-        raise ResourceLimit(f"kick weights of N = {N} ions need about "
-                            f"{need:.3g} bytes ({_ION_BYTES[kind]} per ion), "
-                            f"over the budget {_AMPLITUDE_BUDGET}")
-
-
 def linear_chain_amplitudes(params: ChainParams,
                             probe_site: int = 1) -> DisplacementAmplitudes:
     """Amplitudes alpha_m = i eta0 sqrt(nu_t/omega_m) R[probe, m] of the
     y-branch modes for a kick on ion `probe_site` (1-based); ResourceLimit
-    above _AMPLITUDE_BUDGET."""
-    _check_amplitude_budget(params.N, "linear")
+    above the build budget."""
+    _check_build_budget(params.N, "kick weights", _ION_BYTES["linear"])
     return _kick_weights(params, transverse_mode_set(params).omega,
                          mode_matrix(params.N).row(probe_site), "linear")
 
@@ -180,8 +166,8 @@ def linear_chain_amplitudes(params: ChainParams,
 def _zigzag_amplitudes(params: ChainParams) -> DisplacementAmplitudes:
     """Kick weights of the zigzag ring (flat above the transition), one per
     block eigenpair the probe feels, the same on every site; ResourceLimit
-    above _AMPLITUDE_BUDGET."""
-    _check_amplitude_budget(params.N, "zigzag")
+    above the build budget."""
+    _check_build_budget(params.N, "kick weights", _ION_BYTES["zigzag"])
     _, lam, _, v, edge = _block_eigenpairs(params)
     s = np.where(edge, 1.0, 2.0) / params.N
     return _kick_weights(params, np.sqrt(lam), np.sqrt(s) * v, "zigzag")
@@ -194,7 +180,7 @@ def chain_amplitudes(params: ChainParams) -> DisplacementAmplitudes:
     soft mode is at omega = 0 and SoftModeSingularity is raised. A chain
     too long for the cheaper linear build raises ResourceLimit before the
     O(N) nu_c(N) sum."""
-    _check_amplitude_budget(params.N, "linear")
+    _check_build_budget(params.N, "kick weights", _ION_BYTES["linear"])
     if params.nu_t < critical_frequency_finite(params.N):
         return _zigzag_amplitudes(params)
     return linear_chain_amplitudes(params)
@@ -219,31 +205,6 @@ def _uniform_step(t: np.ndarray) -> float | None:
     if not np.max(np.abs(t - (t[0] + dt * np.arange(n)))) <= tol:
         return None                     # also for NaN and inf samples
     return float(dt)
-
-
-def _direct_trig_sum(t: np.ndarray, omega: np.ndarray, weight: np.ndarray,
-                     kind: str) -> np.ndarray:
-    """One trig call per mode-sample, chunked over t and taken in place, so
-    one t-by-mode block is alive at a time; ResourceLimit above
-    TRACE_BUDGET mode-samples."""
-    if len(t) * len(omega) > TRACE_BUDGET:
-        raise ResourceLimit(f"direct mode sum of {len(t)} x {len(omega)} "
-                            f"exceeds budget {TRACE_BUDGET}")
-    out = np.empty_like(t)
-    chunk = max(1, _CHUNK_ELEMENTS // max(len(omega), 1))
-    for i in range(0, len(t), chunk):
-        block = np.multiply.outer(t[i:i + chunk], omega)
-        if kind == "sin2half":
-            block *= 0.5
-            np.sin(block, out=block)
-            np.square(block, out=block)
-        elif kind == "sin":
-            np.sin(block, out=block)
-        else:
-            np.cos(block, out=block)
-        out[i:i + chunk] = block @ weight
-        del block                       # before the next block is made
-    return out
 
 
 def _fft_length(n: int) -> int:
@@ -370,8 +331,7 @@ def _trig_sums(t, omega: np.ndarray, requests):
     omega and the weights reach the routes untouched. A vector named by
     several requests is merged and spread once.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    _check_finite("t", t_arr)
+    t_arr = _check_scalar_or_1d("t", t)
     vectors = {id(w): w for _, w in requests}
     distinct, inv = np.unique(omega, return_inverse=True)
     if len(distinct) < len(omega):
@@ -411,14 +371,17 @@ def weighted_trig_sum(t, omega: np.ndarray, weight: np.ndarray,
     """sum_m weight_m * f(omega_m t) with f per `kind`.
 
     kind: 'sin2half' -> sin^2(w t / 2); 'sin' -> sin(w t); 'cos' -> cos(w t).
-    Scalar t in, scalar out. On a uniform grid, samples with
-    max(omega) |t| > 1 come from the type-1 NUFFT of _nufft_spread; the
-    rest, and every non-uniform grid, use one trig call per mode-sample.
-    Near t = 0 the exponential sum would lose sin^2 to the cancellation in
-    1 - cos, and the Gamma-fit window lies there. Bit-equal frequencies
-    merge, weights summed, before either route; inputs whose frequencies
-    are all distinct reach it untouched. omega and weight must be 1-d of
-    one shape; they and the times must be finite, else InvalidParameter.
+    t is a scalar (scalar out) or a 1-d array. On a uniform grid, samples
+    with max(omega) |t| > 1 come from the type-1 NUFFT of _nufft_spread;
+    the rest, and every non-uniform grid, use the direct kernel
+    `linear_modes._direct_trig_sum`, one trig call per mode-sample, which
+    raises ResourceLimit above TRACE_BUDGET mode-samples. Near t = 0 the
+    exponential sum would lose sin^2 to the cancellation in 1 - cos, and
+    the Gamma-fit window lies there. Bit-equal frequencies merge, weights
+    summed, before either route; inputs whose frequencies are all distinct
+    reach it untouched. omega and weight must be 1-d of one shape; they and
+    the times must be finite, and t must not have more than one dimension,
+    else InvalidParameter.
     """
     if kind not in ("sin2half", "sin", "cos"):
         raise InvalidParameter(f"unknown kernel kind {kind!r}")

@@ -38,7 +38,8 @@ def check_trace_samples(n_samples: int) -> None:
     """Raise ResourceLimit before a time grid of n_samples is allocated.
 
     A uniform grid costs O(M + T log T), so only T is capped here; the
-    T x M budget of the direct route is checked in ramsey."""
+    T x M budget of the direct route, TRACE_BUDGET, is checked by its
+    kernel, `linear_modes._direct_trig_sum`."""
     if n_samples > MAX_TRACE_SAMPLES:
         raise ResourceLimit(f"trace of {n_samples} samples exceeds the cap "
                             f"{MAX_TRACE_SAMPLES}")

@@ -40,11 +40,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, NumericalFailure, UnstableConfiguration
-from .linear_modes import RADICAND_CLAMP, critical_frequency_finite
+from .linear_modes import (RADICAND_CLAMP, _check_build_budget,
+                           critical_frequency_finite)
 from .model import ChainParams
 
 GRAD_TOL = 1e-10          # |dE/db| at the returned equilibrium
 NEWTON_CAP = 100          # Newton steps for b^2; far out each gains x 5/3
+# Traced bytes per ion from N = 2^16 to 2^20, rounded up, checked against
+# the build budget: 20.0 for the equilibrium, 179.0-179.1 for the spectrum,
+# its equilibrium included.
+_EQUILIBRIUM_ION_BYTES = 21
+_SPECTRUM_ION_BYTES = 180
 
 
 @dataclass(frozen=True)
@@ -74,12 +80,14 @@ def zigzag_equilibrium(params: ChainParams) -> ZigzagEquilibrium:
     h(x) = nu_t^2 / 4, which is the minimum, and Newton's iteration in
     x = b^2 from x = 0 climbs to it monotonically: no bracket, no overshoot,
     and no energy comparison, whose gain ~ (nu_c(N) - nu_t) b^2 drowns in
-    the rounding of E near the transition.
+    the rounding of E near the transition. ResourceLimit above the build
+    budget.
     """
     N, nu_t = params.N, params.nu_t
     if N < 8 or N % 4 != 0:
         raise InvalidParameter(
             "zigzag routines need N divisible by 4 (commensurate pattern)")
+    _check_build_budget(N, "zigzag equilibrium", _EQUILIBRIUM_ION_BYTES)
     if nu_t >= critical_frequency_finite(N):
         return ZigzagEquilibrium(N=N, nu_t=nu_t, b=0.0,
                                  energy_per_ion=_energy_per_ion(0.0, nu_t, N),
@@ -243,8 +251,10 @@ def zigzag_spectrum(params: ChainParams) -> ZigzagSpectrum:
 
     For 0 < m < N/2 each block eigenvector gives two real modes (sigma =
     +/-, norm sqrt(2/N)); at m = 0 and m = N/2 the blocks are diagonal and
-    only the nonvanishing part is a mode (norm sqrt(1/N)).
+    only the nonvanishing part is a mode (norm sqrt(1/N)). ResourceLimit
+    above the build budget.
     """
+    _check_build_budget(params.N, "zigzag modes", _SPECTRUM_ION_BYTES)
     b, lam, u, v, edge = _block_eigenpairs(params)
     N, pair = params.N, np.arange(params.N + 2)
     # An interior pair gives a '+' and a '-' mode. An edge block is diagonal,

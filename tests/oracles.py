@@ -15,7 +15,10 @@ tests can check the fast routes against them:
   which the package gets exactly from the probe-row sum rule;
 - `nufft_spread_bincount`: the NUFFT's spread grids from one np.bincount
   over every mode-by-kernel-point entry, with the ES kernel written out
-  of place, which the package spreads in small chunks by np.add.at.
+  of place, which the package spreads in small chunks by np.add.at;
+- `lattice_sum_einsum`: the direct lattice sums at arbitrary k by an
+  einsum over j, which the package sums by the trace kernel's
+  matrix-vector product.
 
 The dense and O(N^2) ones keep their work budgets and raise ResourceLimit
 before allocating above them. numpy and the package are all they import.
@@ -291,3 +294,22 @@ def nufft_spread_bincount(t0: float, dt: float, n_out: int,
     grids = [np.bincount(idx, (ker * c[:, None]).ravel(), minlength=n)
              for c in coefs]
     return list(zip(grids[0::2], grids[1::2])), _kernel_dft(n, n_out // 2)
+
+
+def lattice_sum_einsum(k, N: int, power: int, kind: str):
+    """sum_{j=1}^{N/2} j^-power f(j k), f = sin^2(x / 2) ('sin2half') or
+    sin x ('sin'), as one einsum over j = N/2 .. 1 per chunk of k, the
+    (j, k) block kept below 4e6 entries and f taken in place. Scalar k in,
+    float out."""
+    f = {"sin2half": lambda x: np.square(
+             np.sin(np.multiply(x, 0.5, out=x), out=x), out=x),
+         "sin": lambda x: np.sin(x, out=x)}[kind]
+    j = np.arange(N // 2, 0, -1, dtype=np.float64)
+    w = j ** -power
+    karr = np.atleast_1d(np.asarray(k, dtype=np.float64))
+    out = np.empty_like(karr)
+    chunk = max(1, int(4e6 / max(len(j), 1)))
+    for i in range(0, len(karr), chunk):
+        out[i:i + chunk] = np.einsum(
+            "j,jk->k", w, f(np.multiply.outer(j, karr[i:i + chunk])))
+    return out if np.ndim(k) else float(out[0])

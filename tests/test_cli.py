@@ -331,11 +331,17 @@ def test_si_temperature_sets_theta_unless_theta_is_given(tmp_path, capsys):
 
 
 def test_bad_config_line_cites_location(tmp_path, capsys):
+    # A line that is not UTF-8 (here a 0xFF byte) is located the same way,
+    # whatever the locale, not a UnicodeDecodeError traceback.
     cfg = tmp_path / "broken.cfg"
-    cfg.write_text("N = 16\nthis has no equals sign\n")
-    rc = run(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
-    assert rc == 2
-    assert "broken.cfg:2" in capsys.readouterr().err
+    out = tmp_path / "out"
+    for text in (b"N = 16\nthis has no equals sign\n",
+                 b"N = 16\nnu_t = 2.5 # \xff\n"):
+        cfg.write_bytes(text)
+        rc = run(["spectrum", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "broken.cfg:2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_config_value_out_of_range_is_a_usage_error(tmp_path, capsys):
@@ -726,19 +732,28 @@ def test_trace_budget_guard_before_allocation(command, tmp_path, capsys):
 
 
 def test_amplitude_budget_guard_before_allocation(tmp_path, capsys):
-    tracemalloc.start()
-    try:
-        rc = run(["visibility", "--N", str(10 ** 9), "--delta", "0.01",
-                  "--eta-c", "0.1", "--out", str(tmp_path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error [ResourceLimit]: kick weights of N = "
-                          "1000000000 ions") and err.count("\n") == 1
-    assert not list(tmp_path.iterdir())
-    assert peak < 1 << 20
+    # Each command meets the build budget in its first O(N) build: the kick
+    # weights, the mode tables, nu_c(N), the group velocities.
+    cases = [("visibility", ["--delta", "0.01", "--eta-c", "0.1"],
+              "kick weights"),
+             ("spectrum", ["--nu-t", "2.5"], "transverse modes"),
+             ("zigzag", ["--nu-t", "2.0"], "nu_c(N) terms"),
+             ("longtime", ["--delta", "0.01", "--eta-c", "0.1"],
+              "group velocities")]
+    for command, flags, what in cases:
+        tracemalloc.start()
+        try:
+            rc = run([command, "--N", str(10 ** 9), *flags,
+                      "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [ResourceLimit]: {what} of N = "
+                              "1000000000 ions") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+        assert peak < 1 << 20
 
 
 def test_fourier_rejects_a_nan_prominence(tmp_path, capsys):

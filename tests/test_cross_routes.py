@@ -39,10 +39,10 @@ from coulombchain import linear_modes, ramsey
 from coulombchain.ramsey import _zigzag_amplitudes
 from coulombchain.errors import SoftModeSingularity
 from coulombchain.linear_modes import (_GOLDEN, _VGRID_POINTS, _VMAX_TOL,
-                                       _dispersion_sum, _grid_group_velocity,
-                                       _mode_grid_sum)
-from coulombchain.ramsey import (_MIN_UNIFORM_SAMPLES, _direct_trig_sum,
-                                 _thermal_A_and_phase, _uniform_step)
+                                       _direct_trig_sum, _dispersion_sum,
+                                       _grid_group_velocity, _mode_grid_sum)
+from coulombchain.ramsey import (_MIN_UNIFORM_SAMPLES, _thermal_A_and_phase,
+                                 _uniform_step)
 from oracles import (dense_hessian, dense_mode_matrix, dense_vectors,
                      label_residuals, nufft_spread_bincount)
 
@@ -233,7 +233,8 @@ def test_merged_degenerate_modes_match_direct_kernel_over_every_mode(grid):
 
 
 def _spy_on_routes(monkeypatch):
-    """Wrap _trig_sums and both kernels. Each _trig_sums call appends a
+    """Wrap _trig_sums and both kernels where _trig_sums looks them up, in
+    ramsey (the direct one is linear_modes'). Each _trig_sums call appends a
     list, which gets (omega, [weight]) of every direct call and
     (omega, weights) of every spread."""
     calls = []

@@ -15,7 +15,7 @@ from coulombchain import (ChainParams, axial_mode_set,
 from coulombchain import linear_modes
 from coulombchain.errors import (InvalidParameter, ResourceLimit,
                                  SoftModeSingularity, UnstableLinearPhase)
-from oracles import dense_mode_matrix
+from oracles import dense_mode_matrix, lattice_sum_einsum
 
 # Frozen finite-N critical frequencies (independent odd-j sums).
 NU_C_FINITE = {
@@ -98,25 +98,28 @@ def test_non_finite_nu_t_is_rejected(call, nu_t):
         call(nu_t)
 
 
-@pytest.mark.parametrize("k, shown", [
-    (math.nan, r"k\[0\] = nan"), (math.inf, r"k\[0\] = inf"),
-    (np.array([1.0, -math.inf, math.nan]), r"k\[1\] = -inf"),
-], ids=["nan", "inf", "array"])
+@pytest.mark.parametrize("k, match", [
+    (math.nan, r"k must be finite; k\[0\] = nan"),
+    (math.inf, r"k must be finite; k\[0\] = inf"),
+    (np.array([1.0, -math.inf, math.nan]), r"k must be finite; k\[1\] = -inf"),
+    (np.ones((2, 3)), r"k must be a scalar or a 1-d array, got shape \(2, 3\)"),
+], ids=["nan", "inf", "array", "2-d"])
 @pytest.mark.parametrize("call", [
     lambda k: dispersion_axial(k, 16),
     lambda k: dispersion_transverse(k, 2.5, 16),
     lambda k: group_velocity(k, 2.5, 16),
 ], ids=["dispersion_axial", "dispersion_transverse", "group_velocity"])
-def test_non_finite_k_is_rejected(call, k, shown):
-    # Not a NaN result, nor a RuntimeWarning from sin.
-    with pytest.raises(InvalidParameter, match="k must be finite; " + shown):
+def test_non_finite_k_is_rejected(call, k, match):
+    # Not a NaN result, nor a RuntimeWarning from sin; nor, for an N-d k,
+    # numpy's ValueError: k is a scalar or a 1-d array.
+    with pytest.raises(InvalidParameter, match=match):
         call(k)
 
 
 def test_mode_sets():
     p = ChainParams(N=16, nu_t=2.3, eta_c=0.1)
     ms = transverse_mode_set(p)
-    assert ms.branch == "y" and len(ms) == 16
+    assert len(ms) == 16
     # degenerate parity partners
     for n, sigma, w in zip(ms.n, ms.sigma, ms.omega):
         if 0 < n < 8:
@@ -124,7 +127,6 @@ def test_mode_sets():
                        if n2 == n and s2 != sigma]
             assert partner[0] == pytest.approx(w, rel=1e-15)
     mx = axial_mode_set(16)
-    assert mx.branch == "x"
     assert mx.omega[0] == 0.0          # uniform rotation costs nothing
 
 
@@ -226,6 +228,24 @@ def test_lattice_terms_are_cached_read_only():
     assert not j.flags.writeable and not w.flags.writeable
     ref = np.arange(32, 0, -1, dtype=np.float64)
     assert np.array_equal(j, ref) and np.array_equal(w, ref ** -3)
+
+
+@pytest.mark.parametrize("N", [16, 1000, 100_000])
+def test_lattice_sums_match_the_einsum_oracle(N):
+    # The direct kernel's matrix-vector product against the einsum it
+    # replaced, within 4 eps sum_j j^-p; the derivative is -2 times its sum,
+    # which halves exactly.
+    eps = np.finfo(float).eps
+    j = np.arange(1, N // 2 + 1, dtype=np.float64)
+    rng = np.random.default_rng(N)
+    for k in (2.3, rng.uniform(0.0, math.pi, 37)):
+        got = linear_modes._dispersion_sum(k, N)
+        ref = lattice_sum_einsum(k, N, 3, "sin2half")
+        assert np.ndim(got) == np.ndim(k)
+        assert np.max(np.abs(got - ref)) <= 4 * eps * np.sum(j ** -3)
+        got = -0.5 * linear_modes._dispersion_sq_derivative(k, N)
+        ref = lattice_sum_einsum(k, N, 2, "sin")
+        assert np.max(np.abs(got - ref)) <= 4 * eps * np.sum(j ** -2)
 
 
 def test_dispersion_vectorized_matches_scalar():

@@ -11,17 +11,18 @@ import numpy as np
 import pytest
 
 from coulombchain import (ChainParams, DisplacementAmplitudes,
-                          VisibilityTrace, chain_amplitudes,
-                          critical_frequency_finite, evaluate_trace,
-                          exponent_A, exponent_A_thermal,
-                          linear_chain_amplitudes, overlap, ramsey,
-                          thermal_weights, visibility, weighted_trig_sum)
+                          VisibilityTrace, axial_mode_set, chain_amplitudes,
+                          critical_frequency_finite, dispersion_transverse,
+                          evaluate_trace, exponent_A, exponent_A_thermal,
+                          linear_chain_amplitudes, linear_modes, overlap,
+                          ramsey, revival_time, thermal_weights,
+                          transverse_mode_set, visibility, weighted_trig_sum,
+                          zigzag, zigzag_equilibrium, zigzag_spectrum)
 from coulombchain.errors import (InvalidParameter, ResourceLimit,
                                  SoftModeSingularity)
-from coulombchain.linear_modes import RADICAND_CLAMP
-from coulombchain.ramsey import (_CHUNK_ELEMENTS, _ION_BYTES, TRACE_BUDGET,
-                                 _direct_trig_sum, _uniform_step,
-                                 _zigzag_amplitudes)
+from coulombchain.linear_modes import (_CHUNK_ELEMENTS, RADICAND_CLAMP,
+                                       TRACE_BUDGET, _direct_trig_sum)
+from coulombchain.ramsey import _ION_BYTES, _uniform_step, _zigzag_amplitudes
 
 T_GRID = [0.0, 0.37, 1.0, 2.5, 7.3, 31.4]
 
@@ -334,6 +335,8 @@ def test_trig_sum_rejects_non_finite_frequencies_and_weights(
 BAD_GRIDS = {
     "scalar": (2.0, "1-d grid"),
     "2-d": (np.linspace(0.0, 10.0, 100)[None, :], "1-d grid"),
+    "2-d-64-rows": (np.linspace(0.0, 10.0, 6400).reshape(64, 100),
+                    "1-d grid"),
     "nan": (np.full(100, math.nan), "must be finite"),
     "inf-last": (np.append(np.linspace(0.0, 10.0, 99), math.inf),
                  "must be finite"),
@@ -355,6 +358,21 @@ def test_trace_needs_a_1d_grid(case):
         for t_bad in (t, float(t[~np.isfinite(t)][0])):
             with pytest.raises(InvalidParameter, match=match):
                 weighted_trig_sum(t_bad, amps.omega, amps.weight, "cos")
+    if np.ndim(t) == 2:
+        # The trig sums take a scalar or a 1-d t. An N-d one is refused:
+        # the direct kernel's budget counted only its rows, and from 64
+        # rows on the uniform-grid test broke on it.
+        shape = re.escape(f"got shape {np.shape(t)}")
+        for call in (
+                lambda: weighted_trig_sum(t, amps.omega, amps.weight, "cos"),
+                lambda: exponent_A(t, amps),
+                lambda: exponent_A_thermal(t, amps, 0.5),
+                lambda: visibility(t, amps),
+                lambda: overlap(t, amps)):
+            with pytest.raises(InvalidParameter,
+                               match="t must be a scalar or a 1-d array, "
+                                     + shape):
+                call()
 
 
 def test_random_sweep_invariants():
@@ -487,7 +505,7 @@ def test_nufft_trace_at_n_8000_allocates_under_2_mib():
 def test_direct_sum_keeps_one_block_alive(kind, monkeypatch):
     # Ten blocks of 200 x 4000; the trig call is taken in place and each
     # block freed before the next, so one block sets the peak.
-    monkeypatch.setattr(ramsey, "_CHUNK_ELEMENTS", 800_000)
+    monkeypatch.setattr(linear_modes, "_CHUNK_ELEMENTS", 800_000)
     rng = np.random.default_rng(11)
     t, omega = rng.uniform(0, 50, 2000), rng.uniform(0.1, 2.5, 4000)
     weight = rng.uniform(0, 1e-3, 4000)
@@ -496,9 +514,19 @@ def test_direct_sum_keeps_one_block_alive(kind, monkeypatch):
     assert peak <= 1.2 * block
 
 
-@pytest.mark.parametrize("producer", [linear_chain_amplitudes,
-                                      _zigzag_amplitudes, chain_amplitudes])
+@pytest.mark.parametrize("producer", [
+    linear_chain_amplitudes, _zigzag_amplitudes, chain_amplitudes,
+    transverse_mode_set, zigzag_spectrum, zigzag_equilibrium,
+    pytest.param(lambda p: axial_mode_set(p.N), id="axial_mode_set"),
+    pytest.param(lambda p: critical_frequency_finite(p.N),
+                 id="critical_frequency_finite"),
+    pytest.param(lambda p: revival_time(p.N, p.nu_t), id="revival_time"),
+    pytest.param(lambda p: dispersion_transverse(1.0, p.nu_t, p.N),
+                 id="dispersion_transverse"),
+])
 def test_producers_refuse_past_the_amplitude_budget(producer):
+    # The kick weights, and every O(N) build behind the mode tables, the
+    # zigzag and the revival time, check bytes per ion x N first.
     N = 10 ** 9
     p = ChainParams(N=N, nu_t=2.0, eta_c=0.1)
     tracemalloc.start()
@@ -514,27 +542,48 @@ def test_producers_refuse_past_the_amplitude_budget(producer):
 def test_amplitude_budget_bounds_the_traced_cost(monkeypatch):
     N = 2 ** 18
     linear = ChainParams(N=N, nu_t=2.3, eta_c=0.1)
-    zigzag = ChainParams(N=N, nu_t=critical_frequency_finite(N) - 0.01,
-                         eta_c=0.1)
-    for kind, producer, p in (("linear", linear_chain_amplitudes, linear),
-                              ("zigzag", _zigzag_amplitudes, zigzag)):
+    buckled = ChainParams(N=N, nu_t=critical_frequency_finite(N) - 0.01,
+                          eta_c=0.1)
+    lm = linear_modes
+    builds = [
+        (_ION_BYTES["linear"], lambda: linear_chain_amplitudes(linear)),
+        (_ION_BYTES["zigzag"], lambda: _zigzag_amplitudes(buckled)),
+        (lm._MODE_SET_ION_BYTES, lambda: transverse_mode_set(linear)),
+        (lm._MODE_SET_ION_BYTES, lambda: axial_mode_set(N)),
+        (lm._NU_C_ION_BYTES, lambda: critical_frequency_finite(N)),
+        (lm._LATTICE_ION_BYTES, lambda: dispersion_transverse(1.0, 2.3, N)),
+        (lm._VMAX_ION_BYTES, lambda: revival_time(N, 2.3)),
+        (zigzag._EQUILIBRIUM_ION_BYTES, lambda: zigzag_equilibrium(buckled)),
+        (zigzag._SPECTRUM_ION_BYTES, lambda: zigzag_spectrum(buckled)),
+    ]
+    for ion_bytes, build in builds:
+        # The lattice terms are cached; the first build at N makes them.
+        lm._lattice_terms.cache_clear()
         # The check compares bytes per ion x N with the budget, inclusive.
-        monkeypatch.setattr(ramsey, "_AMPLITUDE_BUDGET", _ION_BYTES[kind] * N)
-        assert _traced_peak(lambda: producer(p)) <= _ION_BYTES[kind] * N
-        monkeypatch.setattr(ramsey, "_AMPLITUDE_BUDGET",
-                            _ION_BYTES[kind] * N - 1)
-        with pytest.raises(ResourceLimit, match=f"{_ION_BYTES[kind]} per ion"):
-            producer(p)
+        monkeypatch.setattr(lm, "_BUILD_BUDGET", ion_bytes * N)
+        assert _traced_peak(build) <= ion_bytes * N
+        monkeypatch.setattr(lm, "_BUILD_BUDGET", ion_bytes * N - 1)
+        with pytest.raises(ResourceLimit, match=f"{ion_bytes} per ion"):
+            build()
 
 
 def test_direct_sum_over_budget_raises_before_allocating():
     t, omega = np.zeros(50_000), np.ones(50_000)        # 400 kB each
     assert len(t) * len(omega) > TRACE_BUDGET
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceLimit, match="50000 x 50000 exceeds"):
-            _direct_trig_sum(t, omega, omega, "cos")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    # 10^4 k at N/2 = 500 001 terms is 5e9 mode-samples too; the lattice
+    # sum checks before its (uncached) terms, 8 MB at this N, are built.
+    k, N = np.linspace(0.1, 3.0, 10_000), 1_000_002
+    assert len(k) * (N // 2) > TRACE_BUDGET
+    for call, match in (
+            (lambda: _direct_trig_sum(t, omega, omega, "cos"),
+             "50000 x 50000 exceeds"),
+            (lambda: dispersion_transverse(k, 2.5, N),
+             "10000 x 500001 exceeds")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match=match):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
