@@ -78,14 +78,16 @@ _LATTICE_ION_BYTES = 13
 _VMAX_ION_BYTES = 29
 
 
-def _check_build_budget(N: int, what: str, ion_bytes: int) -> None:
-    """ResourceLimit when `what` for N ions, ion_bytes each, would pass
-    _BUILD_BUDGET bytes; allocates nothing."""
-    need = ion_bytes * N
+def _check_build_budget(N: int, what: str, unit_bytes: int,
+                        unit: str = "ion") -> None:
+    """ResourceLimit when `what` for N units (ions, samples, terms),
+    unit_bytes each, would pass _BUILD_BUDGET bytes; allocates nothing."""
+    need = unit_bytes * N
     if need > _BUILD_BUDGET:
-        raise ResourceLimit(f"{what} of N = {N} ions need about {need:.3g} "
-                            f"bytes ({ion_bytes} per ion), over the budget "
-                            f"{_BUILD_BUDGET}")
+        count = f"N = {N}" if unit == "ion" else f"{N}"
+        raise ResourceLimit(f"{what} of {count} {unit}s need about "
+                            f"{need:.3g} bytes ({unit_bytes} per {unit}), "
+                            f"over the budget {_BUILD_BUDGET}")
 
 
 def _check_trace_budget(samples: int, modes: int) -> None:
@@ -222,9 +224,18 @@ def dispersion_transverse(k, nu_t: float, N: int):
 
 
 def critical_frequency_finite(N: int) -> float:
-    """nu_t at which omega_y(pi/a) vanishes: sqrt(4 sum_{j odd <= N/2} j^-3)."""
+    """nu_t at which omega_y(pi/a) vanishes: sqrt(4 sum_{j odd <= N/2} j^-3).
+
+    The budget is checked on every call, the sum made once per N."""
     _check_even_n(N)
     _check_build_budget(N, "nu_c(N) terms", _NU_C_ION_BYTES)
+    return _critical_frequency(N)
+
+
+@lru_cache(maxsize=8)
+def _critical_frequency(N: int) -> float:
+    """Cached because `zigzag_equilibrium` compares nu_t with it on every
+    call: `zigzag --points P` and each zigzag kick build ask again."""
     j = np.arange(1, N // 2 + 1, dtype=np.float64)
     odd = j[::2]                       # 1, 3, 5, ...
     return math.sqrt(4.0 * float(np.sum(odd[::-1] ** -3)))

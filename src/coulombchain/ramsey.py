@@ -52,6 +52,13 @@ from .zigzag import _block_eigenpairs
 # for the zigzag's blocks, rounded up here, so linear chains fit up to
 # N ~ 5.9e7 and zigzags up to N ~ 2.6e7.
 _ION_BYTES = {"linear": 34, "zigzag": 77}
+# Traced bytes per input frequency of one `_trig_sums` pass, checked the
+# same way before the merge: from 2^18 to 4e6 frequencies at 64 to 10^4
+# samples, 45-49 on the direct route and, on the NUFFT route, 72.2-74.1
+# with one weight vector and 88.3-90.6 with two (a thermal magnitude and
+# the phase), rounded up. More samples add their own share, which
+# `spectral.check_trace_samples` bounds.
+_TERM_BYTES = 91
 
 # A grid is uniform for the NUFFT when it has at least this many samples
 # and every t_i lies within _UNIFORM_ULPS ulp of max|t| of t_0 + i dt; the
@@ -329,8 +336,10 @@ def _trig_sums(t, omega: np.ndarray, requests):
     as N/2 + 1 frequencies; every kernel depends on omega alone, so the
     merge changes the sums only by rounding. When all frequencies differ,
     omega and the weights reach the routes untouched. A vector named by
-    several requests is merged and spread once.
+    several requests is merged and spread once. ResourceLimit, before
+    anything is allocated, when the frequencies pass the build budget.
     """
+    _check_build_budget(len(omega), "trig sums", _TERM_BYTES, "term")
     t_arr = _check_scalar_or_1d("t", t)
     vectors = {id(w): w for _, w in requests}
     distinct, inv = np.unique(omega, return_inverse=True)
@@ -375,13 +384,15 @@ def weighted_trig_sum(t, omega: np.ndarray, weight: np.ndarray,
     with max(omega) |t| > 1 come from the type-1 NUFFT of _nufft_spread;
     the rest, and every non-uniform grid, use the direct kernel
     `linear_modes._direct_trig_sum`, one trig call per mode-sample, which
-    raises ResourceLimit above TRACE_BUDGET mode-samples. Near t = 0 the
-    exponential sum would lose sin^2 to the cancellation in 1 - cos, and
-    the Gamma-fit window lies there. Bit-equal frequencies merge, weights
-    summed, before either route; inputs whose frequencies are all distinct
-    reach it untouched. omega and weight must be 1-d of one shape; they and
-    the times must be finite, and t must not have more than one dimension,
-    else InvalidParameter.
+    raises ResourceLimit above TRACE_BUDGET mode-samples. Before either
+    route, len(omega) x _TERM_BYTES is checked against the build budget
+    `linear_modes._BUILD_BUDGET` (ResourceLimit above about 2.2e7
+    frequencies). Near t = 0 the exponential sum would lose sin^2 to the
+    cancellation in 1 - cos, and the Gamma-fit window lies there. Bit-equal
+    frequencies merge, weights summed, before either route; inputs whose
+    frequencies are all distinct reach it untouched. omega and weight must
+    be 1-d of one shape; they and the times must be finite, and t must not
+    have more than one dimension, else InvalidParameter.
     """
     if kind not in ("sin2half", "sin", "cos"):
         raise InvalidParameter(f"unknown kernel kind {kind!r}")

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, NumericalFailure, ResourceLimit
+from .errors import InvalidParameter, NumericalFailure
+from .linear_modes import _check_build_budget
 from .model import ChainParams, _check_finite, _check_positive
 from .ramsey import (VisibilityTrace, _rounding_allowance, chain_amplitudes,
                      evaluate_trace)
@@ -31,18 +32,22 @@ DEFAULT_T_F = 1e4      # 1/omega_0
 DEFAULT_N_S = 100_000
 DC_FLOOR_BINS = 3      # band metrics ignore the first bins: V has a large mean
 _MIN_SAMPLES = 1 << 10
-MAX_TRACE_SAMPLES = 100_000_000    # ~10 GB of trace arrays at ~100 B/sample
+# Traced bytes per sample of a trace and what each command keeps beside it,
+# N = 16-100 at 2-8e5 samples: 85-97 for longtime and fourier, 109-110 for
+# visibility and 141-142 for visibility at theta > 0, rounded up here.
+_SAMPLE_BYTES = 142
 
 
 def check_trace_samples(n_samples: int) -> None:
     """Raise ResourceLimit before a time grid of n_samples is allocated.
 
-    A uniform grid costs O(M + T log T), so only T is capped here; the
-    T x M budget of the direct route, TRACE_BUDGET, is checked by its
-    kernel, `linear_modes._direct_trig_sum`."""
-    if n_samples > MAX_TRACE_SAMPLES:
-        raise ResourceLimit(f"trace of {n_samples} samples exceeds the cap "
-                            f"{MAX_TRACE_SAMPLES}")
+    A uniform grid costs O(M + T log T); the modes' share is checked by the
+    kick weights and the trig sums, and here the samples' share, bytes per
+    sample x T, against the budget of every O(N) build,
+    `linear_modes._BUILD_BUDGET`, so about 1.4e7 samples fit. The T x M
+    budget of the direct route, TRACE_BUDGET, is checked by its kernel,
+    `linear_modes._direct_trig_sum`."""
+    _check_build_budget(n_samples, "trace arrays", _SAMPLE_BYTES, "sample")
 
 
 def visibility_trace(params: ChainParams, T_F: float = DEFAULT_T_F,
@@ -128,16 +133,28 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return (moves[:-1][top] + 1 + moves[1:][top]) // 2
 
 
-def _sparse_table(x: np.ndarray, op) -> np.ndarray:
-    """Row k holds op over x[i:i + 2**k], cut off at the end of x."""
-    n = len(x)
-    table = np.empty((max(1, n.bit_length()), n))
-    table[0] = x
-    for k in range(1, len(table)):
-        w = 1 << (k - 1)
-        table[k] = table[k - 1]
-        op(table[k - 1, :n - w], table[k - 1, w:], out=table[k, :n - w])
-    return table
+def _left_bases(h: list, u: list) -> np.ndarray:
+    """Lowest sample between each maximum and the nearest strictly higher
+    one to its left (or the left edge), from the maxima's finite heights h
+    and u[k], the lowest sample between maxima k - 1 and k.
+
+    A stack holds the maxima not yet passed by a higher one, each with its
+    base; before maximum i goes on, every entry no higher than it comes off
+    and its base folds into i's, because the entries taken off span exactly
+    the segments back to the nearest higher maximum. Each maximum goes on
+    and comes off at most once, so the pass is O(P).
+    """
+    heights, lows, bases = [math.inf], [math.inf], []   # inf never comes off
+    for hi, base in zip(h, u):
+        while heights[-1] <= hi:
+            heights.pop()
+            low = lows.pop()
+            if low < base:
+                base = low
+        heights.append(hi)
+        lows.append(base)
+        bases.append(base)
+    return np.array(bases)
 
 
 def _peak_prominences(x: np.ndarray) -> tuple:
@@ -149,38 +166,19 @@ def _peak_prominences(x: np.ndarray) -> tuple:
     maxima, and between an edge and its nearest maximum, nothing rises
     above both ends without making a maximum of its own, so the bases are
     read off the P maxima alone: u[k], the lowest sample between maxima
-    k - 1 and k (the edge segments at the ends), and each peak's run of
-    maxima no higher than it, found by binary lifting on a max sparse table
-    of their heights. A base is then the minimum of u over the run's
-    segments on that side, from a min sparse table of u. Cost O(n) plus
-    O(P log P), with no loop over the peaks; every value is one of x's.
+    k - 1 and k (the edge segments at the ends), folded by one monotone
+    stack per side (`_left_bases`; the right side is the same pass over the
+    reversed maxima). Cost O(n + P); every value is one of x's.
     """
     peaks = _local_maxima(x)
-    P = len(peaks)
-    if not P:
+    if not len(peaks):
         return peaks, np.empty(0)
     h = x[peaks]
-    u = np.minimum.reduceat(x, np.concatenate(([0], peaks)))
-    hi = _sparse_table(h, np.maximum)
-    # Extend [left, right] by halving strides while the next stride fits in
-    # the peaks and holds none above the peak.
-    left, right = np.arange(P), np.arange(P)
-    for k in range(len(hi) - 1, -1, -1):
-        w = 1 << k
-        ahead = hi[k, np.minimum(right + 1, P - 1)]
-        right += np.where((right + w < P) & (ahead <= h), w, 0)
-        behind = hi[k, np.maximum(left - w, 0)]
-        left -= np.where((left >= w) & (behind <= h), w, 0)
-    del hi
-    lo = _sparse_table(u, np.minimum)
-
-    def range_min(a, b):                    # min of u[a:b + 1], a <= b
-        k = np.frexp(b - a + 1)[1] - 1      # floor(log2(b - a + 1))
-        return np.minimum(lo[k, a], lo[k, b - (1 << k) + 1])
-
-    peak = np.arange(P)
-    return peaks, h - np.maximum(range_min(left, peak),
-                                 range_min(peak + 1, right + 1))
+    u = np.minimum.reduceat(x, np.concatenate(([0], peaks))).tolist()
+    hs = h.tolist()
+    left = _left_bases(hs, u)
+    right = _left_bases(hs[::-1], u[::-1])[::-1]
+    return peaks, h - np.maximum(left, right)
 
 
 def find_peaks(spectrum: FourierSpectrum,

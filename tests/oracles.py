@@ -18,7 +18,9 @@ tests can check the fast routes against them:
   of place, which the package spreads in small chunks by np.add.at;
 - `lattice_sum_einsum`: the direct lattice sums at arbitrary k by an
   einsum over j, which the package sums by the trace kernel's
-  matrix-vector product.
+  matrix-vector product;
+- `prominences_by_walk`: peak prominences by walking out from each peak,
+  which the package reads off the maxima with one monotone stack per side.
 
 The dense and O(N^2) ones keep their work budgets and raise ResourceLimit
 before allocating above them. numpy and the package are all they import.
@@ -313,3 +315,35 @@ def lattice_sum_einsum(k, N: int, power: int, kind: str):
         out[i:i + chunk] = np.einsum(
             "j,jk->k", w, f(np.multiply.outer(j, karr[i:i + chunk])))
     return out if np.ndim(k) else float(out[0])
+
+
+def prominences_by_walk(x: np.ndarray) -> tuple:
+    """Local maxima of x and their prominences as scipy.signal documents
+    them, one peak at a time: a maximum is a rise, a flat run and a fall,
+    reported at the run's midpoint rounded down; from it, each side is
+    walked to the first strictly higher sample or the array edge, its base
+    the lowest sample passed, and the prominence is the peak height minus
+    the higher base. O(n) per peak."""
+    x = [float(v) for v in x]
+    n, peaks, prominences = len(x), [], []
+    i = 1
+    while i < n - 1:
+        if x[i - 1] < x[i]:
+            ahead = i + 1
+            while ahead < n - 1 and x[ahead] == x[i]:
+                ahead += 1
+            if x[ahead] < x[i]:
+                peaks.append((i + ahead - 1) // 2)
+            i = ahead
+        else:
+            i += 1
+    for p in peaks:
+        bases = []
+        for step in (-1, 1):
+            base, j = x[p], p
+            while 0 <= j < n and x[j] <= x[p]:
+                base = min(base, x[j])
+                j += step
+            bases.append(base)
+        prominences.append(x[p] - max(bases))
+    return np.array(peaks, dtype=np.intp), np.array(prominences)

@@ -16,7 +16,7 @@ import pytest
 import coulombchain
 from coulombchain import (PhysicalInput, asymptotics, cli,
                           critical_frequency_finite, derive_parameters,
-                          emit_csv, output, ramsey)
+                          emit_csv, linear_modes, output, ramsey, spectral)
 from coulombchain.cli import run
 from coulombchain.errors import InvalidParameter
 
@@ -717,18 +717,48 @@ def test_memory_errors_are_reported_not_raised(argv, target, tmp_path, capsys,
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", ["visibility", "longtime"])
-def test_trace_budget_guard_before_allocation(command, tmp_path, capsys):
+@pytest.mark.parametrize("command, flag", [
+    ("visibility", "--samples"), ("longtime", "--samples"),
+    ("fourier", "--n-s")], ids=["visibility", "longtime", "fourier"])
+def test_trace_budget_guard_before_allocation(command, flag, tmp_path,
+                                              capsys):
     tracemalloc.start()
     try:
         rc = run([command, "--N", "16", "--delta", "0.05", "--eta-c", "0.1",
-                  "--samples", str(10**12), "--out", str(tmp_path)])
+                  flag, str(10**12), "--out", str(tmp_path)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rc == 1
-    assert "error [ResourceLimit]" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "error [ResourceLimit]: trace arrays of 1000000000000 samples")
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("visibility", ["--samples"]),
+    ("visibility", ["--theta", "0.5", "--samples"]),
+    ("longtime", ["--samples"]), ("fourier", ["--n-s"])],
+    ids=["visibility", "visibility_thermal", "longtime", "fourier"])
+def test_trace_sample_bytes_bound_the_traced_cost(command, flags, tmp_path,
+                                                  capsys, monkeypatch):
+    # With the budget at bytes per sample x samples a trace command fits
+    # its traced peak in it; one byte less and it stops before the grid.
+    n = 400_000
+    argv = [command, *_CHAIN, *flags, str(n), "--out", str(tmp_path)]
+    monkeypatch.setattr(linear_modes, "_BUILD_BUDGET",
+                        spectral._SAMPLE_BYTES * n)
+    tracemalloc.start()
+    try:
+        rc = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and peak <= spectral._SAMPLE_BYTES * n
+    monkeypatch.setattr(linear_modes, "_BUILD_BUDGET",
+                        spectral._SAMPLE_BYTES * n - 1)
+    assert run(argv) == 1
+    assert "(142 per sample)" in capsys.readouterr().err
 
 
 def test_amplitude_budget_guard_before_allocation(tmp_path, capsys):

@@ -545,6 +545,11 @@ def test_amplitude_budget_bounds_the_traced_cost(monkeypatch):
     buckled = ChainParams(N=N, nu_t=critical_frequency_finite(N) - 0.01,
                           eta_c=0.1)
     lm = linear_modes
+    rng = np.random.default_rng(5)
+    omega = rng.uniform(0.1, 3.0, N)                # N distinct frequencies
+    weights = [("sin2half", rng.uniform(0.0, 1e-6, N)),
+               ("sin", rng.uniform(0.0, 1e-6, N))]
+    t = np.linspace(0.05, 3e3, 1024)                # NUFFT route, two vectors
     builds = [
         (_ION_BYTES["linear"], lambda: linear_chain_amplitudes(linear)),
         (_ION_BYTES["zigzag"], lambda: _zigzag_amplitudes(buckled)),
@@ -555,16 +560,37 @@ def test_amplitude_budget_bounds_the_traced_cost(monkeypatch):
         (lm._VMAX_ION_BYTES, lambda: revival_time(N, 2.3)),
         (zigzag._EQUILIBRIUM_ION_BYTES, lambda: zigzag_equilibrium(buckled)),
         (zigzag._SPECTRUM_ION_BYTES, lambda: zigzag_spectrum(buckled)),
+        (ramsey._TERM_BYTES, lambda: ramsey._trig_sums(t, omega, weights)),
     ]
-    for ion_bytes, build in builds:
-        # The lattice terms are cached; the first build at N makes them.
+    for unit_bytes, build in builds:
+        # The lattice terms and nu_c(N) are cached; the first build at N
+        # makes them.
         lm._lattice_terms.cache_clear()
-        # The check compares bytes per ion x N with the budget, inclusive.
-        monkeypatch.setattr(lm, "_BUILD_BUDGET", ion_bytes * N)
-        assert _traced_peak(build) <= ion_bytes * N
-        monkeypatch.setattr(lm, "_BUILD_BUDGET", ion_bytes * N - 1)
-        with pytest.raises(ResourceLimit, match=f"{ion_bytes} per ion"):
+        lm._critical_frequency.cache_clear()
+        # The check compares bytes per unit x N with the budget, inclusive.
+        monkeypatch.setattr(lm, "_BUILD_BUDGET", unit_bytes * N)
+        assert _traced_peak(build) <= unit_bytes * N
+        monkeypatch.setattr(lm, "_BUILD_BUDGET", unit_bytes * N - 1)
+        with pytest.raises(ResourceLimit, match=rf"\({unit_bytes} per "):
             build()
+
+
+def test_trig_sum_over_budget_raises_before_allocating():
+    # 3e7 frequencies at 91 B each pass the 2e9-byte budget; the check
+    # comes before the merge, whose sort alone would take 0.5 GB. The
+    # inputs are zero-stride views, so nothing is allocated for them.
+    M = 3 * 10 ** 7
+    omega, weight = np.broadcast_to(1.0, (M,)), np.broadcast_to(1e-6, (M,))
+    t = np.linspace(0.05, 3e3, 1024)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match=f"trig sums of {M} terms "
+                           r"need about .* \(91 per term\)"):
+            ramsey._trig_sums(t, omega, [("cos", weight)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_direct_sum_over_budget_raises_before_allocating():

@@ -11,9 +11,12 @@ from coulombchain import (ChainParams, FourierSpectrum, VisibilityTrace,
                           fourier_spectrum, linear_chain_amplitudes,
                           spectral_band_check, transverse_band,
                           visibility_trace)
+from coulombchain import linear_modes, spectral
 from coulombchain.errors import InvalidParameter, ResourceLimit
 from coulombchain.ramsey import _uniform_step
-from coulombchain.spectral import DC_FLOOR_BINS, _peak_prominences
+from coulombchain.spectral import (DC_FLOOR_BINS, _peak_prominences,
+                                   check_trace_samples)
+from oracles import prominences_by_walk
 
 
 def _tone_trace(omegas, amps, n_s=4096, T_F=400.0):
@@ -47,6 +50,17 @@ def test_trace_limits():
             visibility_trace(p, T_F=T_F)
     with pytest.raises(ResourceLimit):
         visibility_trace(p, n_s=10**9)
+
+
+def test_trace_samples_keep_the_build_budget():
+    # 142 B per sample: about 1.4e7 samples fit the 2e9-byte budget of
+    # every O(N) build, and 1e8 samples would trace about 14 GB.
+    limit = linear_modes._BUILD_BUDGET // spectral._SAMPLE_BYTES
+    check_trace_samples(limit)
+    for n in (limit + 1, 5 * 10 ** 7, 10 ** 8):
+        with pytest.raises(ResourceLimit, match=f"trace arrays of {n} "
+                           f"samples need about .* \\(142 per sample\\)"):
+            check_trace_samples(n)
 
 
 def test_constant_trace_is_pure_dc():
@@ -110,8 +124,7 @@ def _seeded_peak_arrays(rng, count):
             yield np.repeat(runs, rng.integers(1, 5, runs.size))[:n]
 
 
-def test_peak_prominences_equal_scipy():
-    signal = pytest.importorskip("scipy.signal")
+def _peak_test_arrays():
     crafted = [[], [1.0], [1, 2], [2, 1, 2], [0, 1, 1, 0], [0, 1, 1, 1, 1, 0],
                [3, 1, 2, 1, 3], [0, 2, 0, 2, 0], [2, 2, 1, 2, 2], [1, 2, 2],
                [0, 1, 1, 2, 1, 1, 0], [5, 0, 1, 0, 1, 0, 5],
@@ -121,14 +134,32 @@ def test_peak_prominences_equal_scipy():
                # equal-height peaks, which never end each other's run
                [1, 3, 1, 3, 1, 3, 1], [0, 2, 1, 2, 0, 2, 1],
                [4, 1, 3, 0, 3, 1, 4], [0, 2, 0, 2, 2, 0, 2, 0],
-               [1, 3, 0, 3, 2, 3, 1, 4, 0]]
+               [1, 3, 0, 3, 2, 3, 1, 4, 0],
+               # runs of maxima falling then rising: deep stacks each side
+               [0, 5, 0, 4, 0, 3, 0, 2, 0, 3, 0, 4, 0, 5, 0],
+               [0, 1, 0, 2, 0, 3, 0, 3, 0, 2, 0, 1, 0]]
     arrays = [np.array(a, dtype=float) for a in crafted]
-    arrays += list(_seeded_peak_arrays(np.random.default_rng(1729), 1000))
-    for x in arrays:
+    return arrays + list(_seeded_peak_arrays(np.random.default_rng(1729),
+                                             1000))
+
+
+def test_peak_prominences_equal_scipy():
+    signal = pytest.importorskip("scipy.signal")
+    for x in _peak_test_arrays():
         peaks, prom = _peak_prominences(x)
         want, props = signal.find_peaks(x, prominence=(None, None))
         assert np.array_equal(peaks, want), x
         assert np.array_equal(prom, props["prominences"]), x
+
+
+def test_peak_prominences_equal_the_walk_from_each_peak():
+    # The same arrays as the scipy test, against a walk out from each peak
+    # to its first strictly higher sample, so this runs without scipy.
+    for x in _peak_test_arrays():
+        peaks, prom = _peak_prominences(x)
+        want, want_prom = prominences_by_walk(x)
+        assert np.array_equal(peaks, want), x
+        assert np.array_equal(prom, want_prom), x
 
 
 def test_find_peaks_equals_scipy_on_a_near_critical_spectrum():
@@ -146,7 +177,7 @@ def test_find_peaks_equals_scipy_on_a_near_critical_spectrum():
 
 def test_find_peaks_on_scenario_two_allocates_under_1_5_mib():
     # 50001 bins with 4259 local maxima: the O(n) scan for the maxima sets
-    # the peak, and the tables over the maxima are small.
+    # the peak, and the stacks over the maxima are small.
     spec = fourier_spectrum(
         visibility_trace(ChainParams.from_delta(100, 1e-1, 0.25)))
     assert len(spec.F) == 50_001
