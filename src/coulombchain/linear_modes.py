@@ -65,8 +65,10 @@ _CHUNK_ELEMENTS = 8_000_000
 TRACE_BUDGET = 2_000_000_000
 # Largest traced peak, in bytes, of one O(N) build (a mode table, a kick
 # weight set, the nu_c(N) sum), checked against bytes per ion x N before
-# the build allocates. Each build's bytes per ion are its tracemalloc peak
-# per ion, rounded up.
+# the build allocates; a trace's samples and a trig sum's input
+# frequencies are checked against it the same way, per sample and per
+# frequency. Each unit's bytes are its tracemalloc peak per unit, rounded
+# up.
 _BUILD_BUDGET = 2_000_000_000
 # Traced bytes per ion from N = 2^16 to 2^20, rounded up: 29.0-30.9 for a
 # mode set, 6.0 for nu_c(N), 12.0 for the direct lattice sum at one k (the
@@ -78,14 +80,15 @@ _LATTICE_ION_BYTES = 13
 _VMAX_ION_BYTES = 29
 
 
-def _check_build_budget(N: int, what: str, unit_bytes: int,
+def _check_build_budget(count: int, what: str, unit_bytes: int,
                         unit: str = "ion") -> None:
-    """ResourceLimit when `what` for N units (ions, samples, terms),
-    unit_bytes each, would pass _BUILD_BUDGET bytes; allocates nothing."""
-    need = unit_bytes * N
+    """ResourceLimit when `what` for `count` units (ions, trace samples or
+    trig-sum frequencies), unit_bytes each, would pass _BUILD_BUDGET bytes;
+    allocates nothing. The message reads "<what> <count> <unit>s", so
+    `what` ends where the count begins ("kick weights of N =")."""
+    need = unit_bytes * count
     if need > _BUILD_BUDGET:
-        count = f"N = {N}" if unit == "ion" else f"{N}"
-        raise ResourceLimit(f"{what} of {count} {unit}s need about "
+        raise ResourceLimit(f"{what} {count} {unit}s need about "
                             f"{need:.3g} bytes ({unit_bytes} per {unit}), "
                             f"over the budget {_BUILD_BUDGET}")
 
@@ -154,7 +157,7 @@ def _lattice_sum(k, N: int, power: int, kind: str):
     the bytes per ion, are checked before the terms are built."""
     karr = _check_scalar_or_1d("k", k)
     _check_trace_budget(len(karr), N // 2)
-    _check_build_budget(N, "lattice terms", _LATTICE_ION_BYTES)
+    _check_build_budget(N, "lattice terms of N =", _LATTICE_ION_BYTES)
     out = _direct_trig_sum(karr, *_lattice_terms(N, power), kind)
     return out if np.ndim(k) else float(out[0])
 
@@ -224,18 +227,9 @@ def dispersion_transverse(k, nu_t: float, N: int):
 
 
 def critical_frequency_finite(N: int) -> float:
-    """nu_t at which omega_y(pi/a) vanishes: sqrt(4 sum_{j odd <= N/2} j^-3).
-
-    The budget is checked on every call, the sum made once per N."""
+    """nu_t at which omega_y(pi/a) vanishes: sqrt(4 sum_{j odd <= N/2} j^-3)."""
     _check_even_n(N)
-    _check_build_budget(N, "nu_c(N) terms", _NU_C_ION_BYTES)
-    return _critical_frequency(N)
-
-
-@lru_cache(maxsize=8)
-def _critical_frequency(N: int) -> float:
-    """Cached because `zigzag_equilibrium` compares nu_t with it on every
-    call: `zigzag --points P` and each zigzag kick build ask again."""
+    _check_build_budget(N, "nu_c(N) terms of N =", _NU_C_ION_BYTES)
     j = np.arange(1, N // 2 + 1, dtype=np.float64)
     odd = j[::2]                       # 1, 3, 5, ...
     return math.sqrt(4.0 * float(np.sum(odd[::-1] ** -3)))
@@ -267,7 +261,8 @@ class ModeSet:
 def transverse_mode_set(params: ChainParams) -> ModeSet:
     """ModeSet of the y branch for the given chain parameters;
     ResourceLimit above _BUILD_BUDGET."""
-    _check_build_budget(params.N, "transverse modes", _MODE_SET_ION_BYTES)
+    _check_build_budget(params.N, "transverse modes of N =",
+                        _MODE_SET_ION_BYTES)
     return ModeSet(_transverse_omega(_mode_grid_sum(params.N), params.nu_t))
 
 
@@ -275,7 +270,7 @@ def axial_mode_set(N: int) -> ModeSet:
     """ModeSet of the x branch (confinement-independent); ResourceLimit
     above _BUILD_BUDGET."""
     _check_even_n(N)
-    _check_build_budget(N, "axial modes", _MODE_SET_ION_BYTES)
+    _check_build_budget(N, "axial modes of N =", _MODE_SET_ION_BYTES)
     return ModeSet(np.sqrt(8.0 * _mode_grid_sum(N)))
 
 
@@ -364,7 +359,7 @@ def max_group_velocity(nu_t: float, N: int) -> tuple[float, float]:
     ResourceLimit above _BUILD_BUDGET.
     """
     _check_even_n(N)
-    _check_build_budget(N, "group velocities", _VMAX_ION_BYTES)
+    _check_build_budget(N, "group velocities of N =", _VMAX_ION_BYTES)
     ks = np.linspace(0.0, math.pi, _VGRID_POINTS + 2)[1:-1]
     i = int(np.argmax(_grid_group_velocity(nu_t, N)))
     near = np.arange(max(i - 1, 0), min(i + 2, len(ks)))

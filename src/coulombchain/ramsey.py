@@ -56,9 +56,10 @@ _ION_BYTES = {"linear": 34, "zigzag": 77}
 # same way before the merge: from 2^18 to 4e6 frequencies at 64 to 10^4
 # samples, 45-49 on the direct route and, on the NUFFT route, 72.2-74.1
 # with one weight vector and 88.3-90.6 with two (a thermal magnitude and
-# the phase), rounded up. More samples add their own share, which
-# `spectral.check_trace_samples` bounds.
-_TERM_BYTES = 91
+# the phase). Traced on numpy 2; the bound keeps about 5% over the largest
+# for other numpy versions' temporaries. More samples add their own share,
+# which `spectral.check_trace_samples` bounds.
+_TERM_BYTES = 96
 
 # A grid is uniform for the NUFFT when it has at least this many samples
 # and every t_i lies within _UNIFORM_ULPS ulp of max|t| of t_0 + i dt; the
@@ -165,7 +166,7 @@ def linear_chain_amplitudes(params: ChainParams,
     """Amplitudes alpha_m = i eta0 sqrt(nu_t/omega_m) R[probe, m] of the
     y-branch modes for a kick on ion `probe_site` (1-based); ResourceLimit
     above the build budget."""
-    _check_build_budget(params.N, "kick weights", _ION_BYTES["linear"])
+    _check_build_budget(params.N, "kick weights of N =", _ION_BYTES["linear"])
     return _kick_weights(params, transverse_mode_set(params).omega,
                          mode_matrix(params.N).row(probe_site), "linear")
 
@@ -174,7 +175,7 @@ def _zigzag_amplitudes(params: ChainParams) -> DisplacementAmplitudes:
     """Kick weights of the zigzag ring (flat above the transition), one per
     block eigenpair the probe feels, the same on every site; ResourceLimit
     above the build budget."""
-    _check_build_budget(params.N, "kick weights", _ION_BYTES["zigzag"])
+    _check_build_budget(params.N, "kick weights of N =", _ION_BYTES["zigzag"])
     _, lam, _, v, edge = _block_eigenpairs(params)
     s = np.where(edge, 1.0, 2.0) / params.N
     return _kick_weights(params, np.sqrt(lam), np.sqrt(s) * v, "zigzag")
@@ -187,7 +188,7 @@ def chain_amplitudes(params: ChainParams) -> DisplacementAmplitudes:
     soft mode is at omega = 0 and SoftModeSingularity is raised. A chain
     too long for the cheaper linear build raises ResourceLimit before the
     O(N) nu_c(N) sum."""
-    _check_build_budget(params.N, "kick weights", _ION_BYTES["linear"])
+    _check_build_budget(params.N, "kick weights of N =", _ION_BYTES["linear"])
     if params.nu_t < critical_frequency_finite(params.N):
         return _zigzag_amplitudes(params)
     return linear_chain_amplitudes(params)
@@ -339,7 +340,7 @@ def _trig_sums(t, omega: np.ndarray, requests):
     several requests is merged and spread once. ResourceLimit, before
     anything is allocated, when the frequencies pass the build budget.
     """
-    _check_build_budget(len(omega), "trig sums", _TERM_BYTES, "term")
+    _check_build_budget(len(omega), "trig sums of", _TERM_BYTES, "term")
     t_arr = _check_scalar_or_1d("t", t)
     vectors = {id(w): w for _, w in requests}
     distinct, inv = np.unique(omega, return_inverse=True)
@@ -386,7 +387,7 @@ def weighted_trig_sum(t, omega: np.ndarray, weight: np.ndarray,
     `linear_modes._direct_trig_sum`, one trig call per mode-sample, which
     raises ResourceLimit above TRACE_BUDGET mode-samples. Before either
     route, len(omega) x _TERM_BYTES is checked against the build budget
-    `linear_modes._BUILD_BUDGET` (ResourceLimit above about 2.2e7
+    `linear_modes._BUILD_BUDGET` (ResourceLimit above about 2.1e7
     frequencies). Near t = 0 the exponential sum would lose sin^2 to the
     cancellation in 1 - cos, and the Gamma-fit window lies there. Bit-equal
     frequencies merge, weights summed, before either route; inputs whose

@@ -34,8 +34,10 @@ DC_FLOOR_BINS = 3      # band metrics ignore the first bins: V has a large mean
 _MIN_SAMPLES = 1 << 10
 # Traced bytes per sample of a trace and what each command keeps beside it,
 # N = 16-100 at 2-8e5 samples: 85-97 for longtime and fourier, 109-110 for
-# visibility and 141-142 for visibility at theta > 0, rounded up here.
-_SAMPLE_BYTES = 142
+# visibility and 141-142 for visibility at theta > 0. Traced on numpy 2;
+# the bound keeps about 5% over the largest for other numpy versions'
+# temporaries.
+_SAMPLE_BYTES = 150
 
 
 def check_trace_samples(n_samples: int) -> None:
@@ -44,10 +46,11 @@ def check_trace_samples(n_samples: int) -> None:
     A uniform grid costs O(M + T log T); the modes' share is checked by the
     kick weights and the trig sums, and here the samples' share, bytes per
     sample x T, against the budget of every O(N) build,
-    `linear_modes._BUILD_BUDGET`, so about 1.4e7 samples fit. The T x M
+    `linear_modes._BUILD_BUDGET`, so about 1.3e7 samples fit. The T x M
     budget of the direct route, TRACE_BUDGET, is checked by its kernel,
     `linear_modes._direct_trig_sum`."""
-    _check_build_budget(n_samples, "trace arrays", _SAMPLE_BYTES, "sample")
+    _check_build_budget(n_samples, "trace arrays of", _SAMPLE_BYTES,
+                        "sample")
 
 
 def visibility_trace(params: ChainParams, T_F: float = DEFAULT_T_F,

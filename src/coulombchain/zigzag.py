@@ -87,7 +87,8 @@ def zigzag_equilibrium(params: ChainParams) -> ZigzagEquilibrium:
     if N < 8 or N % 4 != 0:
         raise InvalidParameter(
             "zigzag routines need N divisible by 4 (commensurate pattern)")
-    _check_build_budget(N, "zigzag equilibrium", _EQUILIBRIUM_ION_BYTES)
+    _check_build_budget(N, "zigzag equilibrium of N =",
+                        _EQUILIBRIUM_ION_BYTES)
     if nu_t >= critical_frequency_finite(N):
         return ZigzagEquilibrium(N=N, nu_t=nu_t, b=0.0,
                                  energy_per_ion=_energy_per_ion(0.0, nu_t, N),
@@ -254,7 +255,8 @@ def zigzag_spectrum(params: ChainParams) -> ZigzagSpectrum:
     only the nonvanishing part is a mode (norm sqrt(1/N)). ResourceLimit
     above the build budget.
     """
-    _check_build_budget(params.N, "zigzag modes", _SPECTRUM_ION_BYTES)
+    _check_build_budget(params.N, "zigzag modes of N =",
+                        _SPECTRUM_ION_BYTES)
     b, lam, u, v, edge = _block_eigenpairs(params)
     N, pair = params.N, np.arange(params.N + 2)
     # An interior pair gives a '+' and a '-' mode. An edge block is diagonal,

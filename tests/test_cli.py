@@ -758,7 +758,7 @@ def test_trace_sample_bytes_bound_the_traced_cost(command, flags, tmp_path,
     monkeypatch.setattr(linear_modes, "_BUILD_BUDGET",
                         spectral._SAMPLE_BYTES * n - 1)
     assert run(argv) == 1
-    assert "(142 per sample)" in capsys.readouterr().err
+    assert "(150 per sample)" in capsys.readouterr().err
 
 
 def test_amplitude_budget_guard_before_allocation(tmp_path, capsys):

@@ -551,32 +551,35 @@ def test_amplitude_budget_bounds_the_traced_cost(monkeypatch):
                ("sin", rng.uniform(0.0, 1e-6, N))]
     t = np.linspace(0.05, 3e3, 1024)                # NUFFT route, two vectors
     builds = [
-        (_ION_BYTES["linear"], lambda: linear_chain_amplitudes(linear)),
-        (_ION_BYTES["zigzag"], lambda: _zigzag_amplitudes(buckled)),
-        (lm._MODE_SET_ION_BYTES, lambda: transverse_mode_set(linear)),
-        (lm._MODE_SET_ION_BYTES, lambda: axial_mode_set(N)),
-        (lm._NU_C_ION_BYTES, lambda: critical_frequency_finite(N)),
-        (lm._LATTICE_ION_BYTES, lambda: dispersion_transverse(1.0, 2.3, N)),
-        (lm._VMAX_ION_BYTES, lambda: revival_time(N, 2.3)),
-        (zigzag._EQUILIBRIUM_ION_BYTES, lambda: zigzag_equilibrium(buckled)),
-        (zigzag._SPECTRUM_ION_BYTES, lambda: zigzag_spectrum(buckled)),
-        (ramsey._TERM_BYTES, lambda: ramsey._trig_sums(t, omega, weights)),
+        (_ION_BYTES["linear"], "ion", lambda: linear_chain_amplitudes(linear)),
+        (_ION_BYTES["zigzag"], "ion", lambda: _zigzag_amplitudes(buckled)),
+        (lm._MODE_SET_ION_BYTES, "ion", lambda: transverse_mode_set(linear)),
+        (lm._MODE_SET_ION_BYTES, "ion", lambda: axial_mode_set(N)),
+        (lm._NU_C_ION_BYTES, "ion", lambda: critical_frequency_finite(N)),
+        (lm._LATTICE_ION_BYTES, "ion",
+         lambda: dispersion_transverse(1.0, 2.3, N)),
+        (lm._VMAX_ION_BYTES, "ion", lambda: revival_time(N, 2.3)),
+        (zigzag._EQUILIBRIUM_ION_BYTES, "ion",
+         lambda: zigzag_equilibrium(buckled)),
+        (zigzag._SPECTRUM_ION_BYTES, "ion", lambda: zigzag_spectrum(buckled)),
+        # N input frequencies of one trig sum
+        (ramsey._TERM_BYTES, "term",
+         lambda: ramsey._trig_sums(t, omega, weights)),
     ]
-    for unit_bytes, build in builds:
-        # The lattice terms and nu_c(N) are cached; the first build at N
-        # makes them.
+    for unit_bytes, unit, build in builds:
+        # The lattice terms are cached; the first build at N makes them.
         lm._lattice_terms.cache_clear()
-        lm._critical_frequency.cache_clear()
         # The check compares bytes per unit x N with the budget, inclusive.
         monkeypatch.setattr(lm, "_BUILD_BUDGET", unit_bytes * N)
         assert _traced_peak(build) <= unit_bytes * N
         monkeypatch.setattr(lm, "_BUILD_BUDGET", unit_bytes * N - 1)
-        with pytest.raises(ResourceLimit, match=rf"\({unit_bytes} per "):
+        with pytest.raises(ResourceLimit,
+                           match=rf"\({unit_bytes} per {unit}\)"):
             build()
 
 
 def test_trig_sum_over_budget_raises_before_allocating():
-    # 3e7 frequencies at 91 B each pass the 2e9-byte budget; the check
+    # 3e7 frequencies at 96 B each pass the 2e9-byte budget; the check
     # comes before the merge, whose sort alone would take 0.5 GB. The
     # inputs are zero-stride views, so nothing is allocated for them.
     M = 3 * 10 ** 7
@@ -585,7 +588,7 @@ def test_trig_sum_over_budget_raises_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimit, match=f"trig sums of {M} terms "
-                           r"need about .* \(91 per term\)"):
+                           r"need about .* \(96 per term\)"):
             ramsey._trig_sums(t, omega, [("cos", weight)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:

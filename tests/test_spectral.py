@@ -53,13 +53,13 @@ def test_trace_limits():
 
 
 def test_trace_samples_keep_the_build_budget():
-    # 142 B per sample: about 1.4e7 samples fit the 2e9-byte budget of
+    # 150 B per sample: about 1.3e7 samples fit the 2e9-byte budget of
     # every O(N) build, and 1e8 samples would trace about 14 GB.
     limit = linear_modes._BUILD_BUDGET // spectral._SAMPLE_BYTES
     check_trace_samples(limit)
     for n in (limit + 1, 5 * 10 ** 7, 10 ** 8):
         with pytest.raises(ResourceLimit, match=f"trace arrays of {n} "
-                           f"samples need about .* \\(142 per sample\\)"):
+                           f"samples need about .* \\(150 per sample\\)"):
             check_trace_samples(n)
 
 

@@ -14,7 +14,7 @@ from coulombchain import (ChainParams, axial_mode_set, classify_zigzag_modes,
                           dispersion_transverse, gamma_coefficient,
                           linear_chain_amplitudes, zigzag_equilibrium,
                           zigzag_spectrum)
-from coulombchain import linear_modes, zigzag
+from coulombchain import zigzag
 from coulombchain.ramsey import _zigzag_amplitudes
 from coulombchain.cli import run
 from coulombchain.errors import (InvalidParameter, NumericalFailure,
@@ -42,17 +42,6 @@ def test_buckled_branch_below_critical():
     # buckling lowers the energy relative to the flat line at the same nu_t
     from coulombchain.zigzag import _energy_per_ion
     assert eq.energy_per_ion < _energy_per_ion(0.0, nuc - 0.05, 16)
-
-
-def test_nu_c_is_summed_once_over_two_equilibria():
-    # zigzag_equilibrium compares nu_t with nu_c(N) on every call; the sum
-    # is made once per N, while its budget is still checked each time.
-    cached = linear_modes._critical_frequency
-    cached.cache_clear()
-    for nu in (1.5, 1.6):
-        zigzag_equilibrium(ChainParams(N=1000, nu_t=nu, eta_c=0.0))
-    assert cached.cache_info().misses == 1
-    assert cached.cache_info().hits == 1
 
 
 def test_bifurcation_exponent():
